@@ -10,7 +10,6 @@ from .channel import (
     noise_power,
     noise_sigma_for_snr,
     received_power_on_axis,
-    sample_noise,
 )
 from .estimator import (
     PositionEstimate,
@@ -53,7 +52,6 @@ from .scan import (
     MeasurementTrace,
     ScanPlan,
     apply_timing_offset,
-    is_synchronized,
     make_pilot,
     realign_with_pilot,
     run_scan,
@@ -83,7 +81,6 @@ __all__ = [
     "incidence_cosine",
     "intensity",
     "invert_distance",
-    "is_synchronized",
     "laplace_sample",
     "make_pilot",
     "noise_power",
@@ -98,7 +95,6 @@ __all__ = [
     "run_scan",
     "run_snr_sweep",
     "run_sync_test",
-    "sample_noise",
     "sample_orientation_angles",
     "sample_positions",
     "sample_receiver_normal",

@@ -92,12 +92,3 @@ def noise_sigma_for_snr(signal_w: float, snr_db: float) -> float:
     if signal_w <= 0.0:
         raise ValueError("signal must be positive")
     return signal_w / 10.0 ** (snr_db / 20.0)
-
-
-def sample_noise(sigma_w: float, rng: np.random.Generator) -> float:
-    """One zero-mean Gaussian noise draw [W] from the caller's stream."""
-    if sigma_w < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma_w == 0.0:
-        return 0.0
-    return float(rng.normal(0.0, sigma_w))

@@ -14,20 +14,9 @@ import time
 
 import numpy as np
 
-from .estimator import estimate_position, position_error
-from .experiments import (
-    ExperimentConfig,
-    noise_sigma,
-    run_cdf_experiment,
-    run_snr_sweep,
-    run_sync_test,
-)
-from .geometry import ReceiverState, build_beam_grid
+from .estimator import position_error
+from .experiments import ExperimentConfig, run_cdf_experiment, run_scan_demo, run_snr_sweep, run_sync_test
 from .io import ConfigError, build_experiment, load_config, write_results, write_trace_csv
-from .orientation import sample_receiver_normal
-from .scan import ScanPlan, make_pilot, run_scan
-
-THREADS_ENV = "VLP_SIM_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         metavar="N",
-        help=f"worker threads (falls back to ${THREADS_ENV}, then config)",
+        help="worker threads, capped at the CPU count (default: config)",
     )
 
     parser = _Parser(prog="vlp-sim", description=__doc__)
@@ -77,19 +66,7 @@ def _parse_snr_list(text: str | None):
         raise ConfigError(f"bad --snr value {text!r}: {e}") from e
 
 
-def _resolve_threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise ConfigError(f"bad {THREADS_ENV} value {env!r}") from e
-    return None
-
-
-def _scan_demo(cfg: ExperimentConfig, args, resolved) -> None:
+def _scan_demo(cfg: ExperimentConfig, args) -> None:
     if args.rx is not None:
         try:
             point = np.array([float(v) for v in args.rx.split(",")])
@@ -101,18 +78,9 @@ def _scan_demo(cfg: ExperimentConfig, args, resolved) -> None:
         point = np.array(
             [cfg.room.width_m / 2.0, cfg.room.depth_m / 2.0, (cfg.h_min_m + cfg.h_max_m) / 2.0]
         )
-    snr = None if cfg.snr_list_db is None else cfg.snr_list_db[0]
-    sigma = noise_sigma(cfg, snr)
-    grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
-    pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None
-    plan = ScanPlan(grid, cfg.dwell_s, pilot)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.master_seed,))))
-    normal = sample_receiver_normal(cfg.orientation, rng)
-    rx = ReceiverState(point, normal, cfg.fov_deg)
-    trace = run_scan(plan, cfg.room, rx, cfg.channel, sigma, rng)
-    est = estimate_position(cfg.room.emitter_pos, trace.samples[cfg.pilot_len :], grid, cfg.channel, None, sigma)
+    plan, trace, est = run_scan_demo(cfg, point)
     err = position_error(point, est.position)
-    path = write_trace_csv(trace, grid, cfg.pilot_len, os.path.join(args.out, "scan_trace.csv"))
+    path = write_trace_csv(trace, plan.grid, plan.pilot_len, os.path.join(args.out, "scan_trace.csv"))
     print(f"wrote {path}", file=sys.stderr)
     print(
         f"receiver at {point.tolist()}, estimate {est.position.round(4).tolist()} "
@@ -138,7 +106,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "orientation_mode": args.orientation,
             "snr_db": _parse_snr_list(args.snr),
-            "threads": _resolve_threads(args),
+            "threads": args.threads,
             "mode": args.command if args.command in _RUNNERS else None,
         }
         resolved, applied_defaults = load_config(args.config, overrides)
@@ -149,7 +117,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "scan-demo":
-            _scan_demo(cfg, args, resolved)
+            _scan_demo(cfg, args)
             return 0
         t0 = time.perf_counter()
         result = _RUNNERS[args.command](cfg)

@@ -9,6 +9,7 @@ Within a trial the orientation draws come first, then the per-slot noise.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -18,12 +19,13 @@ from .channel import ChannelParams, noise_power, noise_sigma_for_snr, received_p
 from .estimator import (
     STATUS_CLAMPED,
     STATUS_LOW_SIGNAL,
+    PositionEstimate,
     estimate_position,
     position_error,
 )
 from .geometry import ReceiverState, Room, build_beam_grid
 from .orientation import ORIENTATION_MODES, OrientationConfig, sample_receiver_normal
-from .scan import DEFAULT_DWELL_S, DEFAULT_PILOT_LEN, ScanPlan, apply_timing_offset, make_pilot, realign_with_pilot, run_scan
+from .scan import DEFAULT_PILOT_LEN, MeasurementTrace, ScanPlan, apply_timing_offset, make_pilot, realign_with_pilot, run_scan
 
 EXPERIMENT_MODES = ("cdf", "snr-sweep", "sync-test")
 
@@ -56,7 +58,6 @@ class ExperimentConfig:
     fov_deg: float = 120.0
     azimuth_step_deg: float = 1.0
     elevation_step_deg: float = 1.0
-    dwell_s: float = DEFAULT_DWELL_S
     pilot_len: int = DEFAULT_PILOT_LEN
     grid_spacing_m: float = 0.1
     h_min_m: float = 0.0
@@ -81,6 +82,8 @@ class ExperimentConfig:
             object.__setattr__(self, "snr_list_db", tuple(float(s) for s in self.snr_list_db))
             if len(self.snr_list_db) == 0:
                 raise ValueError("snr_list_db must be nonempty (or None for absolute noise)")
+        if self.pilot_len < 0:
+            raise ValueError("pilot_len must be >= 0")
         if self.trials_per_point is not None and self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.threads < 1:
@@ -118,17 +121,11 @@ def sample_positions(cfg: ExperimentConfig) -> np.ndarray:
     ny = int(round(cfg.room.depth_m / s)) + 1
     z_hi = min(cfg.h_max_m, cfg.room.height_m - NEAR_FIELD_CLEARANCE_M)
     nz = int(np.floor((z_hi - cfg.h_min_m) / s + 1e-9)) + 1
-    xs = np.arange(nx) * s
-    ys = np.arange(ny) * s
-    zs = cfg.h_min_m + np.arange(nz) * s
-    pts = np.empty((nz * ny * nx, 3))
-    i = 0
-    for z in zs:
-        for y in ys:
-            for x in xs:
-                pts[i] = (x, y, z)
-                i += 1
-    return pts
+    zs, ys, xs = np.meshgrid(
+        cfg.h_min_m + np.arange(nz) * s, np.arange(ny) * s, np.arange(nx) * s, indexing="ij"
+    )
+    # x varies fastest, then y, then z: the row index seeds each point's trials
+    return np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
 
 
 def reference_peak_power(cfg: ExperimentConfig) -> float:
@@ -137,11 +134,12 @@ def reference_peak_power(cfg: ExperimentConfig) -> float:
     return float(np.mean([received_power_on_axis(d, 1.0, cfg.channel) for d in dists]))
 
 
-def noise_sigma(cfg: ExperimentConfig, snr_db: float | None) -> float:
-    """Per-run noise std: SNR-anchored in sweep style, absolute when snr is None."""
+def noise_sigma(cfg: ExperimentConfig, snr_db: float | None, p_ref: float) -> float:
+    """Per-run noise std: anchored to p_ref (see reference_peak_power) in sweep
+    style, absolute when snr is None."""
     if snr_db is None:
         return noise_power(cfg.channel)
-    return noise_sigma_for_snr(reference_peak_power(cfg), snr_db)
+    return noise_sigma_for_snr(p_ref, snr_db)
 
 
 def _trial_rng(master_seed: int, *indices: int) -> np.random.Generator:
@@ -164,33 +162,44 @@ def percentile(samples, q: float) -> float:
     return float(np.percentile(x, q))
 
 
-def _run_point(cfg, grid, plan, orientation, sigma, seed_ctx, point_idx, point, trials):
+def scan_trial(
+    cfg: ExperimentConfig, plan: ScanPlan, orientation: OrientationConfig, point, sigma: float, rng: np.random.Generator
+) -> tuple[np.ndarray, MeasurementTrace, PositionEstimate]:
+    """One fix: draw the receiver normal, sweep once, pick the peak.
+
+    The orientation draw precedes the sweep's noise draws in rng.  The
+    estimate reads the slots after the pilot and flags peaks under the
+    low-signal threshold for this sigma.
+    """
+    normal = sample_receiver_normal(orientation, rng)
+    rx = ReceiverState(point, normal, cfg.fov_deg)
+    trace = run_scan(plan, cfg.room, rx, cfg.channel, sigma, rng)
+    est = estimate_position(
+        cfg.room.emitter_pos, trace.samples[plan.pilot_len :], plan.grid, cfg.channel, None, sigma
+    )
+    return normal, trace, est
+
+
+def _run_point(cfg, plan, orientation, sigma, seed_ctx, point_idx, point):
     """All trials for one grid point; returns plain per-trial rows."""
     rows = []
-    emitter = cfg.room.emitter_pos
-    for trial in range(trials):
+    for trial in range(cfg.trials):
         rng = _trial_rng(cfg.master_seed, *seed_ctx, point_idx, trial)
-        normal = sample_receiver_normal(orientation, rng)
-        rx = ReceiverState(point, normal, cfg.fov_deg)
-        trace = run_scan(plan, cfg.room, rx, cfg.channel, sigma, rng)
-        est = estimate_position(emitter, trace.samples, grid, cfg.channel, None, sigma)
-        err = position_error(point, est.position)
-        rows.append((point_idx, trial, normal, est, err))
+        normal, _, est = scan_trial(cfg, plan, orientation, point, sigma, rng)
+        rows.append((point_idx, trial, normal, est, position_error(point, est.position)))
     return rows
 
 
-def _run_grid(cfg, grid, orientation, snr_db, seed_ctx):
+def _run_grid(cfg, plan, points, orientation, snr_db, sigma, seed_ctx):
     """One pass over the whole position grid at a single noise level."""
-    points = sample_positions(cfg)
-    sigma = noise_sigma(cfg, snr_db)
-    plan = ScanPlan(grid, cfg.dwell_s, None)
-    trials = cfg.trials
 
     def work(i):
-        return _run_point(cfg, grid, plan, orientation, sigma, seed_ctx, i, points[i], trials)
+        return _run_point(cfg, plan, orientation, sigma, seed_ctx, i, points[i])
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    # threads beyond the cores or the points only add contention
+    workers = min(cfg.threads, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             per_point = list(pool.map(work, range(len(points))))
     else:
         per_point = [work(i) for i in range(len(points))]
@@ -213,7 +222,7 @@ def _run_grid(cfg, grid, orientation, snr_db, seed_ctx):
         "snr_db": np.full(n, np.nan if snr_db is None else snr_db),
         "orientation_mode": np.array([orientation.mode] * n),
     }
-    return rec, sigma
+    return rec
 
 
 def _excluded_mask(records: dict, orientation_mode: str) -> np.ndarray:
@@ -227,12 +236,12 @@ def _excluded_mask(records: dict, orientation_mode: str) -> np.ndarray:
     return flagged
 
 
-def _base_metadata(cfg: ExperimentConfig) -> dict:
+def _base_metadata(cfg: ExperimentConfig, p_ref: float) -> dict:
     return {
         "mode": cfg.mode,
         "master_seed": cfg.master_seed,
         "snr_definition": SNR_DEFINITION,
-        "reference_power_w": reference_peak_power(cfg),
+        "reference_power_w": p_ref,
         "trials": cfg.trials,
         "threads": cfg.threads,
     }
@@ -245,8 +254,10 @@ def run_cdf_experiment(cfg: ExperimentConfig) -> RunResult:
     if cfg.snr_list_db is not None and len(cfg.snr_list_db) != 1:
         raise ValueError("cdf mode takes exactly one snr value (or None)")
     snr = None if cfg.snr_list_db is None else cfg.snr_list_db[0]
-    grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
-    rec, sigma = _run_grid(cfg, grid, cfg.orientation, snr, seed_ctx=(0, 0))
+    p_ref = reference_peak_power(cfg)
+    sigma = noise_sigma(cfg, snr, p_ref)
+    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg))
+    rec = _run_grid(cfg, plan, sample_positions(cfg), cfg.orientation, snr, sigma, seed_ctx=(0, 0))
 
     excluded = _excluded_mask(rec, cfg.orientation.mode)
     valid = ~excluded
@@ -274,7 +285,7 @@ def run_cdf_experiment(cfg: ExperimentConfig) -> RunResult:
         agg["subcm_frac_x"] = float((rec["err_x"][valid] < 0.01).mean())
         agg["subcm_frac_y"] = float((rec["err_y"][valid] < 0.01).mean())
     rec["excluded"] = excluded
-    return RunResult("cdf", rec, agg, _base_metadata(cfg))
+    return RunResult("cdf", rec, agg, _base_metadata(cfg, p_ref))
 
 
 def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
@@ -287,14 +298,17 @@ def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
     if cfg.snr_list_db is None:
         raise ValueError("snr-sweep needs an explicit snr list")
     modes = cfg.orientation_modes or (cfg.orientation.mode,)
-    grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
+    p_ref = reference_peak_power(cfg)
+    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg))
+    points = sample_positions(cfg)
 
     rows = []
     all_rec: dict[str, list] = {}
     for mode_idx, mode in enumerate(modes):
         orientation = dataclasses.replace(cfg.orientation, mode=mode)
         for snr_idx, snr in enumerate(cfg.snr_list_db):
-            rec, sigma = _run_grid(cfg, grid, orientation, snr, seed_ctx=(mode_idx, snr_idx))
+            sigma = noise_sigma(cfg, snr, p_ref)
+            rec = _run_grid(cfg, plan, points, orientation, snr, sigma, seed_ctx=(mode_idx, snr_idx))
             excluded = _excluded_mask(rec, mode)
             valid = ~excluded
             rows.append(
@@ -313,7 +327,7 @@ def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
                 all_rec.setdefault(key, []).append(arr)
 
     records = {k: np.concatenate(v) for k, v in all_rec.items()}
-    return RunResult("snr-sweep", records, {"rows": rows}, _base_metadata(cfg))
+    return RunResult("snr-sweep", records, {"rows": rows}, _base_metadata(cfg, p_ref))
 
 
 def run_sync_test(cfg: ExperimentConfig) -> RunResult:
@@ -330,7 +344,7 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     snrs = cfg.snr_list_db if cfg.snr_list_db is not None else (float("inf"),)
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
-    plan = ScanPlan(grid, cfg.dwell_s, pilot)
+    plan = ScanPlan(grid, pilot)
     emitter = cfg.room.emitter_pos
     z_hi = min(cfg.h_max_m, cfg.room.height_m - NEAR_FIELD_CLEARANCE_M)
     n_slots = cfg.pilot_len + grid.size
@@ -350,11 +364,8 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
                 ]
             )
             offset = int(rng.integers(-(n_slots // 2), n_slots // 2 + 1))
-            normal = sample_receiver_normal(cfg.orientation, rng)
-            rx = ReceiverState(point, normal, cfg.fov_deg)
-            trace = run_scan(plan, cfg.room, rx, cfg.channel, sigma, rng)
-
-            est_sync = estimate_position(emitter, trace.samples[cfg.pilot_len :], grid, cfg.channel)
+            # sigma only sets est_sync's status flag, which is not recorded
+            _, trace, est_sync = scan_trial(cfg, plan, cfg.orientation, point, sigma, rng)
             shifted = apply_timing_offset(trace, offset)
             realigned = realign_with_pilot(shifted, pilot)
             est_re = estimate_position(emitter, realigned.samples, grid, cfg.channel)
@@ -380,4 +391,18 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
             }
         )
     records = {k: np.asarray(v) for k, v in rec_rows.items()}
-    return RunResult("sync-test", records, {"rows": rows}, _base_metadata(cfg))
+    return RunResult("sync-test", records, {"rows": rows}, _base_metadata(cfg, reference_peak_power(cfg)))
+
+
+def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTrace, PositionEstimate]:
+    """One trial at a given receiver position, seeded by the master seed alone.
+
+    Uses the first snr value (None -> absolute noise) and the configured pilot.
+    Returns (plan, trace, estimate).
+    """
+    snr = None if cfg.snr_list_db is None else cfg.snr_list_db[0]
+    sigma = noise_sigma(cfg, snr, reference_peak_power(cfg))
+    grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
+    plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
+    _, trace, est = scan_trial(cfg, plan, cfg.orientation, point, sigma, _trial_rng(cfg.master_seed))
+    return plan, trace, est

@@ -10,6 +10,7 @@ default is echoed in the output metadata.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -21,7 +22,7 @@ from .channel import ChannelParams
 from .experiments import EXPERIMENT_MODES, ExperimentConfig, RunResult
 from .geometry import BeamGrid, Room
 from .orientation import ORIENTATION_MODES, LaplaceParams, OrientationConfig
-from .scan import DEFAULT_DWELL_S, DEFAULT_PILOT_LEN, MeasurementTrace
+from .scan import DEFAULT_PILOT_LEN, MeasurementTrace
 
 
 class ConfigError(ValueError):
@@ -44,7 +45,8 @@ CONFIG_DEFAULTS: dict = {
     "fov_deg": 120.0,
     "azimuth_step_deg": 1.0,
     "elevation_step_deg": 1.0,
-    "dwell_time_s": DEFAULT_DWELL_S,
+    # accepted so configs echoed by older runs replay; no output depends on it
+    "dwell_time_s": 3e-5,
     "pilot_length": DEFAULT_PILOT_LEN,
     "grid_spacing_m": 0.1,
     "h_min_m": 0.0,
@@ -66,6 +68,9 @@ CONFIG_DEFAULTS: dict = {
 }
 
 _ORIENTATION_ALIASES = {"random": "random-euler"}
+
+# counts and seeds: a fractional value is a mistake, never a request to truncate
+_INTEGER_KEYS = ("seed", "threads", "trials_per_point", "pilot_length")
 
 
 def load_config(path=None, overrides: dict | None = None) -> tuple[dict, list[str]]:
@@ -115,12 +120,13 @@ def _normalize(cfg: dict) -> dict:
         raise ConfigError(f"mode must be one of {EXPERIMENT_MODES}")
     snr = cfg["snr_db"]
     if snr is not None:
-        if isinstance(snr, (int, float)):
-            snr = [snr]
-        try:
-            cfg["snr_db"] = [float(s) for s in snr]
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"snr_db must be a number or list of numbers: {e}") from e
+        values = snr if isinstance(snr, list) else [snr]
+        if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in values):
+            raise ConfigError(f"snr_db must be a number or list of numbers, got {snr!r}")
+        # +inf means noiseless; NaN and -inf give no noise level
+        if any(math.isnan(s) or s == -math.inf for s in values):
+            raise ConfigError(f"snr_db values must be finite or +Infinity, got {snr!r}")
+        cfg["snr_db"] = [float(s) for s in values]
     for key, value in cfg.items():
         if key in ("mode", "orientation_mode", "orientation_modes", "snr_db"):
             continue
@@ -128,6 +134,12 @@ def _normalize(cfg: dict) -> dict:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key} must be finite, got {value!r}")
+        if key in _INTEGER_KEYS and value != int(value):
+            raise ConfigError(f"config key {key} must be an integer, got {value!r}")
+    if cfg["dwell_time_s"] <= 0.0:
+        raise ConfigError("dwell_time_s must be positive")
     return cfg
 
 
@@ -158,7 +170,6 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             fov_deg=cfg["fov_deg"],
             azimuth_step_deg=cfg["azimuth_step_deg"],
             elevation_step_deg=cfg["elevation_step_deg"],
-            dwell_s=cfg["dwell_time_s"],
             pilot_len=int(cfg["pilot_length"]),
             grid_spacing_m=cfg["grid_spacing_m"],
             h_min_m=cfg["h_min_m"],
@@ -172,13 +183,6 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
-
-
-def config_from_meta(meta: dict) -> dict:
-    """Recover the resolved config from an emitted meta.json payload."""
-    if "config" not in meta:
-        raise ConfigError("metadata is missing the config echo")
-    return dict(meta["config"])
 
 
 def _fmt(x) -> str:

@@ -15,22 +15,18 @@ import numpy as np
 from .channel import ChannelParams, received_power_on_axis
 from .geometry import BeamGrid, ReceiverState, Room, in_fov, incidence_cosine, spherical_from_direction
 
-DEFAULT_DWELL_S = 3e-5  # full 32,400-beam sweep in just under a second
 DEFAULT_PILOT_LEN = 64
 _PILOT_SEED = 0x5CA17B0  # fixed so the stock preamble is reproducible
 
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """One sweep: the grid, the dwell per beam, and an optional pilot preamble."""
+    """One sweep: the grid and an optional pilot preamble."""
 
     grid: BeamGrid
-    dwell_s: float = DEFAULT_DWELL_S
     pilot_w: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dwell_s <= 0.0:
-            raise ValueError("dwell_s must be positive")
         if self.pilot_w is not None:
             object.__setattr__(self, "pilot_w", np.asarray(self.pilot_w, dtype=float))
             if np.any(self.pilot_w < 0.0):
@@ -43,15 +39,9 @@ class ScanPlan:
 
 @dataclass
 class MeasurementTrace:
-    """Sampled powers for one sweep: pilot slots first, then one slot per beam.
-
-    offset_steps is the ground-truth desynchronization, carried only so tests
-    and the sync experiment can check recovery; a real receiver never sees it.
-    """
+    """Sampled powers for one sweep: pilot slots first, then one slot per beam."""
 
     samples: np.ndarray
-    sample_period_s: float
-    offset_steps: int = 0
 
     def __len__(self) -> int:
         return int(len(self.samples))
@@ -139,7 +129,7 @@ def run_scan(
                 base = k + ring * grid.n_azimuth
                 for a in _azimuths_within_half_step(az_t, grid):
                     samples[base + a] += power
-    return MeasurementTrace(samples, plan.dwell_s, 0)
+    return MeasurementTrace(samples)
 
 
 def apply_timing_offset(trace: MeasurementTrace, offset_steps: int) -> MeasurementTrace:
@@ -150,22 +140,7 @@ def apply_timing_offset(trace: MeasurementTrace, offset_steps: int) -> Measureme
     n = len(trace.samples)
     if abs(offset_steps) > n:
         raise ValueError("offset beyond one full trace period")
-    return MeasurementTrace(
-        np.roll(trace.samples, offset_steps),
-        trace.sample_period_s,
-        trace.offset_steps + offset_steps,
-    )
-
-
-def is_synchronized(delta_t_s: float, dwell_s: float) -> bool:
-    """True when a timing offset still maps samples to the right beams.
-
-    The bound is strictly half a dwell: at exactly half, neighbouring slots
-    are ambiguous.
-    """
-    if dwell_s <= 0.0:
-        raise ValueError("dwell_s must be positive")
-    return abs(delta_t_s) < 0.5 * dwell_s
+    return MeasurementTrace(np.roll(trace.samples, offset_steps))
 
 
 def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> MeasurementTrace:
@@ -192,4 +167,4 @@ def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> MeasurementTrace:
             corr += pilot[i] * np.roll(x, -i)
     best = int(np.argmax(corr))
     realigned = np.roll(x, -best)
-    return MeasurementTrace(realigned[k:], trace.sample_period_s, 0)
+    return MeasurementTrace(realigned[k:])

@@ -8,7 +8,6 @@ from vlp_sim.channel import (
     noise_power,
     noise_sigma_for_snr,
     received_power_on_axis,
-    sample_noise,
 )
 from vlp_sim.estimator import invert_distance
 
@@ -153,28 +152,6 @@ class TestNoiseSigmaForSnr:
     def test_nonpositive_signal_rejected(self):
         with pytest.raises(ValueError):
             noise_sigma_for_snr(0.0, 10.0)
-
-
-class TestSampleNoise:
-    def test_zero_sigma(self):
-        rng = np.random.default_rng(0)
-        assert sample_noise(0.0, rng) == 0.0
-
-    def test_moments(self):
-        rng = np.random.default_rng(42)
-        draws = np.array([sample_noise(1.0, rng) for _ in range(100)])
-        big = rng.normal(0.0, 1.0, size=1_000_000)  # same stream contract, vectorized
-        assert abs(np.concatenate([draws, big]).mean()) < 0.004  # 3/sqrt(n)
-        assert abs(np.concatenate([draws, big]).std() - 1.0) < 0.01
-
-    def test_deterministic_given_stream(self):
-        a = sample_noise(2.0, np.random.default_rng(7))
-        b = sample_noise(2.0, np.random.default_rng(7))
-        assert a == b
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            sample_noise(-1.0, np.random.default_rng(0))
 
 
 class TestRoundTrip:

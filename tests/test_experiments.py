@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from vlp_sim import experiments
 from vlp_sim.experiments import (
     ExperimentConfig,
     compute_cdf,
@@ -65,6 +67,21 @@ class TestSamplePositions:
         b = sample_positions(ExperimentConfig(**SMALL))
         np.testing.assert_array_equal(a, b)
 
+    def test_pinned_order_and_values(self):
+        # the row index seeds every trial stream, so order is part of the contract
+        pts = sample_positions(ExperimentConfig(grid_spacing_m=0.5, h_min_m=1.0, h_max_m=1.5))
+        expected = [
+            (x, y, z) for z in (1.0, 1.5) for y in (0.0, 0.5, 1.0) for x in (0.0, 0.5, 1.0)
+        ]
+        np.testing.assert_array_equal(pts, expected)
+
+    def test_default_grid_matches_loop_reference(self):
+        cfg = ExperimentConfig()
+        xs = np.arange(11) * 0.1
+        zs = np.arange(26) * 0.1
+        expected = [(x, y, z) for z, y, x in itertools.product(zs, xs, xs)]
+        np.testing.assert_array_equal(sample_positions(cfg), expected)
+
 
 class TestComputeCdf:
     def test_midpoint_percentile(self):
@@ -100,14 +117,16 @@ class TestComputeCdf:
 class TestNoiseSigma:
     def test_absolute_mode_uses_receiver_noise_level(self):
         cfg = ExperimentConfig(snr_list_db=None)
-        assert noise_sigma(cfg, None) == noise_power(cfg.channel)
+        assert noise_sigma(cfg, None, reference_peak_power(cfg)) == noise_power(cfg.channel)
 
     def test_snr_anchored_to_grid_average_power(self):
         cfg = ExperimentConfig()
-        assert noise_sigma(cfg, 40.0) == pytest.approx(reference_peak_power(cfg) / 100.0)
+        p_ref = reference_peak_power(cfg)
+        assert noise_sigma(cfg, 40.0, p_ref) == pytest.approx(p_ref / 100.0)
 
     def test_infinite_snr_noiseless(self):
-        assert noise_sigma(ExperimentConfig(), float("inf")) == 0.0
+        cfg = ExperimentConfig()
+        assert noise_sigma(cfg, float("inf"), reference_peak_power(cfg)) == 0.0
 
 
 class TestRunCdfExperiment:
@@ -125,6 +144,31 @@ class TestRunCdfExperiment:
             run_cdf_experiment(cfg1).records["err_3d"],
             run_cdf_experiment(cfg4).records["err_3d"],
         )
+
+    @pytest.mark.parametrize("cpus, expected", [(64, 9), (4, 4), (None, 1)])
+    def test_thread_count_capped(self, monkeypatch, cpus, expected):
+        # a fake pool records the worker count instead of starting threads
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        cfg = ExperimentConfig(mode="cdf", grid_spacing_m=0.5, h_min_m=1.0, h_max_m=1.4,
+                               trials_per_point=1, threads=10_000)
+        assert run_cdf_experiment(cfg).aggregates["n_samples"] == 9
+        assert asked == ([expected] if expected > 1 else [])
 
     def test_fixed_orientation_has_zero_outage(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=1, snr_list_db=(40.0,), **SMALL)

@@ -10,7 +10,6 @@ from vlp_sim.io import (
     CONFIG_DEFAULTS,
     ConfigError,
     build_experiment,
-    config_from_meta,
     load_config,
     write_results,
     write_trace_csv,
@@ -97,7 +96,7 @@ class TestBuildExperiment:
         result = run_cdf_experiment(cfg)
         write_results(result, tmp_path, resolved, applied, wall_time_s=1.23)
         meta = json.loads((tmp_path / "meta.json").read_text())
-        rebuilt = build_experiment(config_from_meta(meta))
+        rebuilt = build_experiment(meta["config"])
         assert rebuilt == cfg
 
 
@@ -147,7 +146,7 @@ class TestWriteResults:
 class TestWriteTrace:
     def test_pilot_rows_have_empty_angles(self, tmp_path):
         grid = build_beam_grid(90.0, 45.0)
-        trace = MeasurementTrace(np.arange(11.0) * 1e-6, 1e-5)
+        trace = MeasurementTrace(np.arange(11.0) * 1e-6)
         path = write_trace_csv(trace, grid, 3, tmp_path / "trace.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "index,beam_azimuth_deg,beam_elevation_deg,power_watts"
@@ -226,6 +225,38 @@ class TestCli:
         assert main(["cdf", "--config", str(path)]) == 1
         assert "no_such_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"snr_db": [float("nan")]},
+            {"snr_db": [float("-inf")]},
+            {"snr_db": "40"},
+            {"snr_db": [True]},
+            {"room_width_m": float("inf")},
+            {"mu_alpha_deg": float("nan")},
+            {"seed": 5.5},
+            {"threads": 2.5},
+            {"trials_per_point": 1.7},
+            {"pilot_length": 3.9},
+            {"pilot_length": -1},
+            {"dwell_time_s": -1},
+            {"dwell_time_s": 0},
+        ],
+    )
+    def test_malformed_number_exits_one_before_work(self, tmp_path, capsys, extra):
+        out = tmp_path / "out"
+        for command in ("cdf", "scan-demo"):
+            assert main([command, "--config", write_tiny_config(tmp_path, extra), "--out", str(out)]) == 1
+            assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noiseless_snr_and_integral_floats_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        extra = {"snr_db": [float("inf")], "seed": 5.0, "dwell_time_s": 1.0}
+        assert main(["cdf", "--config", write_tiny_config(tmp_path, extra), "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["run"]["master_seed"] == 5
+
     def test_runtime_error_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -234,15 +265,7 @@ class TestCli:
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VLP_SIM_THREADS", "2")
-        out = tmp_path / "out"
-        assert main(["cdf", "--config", write_tiny_config(tmp_path), "--out", str(out)]) == 0
-        meta = json.loads((out / "meta.json").read_text())
-        assert meta["config"]["threads"] == 2
-
-    def test_threads_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VLP_SIM_THREADS", "2")
+    def test_threads_flag_echoed_in_meta(self, tmp_path):
         out = tmp_path / "out"
         assert main(["cdf", "--config", write_tiny_config(tmp_path), "--threads", "3",
                      "--out", str(out)]) == 0

@@ -7,7 +7,6 @@ from vlp_sim.scan import (
     MeasurementTrace,
     ScanPlan,
     apply_timing_offset,
-    is_synchronized,
     make_pilot,
     realign_with_pilot,
     run_scan,
@@ -84,36 +83,17 @@ class TestRunScan:
 
 class TestApplyTimingOffset:
     def test_zero_offset_identity(self):
-        trace = MeasurementTrace(np.arange(10.0), 1e-5)
+        trace = MeasurementTrace(np.arange(10.0))
         np.testing.assert_array_equal(apply_timing_offset(trace, 0).samples, trace.samples)
 
     def test_full_period_identity(self):
-        trace = MeasurementTrace(np.arange(10.0), 1e-5)
+        trace = MeasurementTrace(np.arange(10.0))
         np.testing.assert_array_equal(apply_timing_offset(trace, 10).samples, trace.samples)
 
-    def test_offset_recorded(self):
-        trace = MeasurementTrace(np.arange(10.0), 1e-5)
-        assert apply_timing_offset(trace, 3).offset_steps == 3
-
     def test_beyond_period_rejected(self):
-        trace = MeasurementTrace(np.arange(10.0), 1e-5)
+        trace = MeasurementTrace(np.arange(10.0))
         with pytest.raises(ValueError):
             apply_timing_offset(trace, 11)
-
-
-class TestIsSynchronized:
-    def test_zero_offset(self):
-        assert is_synchronized(0.0, 1e-5)
-
-    def test_just_under_half_dwell(self):
-        assert is_synchronized(0.49e-5, 1e-5)
-
-    def test_exactly_half_dwell_excluded(self):
-        assert not is_synchronized(0.5e-5, 1e-5)
-
-    def test_negative_offsets_symmetric(self):
-        assert is_synchronized(-0.49e-5, 1e-5)
-        assert not is_synchronized(-0.51e-5, 1e-5)
 
 
 class TestRealignWithPilot:
@@ -141,7 +121,7 @@ class TestRealignWithPilot:
         for offset in range(-20, 21):
             shifted = np.roll(base, offset)
             oracle_shift = brute_force_best_shift(shifted, pilot)
-            realigned = realign_with_pilot(MeasurementTrace(shifted, 1e-5), pilot)
+            realigned = realign_with_pilot(MeasurementTrace(shifted), pilot)
             np.testing.assert_array_equal(
                 realigned.samples, np.roll(shifted, -oracle_shift)[8:]
             )
@@ -149,7 +129,7 @@ class TestRealignWithPilot:
     def test_tie_break_smallest_nonnegative_shift(self):
         # constant trace ties every shift; both routes must pick shift 0
         pilot = np.ones(4)
-        trace = MeasurementTrace(np.ones(12), 1e-5)
+        trace = MeasurementTrace(np.ones(12))
         assert brute_force_best_shift(trace.samples, pilot) == 0
         realigned = realign_with_pilot(trace, pilot)
         np.testing.assert_array_equal(realigned.samples, np.ones(8))
@@ -165,13 +145,13 @@ class TestRealignWithPilot:
             base[:64] += pilot
             offset = int(rng.integers(-1000, 1001))
             shifted = np.roll(base, offset)
-            realigned = realign_with_pilot(MeasurementTrace(shifted, 1e-5), pilot)
+            realigned = realign_with_pilot(MeasurementTrace(shifted), pilot)
             ok += np.array_equal(realigned.samples, base[64:])
         assert ok / n >= 0.99
 
     def test_empty_pilot_rejected(self):
         with pytest.raises(ValueError):
-            realign_with_pilot(MeasurementTrace(np.ones(10), 1e-5), np.array([]))
+            realign_with_pilot(MeasurementTrace(np.ones(10)), np.array([]))
 
 
 class TestNoiseRobustSelection:
