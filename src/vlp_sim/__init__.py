@@ -1,7 +1,7 @@
 """Deterministic simulator and estimator for a single-emitter scanning
 optical indoor positioning system."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .channel import (
     ChannelParams,

@@ -75,6 +75,7 @@ def estimate_position(
     params: ChannelParams,
     assumed_normal=None,
     noise_sigma_w: float | None = None,
+    slots=None,
 ) -> PositionEstimate:
     """Locate the receiver from the peak slot of a synchronized trace.
 
@@ -84,20 +85,24 @@ def estimate_position(
     traces.  With noise_sigma_w given, a trace whose maximum stays below
     LOW_SIGNAL_SIGMAS * sigma is flagged as suspected out-of-view; the
     estimate is still produced but callers should treat it as meaningless.
+    slots, when given, names the beam of each sample (a peak-only trace);
+    otherwise sample i is beam i.
     """
     emitter_pos = np.asarray(emitter_pos, dtype=float)
     y = np.asarray(powers, dtype=float)
-    k = select_beam(y)
+    i = select_beam(y)
+    k = i if slots is None else int(slots[i])
     u = grid.directions[k]
     n_hat = UP if assumed_normal is None else unit(assumed_normal)
     cos_hat = min(float(np.dot(-u, n_hat)), 1.0)
-    suspected = noise_sigma_w is not None and float(y[k]) < LOW_SIGNAL_SIGMAS * noise_sigma_w
+    peak = float(y[i])
+    suspected = noise_sigma_w is not None and peak < LOW_SIGNAL_SIGMAS * noise_sigma_w
 
-    if y[k] <= 0.0:
+    if peak <= 0.0:
         # nothing to invert: no signal reached the detector at all
         distance, status = 0.0, STATUS_LOW_SIGNAL
     else:
-        distance, status = invert_distance(float(y[k]), cos_hat, params)
+        distance, status = invert_distance(peak, cos_hat, params)
         if suspected:
             status = STATUS_LOW_SIGNAL
     return PositionEstimate(k, distance, emitter_pos + distance * u, status, cos_hat)

@@ -3,7 +3,11 @@
 Reproducibility contract: every trial gets its own random stream seeded by
 SeedSequence((master_seed, mode_index, snr_index, point_index, trial_index)),
 so results are bit-identical regardless of execution order or thread count.
-Within a trial the orientation draws come first, then the per-slot noise.
+Within a trial the orientation draws come first, then the sweep's noise.
+cdf and snr-sweep sweep peak-only (see scan.run_scan): the support-slot
+normals in ascending slot order, then the uniform U that sets the maximum of
+the noise-only slots, then that maximum's slot index.  sync-test and
+scan-demo sweep densely: one normal per slot, pilot first.
 """
 
 from __future__ import annotations
@@ -175,7 +179,7 @@ def scan_trial(
     rx = ReceiverState(point, normal, cfg.fov_deg)
     trace = run_scan(plan, cfg.room, rx, cfg.channel, sigma, rng)
     est = estimate_position(
-        cfg.room.emitter_pos, trace.samples[plan.pilot_len :], plan.grid, cfg.channel, None, sigma
+        cfg.room.emitter_pos, trace.samples[plan.pilot_len :], plan.grid, cfg.channel, None, sigma, trace.slots
     )
     return normal, trace, est
 
@@ -256,7 +260,7 @@ def run_cdf_experiment(cfg: ExperimentConfig) -> RunResult:
     snr = None if cfg.snr_list_db is None else cfg.snr_list_db[0]
     p_ref = reference_peak_power(cfg)
     sigma = noise_sigma(cfg, snr, p_ref)
-    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg))
+    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg), peak_only=True)
     rec = _run_grid(cfg, plan, sample_positions(cfg), cfg.orientation, snr, sigma, seed_ctx=(0, 0))
 
     excluded = _excluded_mask(rec, cfg.orientation.mode)
@@ -299,7 +303,7 @@ def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
         raise ValueError("snr-sweep needs an explicit snr list")
     modes = cfg.orientation_modes or (cfg.orientation.mode,)
     p_ref = reference_peak_power(cfg)
-    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg))
+    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg), peak_only=True)
     points = sample_positions(cfg)
 
     rows = []

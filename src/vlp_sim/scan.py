@@ -3,11 +3,13 @@
 A sweep visits every grid direction once, dwelling for a fixed step time.
 The receiver records one power sample per dwell slot; an optional known
 pilot preamble precedes the sweep so a desynchronized receiver can realign
-its sample indexing by cyclic cross-correlation.
+its sample indexing by cyclic cross-correlation.  A peak-only trace keeps
+just the samples that can hold the sweep's maximum, drawn from the same law.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,20 +19,29 @@ from .geometry import BeamGrid, ReceiverState, Room, in_fov, incidence_cosine, s
 
 DEFAULT_PILOT_LEN = 64
 _PILOT_SEED = 0x5CA17B0  # fixed so the stock preamble is reproducible
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """One sweep: the grid and an optional pilot preamble."""
+    """One sweep: the grid, an optional pilot preamble, and the trace it needs.
+
+    peak_only asks run_scan for just the samples a peak pick reads (see
+    there); it samples the same peak as the dense trace but has no pilot.
+    """
 
     grid: BeamGrid
     pilot_w: np.ndarray | None = None
+    peak_only: bool = False
 
     def __post_init__(self):
         if self.pilot_w is not None:
             object.__setattr__(self, "pilot_w", np.asarray(self.pilot_w, dtype=float))
             if np.any(self.pilot_w < 0.0):
                 raise ValueError("pilot power levels must be nonnegative")
+            if self.peak_only:
+                raise ValueError("a peak-only plan cannot carry a pilot")
 
     @property
     def pilot_len(self) -> int:
@@ -39,9 +50,14 @@ class ScanPlan:
 
 @dataclass
 class MeasurementTrace:
-    """Sampled powers for one sweep: pilot slots first, then one slot per beam."""
+    """Sampled powers for one sweep: pilot slots first, then one slot per beam.
+
+    A peak-only trace holds a few of the beam slots; slots gives the beam
+    index of each sample (None on a dense trace, where it is the position).
+    """
 
     samples: np.ndarray
+    slots: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(len(self.samples))
@@ -82,6 +98,79 @@ def _azimuths_within_half_step(azimuth_deg: float, grid: BeamGrid) -> list[int]:
     return sorted(hits)
 
 
+def support(grid: BeamGrid, room: Room, rx: ReceiverState, params: ChannelParams) -> tuple[np.ndarray, float]:
+    """Beam slots that carry signal, ascending, and the on-axis power they carry.
+
+    A slot carries signal when its beam cell covers the receiver's direction
+    from the emitter (the nadir ring counts as one cell for every azimuth,
+    since all its beams point the same way) and the arrival lies inside the
+    field of view.  Returns an empty slot array and zero power otherwise.
+    """
+    tx = room.emitter_pos
+    to_rx = rx.position - tx
+    dist = float(np.linalg.norm(to_rx))
+    cos_psi = incidence_cosine(tx, rx)
+    if not (dist > 0.0 and in_fov(cos_psi, rx.fov_deg)):
+        return np.zeros(0, dtype=int), 0.0
+    az_t, el_t = spherical_from_direction(to_rx)
+    slots = []
+    for ring in _rings_within_half_step(el_t, grid):
+        if ring == 0:
+            slots.extend(range(grid.n_azimuth))
+        else:
+            slots.extend(ring * grid.n_azimuth + a for a in _azimuths_within_half_step(az_t, grid))
+    return np.array(sorted(slots), dtype=int), received_power_on_axis(dist, cos_psi, params)
+
+
+def normal_isf(q: float) -> float:
+    """Inverse of the standard normal tail Q(x) = P(N(0, 1) > x), for 0 < q < 1.
+
+    Starts from Abramowitz & Stegun 26.2.23 (error < 4.5e-4) and polishes
+    with Newton steps: on erf near the median, on log erfc in the tail, so
+    that q down to 1e-300 keeps full relative accuracy.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError("tail probability must lie in (0, 1)")
+    if q > 0.5:
+        return -normal_isf(1.0 - q)  # exact: 1 - q has no rounding for q >= 0.5
+    if q == 0.5:
+        return 0.0
+    log_q = math.log(q)
+    t = math.sqrt(-2.0 * log_q)
+    x = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
+    for _ in range(8):
+        pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
+        if q < 0.1:
+            tail = 0.5 * math.erfc(x / _SQRT2)
+            dx = (math.log(tail) - log_q) * tail / pdf
+        else:
+            # near the median the erf form avoids cancellation in Q(x) - q
+            dx = ((0.5 - q) - 0.5 * math.erf(x / _SQRT2)) / pdf
+        x += dx
+        if abs(dx) <= 1e-15 * abs(x):
+            break
+    return x
+
+
+def draw_noise_max(sigma_w: float, k: int, rng: np.random.Generator) -> float:
+    """One draw of the maximum of k iid N(0, sigma_w^2) samples.
+
+    The maximum has CDF Phi(x / sigma_w)^k, so with U uniform on (0, 1) it is
+    sigma_w * Q^-1(1 - U^(1/k)).  U^(1/k) is formed in whichever of p and
+    q = 1 - p keeps its relative precision.  Consumes one uniform from rng.
+    """
+    if k < 1:
+        raise ValueError("need at least one sample")
+    u = rng.random()
+    while u == 0.0:  # the open interval: log(0) has no quantile
+        u = rng.random()
+    log_p = math.log(u) / k
+    p = math.exp(log_p)
+    if p <= 0.5:
+        return -sigma_w * normal_isf(p)
+    return sigma_w * normal_isf(-math.expm1(log_p))
+
+
 def run_scan(
     plan: ScanPlan,
     room: Room,
@@ -92,11 +181,14 @@ def run_scan(
 ) -> MeasurementTrace:
     """Sweep every beam once and record the received power per dwell slot.
 
-    The receiver collects on-axis power in the slots whose beam cell covers
-    its direction from the emitter (the nadir ring counts as one cell for
-    every azimuth, since all its beams point the same way), provided the
-    arrival lies inside the field of view.  Every slot, pilot included,
-    additionally gets an independent N(0, sigma_w^2) noise draw.
+    The slots from support() collect its on-axis power.  Dense plans give
+    every slot, pilot included, an independent N(0, sigma_w^2) draw.
+    Peak-only plans keep just what the peak pick can read: the support slots
+    with their noise draws (ascending slot order), then the maximum of the K
+    noise-only slots as one draw_noise_max sample placed at a uniformly drawn
+    noise-only slot.  Their trace lists the slot of every sample in ascending
+    order, so argmax ties resolve as on the dense trace.  Noiseless, that
+    maximum is 0 at the lowest noise-only slot, as a dense argmax sees it.
     """
     if not room.contains(rx.position):
         raise ValueError("receiver position is outside the room")
@@ -106,6 +198,10 @@ def run_scan(
         raise ValueError("sigma_w must be nonnegative")
 
     grid = plan.grid
+    slots, power = support(grid, room, rx, params)
+    if plan.peak_only:
+        return _peak_only_trace(grid.size, slots, power, sigma_w, rng)
+
     k = plan.pilot_len
     n = k + grid.size
     if sigma_w > 0.0:
@@ -114,22 +210,27 @@ def run_scan(
         samples = np.zeros(n)
     if k:
         samples[:k] += plan.pilot_w
-
-    tx = room.emitter_pos
-    to_rx = rx.position - tx
-    dist = float(np.linalg.norm(to_rx))
-    cos_psi = incidence_cosine(tx, rx)
-    if dist > 0.0 and in_fov(cos_psi, rx.fov_deg):
-        power = received_power_on_axis(dist, cos_psi, params)
-        az_t, el_t = spherical_from_direction(to_rx)
-        for ring in _rings_within_half_step(el_t, grid):
-            if ring == 0:
-                samples[k : k + grid.n_azimuth] += power
-            else:
-                base = k + ring * grid.n_azimuth
-                for a in _azimuths_within_half_step(az_t, grid):
-                    samples[base + a] += power
+    samples[k + slots] += power
     return MeasurementTrace(samples)
+
+
+def _peak_only_trace(n_slots, slots, power, sigma_w, rng) -> MeasurementTrace:
+    m = len(slots)
+    values = power + rng.normal(0.0, sigma_w, size=m) if sigma_w > 0.0 else np.full(m, power)
+    n_noise = n_slots - m
+    if n_noise == 0:
+        return MeasurementTrace(values, slots)
+    if sigma_w > 0.0:
+        peak = draw_noise_max(sigma_w, n_noise, rng)
+        r = int(rng.integers(n_noise))
+    else:
+        peak, r = 0.0, 0
+    # the r-th noise-only slot is r plus the number of support slots before it
+    before = int(np.searchsorted(slots - np.arange(m), r, side="right"))
+    return MeasurementTrace(
+        np.concatenate((values[:before], [peak], values[before:])),
+        np.concatenate((slots[:before], [r + before], slots[before:])),
+    )
 
 
 def apply_timing_offset(trace: MeasurementTrace, offset_steps: int) -> MeasurementTrace:
@@ -161,10 +262,12 @@ def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> MeasurementTrace:
     # corr[s] = sum_i pilot[i] * x[(s + i) mod n]; accumulating per pilot tap
     # keeps the float op order identical for every shift, so exact ties stay
     # exact and argmax's first-index rule implements the tie-break.
+    # x[(s + i) mod n] == xx[s + i]: slices of one wrapped copy, no rolls.
+    xx = np.concatenate([x, x[:k]])
     corr = np.zeros(n)
     for i in range(k):
         if pilot[i] != 0.0:
-            corr += pilot[i] * np.roll(x, -i)
+            corr += pilot[i] * xx[i : i + n]
     best = int(np.argmax(corr))
     realigned = np.roll(x, -best)
     return MeasurementTrace(realigned[k:])

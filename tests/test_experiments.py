@@ -1,10 +1,13 @@
 import dataclasses
+import inspect
 import itertools
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from vlp_sim import experiments
+from vlp_sim.estimator import STATUS_LOW_SIGNAL
 from vlp_sim.experiments import (
     ExperimentConfig,
     compute_cdf,
@@ -15,9 +18,11 @@ from vlp_sim.experiments import (
     run_snr_sweep,
     run_sync_test,
     sample_positions,
+    scan_trial,
 )
 from vlp_sim.channel import noise_power
-from vlp_sim.geometry import ReceiverState, incidence_cosine
+from vlp_sim.geometry import ReceiverState, build_beam_grid, incidence_cosine
+from vlp_sim.scan import ScanPlan
 
 # coarse setup keeps module tests fast; acceptance runs the full defaults
 SMALL = dict(grid_spacing_m=0.5, trials_per_point=2)
@@ -251,3 +256,70 @@ class TestRunSyncTest:
     def test_requires_pilot(self):
         with pytest.raises(ValueError):
             run_sync_test(ExperimentConfig(mode="sync-test", pilot_len=0))
+
+
+def _grid_trials(plan, seed, snr, mode, trials):
+    """err_3d and statuses of a whole 0.25 m grid pass under the given plan."""
+    cfg = ExperimentConfig(mode="cdf", grid_spacing_m=0.25, trials_per_point=trials, master_seed=seed)
+    sigma = noise_sigma(cfg, snr, reference_peak_power(cfg))
+    ori = dataclasses.replace(cfg.orientation, mode=mode)
+    return experiments._run_grid(cfg, plan, sample_positions(cfg), ori, snr, sigma, seed_ctx=(0, 0))
+
+
+class TestPeakOnlyEquivalence:
+    """The peak-only trace is sampled from the same law as the dense oracle."""
+
+    @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
+    def test_noiseless_estimates_identical(self, mode):
+        cfg = ExperimentConfig(grid_spacing_m=0.25)
+        grid = build_beam_grid()
+        ori = dataclasses.replace(cfg.orientation, mode=mode)
+        for i, point in enumerate(sample_positions(cfg)):
+            ends = []
+            for plan in (ScanPlan(grid), ScanPlan(grid, peak_only=True)):
+                normal, _, est = scan_trial(cfg, plan, ori, point, 0.0, experiments._trial_rng(3, i))
+                ends.append((normal, est))
+            (n_dense, dense), (n_peak, peak) = ends
+            np.testing.assert_array_equal(n_dense, n_peak)
+            np.testing.assert_array_equal(dense.position, peak.position)
+            assert (dense.beam_index, dense.distance_m, dense.status, dense.assumed_cos_psi) == (
+                peak.beam_index, peak.distance_m, peak.status, peak.assumed_cos_psi)
+
+    @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
+    @pytest.mark.parametrize("snr", [20.0, 30.0, 40.0])
+    def test_error_law_matches_dense(self, snr, mode):
+        # independent streams: dense seed 1001, peak-only seed 2002; n = 1,100 each
+        grid = build_beam_grid()
+        dense = _grid_trials(ScanPlan(grid), 1001, snr, mode, trials=4)
+        peak = _grid_trials(ScanPlan(grid, peak_only=True), 2002, snr, mode, trials=4)
+        n = len(dense["err_3d"])
+        assert n == len(peak["err_3d"]) >= 1000
+        assert stats.ks_2samp(dense["err_3d"], peak["err_3d"]).pvalue > 0.01
+        low = [int((rec["status"] == STATUS_LOW_SIGNAL).sum()) for rec in (dense, peak)]
+        rate = sum(low) / (2 * n)
+        assert abs(low[0] - low[1]) <= 4.0 * np.sqrt(2 * n * rate * (1.0 - rate))
+
+
+class TestBenchmarkContract:
+    """The benchmark's setup probe replaces experiments.run_scan to stop at the
+    first scan, and its traced hook reads run_scan's sigma_w argument."""
+
+    class Reached(Exception):
+        pass
+
+    @pytest.mark.parametrize("mode, run, peak_only", [
+        ("cdf", run_cdf_experiment, True),
+        ("snr-sweep", run_snr_sweep, True),
+        ("sync-test", run_sync_test, False),
+    ])
+    def test_every_scan_goes_through_run_scan(self, monkeypatch, mode, run, peak_only):
+        def sentinel(plan, *args, **kwargs):
+            assert plan.peak_only is peak_only
+            raise self.Reached
+
+        monkeypatch.setattr(experiments, "run_scan", sentinel)
+        with pytest.raises(self.Reached):
+            run(ExperimentConfig(mode=mode, snr_list_db=(30.0,), **SMALL))
+
+    def test_run_scan_takes_sigma_w(self):
+        assert "sigma_w" in inspect.signature(experiments.run_scan).parameters

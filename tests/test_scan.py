@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from vlp_sim.channel import ChannelParams
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
@@ -7,9 +8,12 @@ from vlp_sim.scan import (
     MeasurementTrace,
     ScanPlan,
     apply_timing_offset,
+    draw_noise_max,
     make_pilot,
+    normal_isf,
     realign_with_pilot,
     run_scan,
+    support,
 )
 
 P = ChannelParams()
@@ -81,6 +85,100 @@ class TestRunScan:
             run_scan(ScanPlan(grid), ROOM, rx, P, 0.0, np.random.default_rng(0))
 
 
+class TestSupport:
+    @pytest.mark.parametrize("pos", [[0.5, 0.5, 1.5], [0.8, 0.5, 1.0], [0.03, 0.91, 0.2], [0.5, 0.5 + 1e-3, 2.4]])
+    def test_matches_noiseless_dense_trace(self, grid, pos):
+        rx = ReceiverState(pos)
+        slots, power = support(grid, ROOM, rx, P)
+        trace = run_scan(ScanPlan(grid), ROOM, rx, P, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(slots, np.nonzero(trace.samples)[0])
+        assert np.all(trace.samples[slots] == power)
+
+    def test_out_of_view_is_empty(self, grid):
+        slots, power = support(grid, ROOM, ReceiverState([0.2, 0.7, 1.0], [0, 0, -1]), P)
+        assert len(slots) == 0 and power == 0.0
+
+
+class TestPeakOnlyScan:
+    def test_support_then_one_noise_slot(self, grid):
+        rx = ReceiverState([0.8, 0.5, 1.0])
+        slots, power = support(grid, ROOM, rx, P)
+        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, rx, P, 1e-7, np.random.default_rng(4))
+        # the traced benchmark hook counts len(samples) as the slots drawn
+        assert len(trace.samples) == len(trace.slots) == len(slots) + 1
+        assert np.all(np.diff(trace.slots) > 0)
+        extra = np.setdiff1d(trace.slots, slots)
+        assert len(extra) == 1 and 0 <= extra[0] < grid.size
+
+    def test_draw_order(self, grid):
+        # support normals in ascending slot order, then U, then the slot index
+        rx = ReceiverState([0.5, 0.5, 1.5])
+        sigma = 1e-6
+        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, rx, P, sigma, np.random.default_rng(8))
+        twin = np.random.default_rng(8)
+        slots, power = support(grid, ROOM, rx, P)
+        noisy = power + twin.normal(0.0, sigma, size=len(slots))
+        peak = draw_noise_max(sigma, grid.size - len(slots), twin)
+        slot = len(slots) + int(twin.integers(grid.size - len(slots)))  # nadir ring is slots 0..359
+        np.testing.assert_array_equal(trace.slots, np.append(slots, slot))
+        np.testing.assert_array_equal(trace.samples, np.append(noisy, peak))
+
+    def test_noiseless_peak_is_zero_at_lowest_noise_slot(self, grid):
+        rx = ReceiverState([0.5, 0.5, 1.5])  # nadir: the support is slots 0..359
+        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, rx, P, 0.0, np.random.default_rng(0))
+        assert trace.slots[-1] == grid.n_azimuth and trace.samples[-1] == 0.0
+        out = run_scan(ScanPlan(grid, peak_only=True), ROOM, ReceiverState([0.2, 0.7, 1.0], [0, 0, -1]),
+                       P, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(out.slots, [0])
+        np.testing.assert_array_equal(out.samples, [0.0])
+
+    def test_k_zero_draws_no_extreme(self):
+        # a 1-beam grid with the receiver at nadir: every slot carries signal
+        one = build_beam_grid(360.0, 90.0)
+        assert one.size == 1
+        rx = ReceiverState([0.5, 0.5, 1.5])
+        rng = np.random.default_rng(21)
+        trace = run_scan(ScanPlan(one, peak_only=True), ROOM, rx, P, 1e-6, rng)
+        twin = np.random.default_rng(21)
+        twin.normal(0.0, 1e-6, size=1)
+        np.testing.assert_array_equal(trace.slots, [0])
+        assert rng.random() == twin.random()  # nothing drawn beyond the one normal
+
+    def test_pilot_rejected(self, grid):
+        with pytest.raises(ValueError):
+            ScanPlan(grid, make_pilot(P.p_opt_w, 8), peak_only=True)
+
+
+class TestNoiseMaxSampler:
+    @pytest.mark.parametrize("k", [1, 7, 32_400])
+    def test_max_follows_order_statistic_law(self, k):
+        # oracle: the max of k iid N(0, sigma^2) has CDF Phi(x / sigma)^k
+        sigma = 2.5e-6
+        rng = np.random.default_rng(1000 + k)
+        draws = np.array([draw_noise_max(sigma, k, rng) for _ in range(5000)])
+        p = stats.kstest(draws, lambda x: np.exp(k * special.log_ndtr(x / sigma))).pvalue
+        assert p > 0.01
+
+    def test_isf_matches_scipy(self):
+        q = np.concatenate([
+            np.logspace(-300, np.log10(0.5), 3000),
+            np.linspace(0.45, 0.55, 1001),
+            0.5 + np.logspace(-15, -2, 200) * np.array([-1.0, 1.0]).repeat(100),
+            1.0 - np.logspace(-12, np.log10(0.5), 1000),
+        ])
+        got = np.array([normal_isf(v) for v in q])
+        np.testing.assert_allclose(got, -special.ndtri(q), rtol=1e-12, atol=0.0)
+
+    def test_isf_rejects_closed_ends(self):
+        for q in (0.0, 1.0, -0.1):
+            with pytest.raises(ValueError):
+                normal_isf(q)
+
+    def test_empty_set_has_no_max(self):
+        with pytest.raises(ValueError):
+            draw_noise_max(1.0, 0, np.random.default_rng(0))
+
+
 class TestApplyTimingOffset:
     def test_zero_offset_identity(self):
         trace = MeasurementTrace(np.arange(10.0))
@@ -148,6 +246,21 @@ class TestRealignWithPilot:
             realigned = realign_with_pilot(MeasurementTrace(shifted), pilot)
             ok += np.array_equal(realigned.samples, base[64:])
         assert ok / n >= 0.99
+
+    def test_bit_identical_to_rolled_copies(self):
+        # reference: the per-tap accumulation over np.roll copies, same tap order
+        rng = np.random.default_rng(77)
+        pilot = make_pilot(1e-3, 64)
+        for _ in range(20):
+            x = rng.normal(0.0, 1e-4, size=3000)
+            x[:64] += pilot
+            x = np.roll(x, int(rng.integers(-1500, 1501)))
+            corr = np.zeros(len(x))
+            for i in range(64):
+                if pilot[i] != 0.0:
+                    corr += pilot[i] * np.roll(x, -i)
+            expected = np.roll(x, -int(np.argmax(corr)))[64:]
+            np.testing.assert_array_equal(realign_with_pilot(MeasurementTrace(x), pilot).samples, expected)
 
     def test_empty_pilot_rejected(self):
         with pytest.raises(ValueError):
