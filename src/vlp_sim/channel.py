@@ -61,9 +61,7 @@ def noise_power(p: ChannelParams) -> float:
     return p.noise_variance_w_hz / p.bandwidth_hz
 
 
-def received_power_on_axis(
-    distance_m: float, cos_psi: float, p: ChannelParams, noise_w: float = 0.0
-) -> float:
+def received_power_on_axis(distance_m: float, cos_psi: float, p: ChannelParams) -> float:
     """Detected power [W] when the beam points straight at the receiver.
 
     Zero radiance angle collapses the intensity profile to its axial value;
@@ -74,14 +72,13 @@ def received_power_on_axis(
     if not 0.0 <= cos_psi <= 1.0:
         raise ValueError("cos_psi must be in [0, 1]; gate out-of-view receivers upstream")
     spread = p.wavelength_m * distance_m / (np.pi * p.waist_m**2)
-    signal = (
+    return (
         2.0
         * p.p_opt_w
         * p.pd_area_m2
         * cos_psi
         / (np.pi * p.waist_m**2 * (1.0 + spread * spread))
     )
-    return signal + noise_w
 
 
 def noise_sigma_for_snr(signal_w: float, snr_db: float) -> float:

@@ -1,4 +1,7 @@
-"""Monte Carlo harness: error CDFs over a position grid, SNR sweeps, sync tests.
+"""Monte Carlo harness: the shared scan trial and grid-pass loop; cdf /
+snr-sweep / sync-test / scan-demo.  A grid pass runs every trial at every
+grid point for one (orientation mode, SNR): cdf is the single pass (0, 0),
+snr-sweep one pass per pair.
 
 Reproducibility contract: every trial gets its own random stream seeded by
 SeedSequence((master_seed, mode_index, snr_index, point_index, trial_index)),
@@ -107,12 +110,16 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    """Per-sample records plus mode-specific aggregates and run metadata."""
+    """Mode-specific aggregates (what the output files hold) and run metadata."""
 
     mode: str
-    records: dict = field(default_factory=dict)
     aggregates: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+
+
+def _height_cap(cfg: ExperimentConfig) -> float:
+    """Highest receiver height sampled: h_max, but clear of the emitter."""
+    return min(cfg.h_max_m, cfg.room.height_m - NEAR_FIELD_CLEARANCE_M)
 
 
 def sample_positions(cfg: ExperimentConfig) -> np.ndarray:
@@ -123,8 +130,7 @@ def sample_positions(cfg: ExperimentConfig) -> np.ndarray:
     s = cfg.grid_spacing_m
     nx = int(round(cfg.room.width_m / s)) + 1
     ny = int(round(cfg.room.depth_m / s)) + 1
-    z_hi = min(cfg.h_max_m, cfg.room.height_m - NEAR_FIELD_CLEARANCE_M)
-    nz = int(np.floor((z_hi - cfg.h_min_m) / s + 1e-9)) + 1
+    nz = int(np.floor((_height_cap(cfg) - cfg.h_min_m) / s + 1e-9)) + 1
     zs, ys, xs = np.meshgrid(
         cfg.h_min_m + np.arange(nz) * s, np.arange(ny) * s, np.arange(nx) * s, indexing="ij"
     )
@@ -184,21 +190,23 @@ def scan_trial(
     return normal, trace, est
 
 
-def _run_point(cfg, plan, orientation, sigma, seed_ctx, point_idx, point):
-    """All trials for one grid point; returns plain per-trial rows."""
-    rows = []
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.master_seed, *seed_ctx, point_idx, trial)
-        normal, _, est = scan_trial(cfg, plan, orientation, point, sigma, rng)
-        rows.append((point_idx, trial, normal, est, position_error(point, est.position)))
-    return rows
+def _run_grid(cfg, plan, points, orientation, sigma, seed_ctx):
+    """One pass over the whole position grid at a single noise level.
 
-
-def _run_grid(cfg, plan, points, orientation, snr_db, sigma, seed_ctx):
-    """One pass over the whole position grid at a single noise level."""
+    Returns per-sample arrays in point order, then trial order: status, the
+    3D and per-axis errors, and the outage mask.  Low-signal flags count as
+    out-of-view only when the orientation model can miss the view cone; a
+    fixed upright receiver is in view by geometry, so there the flag stays
+    a diagnostic.
+    """
 
     def work(i):
-        return _run_point(cfg, plan, orientation, sigma, seed_ctx, i, points[i])
+        ests = []
+        for trial in range(cfg.trials):
+            rng = _trial_rng(cfg.master_seed, *seed_ctx, i, trial)
+            _, _, est = scan_trial(cfg, plan, orientation, points[i], sigma, rng)
+            ests.append((est.status, position_error(points[i], est.position)))
+        return ests
 
     # threads beyond the cores or the points only add contention
     workers = min(cfg.threads, len(points), os.cpu_count() or 1)
@@ -208,36 +216,42 @@ def _run_grid(cfg, plan, points, orientation, snr_db, sigma, seed_ctx):
     else:
         per_point = [work(i) for i in range(len(points))]
 
-    rows = [r for chunk in per_point for r in chunk]  # point order, then trial order
-    n = len(rows)
-    rec = {
-        "point_index": np.array([r[0] for r in rows], dtype=int),
-        "trial": np.array([r[1] for r in rows], dtype=int),
-        "true_pos": np.array([points[r[0]] for r in rows]),
-        "true_normal": np.array([r[2] for r in rows]),
-        "beam_index": np.array([r[3].beam_index for r in rows], dtype=int),
-        "est_distance_m": np.array([r[3].distance_m for r in rows]),
-        "est_pos": np.array([r[3].position for r in rows]),
-        "status": np.array([r[3].status for r in rows]),
-        "err_3d": np.array([r[4].total_m for r in rows]),
-        "err_x": np.array([r[4].x_m for r in rows]),
-        "err_y": np.array([r[4].y_m for r in rows]),
-        "err_z": np.array([r[4].z_m for r in rows]),
-        "snr_db": np.full(n, np.nan if snr_db is None else snr_db),
-        "orientation_mode": np.array([orientation.mode] * n),
+    rows = [r for chunk in per_point for r in chunk]
+    status = np.array([r[0] for r in rows])
+    flagged = status == STATUS_LOW_SIGNAL
+    errs = np.array([r[1] for r in rows]).T  # PositionError order: total, x, y, z
+    return {
+        "status": status,
+        **dict(zip(("err_3d", "err_x", "err_y", "err_z"), errs)),
+        "excluded": np.zeros_like(flagged) if orientation.mode == "fixed" else flagged,
     }
-    return rec
 
 
-def _excluded_mask(records: dict, orientation_mode: str) -> np.ndarray:
-    """Outage mask: low-signal flags count as out-of-view only when the
-    orientation model can actually miss the view cone.  With a fixed upright
-    receiver the geometry guarantees in-view arrival, so nothing is dropped
-    and the flag stays a diagnostic."""
-    flagged = records["status"] == STATUS_LOW_SIGNAL
-    if orientation_mode == "fixed":
-        return np.zeros_like(flagged, dtype=bool)
-    return flagged
+def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
+    """One peak-only grid pass per (orientation mode, snr), seeded by their indices.
+
+    Returns (p_ref, passes); each pass is (mode, per-sample arrays from
+    _run_grid, stats), the stats holding snr_db, outage_frac, clamp_frac,
+    n_valid and sigma_w.
+    """
+    p_ref = reference_peak_power(cfg)
+    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg), peak_only=True)
+    points = sample_positions(cfg)
+    passes = []
+    for mode_idx, mode in enumerate(modes):
+        orientation = dataclasses.replace(cfg.orientation, mode=mode)
+        for snr_idx, snr in enumerate(snrs):
+            sigma = noise_sigma(cfg, snr, p_ref)
+            rec = _run_grid(cfg, plan, points, orientation, sigma, seed_ctx=(mode_idx, snr_idx))
+            stats = {
+                "snr_db": snr,
+                "outage_frac": float(rec["excluded"].mean()),
+                "clamp_frac": float((rec["status"] == STATUS_CLAMPED).mean()),
+                "n_valid": int((~rec["excluded"]).sum()),
+                "sigma_w": sigma,
+            }
+            passes.append((mode, rec, stats))
+    return p_ref, passes
 
 
 def _base_metadata(cfg: ExperimentConfig, p_ref: float) -> dict:
@@ -257,39 +271,20 @@ def run_cdf_experiment(cfg: ExperimentConfig) -> RunResult:
         raise ValueError("config mode must be 'cdf'")
     if cfg.snr_list_db is not None and len(cfg.snr_list_db) != 1:
         raise ValueError("cdf mode takes exactly one snr value (or None)")
-    snr = None if cfg.snr_list_db is None else cfg.snr_list_db[0]
-    p_ref = reference_peak_power(cfg)
-    sigma = noise_sigma(cfg, snr, p_ref)
-    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg), peak_only=True)
-    rec = _run_grid(cfg, plan, sample_positions(cfg), cfg.orientation, snr, sigma, seed_ctx=(0, 0))
+    p_ref, [(_, rec, stats)] = _grid_passes(cfg, (cfg.orientation.mode,), cfg.snr_list_db or (None,))
 
-    excluded = _excluded_mask(rec, cfg.orientation.mode)
-    valid = ~excluded
-    n = len(rec["err_3d"])
+    valid = ~rec["excluded"]
     agg = {
-        "n_samples": n,
-        "n_valid": int(valid.sum()),
-        "outage_frac": float(excluded.mean()),
-        "clamp_frac": float((rec["status"] == STATUS_CLAMPED).mean()),
+        **stats,
+        "n_samples": len(rec["err_3d"]),
         "low_signal_frac": float((rec["status"] == STATUS_LOW_SIGNAL).mean()),
-        "sigma_w": sigma,
-        "snr_db": snr,
     }
     if valid.any():
-        for key, errs in (
-            ("cdf_3d", rec["err_3d"]),
-            ("cdf_x", rec["err_x"]),
-            ("cdf_y", rec["err_y"]),
-            ("cdf_z", rec["err_z"]),
-        ):
-            agg[key] = compute_cdf(errs[valid])
-        agg["p50_3d_m"] = percentile(rec["err_3d"][valid], 50.0)
-        agg["p90_3d_m"] = percentile(rec["err_3d"][valid], 90.0)
-        agg["p95_3d_m"] = percentile(rec["err_3d"][valid], 95.0)
-        agg["subcm_frac_x"] = float((rec["err_x"][valid] < 0.01).mean())
-        agg["subcm_frac_y"] = float((rec["err_y"][valid] < 0.01).mean())
-    rec["excluded"] = excluded
-    return RunResult("cdf", rec, agg, _base_metadata(cfg, p_ref))
+        errs = {axis: rec[f"err_{axis}"][valid] for axis in ("3d", "x", "y", "z")}
+        agg.update({f"cdf_{axis}": compute_cdf(e) for axis, e in errs.items()})
+        agg.update({f"p{q}_3d_m": percentile(errs["3d"], q) for q in (50, 90, 95)})
+        agg.update({f"subcm_frac_{axis}": float((errs[axis] < 0.01).mean()) for axis in ("x", "y")})
+    return RunResult("cdf", agg, _base_metadata(cfg, p_ref))
 
 
 def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
@@ -301,37 +296,13 @@ def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
         raise ValueError("config mode must be 'snr-sweep'")
     if cfg.snr_list_db is None:
         raise ValueError("snr-sweep needs an explicit snr list")
-    modes = cfg.orientation_modes or (cfg.orientation.mode,)
-    p_ref = reference_peak_power(cfg)
-    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg), peak_only=True)
-    points = sample_positions(cfg)
-
+    p_ref, passes = _grid_passes(cfg, cfg.orientation_modes or (cfg.orientation.mode,), cfg.snr_list_db)
     rows = []
-    all_rec: dict[str, list] = {}
-    for mode_idx, mode in enumerate(modes):
-        orientation = dataclasses.replace(cfg.orientation, mode=mode)
-        for snr_idx, snr in enumerate(cfg.snr_list_db):
-            sigma = noise_sigma(cfg, snr, p_ref)
-            rec = _run_grid(cfg, plan, points, orientation, snr, sigma, seed_ctx=(mode_idx, snr_idx))
-            excluded = _excluded_mask(rec, mode)
-            valid = ~excluded
-            rows.append(
-                {
-                    "snr_db": snr,
-                    "orientation_mode": mode,
-                    "mean_error_m": float(rec["err_3d"][valid].mean()) if valid.any() else float("nan"),
-                    "outage_frac": float(excluded.mean()),
-                    "clamp_frac": float((rec["status"] == STATUS_CLAMPED).mean()),
-                    "n_valid": int(valid.sum()),
-                    "sigma_w": sigma,
-                }
-            )
-            rec["excluded"] = excluded
-            for key, arr in rec.items():
-                all_rec.setdefault(key, []).append(arr)
-
-    records = {k: np.concatenate(v) for k, v in all_rec.items()}
-    return RunResult("snr-sweep", records, {"rows": rows}, _base_metadata(cfg, p_ref))
+    for mode, rec, stats in passes:
+        valid = ~rec["excluded"]
+        mean_error = float(rec["err_3d"][valid].mean()) if valid.any() else float("nan")
+        rows.append({**stats, "orientation_mode": mode, "mean_error_m": mean_error})
+    return RunResult("snr-sweep", {"rows": rows}, _base_metadata(cfg, p_ref))
 
 
 def run_sync_test(cfg: ExperimentConfig) -> RunResult:
@@ -350,21 +321,20 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
     plan = ScanPlan(grid, pilot)
     emitter = cfg.room.emitter_pos
-    z_hi = min(cfg.h_max_m, cfg.room.height_m - NEAR_FIELD_CLEARANCE_M)
     n_slots = cfg.pilot_len + grid.size
 
     rows = []
-    rec_rows = {k: [] for k in ("snr_db", "offset_steps", "match", "err_synced", "err_realigned", "err_naive")}
     for snr_idx, snr in enumerate(snrs):
         sigma = 0.0 if np.isinf(snr) else noise_sigma_for_snr(float(np.max(pilot)), snr)
         mismatches = 0
+        errs = {"synced": [], "realigned": [], "naive": []}
         for trial in range(cfg.trials):
             rng = _trial_rng(cfg.master_seed, 0, snr_idx, 0, trial)
             point = np.array(
                 [
                     rng.uniform(0.0, cfg.room.width_m),
                     rng.uniform(0.0, cfg.room.depth_m),
-                    rng.uniform(cfg.h_min_m, z_hi),
+                    rng.uniform(cfg.h_min_m, _height_cap(cfg)),
                 ]
             )
             offset = int(rng.integers(-(n_slots // 2), n_slots // 2 + 1))
@@ -375,27 +345,18 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
             est_re = estimate_position(emitter, realigned.samples, grid, cfg.channel)
             est_naive = estimate_position(emitter, shifted.samples[cfg.pilot_len :], grid, cfg.channel)
 
-            match = est_re.beam_index == est_sync.beam_index
-            mismatches += not match
-            rec_rows["snr_db"].append(snr)
-            rec_rows["offset_steps"].append(offset)
-            rec_rows["match"].append(match)
-            rec_rows["err_synced"].append(position_error(point, est_sync.position).total_m)
-            rec_rows["err_realigned"].append(position_error(point, est_re.position).total_m)
-            rec_rows["err_naive"].append(position_error(point, est_naive.position).total_m)
-        sl = slice(-cfg.trials, None)
+            mismatches += int(est_re.beam_index != est_sync.beam_index)
+            for key, est in (("synced", est_sync), ("realigned", est_re), ("naive", est_naive)):
+                errs[key].append(position_error(point, est.position).total_m)
         rows.append(
             {
                 "snr_db": snr,
                 "mismatch_rate": mismatches / cfg.trials,
-                "mean_error_synced_m": float(np.mean(rec_rows["err_synced"][sl])),
-                "mean_error_realigned_m": float(np.mean(rec_rows["err_realigned"][sl])),
-                "mean_error_naive_m": float(np.mean(rec_rows["err_naive"][sl])),
+                **{f"mean_error_{key}_m": float(np.mean(e)) for key, e in errs.items()},
                 "sigma_w": sigma,
             }
         )
-    records = {k: np.asarray(v) for k, v in rec_rows.items()}
-    return RunResult("sync-test", records, {"rows": rows}, _base_metadata(cfg, reference_peak_power(cfg)))
+    return RunResult("sync-test", {"rows": rows}, _base_metadata(cfg, reference_peak_power(cfg)))
 
 
 def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTrace, PositionEstimate]:

@@ -201,6 +201,17 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+# row-table modes: output file name and columns; each result row is a dict
+# keyed by these column names
+ROW_TABLES = {
+    "snr-sweep": ("mean_error_vs_snr.csv", ("snr_db", "mean_error_m", "outage_frac", "clamp_frac", "orientation_mode")),
+    "sync-test": (
+        "sync_test.csv",
+        ("snr_db", "mismatch_rate", "mean_error_synced_m", "mean_error_realigned_m", "mean_error_naive_m"),
+    ),
+}
+
+
 def _csv(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
@@ -222,30 +233,13 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
             values, cdf = result.aggregates[name]
             rows = (f"{_fmt(v)},{_fmt(c)}" for v, c in zip(values, cdf))
             files.append((out / f"{name}.csv", _csv("error_m,cdf", rows)))
-    elif result.mode == "snr-sweep":
+    elif result.mode in ROW_TABLES:
+        name, columns = ROW_TABLES[result.mode]
         rows = (
-            f"{_fmt(r['snr_db'])},{_fmt(r['mean_error_m'])},{_fmt(r['outage_frac'])},"
-            f"{_fmt(r['clamp_frac'])},{r['orientation_mode']}"
+            ",".join(r[c] if isinstance(r[c], str) else _fmt(r[c]) for c in columns)
             for r in result.aggregates["rows"]
         )
-        files.append(
-            (out / "mean_error_vs_snr.csv", _csv("snr_db,mean_error_m,outage_frac,clamp_frac,orientation_mode", rows))
-        )
-    elif result.mode == "sync-test":
-        rows = (
-            f"{_fmt(r['snr_db'])},{_fmt(r['mismatch_rate'])},{_fmt(r['mean_error_synced_m'])},"
-            f"{_fmt(r['mean_error_realigned_m'])},{_fmt(r['mean_error_naive_m'])}"
-            for r in result.aggregates["rows"]
-        )
-        files.append(
-            (
-                out / "sync_test.csv",
-                _csv(
-                    "snr_db,mismatch_rate,mean_error_synced_m,mean_error_realigned_m,mean_error_naive_m",
-                    rows,
-                ),
-            )
-        )
+        files.append((out / name, _csv(",".join(columns), rows)))
     else:
         raise ValueError(f"unknown result mode {result.mode!r}")
 
@@ -270,23 +264,8 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
 
 
 def _summary(result: RunResult) -> dict:
-    if result.mode == "cdf":
-        keys = (
-            "n_samples",
-            "n_valid",
-            "outage_frac",
-            "clamp_frac",
-            "low_signal_frac",
-            "sigma_w",
-            "snr_db",
-            "p50_3d_m",
-            "p90_3d_m",
-            "p95_3d_m",
-            "subcm_frac_x",
-            "subcm_frac_y",
-        )
-        return {k: result.aggregates[k] for k in keys if k in result.aggregates}
-    return {"rows": result.aggregates["rows"]}
+    # the cdf_* arrays go to their own CSV files
+    return {k: v for k, v in result.aggregates.items() if not k.startswith("cdf_")}
 
 
 def _jsonable(obj):

@@ -125,10 +125,6 @@ class TestReceivedPowerOnAxis:
         vals = [received_power_on_axis(x, 1.0, P) for x in d]
         assert np.all(np.diff(vals) < 0)
 
-    def test_noise_term_added(self):
-        base = received_power_on_axis(1.0, 1.0, P)
-        assert received_power_on_axis(1.0, 1.0, P, noise_w=1e-9) == pytest.approx(base + 1e-9)
-
     def test_bad_cosine_rejected(self):
         with pytest.raises(ValueError):
             received_power_on_axis(1.0, -0.2, P)

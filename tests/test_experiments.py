@@ -139,15 +139,15 @@ class TestRunCdfExperiment:
         cfg = ExperimentConfig(mode="cdf", master_seed=5, snr_list_db=(40.0,), **SMALL)
         a = run_cdf_experiment(cfg)
         b = run_cdf_experiment(cfg)
-        np.testing.assert_array_equal(a.records["err_3d"], b.records["err_3d"])
-        np.testing.assert_array_equal(a.records["est_pos"], b.records["est_pos"])
+        for key in ("cdf_3d", "cdf_x", "cdf_y", "cdf_z"):
+            np.testing.assert_array_equal(a.aggregates[key], b.aggregates[key])
 
     def test_threads_do_not_change_results(self):
         cfg1 = ExperimentConfig(mode="cdf", master_seed=5, snr_list_db=(40.0,), **SMALL)
         cfg4 = dataclasses.replace(cfg1, threads=4)
         np.testing.assert_array_equal(
-            run_cdf_experiment(cfg1).records["err_3d"],
-            run_cdf_experiment(cfg4).records["err_3d"],
+            run_cdf_experiment(cfg1).aggregates["cdf_3d"],
+            run_cdf_experiment(cfg4).aggregates["cdf_3d"],
         )
 
     @pytest.mark.parametrize("cpus, expected", [(64, 9), (4, 4), (None, 1)])
@@ -213,10 +213,13 @@ class TestRunCdfExperiment:
 
     def test_noiseless_errors_are_pure_quantization(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=4, snr_list_db=(float("inf"),), **SMALL)
-        res = run_cdf_experiment(cfg)
-        d = np.linalg.norm(res.records["true_pos"] - cfg.room.emitter_pos, axis=1)
+        plan = ScanPlan(build_beam_grid(), peak_only=True)
+        rec = experiments._run_grid(cfg, plan, sample_positions(cfg), cfg.orientation, 0.0, seed_ctx=(0, 0))
+        # rows run in point order, then trial order
+        true_pos = np.repeat(sample_positions(cfg), cfg.trials, axis=0)
+        d = np.linalg.norm(true_pos - cfg.room.emitter_pos, axis=1)
         bound = d * np.tan(np.radians(0.71)) + 0.02
-        assert np.all(res.records["err_3d"] <= bound)
+        assert np.all(rec["err_3d"] <= bound)
 
 
 class TestRunSnrSweep:
@@ -263,7 +266,7 @@ def _grid_trials(plan, seed, snr, mode, trials):
     cfg = ExperimentConfig(mode="cdf", grid_spacing_m=0.25, trials_per_point=trials, master_seed=seed)
     sigma = noise_sigma(cfg, snr, reference_peak_power(cfg))
     ori = dataclasses.replace(cfg.orientation, mode=mode)
-    return experiments._run_grid(cfg, plan, sample_positions(cfg), ori, snr, sigma, seed_ctx=(0, 0))
+    return experiments._run_grid(cfg, plan, sample_positions(cfg), ori, sigma, seed_ctx=(0, 0))
 
 
 class TestPeakOnlyEquivalence:

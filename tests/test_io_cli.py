@@ -142,6 +142,15 @@ class TestWriteResults:
         assert "snr_db = 20*log10" in meta["snr_definition"]
         assert meta["wall_time_s"] == 2.0
 
+    def test_cdf_summary_key_set(self, tmp_path):
+        result, resolved, applied = self._result()
+        write_results(result, tmp_path, resolved, applied)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert set(meta["summary"]) == {
+            "n_samples", "n_valid", "outage_frac", "clamp_frac", "low_signal_frac", "sigma_w",
+            "snr_db", "p50_3d_m", "p90_3d_m", "p95_3d_m", "subcm_frac_x", "subcm_frac_y",
+        }
+
 
 class TestWriteTrace:
     def test_pilot_rows_have_empty_angles(self, tmp_path):
@@ -187,7 +196,9 @@ class TestCli:
                      "--out", str(out)])
         assert code == 0
         lines = (out / "sync_test.csv").read_text().splitlines()
-        assert lines[0].startswith("snr_db,mismatch_rate")
+        assert lines[0] == (
+            "snr_db,mismatch_rate,mean_error_synced_m,mean_error_realigned_m,mean_error_naive_m"
+        )
         assert lines[1].split(",")[1] == "0"
 
     def test_scan_demo_trace(self, tmp_path):
