@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         metavar="N",
-        help="worker threads, capped at the CPU count (default: config)",
+        help="accepted for replay; runs are single-threaded",
     )
 
     parser = _Parser(prog="vlp-sim", description=__doc__)

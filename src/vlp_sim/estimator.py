@@ -1,7 +1,7 @@
 """Position reconstruction from a synchronized sweep trace.
 
 Pipeline: pick the strongest slot, take its beam direction, invert the
-on-axis power law for range under an assumed receiver orientation, and walk
+on-axis power law for range under an assumed upright receiver, and walk
 that distance from the emitter along the beam.
 """
 
@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelParams
-from .geometry import BeamGrid, UP, unit
+from .geometry import BeamGrid, UP
 
 STATUS_OK = "ok"
 STATUS_CLAMPED = "clamped-radicand"
@@ -73,14 +73,13 @@ def estimate_position(
     powers,
     grid: BeamGrid,
     params: ChannelParams,
-    assumed_normal=None,
     noise_sigma_w: float | None = None,
     slots=None,
 ) -> PositionEstimate:
     """Locate the receiver from the peak slot of a synchronized trace.
 
     The estimator cannot observe the true device orientation, so the
-    incidence cosine comes from assumed_normal (upright by default); a
+    incidence cosine always assumes an upright receiver (normal UP); a
     randomly tilted receiver therefore degrades accuracy even on noiseless
     traces.  With noise_sigma_w given, a trace whose maximum stays below
     LOW_SIGNAL_SIGMAS * sigma is flagged as suspected out-of-view; the
@@ -93,8 +92,7 @@ def estimate_position(
     i = select_beam(y)
     k = i if slots is None else int(slots[i])
     u = grid.directions[k]
-    n_hat = UP if assumed_normal is None else unit(assumed_normal)
-    cos_hat = min(float(np.dot(-u, n_hat)), 1.0)
+    cos_hat = min(float(np.dot(-u, UP)), 1.0)
     peak = float(y[i])
     suspected = noise_sigma_w is not None and peak < LOW_SIGNAL_SIGMAS * noise_sigma_w
 

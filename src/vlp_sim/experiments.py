@@ -1,11 +1,12 @@
 """Monte Carlo harness: the shared scan trial and grid-pass loop; cdf /
 snr-sweep / sync-test / scan-demo.  A grid pass runs every trial at every
 grid point for one (orientation mode, SNR): cdf is the single pass (0, 0),
-snr-sweep one pass per pair.
+snr-sweep one pass per pair.  A pass runs sequentially, point by point,
+then trial by trial.
 
 Reproducibility contract: every trial gets its own random stream seeded by
 SeedSequence((master_seed, mode_index, snr_index, point_index, trial_index)),
-so results are bit-identical regardless of execution order or thread count.
+so results are bit-identical across reruns.
 Within a trial the orientation draws come first, then the sweep's noise.
 cdf and snr-sweep sweep peak-only (see scan.run_scan): the support-slot
 normals in ascending slot order, then the uniform U that sets the maximum of
@@ -16,8 +17,6 @@ scan-demo sweep densely: one normal per slot, pilot first.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +72,6 @@ class ExperimentConfig:
     trials_per_point: int | None = None
     master_seed: int = 0
     mode: str = "cdf"
-    threads: int = 1
     orientation_modes: tuple | None = None  # snr-sweep only; None -> (orientation.mode,)
 
     def __post_init__(self):
@@ -93,8 +91,6 @@ class ExperimentConfig:
             raise ValueError("pilot_len must be >= 0")
         if self.trials_per_point is not None and self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.orientation_modes is not None:
             object.__setattr__(self, "orientation_modes", tuple(self.orientation_modes))
             for m in self.orientation_modes:
@@ -174,7 +170,7 @@ def percentile(samples, q: float) -> float:
 
 def scan_trial(
     cfg: ExperimentConfig, plan: ScanPlan, orientation: OrientationConfig, point, sigma: float, rng: np.random.Generator
-) -> tuple[np.ndarray, MeasurementTrace, PositionEstimate]:
+) -> tuple[MeasurementTrace, PositionEstimate]:
     """One fix: draw the receiver normal, sweep once, pick the peak.
 
     The orientation draw precedes the sweep's noise draws in rng.  The
@@ -185,9 +181,9 @@ def scan_trial(
     rx = ReceiverState(point, normal, cfg.fov_deg)
     trace = run_scan(plan, cfg.room, rx, cfg.channel, sigma, rng)
     est = estimate_position(
-        cfg.room.emitter_pos, trace.samples[plan.pilot_len :], plan.grid, cfg.channel, None, sigma, trace.slots
+        cfg.room.emitter_pos, trace.samples[plan.pilot_len :], plan.grid, cfg.channel, sigma, trace.slots
     )
-    return normal, trace, est
+    return trace, est
 
 
 def _run_grid(cfg, plan, points, orientation, sigma, seed_ctx):
@@ -199,24 +195,12 @@ def _run_grid(cfg, plan, points, orientation, sigma, seed_ctx):
     fixed upright receiver is in view by geometry, so there the flag stays
     a diagnostic.
     """
-
-    def work(i):
-        ests = []
+    rows = []
+    for i, point in enumerate(points):
         for trial in range(cfg.trials):
             rng = _trial_rng(cfg.master_seed, *seed_ctx, i, trial)
-            _, _, est = scan_trial(cfg, plan, orientation, points[i], sigma, rng)
-            ests.append((est.status, position_error(points[i], est.position)))
-        return ests
-
-    # threads beyond the cores or the points only add contention
-    workers = min(cfg.threads, len(points), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(work, range(len(points))))
-    else:
-        per_point = [work(i) for i in range(len(points))]
-
-    rows = [r for chunk in per_point for r in chunk]
+            _, est = scan_trial(cfg, plan, orientation, point, sigma, rng)
+            rows.append((est.status, position_error(point, est.position)))
     status = np.array([r[0] for r in rows])
     flagged = status == STATUS_LOW_SIGNAL
     errs = np.array([r[1] for r in rows]).T  # PositionError order: total, x, y, z
@@ -261,7 +245,6 @@ def _base_metadata(cfg: ExperimentConfig, p_ref: float) -> dict:
         "snr_definition": SNR_DEFINITION,
         "reference_power_w": p_ref,
         "trials": cfg.trials,
-        "threads": cfg.threads,
     }
 
 
@@ -309,8 +292,9 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     """End-to-end sync validation: estimates from synchronized traces versus
     offset-then-realigned traces, plus the naive no-realignment baseline.
 
-    snr values set the pilot SNR (sigma = pilot on-level / 10^(snr/20));
-    snr = inf runs noiseless.  trials_per_point is the total trial count.
+    snr values set the pilot SNR (sigma = pilot on-level / 10^(snr/20)), and
+    the metadata records that on-level as reference_power_w; snr = inf runs
+    noiseless.  trials_per_point is the total trial count.
     """
     if cfg.mode != "sync-test":
         raise ValueError("config mode must be 'sync-test'")
@@ -322,10 +306,11 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     plan = ScanPlan(grid, pilot)
     emitter = cfg.room.emitter_pos
     n_slots = cfg.pilot_len + grid.size
+    p_pilot = float(np.max(pilot))
 
     rows = []
     for snr_idx, snr in enumerate(snrs):
-        sigma = 0.0 if np.isinf(snr) else noise_sigma_for_snr(float(np.max(pilot)), snr)
+        sigma = 0.0 if np.isinf(snr) else noise_sigma_for_snr(p_pilot, snr)
         mismatches = 0
         errs = {"synced": [], "realigned": [], "naive": []}
         for trial in range(cfg.trials):
@@ -339,7 +324,7 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
             )
             offset = int(rng.integers(-(n_slots // 2), n_slots // 2 + 1))
             # sigma only sets est_sync's status flag, which is not recorded
-            _, trace, est_sync = scan_trial(cfg, plan, cfg.orientation, point, sigma, rng)
+            trace, est_sync = scan_trial(cfg, plan, cfg.orientation, point, sigma, rng)
             shifted = apply_timing_offset(trace, offset)
             realigned = realign_with_pilot(shifted, pilot)
             est_re = estimate_position(emitter, realigned.samples, grid, cfg.channel)
@@ -356,7 +341,7 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
                 "sigma_w": sigma,
             }
         )
-    return RunResult("sync-test", {"rows": rows}, _base_metadata(cfg, reference_peak_power(cfg)))
+    return RunResult("sync-test", {"rows": rows}, _base_metadata(cfg, p_pilot))
 
 
 def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTrace, PositionEstimate]:
@@ -369,5 +354,5 @@ def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTr
     sigma = noise_sigma(cfg, snr, reference_peak_power(cfg))
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
-    _, trace, est = scan_trial(cfg, plan, cfg.orientation, point, sigma, _trial_rng(cfg.master_seed))
+    trace, est = scan_trial(cfg, plan, cfg.orientation, point, sigma, _trial_rng(cfg.master_seed))
     return plan, trace, est

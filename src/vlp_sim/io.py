@@ -32,6 +32,8 @@ class ConfigError(ValueError):
 CONFIG_DEFAULTS: dict = {
     "mode": "cdf",
     "seed": 0,
+    # accepted so earlier runs' configs and command lines replay; runs are
+    # single-threaded and no output depends on it
     "threads": 1,
     "room_width_m": 1.0,
     "room_depth_m": 1.0,
@@ -140,6 +142,8 @@ def _normalize(cfg: dict) -> dict:
             raise ConfigError(f"config key {key} must be an integer, got {value!r}")
     if cfg["dwell_time_s"] <= 0.0:
         raise ConfigError("dwell_time_s must be positive")
+    if cfg["threads"] < 1:
+        raise ConfigError("threads must be >= 1")
     return cfg
 
 
@@ -178,7 +182,6 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             trials_per_point=None if cfg["trials_per_point"] is None else int(cfg["trials_per_point"]),
             master_seed=int(cfg["seed"]),
             mode=cfg["mode"],
-            threads=int(cfg["threads"]),
             orientation_modes=cfg["orientation_modes"],
         )
     except ValueError as e:

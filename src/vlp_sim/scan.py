@@ -59,9 +59,6 @@ class MeasurementTrace:
     samples: np.ndarray
     slots: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return int(len(self.samples))
-
 
 def make_pilot(on_level_w: float, length: int = DEFAULT_PILOT_LEN, seed: int = _PILOT_SEED) -> np.ndarray:
     """Pseudo-random on/off pilot with a sharp cyclic autocorrelation peak."""

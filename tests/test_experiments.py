@@ -1,12 +1,16 @@
 import dataclasses
+import importlib.util
 import inspect
 import itertools
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from vlp_sim import experiments
+from vlp_sim import cli, experiments
 from vlp_sim.estimator import STATUS_LOW_SIGNAL
 from vlp_sim.experiments import (
     ExperimentConfig,
@@ -142,39 +146,6 @@ class TestRunCdfExperiment:
         for key in ("cdf_3d", "cdf_x", "cdf_y", "cdf_z"):
             np.testing.assert_array_equal(a.aggregates[key], b.aggregates[key])
 
-    def test_threads_do_not_change_results(self):
-        cfg1 = ExperimentConfig(mode="cdf", master_seed=5, snr_list_db=(40.0,), **SMALL)
-        cfg4 = dataclasses.replace(cfg1, threads=4)
-        np.testing.assert_array_equal(
-            run_cdf_experiment(cfg1).aggregates["cdf_3d"],
-            run_cdf_experiment(cfg4).aggregates["cdf_3d"],
-        )
-
-    @pytest.mark.parametrize("cpus, expected", [(64, 9), (4, 4), (None, 1)])
-    def test_thread_count_capped(self, monkeypatch, cpus, expected):
-        # a fake pool records the worker count instead of starting threads
-        asked = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", FakePool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        cfg = ExperimentConfig(mode="cdf", grid_spacing_m=0.5, h_min_m=1.0, h_max_m=1.4,
-                               trials_per_point=1, threads=10_000)
-        assert run_cdf_experiment(cfg).aggregates["n_samples"] == 9
-        assert asked == ([expected] if expected > 1 else [])
-
     def test_fixed_orientation_has_zero_outage(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=1, snr_list_db=(40.0,), **SMALL)
         res = run_cdf_experiment(cfg)
@@ -278,12 +249,10 @@ class TestPeakOnlyEquivalence:
         grid = build_beam_grid()
         ori = dataclasses.replace(cfg.orientation, mode=mode)
         for i, point in enumerate(sample_positions(cfg)):
-            ends = []
-            for plan in (ScanPlan(grid), ScanPlan(grid, peak_only=True)):
-                normal, _, est = scan_trial(cfg, plan, ori, point, 0.0, experiments._trial_rng(3, i))
-                ends.append((normal, est))
-            (n_dense, dense), (n_peak, peak) = ends
-            np.testing.assert_array_equal(n_dense, n_peak)
+            dense, peak = (
+                scan_trial(cfg, plan, ori, point, 0.0, experiments._trial_rng(3, i))[1]
+                for plan in (ScanPlan(grid), ScanPlan(grid, peak_only=True))
+            )
             np.testing.assert_array_equal(dense.position, peak.position)
             assert (dense.beam_index, dense.distance_m, dense.status, dense.assumed_cos_psi) == (
                 peak.beam_index, peak.distance_m, peak.status, peak.assumed_cos_psi)
@@ -326,3 +295,16 @@ class TestBenchmarkContract:
 
     def test_run_scan_takes_sigma_w(self):
         assert "sigma_w" in inspect.signature(experiments.run_scan).parameters
+
+    def test_benchmark_command_lines_run(self, tmp_path, monkeypatch):
+        # perfbench/run.py puts its own directory on sys.path when loaded
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+        spec = importlib.util.spec_from_file_location("perfbench_run", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        for name, workload in bench.WORKLOADS.items():
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({**workload["config"], "grid_spacing_m": 0.5, "trials_per_point": 1}))
+            argv = bench.cli_args(workload, config, 3, tmp_path / name)
+            assert cli.main(argv) == 0, name

@@ -200,6 +200,9 @@ class TestCli:
             "snr_db,mismatch_rate,mean_error_synced_m,mean_error_realigned_m,mean_error_naive_m"
         )
         assert lines[1].split(",")[1] == "0"
+        # the sync SNR is anchored to the pilot on-level, the 1 mW default p_opt
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["run"]["reference_power_w"] == 1e-3
 
     def test_scan_demo_trace(self, tmp_path):
         out = tmp_path / "out"
@@ -247,6 +250,8 @@ class TestCli:
             {"mu_alpha_deg": float("nan")},
             {"seed": 5.5},
             {"threads": 2.5},
+            {"threads": 0},
+            {"threads": -1},
             {"trials_per_point": 1.7},
             {"pilot_length": 3.9},
             {"pilot_length": -1},
@@ -277,8 +282,12 @@ class TestCli:
         assert "runtime error" in capsys.readouterr().err
 
     def test_threads_flag_echoed_in_meta(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["cdf", "--config", write_tiny_config(tmp_path), "--threads", "3",
-                     "--out", str(out)]) == 0
-        meta = json.loads((out / "meta.json").read_text())
+        # accepted for replay: echoed in meta.json, no effect on the results
+        outs = {n: tmp_path / f"out{n}" for n in (1, 3)}
+        for n, out in outs.items():
+            assert main(["cdf", "--config", write_tiny_config(tmp_path), "--threads", str(n),
+                         "--out", str(out)]) == 0
+        meta = json.loads((outs[3] / "meta.json").read_text())
         assert meta["config"]["threads"] == 3
+        for name in ("cdf_3d.csv", "cdf_x.csv", "cdf_y.csv", "cdf_z.csv"):
+            assert (outs[3] / name).read_bytes() == (outs[1] / name).read_bytes()

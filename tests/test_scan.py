@@ -58,7 +58,7 @@ class TestRunScan:
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.5, 0.5, 1.5])
         trace = run_scan(ScanPlan(grid, pilot_w=pilot), ROOM, rx, P, 0.0, np.random.default_rng(0))
-        assert len(trace) == 64 + 32400
+        assert len(trace.samples) == 64 + 32400
 
     def test_off_centre_receiver_hits_single_cell(self, grid):
         # direction to (0.8, 0.5, 1.0): az = 0, el = atan(0.3/2.0)
