@@ -26,6 +26,7 @@ from vlp_sim.experiments import (
 )
 from vlp_sim.channel import noise_power
 from vlp_sim.geometry import ReceiverState, build_beam_grid, incidence_cosine
+from vlp_sim.io import build_experiment, load_config
 from vlp_sim.scan import ScanPlan
 
 # coarse setup keeps module tests fast; acceptance runs the full defaults
@@ -145,6 +146,15 @@ class TestRunCdfExperiment:
         b = run_cdf_experiment(cfg)
         for key in ("cdf_3d", "cdf_x", "cdf_y", "cdf_z"):
             np.testing.assert_array_equal(a.aggregates[key], b.aggregates[key])
+
+    def test_threads_do_not_change_results(self):
+        # the threads key is still accepted for replay; runs are sequential
+        base = dict(mode="cdf", seed=5, snr_db=[40.0], **SMALL)
+        cfg1, cfg4 = (build_experiment(load_config(overrides={**base, "threads": n})[0]) for n in (1, 4))
+        np.testing.assert_array_equal(
+            run_cdf_experiment(cfg1).aggregates["cdf_3d"],
+            run_cdf_experiment(cfg4).aggregates["cdf_3d"],
+        )
 
     def test_fixed_orientation_has_zero_outage(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=1, snr_list_db=(40.0,), **SMALL)
