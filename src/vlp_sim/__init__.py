@@ -7,7 +7,6 @@ from .channel import (
     ChannelParams,
     beam_radius,
     intensity,
-    noise_power,
     noise_sigma_for_snr,
     received_power_on_axis,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "invert_distance",
     "laplace_sample",
     "make_pilot",
-    "noise_power",
     "noise_sigma_for_snr",
     "normal_from_euler",
     "normal_from_spherical",

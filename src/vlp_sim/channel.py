@@ -1,4 +1,4 @@
-"""Gaussian-beam link budget: beam spread, received power, receiver noise."""
+"""Gaussian-beam link budget: beam spread, received power, SNR-anchored noise."""
 
 from __future__ import annotations
 
@@ -11,24 +11,19 @@ import numpy as np
 class ChannelParams:
     """Optical link parameters in SI units.
 
-    Defaults model a 1 mW, 950 nm VCSEL with a 5.9 um waist, a 1 cm^2
-    photodetector and a 2 GHz receiver bandwidth.
+    Defaults model a 1 mW, 950 nm VCSEL with a 5.9 um waist and a 1 cm^2
+    photodetector.
     """
 
     p_opt_w: float = 1e-3
     wavelength_m: float = 950e-9
     waist_m: float = 5.9e-6
     pd_area_m2: float = 1e-4
-    noise_variance_w_hz: float = 5e-14
-    bandwidth_hz: float = 2e9
 
     def __post_init__(self):
-        for name in ("p_opt_w", "wavelength_m", "waist_m", "pd_area_m2", "bandwidth_hz"):
+        for name in ("p_opt_w", "wavelength_m", "waist_m", "pd_area_m2"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        # zero allowed: a noiseless receiver is a meaningful limit
-        if self.noise_variance_w_hz < 0.0:
-            raise ValueError("noise_variance_w_hz must be nonnegative")
 
 
 def beam_radius(distance_m: float, radiance_angle_rad: float, p: ChannelParams) -> float:
@@ -54,11 +49,6 @@ def intensity(distance_m: float, radiance_angle_rad: float, p: ChannelParams) ->
     w = beam_radius(distance_m, radiance_angle_rad, p)
     off_axis = np.exp(-2.0 * distance_m**2 * np.sin(radiance_angle_rad) ** 2 / (w * w))
     return float(2.0 * p.p_opt_w / (np.pi * w * w) * off_axis)
-
-
-def noise_power(p: ChannelParams) -> float:
-    """Receiver noise level [W]: noise variance divided by bandwidth."""
-    return p.noise_variance_w_hz / p.bandwidth_hz
 
 
 def received_power_on_axis(distance_m: float, cos_psi: float, p: ChannelParams) -> float:

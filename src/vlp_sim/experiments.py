@@ -4,14 +4,17 @@ grid point for one (orientation mode, SNR): cdf is the single pass (0, 0),
 snr-sweep one pass per pair.  A pass runs sequentially, point by point,
 then trial by trial.
 
-Reproducibility contract: every trial gets its own random stream seeded by
-SeedSequence((master_seed, mode_index, snr_index, point_index, trial_index)),
-so results are bit-identical across reruns.
-Within a trial the orientation draws come first, then the sweep's noise.
-cdf and snr-sweep sweep peak-only (see scan.run_scan): the support-slot
-normals in ascending slot order, then the uniform U that sets the maximum of
-the noise-only slots, then that maximum's slot index.  sync-test and
-scan-demo sweep densely: one normal per slot, pilot first.
+Reproducibility contract: every trial gets its own random stream, so
+results are bit-identical across reruns.  The SeedSequence entropy is
+(master_seed, mode_index, snr_index, point_index, trial_index) for cdf and
+snr-sweep, (master_seed, 0, snr_index, 0, trial_index) for sync-test and
+(master_seed,) for scan-demo.  A sync-test trial first draws its receiver
+position (x, y, z) and timing offset.  Then the orientation draws come,
+then the sweep's noise.  cdf and snr-sweep sweep peak-only (see
+scan.run_scan): the support-slot normals in ascending slot order, then the
+uniform U that sets the maximum of the noise-only slots, then that
+maximum's slot index.  sync-test and scan-demo sweep densely: one normal
+per slot, pilot first.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, noise_power, noise_sigma_for_snr, received_power_on_axis
+from .channel import ChannelParams, noise_sigma_for_snr, received_power_on_axis
 from .estimator import (
     STATUS_CLAMPED,
     STATUS_LOW_SIGNAL,
@@ -29,7 +32,7 @@ from .estimator import (
     estimate_position,
     position_error,
 )
-from .geometry import ReceiverState, Room, build_beam_grid
+from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, check_fov
 from .orientation import ORIENTATION_MODES, OrientationConfig, sample_receiver_normal
 from .scan import DEFAULT_PILOT_LEN, MeasurementTrace, ScanPlan, apply_timing_offset, make_pilot, realign_with_pilot, run_scan
 
@@ -42,8 +45,7 @@ SNR_DEFINITION = (
     "received power for an upright receiver, averaged over the sampled "
     "position grid; a single sigma_noise applies to the whole run and every "
     "sample gets an independent N(0, sigma_noise^2) draw. For sync tests the "
-    "reference is the pilot on-level instead. snr_db = null uses the absolute "
-    "receiver noise level (noise variance / bandwidth)."
+    "reference is the pilot on-level instead."
 )
 
 # default trials per grid point (cdf, snr-sweep) or total trials (sync-test)
@@ -68,7 +70,7 @@ class ExperimentConfig:
     grid_spacing_m: float = 0.1
     h_min_m: float = 0.0
     h_max_m: float = 2.5
-    snr_list_db: tuple | None = (40.0,)
+    snr_list_db: tuple = (40.0,)
     trials_per_point: int | None = None
     master_seed: int = 0
     mode: str = "cdf"
@@ -79,16 +81,23 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {EXPERIMENT_MODES}, got {self.mode!r}")
         if not 0.0 <= self.h_min_m < self.h_max_m <= self.room.height_m:
             raise ValueError("need 0 <= h_min < h_max <= room height")
+        if self.h_min_m > _height_cap(self):
+            raise ValueError(f"h_min must stay {NEAR_FIELD_CLEARANCE_M} m below the ceiling")
+        if self.grid_spacing_m <= 0.0:
+            raise ValueError("grid_spacing_m must be positive")
         for span in (self.room.width_m, self.room.depth_m):
             ratio = span / self.grid_spacing_m
             if abs(ratio - round(ratio)) > 1e-9:
                 raise ValueError("grid_spacing_m must divide the room width and depth")
-        if self.snr_list_db is not None:
-            object.__setattr__(self, "snr_list_db", tuple(float(s) for s in self.snr_list_db))
-            if len(self.snr_list_db) == 0:
-                raise ValueError("snr_list_db must be nonempty (or None for absolute noise)")
+        check_fov(self.fov_deg)
+        check_beam_steps(self.azimuth_step_deg, self.elevation_step_deg)
+        object.__setattr__(self, "snr_list_db", tuple(float(s) for s in self.snr_list_db or ()))
+        if len(self.snr_list_db) == 0:
+            raise ValueError("snr_list_db must be nonempty")
         if self.pilot_len < 0:
             raise ValueError("pilot_len must be >= 0")
+        if self.mode == "sync-test" and self.pilot_len < 1:
+            raise ValueError("sync-test needs a pilot (pilot_len >= 1)")
         if self.trials_per_point is not None and self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.orientation_modes is not None:
@@ -138,14 +147,6 @@ def reference_peak_power(cfg: ExperimentConfig) -> float:
     """SNR anchor: grid-average noiseless on-axis power for an upright receiver."""
     dists = np.linalg.norm(sample_positions(cfg) - cfg.room.emitter_pos, axis=1)
     return float(np.mean([received_power_on_axis(d, 1.0, cfg.channel) for d in dists]))
-
-
-def noise_sigma(cfg: ExperimentConfig, snr_db: float | None, p_ref: float) -> float:
-    """Per-run noise std: anchored to p_ref (see reference_peak_power) in sweep
-    style, absolute when snr is None."""
-    if snr_db is None:
-        return noise_power(cfg.channel)
-    return noise_sigma_for_snr(p_ref, snr_db)
 
 
 def _trial_rng(master_seed: int, *indices: int) -> np.random.Generator:
@@ -225,7 +226,7 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
     for mode_idx, mode in enumerate(modes):
         orientation = dataclasses.replace(cfg.orientation, mode=mode)
         for snr_idx, snr in enumerate(snrs):
-            sigma = noise_sigma(cfg, snr, p_ref)
+            sigma = noise_sigma_for_snr(p_ref, snr)
             rec = _run_grid(cfg, plan, points, orientation, sigma, seed_ctx=(mode_idx, snr_idx))
             stats = {
                 "snr_db": snr,
@@ -252,9 +253,9 @@ def run_cdf_experiment(cfg: ExperimentConfig) -> RunResult:
     """Full-grid error statistics at one noise level: per-axis and 3D CDFs."""
     if cfg.mode != "cdf":
         raise ValueError("config mode must be 'cdf'")
-    if cfg.snr_list_db is not None and len(cfg.snr_list_db) != 1:
-        raise ValueError("cdf mode takes exactly one snr value (or None)")
-    p_ref, [(_, rec, stats)] = _grid_passes(cfg, (cfg.orientation.mode,), cfg.snr_list_db or (None,))
+    if len(cfg.snr_list_db) != 1:
+        raise ValueError("cdf mode takes exactly one snr value")
+    p_ref, [(_, rec, stats)] = _grid_passes(cfg, (cfg.orientation.mode,), cfg.snr_list_db)
 
     valid = ~rec["excluded"]
     agg = {
@@ -277,8 +278,6 @@ def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
     """
     if cfg.mode != "snr-sweep":
         raise ValueError("config mode must be 'snr-sweep'")
-    if cfg.snr_list_db is None:
-        raise ValueError("snr-sweep needs an explicit snr list")
     p_ref, passes = _grid_passes(cfg, cfg.orientation_modes or (cfg.orientation.mode,), cfg.snr_list_db)
     rows = []
     for mode, rec, stats in passes:
@@ -298,9 +297,6 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     """
     if cfg.mode != "sync-test":
         raise ValueError("config mode must be 'sync-test'")
-    if cfg.pilot_len < 1:
-        raise ValueError("sync-test needs a pilot (pilot_len >= 1)")
-    snrs = cfg.snr_list_db if cfg.snr_list_db is not None else (float("inf"),)
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
     plan = ScanPlan(grid, pilot)
@@ -309,8 +305,8 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     p_pilot = float(np.max(pilot))
 
     rows = []
-    for snr_idx, snr in enumerate(snrs):
-        sigma = 0.0 if np.isinf(snr) else noise_sigma_for_snr(p_pilot, snr)
+    for snr_idx, snr in enumerate(cfg.snr_list_db):
+        sigma = noise_sigma_for_snr(p_pilot, snr)
         mismatches = 0
         errs = {"synced": [], "realigned": [], "naive": []}
         for trial in range(cfg.trials):
@@ -347,11 +343,10 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
 def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTrace, PositionEstimate]:
     """One trial at a given receiver position, seeded by the master seed alone.
 
-    Uses the first snr value (None -> absolute noise) and the configured pilot.
-    Returns (plan, trace, estimate).
+    Uses the first snr value, anchored like a grid pass, and the configured
+    pilot.  Returns (plan, trace, estimate).
     """
-    snr = None if cfg.snr_list_db is None else cfg.snr_list_db[0]
-    sigma = noise_sigma(cfg, snr, reference_peak_power(cfg))
+    sigma = noise_sigma_for_snr(reference_peak_power(cfg), cfg.snr_list_db[0])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
     trace, est = scan_trial(cfg, plan, cfg.orientation, point, sigma, _trial_rng(cfg.master_seed))

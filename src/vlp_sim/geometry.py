@@ -76,6 +76,12 @@ class Room:
         )
 
 
+def check_fov(fov_deg: float) -> None:
+    """Raise ValueError unless the full cone angle lies in (0, 180]."""
+    if not 0.0 < fov_deg <= 180.0:
+        raise ValueError("fov_deg must be in (0, 180]")
+
+
 @dataclass(frozen=True)
 class ReceiverState:
     """Photodetector pose: position [m], unit facing normal, field of view.
@@ -90,8 +96,7 @@ class ReceiverState:
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         object.__setattr__(self, "normal", unit(self.normal))
-        if not 0.0 < self.fov_deg <= 180.0:
-            raise ValueError("fov_deg must be in (0, 180]")
+        check_fov(self.fov_deg)
 
 
 @dataclass(frozen=True)
@@ -126,14 +131,19 @@ class BeamGrid:
         return az_index * self.azimuth_step_deg, ring * self.elevation_step_deg
 
 
-def build_beam_grid(azimuth_step_deg: float = 1.0, elevation_step_deg: float = 1.0) -> BeamGrid:
-    """Construct the full sweep grid; steps must divide 360 and 90 evenly."""
+def check_beam_steps(azimuth_step_deg: float, elevation_step_deg: float) -> None:
+    """Raise ValueError unless the steps divide 360 and 90 evenly."""
     for name, span, step in (
         ("azimuth", 360.0, azimuth_step_deg),
         ("elevation", 90.0, elevation_step_deg),
     ):
         if step <= 0.0 or abs(span / step - round(span / step)) > 1e-9:
             raise ValueError(f"{name} step {step} does not divide {span} evenly")
+
+
+def build_beam_grid(azimuth_step_deg: float = 1.0, elevation_step_deg: float = 1.0) -> BeamGrid:
+    """Construct the full sweep grid; steps must divide 360 and 90 evenly."""
+    check_beam_steps(azimuth_step_deg, elevation_step_deg)
     n_az = int(round(360.0 / azimuth_step_deg))
     n_el = int(round(90.0 / elevation_step_deg))
     az = np.radians(np.arange(n_az) * azimuth_step_deg)
@@ -165,6 +175,5 @@ def in_fov(cos_psi: float, fov_deg: float) -> bool:
     The boundary is inclusive; the epsilon absorbs rounding in the cosine
     of the half-angle so an exactly-on-cone arrival stays inside.
     """
-    if not 0.0 < fov_deg <= 180.0:
-        raise ValueError("fov_deg must be in (0, 180]")
+    check_fov(fov_deg)
     return cos_psi >= float(np.cos(np.radians(fov_deg / 2.0))) - 1e-12

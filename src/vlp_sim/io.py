@@ -42,6 +42,8 @@ CONFIG_DEFAULTS: dict = {
     "wavelength_nm": 950.0,
     "beam_waist_um": 5.9,
     "pd_area_cm2": 1.0,
+    # accepted so configs echoed by older runs replay; every SNR is anchored
+    # to a received power, so no output depends on them
     "noise_variance_w_hz": 5e-14,
     "bandwidth_ghz": 2.0,
     "fov_deg": 120.0,
@@ -121,14 +123,15 @@ def _normalize(cfg: dict) -> dict:
     if cfg["mode"] not in EXPERIMENT_MODES:
         raise ConfigError(f"mode must be one of {EXPERIMENT_MODES}")
     snr = cfg["snr_db"]
-    if snr is not None:
-        values = snr if isinstance(snr, list) else [snr]
-        if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in values):
-            raise ConfigError(f"snr_db must be a number or list of numbers, got {snr!r}")
-        # +inf means noiseless; NaN and -inf give no noise level
-        if any(math.isnan(s) or s == -math.inf for s in values):
-            raise ConfigError(f"snr_db values must be finite or +Infinity, got {snr!r}")
-        cfg["snr_db"] = [float(s) for s in values]
+    if snr is None:
+        raise ConfigError("snr_db must be set; use Infinity for a noiseless run")
+    values = snr if isinstance(snr, list) else [snr]
+    if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in values):
+        raise ConfigError(f"snr_db must be a number or list of numbers, got {snr!r}")
+    # +inf means noiseless; NaN and -inf give no noise level
+    if any(math.isnan(s) or s == -math.inf for s in values):
+        raise ConfigError(f"snr_db values must be finite or +Infinity, got {snr!r}")
+    cfg["snr_db"] = [float(s) for s in values]
     for key, value in cfg.items():
         if key in ("mode", "orientation_mode", "orientation_modes", "snr_db"):
             continue
@@ -142,6 +145,10 @@ def _normalize(cfg: dict) -> dict:
             raise ConfigError(f"config key {key} must be an integer, got {value!r}")
     if cfg["dwell_time_s"] <= 0.0:
         raise ConfigError("dwell_time_s must be positive")
+    if cfg["bandwidth_ghz"] <= 0.0:
+        raise ConfigError("bandwidth_ghz must be positive")
+    if cfg["noise_variance_w_hz"] < 0.0:
+        raise ConfigError("noise_variance_w_hz must be nonnegative")
     if cfg["threads"] < 1:
         raise ConfigError("threads must be >= 1")
     return cfg
@@ -156,8 +163,6 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             wavelength_m=cfg["wavelength_nm"] * 1e-9,
             waist_m=cfg["beam_waist_um"] * 1e-6,
             pd_area_m2=cfg["pd_area_cm2"] * 1e-4,
-            noise_variance_w_hz=cfg["noise_variance_w_hz"],
-            bandwidth_hz=cfg["bandwidth_ghz"] * 1e9,
         )
         orientation = OrientationConfig(
             mode=cfg["orientation_mode"],

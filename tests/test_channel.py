@@ -5,7 +5,6 @@ from vlp_sim.channel import (
     ChannelParams,
     beam_radius,
     intensity,
-    noise_power,
     noise_sigma_for_snr,
     received_power_on_axis,
 )
@@ -25,17 +24,12 @@ class TestChannelParams:
         assert P.wavelength_m == 950e-9
         assert P.waist_m == 5.9e-6
         assert P.pd_area_m2 == 1e-4
-        assert P.noise_variance_w_hz == 5e-14
-        assert P.bandwidth_hz == 2e9
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
             ChannelParams(p_opt_w=0.0)
         with pytest.raises(ValueError):
             ChannelParams(waist_m=-1e-6)
-
-    def test_zero_noise_variance_allowed(self):
-        assert noise_power(ChannelParams(noise_variance_w_hz=0.0)) == 0.0
 
 
 class TestBeamRadius:
@@ -89,15 +83,6 @@ class TestIntensity:
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
             intensity(0.0, 0.0, P)
-
-
-class TestNoisePower:
-    def test_default_level(self):
-        assert noise_power(P) == pytest.approx(2.5e-23, rel=1e-12)
-
-    def test_doubling_bandwidth_halves(self):
-        doubled = ChannelParams(bandwidth_hz=4e9)
-        assert noise_power(doubled) == pytest.approx(noise_power(P) / 2, rel=1e-12)
 
 
 class TestReceivedPowerOnAxis:

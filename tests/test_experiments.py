@@ -15,7 +15,6 @@ from vlp_sim.estimator import STATUS_LOW_SIGNAL
 from vlp_sim.experiments import (
     ExperimentConfig,
     compute_cdf,
-    noise_sigma,
     percentile,
     reference_peak_power,
     run_cdf_experiment,
@@ -24,7 +23,7 @@ from vlp_sim.experiments import (
     sample_positions,
     scan_trial,
 )
-from vlp_sim.channel import noise_power
+from vlp_sim.channel import noise_sigma_for_snr
 from vlp_sim.geometry import ReceiverState, build_beam_grid, incidence_cosine
 from vlp_sim.io import build_experiment, load_config
 from vlp_sim.scan import ScanPlan
@@ -125,18 +124,38 @@ class TestComputeCdf:
 
 
 class TestNoiseSigma:
-    def test_absolute_mode_uses_receiver_noise_level(self):
-        cfg = ExperimentConfig(snr_list_db=None)
-        assert noise_sigma(cfg, None, reference_peak_power(cfg)) == noise_power(cfg.channel)
+    """Each runner turns its SNR into sigma against the power it records."""
 
     def test_snr_anchored_to_grid_average_power(self):
-        cfg = ExperimentConfig()
-        p_ref = reference_peak_power(cfg)
-        assert noise_sigma(cfg, 40.0, p_ref) == pytest.approx(p_ref / 100.0)
+        cfg = ExperimentConfig(mode="cdf", snr_list_db=(40.0,), **SMALL)
+        res = run_cdf_experiment(cfg)
+        p_ref = res.metadata["reference_power_w"]
+        assert p_ref == reference_peak_power(cfg)
+        assert res.aggregates["sigma_w"] == p_ref / 100.0
+
+    def test_sweep_rows_anchored_to_grid_average_power(self):
+        cfg = ExperimentConfig(mode="snr-sweep", snr_list_db=(20.0, 35.0, 50.0), trials_per_point=1,
+                               orientation_modes=("fixed", "random-euler"), grid_spacing_m=0.5)
+        res = run_snr_sweep(cfg)
+        p_ref = res.metadata["reference_power_w"]
+        assert p_ref == reference_peak_power(cfg)
+        assert len(res.aggregates["rows"]) == 6
+        for row in res.aggregates["rows"]:
+            assert row["sigma_w"] == p_ref / 10.0 ** (row["snr_db"] / 20.0)
+
+    def test_sync_anchored_to_pilot_on_level(self):
+        cfg = ExperimentConfig(mode="sync-test", snr_list_db=(20.0,), trials_per_point=2)
+        res = run_sync_test(cfg)
+        assert res.metadata["reference_power_w"] == 1e-3
+        assert res.aggregates["rows"][0]["sigma_w"] == 1e-3 / 10.0
 
     def test_infinite_snr_noiseless(self):
-        cfg = ExperimentConfig()
-        assert noise_sigma(cfg, float("inf"), reference_peak_power(cfg)) == 0.0
+        inf = (float("inf"),)
+        cdf = run_cdf_experiment(ExperimentConfig(mode="cdf", snr_list_db=inf, **SMALL))
+        sweep = run_snr_sweep(ExperimentConfig(mode="snr-sweep", snr_list_db=inf, **SMALL))
+        sync = run_sync_test(ExperimentConfig(mode="sync-test", snr_list_db=inf, trials_per_point=2))
+        assert cdf.aggregates["sigma_w"] == 0.0
+        assert [r["sigma_w"] for r in sweep.aggregates["rows"] + sync.aggregates["rows"]] == [0.0, 0.0]
 
 
 class TestRunCdfExperiment:
@@ -245,7 +264,7 @@ class TestRunSyncTest:
 def _grid_trials(plan, seed, snr, mode, trials):
     """err_3d and statuses of a whole 0.25 m grid pass under the given plan."""
     cfg = ExperimentConfig(mode="cdf", grid_spacing_m=0.25, trials_per_point=trials, master_seed=seed)
-    sigma = noise_sigma(cfg, snr, reference_peak_power(cfg))
+    sigma = noise_sigma_for_snr(reference_peak_power(cfg), snr)
     ori = dataclasses.replace(cfg.orientation, mode=mode)
     return experiments._run_grid(cfg, plan, sample_positions(cfg), ori, sigma, seed_ctx=(0, 0))
 

@@ -19,6 +19,22 @@ from vlp_sim.scan import MeasurementTrace
 # small, fast run shapes shared by the CLI tests
 TINY = {"grid_spacing_m": 0.5, "trials_per_point": 1, "snr_db": [40.0]}
 
+CDF_FILES = ("cdf_3d.csv", "cdf_x.csv", "cdf_y.csv", "cdf_z.csv")
+
+# accepted so older configs replay; no output depends on them
+REPLAY_ONLY_KEYS = {"threads", "dwell_time_s", "noise_variance_w_hz", "bandwidth_ghz"}
+
+# a valid non-default value per config key; numeric keys not listed get default + 1
+OTHER_VALUES = {
+    "mode": "snr-sweep", "orientation_mode": "random-euler", "orientation_modes": ["fixed"],
+    "snr_db": [30.0], "trials_per_point": 3, "room_height_m": 4.0, "azimuth_step_deg": 2.0,
+    "elevation_step_deg": 2.0, "grid_spacing_m": 0.5, "h_max_m": 2.0, "fov_deg": 90.0,
+}
+
+
+def other_value(key):
+    return OTHER_VALUES[key] if key in OTHER_VALUES else CONFIG_DEFAULTS[key] + 1
+
 
 def write_tiny_config(tmp_path, extra=None):
     payload = dict(TINY)
@@ -82,8 +98,15 @@ class TestBuildExperiment:
         assert cfg.channel.wavelength_m == pytest.approx(950e-9)
         assert cfg.channel.waist_m == pytest.approx(5.9e-6)
         assert cfg.channel.pd_area_m2 == pytest.approx(1e-4)
-        assert cfg.channel.bandwidth_hz == pytest.approx(2e9)
         assert cfg.room.height_m == 3.0
+
+    def test_only_replay_keys_leave_the_run_unchanged(self):
+        base = build_experiment(load_config(None, {})[0])
+        unchanged = {
+            key for key in CONFIG_DEFAULTS
+            if build_experiment(load_config(None, {key: other_value(key)})[0]) == base
+        }
+        assert unchanged == REPLAY_ONLY_KEYS
 
     def test_invalid_combination_becomes_config_error(self):
         resolved, _ = load_config(None, {"grid_spacing_m": 0.3})
@@ -219,7 +242,7 @@ class TestCli:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             assert main(["cdf", "--config", cfg, "--seed", "11", "--out", str(out)]) == 0
-        for name in ("cdf_3d.csv", "cdf_x.csv", "cdf_y.csv", "cdf_z.csv"):
+        for name in CDF_FILES:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         meta_a = json.loads((out_a / "meta.json").read_text())
         meta_b = json.loads((out_b / "meta.json").read_text())
@@ -257,6 +280,16 @@ class TestCli:
             {"pilot_length": -1},
             {"dwell_time_s": -1},
             {"dwell_time_s": 0},
+            {"snr_db": None},
+            {"fov_deg": 0},
+            {"fov_deg": 200},
+            {"azimuth_step_deg": 7},
+            {"elevation_step_deg": 0},
+            {"grid_spacing_m": 0},
+            {"grid_spacing_m": -0.5},
+            {"bandwidth_ghz": 0},
+            {"noise_variance_w_hz": -1},
+            {"h_min_m": 2.6, "h_max_m": 2.8},
         ],
     )
     def test_malformed_number_exits_one_before_work(self, tmp_path, capsys, extra):
@@ -264,6 +297,13 @@ class TestCli:
         for command in ("cdf", "scan-demo"):
             assert main([command, "--config", write_tiny_config(tmp_path, extra), "--out", str(out)]) == 1
             assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sync_test_without_pilot_exits_one_before_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {"pilot_length": 0})
+        assert main(["sync-test", "--config", config, "--out", str(out)]) == 1
+        assert "pilot" in capsys.readouterr().err
         assert not out.exists()
 
     def test_noiseless_snr_and_integral_floats_accepted(self, tmp_path):
@@ -282,12 +322,17 @@ class TestCli:
         assert "runtime error" in capsys.readouterr().err
 
     def test_threads_flag_echoed_in_meta(self, tmp_path):
-        # accepted for replay: echoed in meta.json, no effect on the results
-        outs = {n: tmp_path / f"out{n}" for n in (1, 3)}
-        for n, out in outs.items():
-            assert main(["cdf", "--config", write_tiny_config(tmp_path), "--threads", str(n),
-                         "--out", str(out)]) == 0
-        meta = json.loads((outs[3] / "meta.json").read_text())
+        # replay-only keys and --threads: echoed in meta.json, no effect on the results
+        def run(name, extra, *flags):
+            out = tmp_path / name
+            assert main(["cdf", "--config", write_tiny_config(tmp_path, extra), *flags, "--out", str(out)]) == 0
+            return out
+
+        base = run("base", {})
+        outs = {key: run(key, {key: other_value(key)}) for key in sorted(REPLAY_ONLY_KEYS)}
+        outs["--threads"] = run("flag", {}, "--threads", "3")
+        meta = json.loads((outs["--threads"] / "meta.json").read_text())
         assert meta["config"]["threads"] == 3
-        for name in ("cdf_3d.csv", "cdf_x.csv", "cdf_y.csv", "cdf_z.csv"):
-            assert (outs[3] / name).read_bytes() == (outs[1] / name).read_bytes()
+        for key, out in outs.items():
+            for name in CDF_FILES:
+                assert (out / name).read_bytes() == (base / name).read_bytes(), (key, name)
