@@ -72,6 +72,7 @@ def _scan_demo(cfg: ExperimentConfig, args) -> None:
             point = np.array([float(v) for v in args.rx.split(",")])
             if point.shape != (3,):
                 raise ValueError("need exactly three coordinates")
+            cfg.room.check_receiver(point)
         except ValueError as e:
             raise ConfigError(f"bad --rx value {args.rx!r}: {e}") from e
     else:

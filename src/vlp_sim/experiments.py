@@ -4,8 +4,9 @@ grid point for one (orientation mode, SNR): cdf is the single pass (0, 0),
 snr-sweep one pass per pair.  A pass runs sequentially, point by point,
 then trial by trial.
 
-Reproducibility contract: every trial gets its own random stream, so
-results are bit-identical across reruns.  The SeedSequence entropy is
+Reproducibility contract: every trial gets its own random stream,
+np.random.default_rng(entropy) (PCG64 seeded through a SeedSequence), so
+results are bit-identical across reruns.  The entropy is
 (master_seed, mode_index, snr_index, point_index, trial_index) for cdf and
 snr-sweep, (master_seed, 0, snr_index, 0, trial_index) for sync-test and
 (master_seed,) for scan-demo.  A sync-test trial first draws its receiver
@@ -94,6 +95,8 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_list_db", tuple(float(s) for s in self.snr_list_db or ()))
         if len(self.snr_list_db) == 0:
             raise ValueError("snr_list_db must be nonempty")
+        if self.mode == "cdf" and len(self.snr_list_db) != 1:
+            raise ValueError("cdf mode takes exactly one snr value")
         if self.pilot_len < 0:
             raise ValueError("pilot_len must be >= 0")
         if self.mode == "sync-test" and self.pilot_len < 1:
@@ -149,10 +152,6 @@ def reference_peak_power(cfg: ExperimentConfig) -> float:
     return float(np.mean([received_power_on_axis(d, 1.0, cfg.channel) for d in dists]))
 
 
-def _trial_rng(master_seed: int, *indices: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, *indices))))
-
-
 def compute_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
     """Empirical CDF: sorted values with cumulative fractions ending at 1."""
     x = np.sort(np.asarray(samples, dtype=float))
@@ -199,7 +198,7 @@ def _run_grid(cfg, plan, points, orientation, sigma, seed_ctx):
     rows = []
     for i, point in enumerate(points):
         for trial in range(cfg.trials):
-            rng = _trial_rng(cfg.master_seed, *seed_ctx, i, trial)
+            rng = np.random.default_rng((cfg.master_seed, *seed_ctx, i, trial))
             _, est = scan_trial(cfg, plan, orientation, point, sigma, rng)
             rows.append((est.status, position_error(point, est.position)))
     status = np.array([r[0] for r in rows])
@@ -253,8 +252,6 @@ def run_cdf_experiment(cfg: ExperimentConfig) -> RunResult:
     """Full-grid error statistics at one noise level: per-axis and 3D CDFs."""
     if cfg.mode != "cdf":
         raise ValueError("config mode must be 'cdf'")
-    if len(cfg.snr_list_db) != 1:
-        raise ValueError("cdf mode takes exactly one snr value")
     p_ref, [(_, rec, stats)] = _grid_passes(cfg, (cfg.orientation.mode,), cfg.snr_list_db)
 
     valid = ~rec["excluded"]
@@ -310,7 +307,7 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
         mismatches = 0
         errs = {"synced": [], "realigned": [], "naive": []}
         for trial in range(cfg.trials):
-            rng = _trial_rng(cfg.master_seed, 0, snr_idx, 0, trial)
+            rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, trial))
             point = np.array(
                 [
                     rng.uniform(0.0, cfg.room.width_m),
@@ -349,5 +346,5 @@ def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTr
     sigma = noise_sigma_for_snr(reference_peak_power(cfg), cfg.snr_list_db[0])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
-    trace, est = scan_trial(cfg, plan, cfg.orientation, point, sigma, _trial_rng(cfg.master_seed))
+    trace, est = scan_trial(cfg, plan, cfg.orientation, point, sigma, np.random.default_rng((cfg.master_seed,)))
     return plan, trace, est

@@ -75,6 +75,13 @@ class Room:
             and 0.0 <= z <= self.height_m
         )
 
+    def check_receiver(self, position) -> None:
+        """Raise ValueError unless the position lies in the room, below the ceiling."""
+        if not self.contains(position):
+            raise ValueError("receiver position is outside the room")
+        if position[2] >= self.height_m:
+            raise ValueError("receiver must sit below the ceiling")
+
 
 def check_fov(fov_deg: float) -> None:
     """Raise ValueError unless the full cone angle lies in (0, 180]."""

@@ -12,10 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .channel import ChannelParams
@@ -198,14 +195,15 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # open(..., "x") creates with mode 0o666 & ~umask (mkstemp would force 0o600)
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as f:
+        with f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -258,8 +256,8 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
         "mode": result.mode,
         "code_version": __version__,
         "snr_definition": result.metadata.get("snr_definition"),
-        "run": _jsonable(result.metadata),
-        "summary": _jsonable(_summary(result)),
+        "run": result.metadata,
+        "summary": _summary(result),
         "wall_time_s": wall_time_s,
     }
     files.append((out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"))
@@ -274,20 +272,6 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
 def _summary(result: RunResult) -> dict:
     # the cdf_* arrays go to their own CSV files
     return {k: v for k, v in result.aggregates.items() if not k.startswith("cdf_")}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def write_trace_csv(trace: MeasurementTrace, grid: BeamGrid, pilot_len: int, path) -> Path:

@@ -4,13 +4,16 @@ A sweep visits every grid direction once, dwelling for a fixed step time.
 The receiver records one power sample per dwell slot; an optional known
 pilot preamble precedes the sweep so a desynchronized receiver can realign
 its sample indexing by cyclic cross-correlation.  A peak-only trace keeps
-just the samples that can hold the sweep's maximum, drawn from the same law.
+just the samples that can hold the sweep's maximum, drawn from the same law;
+the noise-only maximum comes from the standard library's normal quantile,
+statistics.NormalDist().inv_cdf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -19,8 +22,7 @@ from .geometry import BeamGrid, ReceiverState, Room, in_fov, incidence_cosine, s
 
 DEFAULT_PILOT_LEN = 64
 _PILOT_SEED = 0x5CA17B0  # fixed so the stock preamble is reproducible
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -119,42 +121,14 @@ def support(grid: BeamGrid, room: Room, rx: ReceiverState, params: ChannelParams
     return np.array(sorted(slots), dtype=int), received_power_on_axis(dist, cos_psi, params)
 
 
-def normal_isf(q: float) -> float:
-    """Inverse of the standard normal tail Q(x) = P(N(0, 1) > x), for 0 < q < 1.
-
-    Starts from Abramowitz & Stegun 26.2.23 (error < 4.5e-4) and polishes
-    with Newton steps: on erf near the median, on log erfc in the tail, so
-    that q down to 1e-300 keeps full relative accuracy.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError("tail probability must lie in (0, 1)")
-    if q > 0.5:
-        return -normal_isf(1.0 - q)  # exact: 1 - q has no rounding for q >= 0.5
-    if q == 0.5:
-        return 0.0
-    log_q = math.log(q)
-    t = math.sqrt(-2.0 * log_q)
-    x = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
-    for _ in range(8):
-        pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
-        if q < 0.1:
-            tail = 0.5 * math.erfc(x / _SQRT2)
-            dx = (math.log(tail) - log_q) * tail / pdf
-        else:
-            # near the median the erf form avoids cancellation in Q(x) - q
-            dx = ((0.5 - q) - 0.5 * math.erf(x / _SQRT2)) / pdf
-        x += dx
-        if abs(dx) <= 1e-15 * abs(x):
-            break
-    return x
-
-
 def draw_noise_max(sigma_w: float, k: int, rng: np.random.Generator) -> float:
     """One draw of the maximum of k iid N(0, sigma_w^2) samples.
 
     The maximum has CDF Phi(x / sigma_w)^k, so with U uniform on (0, 1) it is
-    sigma_w * Q^-1(1 - U^(1/k)).  U^(1/k) is formed in whichever of p and
-    q = 1 - p keeps its relative precision.  Consumes one uniform from rng.
+    sigma_w * Phi^-1(p) for p = U^(1/k).  Phi^-1 is the standard library's
+    NormalDist().inv_cdf (Wichura's AS 241, full double precision); for
+    p > 1/2 it is evaluated as -Phi^-1(1 - p), with 1 - p formed by expm1 so
+    the upper tail keeps its relative precision.  Consumes one uniform from rng.
     """
     if k < 1:
         raise ValueError("need at least one sample")
@@ -164,8 +138,8 @@ def draw_noise_max(sigma_w: float, k: int, rng: np.random.Generator) -> float:
     log_p = math.log(u) / k
     p = math.exp(log_p)
     if p <= 0.5:
-        return -sigma_w * normal_isf(p)
-    return sigma_w * normal_isf(-math.expm1(log_p))
+        return sigma_w * _STD_NORMAL.inv_cdf(p)
+    return -sigma_w * _STD_NORMAL.inv_cdf(-math.expm1(log_p))
 
 
 def run_scan(
@@ -187,10 +161,7 @@ def run_scan(
     order, so argmax ties resolve as on the dense trace.  Noiseless, that
     maximum is 0 at the lowest noise-only slot, as a dense argmax sees it.
     """
-    if not room.contains(rx.position):
-        raise ValueError("receiver position is outside the room")
-    if rx.position[2] >= room.height_m:
-        raise ValueError("receiver must sit below the ceiling")
+    room.check_receiver(rx.position)
     if sigma_w < 0.0:
         raise ValueError("sigma_w must be nonnegative")
 

@@ -279,7 +279,7 @@ class TestPeakOnlyEquivalence:
         ori = dataclasses.replace(cfg.orientation, mode=mode)
         for i, point in enumerate(sample_positions(cfg)):
             dense, peak = (
-                scan_trial(cfg, plan, ori, point, 0.0, experiments._trial_rng(3, i))[1]
+                scan_trial(cfg, plan, ori, point, 0.0, np.random.default_rng((3, i)))[1]
                 for plan in (ScanPlan(grid), ScanPlan(grid, peak_only=True))
             )
             np.testing.assert_array_equal(dense.position, peak.position)

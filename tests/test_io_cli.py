@@ -1,10 +1,12 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from vlp_sim.cli import main
-from vlp_sim.experiments import run_cdf_experiment
+from vlp_sim.experiments import ExperimentConfig, run_cdf_experiment
 from vlp_sim.geometry import build_beam_grid
 from vlp_sim.io import (
     CONFIG_DEFAULTS,
@@ -108,6 +110,10 @@ class TestBuildExperiment:
         }
         assert unchanged == REPLAY_ONLY_KEYS
 
+    def test_cli_defaults_are_the_experiment_defaults(self):
+        # the acceptance suite builds ExperimentConfig(); the CLI builds from CONFIG_DEFAULTS
+        assert build_experiment(load_config(None, {})[0]) == ExperimentConfig()
+
     def test_invalid_combination_becomes_config_error(self):
         resolved, _ = load_config(None, {"grid_spacing_m": 0.3})
         with pytest.raises(ConfigError):
@@ -154,6 +160,18 @@ class TestWriteResults:
         with pytest.raises(ValueError):
             write_results(result, out, resolved, applied)
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_files_honour_the_umask(self, tmp_path, umask, mode):
+        result, resolved, applied = self._result()
+        old = os.umask(umask)
+        try:
+            write_results(result, tmp_path, resolved, applied)
+            write_trace_csv(MeasurementTrace(np.zeros(4)), build_beam_grid(90.0, 90.0), 0, tmp_path / "trace.csv")
+        finally:
+            os.umask(old)
+        modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in tmp_path.iterdir()}
+        assert modes == dict.fromkeys([*CDF_FILES, "meta.json", "trace.csv"], mode)
 
     def test_meta_records_defaults_and_version(self, tmp_path):
         result, resolved, applied = self._result()
@@ -290,6 +308,7 @@ class TestCli:
             {"bandwidth_ghz": 0},
             {"noise_variance_w_hz": -1},
             {"h_min_m": 2.6, "h_max_m": 2.8},
+            {"snr_db": [20, 30]},
         ],
     )
     def test_malformed_number_exits_one_before_work(self, tmp_path, capsys, extra):
@@ -297,6 +316,14 @@ class TestCli:
         for command in ("cdf", "scan-demo"):
             assert main([command, "--config", write_tiny_config(tmp_path, extra), "--out", str(out)]) == 1
             assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rx", ["5,0.4,1.2", "0.3,0.4,nan", "0.3,0.4,3"])
+    def test_scan_demo_rx_outside_exits_one_before_work(self, tmp_path, capsys, rx):
+        out = tmp_path / "out"
+        code = main(["scan-demo", "--config", write_tiny_config(tmp_path), "--rx", rx, "--out", str(out)])
+        assert code == 1
+        assert "bad --rx value" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sync_test_without_pilot_exits_one_before_work(self, tmp_path, capsys):
