@@ -51,15 +51,18 @@ def intensity(distance_m: float, radiance_angle_rad: float, p: ChannelParams) ->
     return float(2.0 * p.p_opt_w / (np.pi * w * w) * off_axis)
 
 
-def received_power_on_axis(distance_m: float, cos_psi: float, p: ChannelParams) -> float:
+def received_power_on_axis(distance_m, cos_psi, p: ChannelParams):
     """Detected power [W] when the beam points straight at the receiver.
 
     Zero radiance angle collapses the intensity profile to its axial value;
-    the detector scales it by its area and the incidence cosine.
+    the detector scales it by its area and the incidence cosine.  Takes and
+    returns arrays element by element.
     """
-    if distance_m < 0.0:
+    distance_m = np.asarray(distance_m, dtype=float)
+    cos_psi = np.asarray(cos_psi, dtype=float)
+    if (distance_m < 0.0).any():
         raise ValueError("distance must be nonnegative")
-    if not 0.0 <= cos_psi <= 1.0:
+    if not ((0.0 <= cos_psi) & (cos_psi <= 1.0)).all():
         raise ValueError("cos_psi must be in [0, 1]; gate out-of-view receivers upstream")
     spread = p.wavelength_m * distance_m / (np.pi * p.waist_m**2)
     return (

@@ -67,6 +67,8 @@ def _parse_snr_list(text: str | None):
 
 
 def _scan_demo(cfg: ExperimentConfig, args) -> None:
+    if len(cfg.snr_list_db) != 1:
+        raise ConfigError("scan-demo takes exactly one snr value")
     if args.rx is not None:
         try:
             point = np.array([float(v) for v in args.rx.split(",")])

@@ -1,21 +1,27 @@
-"""Monte Carlo harness: the shared scan trial and grid-pass loop; cdf /
+"""Monte Carlo harness: the grid pass and the dense scan trial; cdf /
 snr-sweep / sync-test / scan-demo.  A grid pass runs every trial at every
-grid point for one (orientation mode, SNR): cdf is the single pass (0, 0),
-snr-sweep one pass per pair.  A pass runs sequentially, point by point,
-then trial by trial.
+grid point for one (orientation mode, SNR) as one array pass over its
+rows, point by point, then trial by trial: cdf is the single pass (0, 0),
+snr-sweep one pass per pair.
 
-Reproducibility contract: every trial gets its own random stream,
-np.random.default_rng(entropy) (PCG64 seeded through a SeedSequence), so
-results are bit-identical across reruns.  The entropy is
-(master_seed, mode_index, snr_index, point_index, trial_index) for cdf and
-snr-sweep, (master_seed, 0, snr_index, 0, trial_index) for sync-test and
-(master_seed,) for scan-demo.  A sync-test trial first draws its receiver
-position (x, y, z) and timing offset.  Then the orientation draws come,
-then the sweep's noise.  cdf and snr-sweep sweep peak-only (see
-scan.run_scan): the support-slot normals in ascending slot order, then the
-uniform U that sets the maximum of the noise-only slots, then that
-maximum's slot index.  sync-test and scan-demo sweep densely: one normal
-per slot, pilot first.
+Reproducibility contract: results are bit-identical across reruns, and
+every draw is a pure function of the master seed and its indices.
+
+* cdf and snr-sweep draw from Philox4x32-10 (see streams), keyed by the
+  master seed.  Row (point, trial) of pass (mode_index, snr_index) reads the
+  blocks with counter (point, trial, mode_index * 2^16 + snr_index, block),
+  blocks 0-5, two uniforms per block: ROW_UNIFORMS uniforms in (0, 1).
+  Column map: 0-2 the orientation angles (orientation.receiver_normals,
+  from u - 1/2: roll, pitch, yaw, or azimuth, elevation; fixed reads none),
+  3-6 the Box-Muller pairs of the support-cell normals, 7-8 the noise-only
+  maximum and its slot, 9-10 the nadir ring's maximum and its slot (columns
+  3-10 are scan.run_scan's PEAK_UNIFORMS), 11 unused.
+* sync-test and scan-demo sweep densely, one normal per slot, pilot first,
+  from np.random.default_rng(entropy) (PCG64 seeded through a
+  SeedSequence): entropy (master_seed, 0, snr_index, 0, trial_index) per
+  sync-test trial and (master_seed,) for scan-demo.  A sync-test trial
+  first draws its receiver position (x, y, z) and timing offset, then the
+  orientation, then the sweep's noise.
 """
 
 from __future__ import annotations
@@ -31,11 +37,22 @@ from .estimator import (
     STATUS_LOW_SIGNAL,
     PositionEstimate,
     estimate_position,
+    locate,
     position_error,
 )
 from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, check_fov
-from .orientation import ORIENTATION_MODES, OrientationConfig, sample_receiver_normal
-from .scan import DEFAULT_PILOT_LEN, MeasurementTrace, ScanPlan, apply_timing_offset, make_pilot, realign_with_pilot, run_scan
+from .orientation import ORIENTATION_MODES, OrientationConfig, receiver_normals, sample_receiver_normal
+from .scan import (
+    DEFAULT_PILOT_LEN,
+    PEAK_UNIFORMS,
+    MeasurementTrace,
+    ScanPlan,
+    apply_timing_offset,
+    make_pilot,
+    realign_with_pilot,
+    run_scan,
+)
+from .streams import uniforms
 
 EXPERIMENT_MODES = ("cdf", "snr-sweep", "sync-test")
 
@@ -51,6 +68,9 @@ SNR_DEFINITION = (
 
 # default trials per grid point (cdf, snr-sweep) or total trials (sync-test)
 DEFAULT_TRIALS = {"cdf": 5, "snr-sweep": 20, "sync-test": 1000}
+
+# uniforms per grid-pass row: 3 orientation angles, the scan's, one spare
+ROW_UNIFORMS = 12
 
 # stay half a metre clear of the emitter: directly underneath, the angular
 # cell degenerates and the inversion is numerically useless
@@ -108,8 +128,12 @@ class ExperimentConfig:
             for m in self.orientation_modes:
                 if m not in ORIENTATION_MODES:
                     raise ValueError(f"unknown orientation mode {m!r}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must be an integer in [0, 2^64): it is the 64-bit stream key")
+        if self.mode != "snr-sweep" and self.orientation_modes is not None:
+            raise ValueError("orientation_modes applies to snr-sweep only; set orientation_mode")
+        if max(len(self.snr_list_db), len(self.orientation_modes or ())) > 2**16:
+            raise ValueError("at most 65,536 snr values and orientation modes: each needs its own stream")
 
     @property
     def trials(self) -> int:
@@ -149,7 +173,7 @@ def sample_positions(cfg: ExperimentConfig) -> np.ndarray:
 def reference_peak_power(cfg: ExperimentConfig) -> float:
     """SNR anchor: grid-average noiseless on-axis power for an upright receiver."""
     dists = np.linalg.norm(sample_positions(cfg) - cfg.room.emitter_pos, axis=1)
-    return float(np.mean([received_power_on_axis(d, 1.0, cfg.channel) for d in dists]))
+    return float(np.mean(received_power_on_axis(dists, 1.0, cfg.channel)))
 
 
 def compute_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +195,7 @@ def percentile(samples, q: float) -> float:
 def scan_trial(
     cfg: ExperimentConfig, plan: ScanPlan, orientation: OrientationConfig, point, sigma: float, rng: np.random.Generator
 ) -> tuple[MeasurementTrace, PositionEstimate]:
-    """One fix: draw the receiver normal, sweep once, pick the peak.
+    """One dense fix: draw the receiver normal, sweep once, pick the peak.
 
     The orientation draw precedes the sweep's noise draws in rng.  The
     estimate reads the slots after the pilot and flags peaks under the
@@ -180,14 +204,21 @@ def scan_trial(
     normal = sample_receiver_normal(orientation, rng)
     rx = ReceiverState(point, normal, cfg.fov_deg)
     trace = run_scan(plan, cfg.room, rx, cfg.channel, sigma, rng)
-    est = estimate_position(
-        cfg.room.emitter_pos, trace.samples[plan.pilot_len :], plan.grid, cfg.channel, sigma, trace.slots
-    )
+    est = estimate_position(cfg.room.emitter_pos, trace.samples[plan.pilot_len :], plan.grid, cfg.channel, sigma)
     return trace, est
 
 
-def _run_grid(cfg, plan, points, orientation, sigma, seed_ctx):
-    """One pass over the whole position grid at a single noise level.
+def pass_uniforms(cfg: ExperimentConfig, n_points: int, pass_index: tuple[int, int]) -> np.ndarray:
+    """The (n_points * trials, ROW_UNIFORMS) uniforms of one grid pass, rows
+    in point order, then trial order (see the module docstring)."""
+    mode_index, snr_index = pass_index
+    point, trial = np.divmod(np.arange(n_points * cfg.trials), cfg.trials)
+    prefix = np.column_stack([point, trial, np.full_like(point, (mode_index << 16) | snr_index)])
+    return uniforms(cfg.master_seed, prefix, ROW_UNIFORMS)
+
+
+def _run_grid(cfg, plan, points, orientation, sigma, pass_index):
+    """One peak-only pass over the whole position grid at a single noise level.
 
     Returns per-sample arrays in point order, then trial order: status, the
     3D and per-axis errors, and the outage mask.  Low-signal flags count as
@@ -195,18 +226,15 @@ def _run_grid(cfg, plan, points, orientation, sigma, seed_ctx):
     fixed upright receiver is in view by geometry, so there the flag stays
     a diagnostic.
     """
-    rows = []
-    for i, point in enumerate(points):
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng((cfg.master_seed, *seed_ctx, i, trial))
-            _, est = scan_trial(cfg, plan, orientation, point, sigma, rng)
-            rows.append((est.status, position_error(point, est.position)))
-    status = np.array([r[0] for r in rows])
-    flagged = status == STATUS_LOW_SIGNAL
-    errs = np.array([r[1] for r in rows]).T  # PositionError order: total, x, y, z
+    u = pass_uniforms(cfg, len(points), pass_index)
+    positions = np.repeat(points, cfg.trials, axis=0)
+    rx = ReceiverState(positions, receiver_normals(orientation, u[:, :3] - 0.5), cfg.fov_deg)
+    trace = run_scan(plan, cfg.room, rx, cfg.channel, sigma_w=sigma, draws=u[:, 3 : 3 + PEAK_UNIFORMS])
+    est = locate(cfg.room.emitter_pos, trace.samples, trace.beams, plan.grid, cfg.channel, sigma)
+    flagged = est.status == STATUS_LOW_SIGNAL
     return {
-        "status": status,
-        **dict(zip(("err_3d", "err_x", "err_y", "err_z"), errs)),
+        "status": est.status,
+        **dict(zip(("err_3d", "err_x", "err_y", "err_z"), position_error(positions, est.position))),
         "excluded": np.zeros_like(flagged) if orientation.mode == "fixed" else flagged,
     }
 
@@ -226,7 +254,7 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
         orientation = dataclasses.replace(cfg.orientation, mode=mode)
         for snr_idx, snr in enumerate(snrs):
             sigma = noise_sigma_for_snr(p_ref, snr)
-            rec = _run_grid(cfg, plan, points, orientation, sigma, seed_ctx=(mode_idx, snr_idx))
+            rec = _run_grid(cfg, plan, points, orientation, sigma, pass_index=(mode_idx, snr_idx))
             stats = {
                 "snr_db": snr,
                 "outage_frac": float(rec["excluded"].mean()),
@@ -338,10 +366,10 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
 
 
 def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTrace, PositionEstimate]:
-    """One trial at a given receiver position, seeded by the master seed alone.
+    """One dense trial at a given receiver position, seeded by the master seed alone.
 
-    Uses the first snr value, anchored like a grid pass, and the configured
-    pilot.  Returns (plan, trace, estimate).
+    Uses the config's one snr value, anchored like a grid pass, and the
+    configured pilot.  Returns (plan, trace, estimate).
     """
     sigma = noise_sigma_for_snr(reference_peak_power(cfg), cfg.snr_list_db[0])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)

@@ -17,13 +17,23 @@ import numpy as np
 UP = np.array([0.0, 0.0, 1.0])
 
 
+def norm(v):
+    """Euclidean length of one vector (3,) or of each row of a batch (N, 3).
+
+    Summed as x*x + y*y + z*z, element by element, so one vector and a batch
+    of vectors give the same bits.
+    """
+    x, y, z = np.asarray(v, dtype=float).T
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def unit(v) -> np.ndarray:
-    """Normalize a vector; raises on zero length."""
+    """Normalize one vector (3,) or each row of a batch (N, 3); raises on zero length."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
+    n = norm(v)
+    if not n.all():
         raise ValueError("zero-length vector has no direction")
-    return v / n
+    return v / n[..., None]
 
 
 def direction_from_angles(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
@@ -40,14 +50,16 @@ def direction_from_angles(azimuth_deg: float, elevation_deg: float) -> np.ndarra
     return np.array([np.sin(e) * np.cos(a), np.sin(e) * np.sin(a), -np.cos(e)])
 
 
-def spherical_from_direction(v) -> tuple[float, float]:
-    """Inverse of direction_from_angles.
+def spherical_from_direction(v):
+    """Inverse of direction_from_angles, for one vector (3,) or each row of (N, 3).
 
     Returns (azimuth_deg in [0, 360), elevation_deg from nadir in [0, 180]).
     """
-    v = unit(v)
-    el = float(np.degrees(np.arccos(np.clip(-v[2], -1.0, 1.0))))
-    az = float(np.degrees(np.arctan2(v[1], v[0])) % 360.0)
+    # contiguous components: numpy's strided and SIMD loops for arccos and
+    # arctan2 can differ in the last bit, and a batch must match one vector
+    x, y, z = unit(v).T.copy()
+    el = np.degrees(np.arccos(np.minimum(np.maximum(-z, -1.0), 1.0)))
+    az = np.degrees(np.arctan2(y, x)) % 360.0
     return az, el
 
 
@@ -67,19 +79,21 @@ class Room:
     def emitter_pos(self) -> np.ndarray:
         return np.array([self.width_m / 2.0, self.depth_m / 2.0, self.height_m])
 
-    def contains(self, p) -> bool:
-        x, y, z = np.asarray(p, dtype=float)
+    def contains(self, p):
+        """Whether each point (last axis x, y, z) lies in the room, walls included."""
+        x, y, z = np.asarray(p, dtype=float).T
         return (
-            0.0 <= x <= self.width_m
-            and 0.0 <= y <= self.depth_m
-            and 0.0 <= z <= self.height_m
+            (0.0 <= x) & (x <= self.width_m)
+            & (0.0 <= y) & (y <= self.depth_m)
+            & (0.0 <= z) & (z <= self.height_m)
         )
 
     def check_receiver(self, position) -> None:
-        """Raise ValueError unless the position lies in the room, below the ceiling."""
-        if not self.contains(position):
+        """Raise ValueError unless every position lies in the room, below the ceiling."""
+        position = np.asarray(position, dtype=float)
+        if not self.contains(position).all():
             raise ValueError("receiver position is outside the room")
-        if position[2] >= self.height_m:
+        if (position[..., 2] >= self.height_m).any():
             raise ValueError("receiver must sit below the ceiling")
 
 
@@ -94,6 +108,7 @@ class ReceiverState:
     """Photodetector pose: position [m], unit facing normal, field of view.
 
     fov_deg is the full cone angle; incidence beyond half of it is rejected.
+    position and normal may also be (N, 3) arrays: N receivers, one pass.
     """
 
     position: np.ndarray
@@ -162,22 +177,23 @@ def build_beam_grid(azimuth_step_deg: float = 1.0, elevation_step_deg: float = 1
     return BeamGrid(dirs, float(azimuth_step_deg), float(elevation_step_deg))
 
 
-def incidence_cosine(tx_pos, rx: ReceiverState) -> float:
-    """Cosine of the incidence angle at the receiver.
+def incidence_cosine(tx_pos, rx: ReceiverState):
+    """Cosine of the incidence angle at the receiver, or at each one of a batch.
 
     Computed from the displacement receiver -> transmitter, so an
     upward-facing receiver below the emitter gets a positive value.
     Clamped to [-1, 1].
     """
     d = np.asarray(tx_pos, dtype=float) - rx.position
-    n = float(np.linalg.norm(d))
-    if n == 0.0:
+    n = norm(d)
+    if not n.all():
         raise ValueError("transmitter and receiver positions coincide")
-    return float(np.clip(np.dot(d, rx.normal) / n, -1.0, 1.0))
+    (dx, dy, dz), (mx, my, mz) = d.T, rx.normal.T
+    return np.minimum(np.maximum((dx * mx + dy * my + dz * mz) / n, -1.0), 1.0)
 
 
-def in_fov(cos_psi: float, fov_deg: float) -> bool:
-    """True when the incidence angle lies inside the detector cone.
+def in_fov(cos_psi, fov_deg: float):
+    """True where the incidence angle lies inside the detector cone.
 
     The boundary is inclusive; the epsilon absorbs rounding in the cosine
     of the half-angle so an exactly-on-cone arrival stays inside.

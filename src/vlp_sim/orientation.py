@@ -15,6 +15,10 @@ SQRT2 = float(np.sqrt(2.0))
 
 ORIENTATION_MODES = ("fixed", "random-euler", "random-spherical")
 
+# angles each mode draws, in order: roll, pitch, yaw (random-euler);
+# azimuth, elevation (random-spherical)
+ANGLES_DRAWN = {"fixed": 0, "random-euler": 3, "random-spherical": 2}
+
 
 @dataclass(frozen=True)
 class LaplaceParams:
@@ -62,7 +66,12 @@ def laplace_sample(p: LaplaceParams, u: float) -> float:
     inverse Laplace CDF; u = 0 lands exactly on the median."""
     if abs(u) >= 0.5:
         raise ValueError("u must lie strictly inside (-0.5, 0.5)")
-    return float(p.mu_deg - p.scale_deg * np.sign(u) * np.log1p(-2.0 * abs(u)))
+    return float(_laplace_quantile(p, u))
+
+
+def _laplace_quantile(p: LaplaceParams, u):
+    # elementwise; u already checked to lie inside (-0.5, 0.5)
+    return p.mu_deg - p.scale_deg * np.sign(u) * np.log1p(-2.0 * abs(u))
 
 
 def _uniform_open(rng: np.random.Generator) -> float:
@@ -83,42 +92,57 @@ def sample_orientation_angles(cfg: OrientationConfig, rng: np.random.Generator) 
     return phi, theta
 
 
-def normal_from_spherical(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
-    """Facing normal from azimuth/elevation; elevation 90 faces straight up."""
+def normal_from_spherical(azimuth_deg, elevation_deg) -> np.ndarray:
+    """Facing normal from azimuth/elevation; elevation 90 faces straight up.
+
+    Array angles give one normal per element, along a new last axis.
+    """
     p = np.radians(azimuth_deg)
     t = np.radians(elevation_deg)
-    return np.array([np.cos(t) * np.cos(p), np.cos(t) * np.sin(p), np.sin(t)])
+    return np.stack([np.cos(t) * np.cos(p), np.cos(t) * np.sin(p), np.sin(t)], axis=-1)
 
 
-def normal_from_euler(roll_deg: float, pitch_deg: float, yaw_deg: float) -> np.ndarray:
+def normal_from_euler(roll_deg, pitch_deg, yaw_deg) -> np.ndarray:
     """Facing normal of a device rotated by roll/pitch/yaw; zero angles face up.
 
     The combination is exactly unit norm for every angle triple (the cross
-    terms cancel), so no renormalization is applied.
+    terms cancel), so no renormalization is applied.  Array angles give one
+    normal per element, along a new last axis.
     """
     a = np.radians(roll_deg)
     b = np.radians(pitch_deg)
     g = np.radians(yaw_deg)
-    return np.array(
+    return np.stack(
         [
             np.cos(g) * np.sin(a) * np.sin(b) + np.cos(a) * np.sin(g),
             np.sin(a) * np.sin(g) - np.cos(a) * np.cos(g) * np.sin(b),
             np.cos(g) * np.cos(b),
-        ]
+        ],
+        axis=-1,
     )
 
 
-def sample_receiver_normal(cfg: OrientationConfig, rng: np.random.Generator) -> np.ndarray:
-    """One facing-normal draw per the configured mode.
+def receiver_normals(cfg: OrientationConfig, v) -> np.ndarray:
+    """Facing normals from uniforms v in (-0.5, 0.5), one row per receiver.
 
-    Fixed mode consumes no randomness and returns the upright normal.
+    The last axis of v holds the ANGLES_DRAWN[cfg.mode] angles' draws in
+    order, each mapped as laplace_sample maps one; fixed mode reads none and
+    gives the upright normal.
     """
+    v = np.asarray(v, dtype=float)
+    if not (np.abs(v) < 0.5).all():
+        raise ValueError("v must lie strictly inside (-0.5, 0.5)")
     if cfg.mode == "fixed":
-        return np.array([0.0, 0.0, 1.0])
+        up = np.zeros(v.shape[:-1] + (3,))
+        up[..., 2] = 1.0
+        return up
     if cfg.mode == "random-euler":
-        roll = laplace_sample(cfg.roll, _uniform_open(rng))
-        pitch = laplace_sample(cfg.pitch, _uniform_open(rng))
-        yaw = laplace_sample(cfg.yaw, _uniform_open(rng))
-        return normal_from_euler(roll, pitch, yaw)
-    phi, theta = sample_orientation_angles(cfg, rng)
-    return normal_from_spherical(phi, theta)
+        angles = (cfg.roll, cfg.pitch, cfg.yaw)
+        return normal_from_euler(*(_laplace_quantile(p, v[..., i]) for i, p in enumerate(angles)))
+    return normal_from_spherical(_laplace_quantile(cfg.azimuth, v[..., 0]), _laplace_quantile(cfg.elevation, v[..., 1]))
+
+
+def sample_receiver_normal(cfg: OrientationConfig, rng: np.random.Generator) -> np.ndarray:
+    """One facing-normal draw per the configured mode, from
+    ANGLES_DRAWN[cfg.mode] open uniforms of rng (fixed mode draws none)."""
+    return receiver_normals(cfg, [_uniform_open(rng) for _ in range(ANGLES_DRAWN[cfg.mode])])

@@ -3,34 +3,43 @@
 A sweep visits every grid direction once, dwelling for a fixed step time.
 The receiver records one power sample per dwell slot; an optional known
 pilot preamble precedes the sweep so a desynchronized receiver can realign
-its sample indexing by cyclic cross-correlation.  A peak-only trace keeps
-just the samples that can hold the sweep's maximum, drawn from the same law;
-the noise-only maximum comes from the standard library's normal quantile,
-statistics.NormalDist().inv_cdf.
+its sample indexing by cyclic cross-correlation.  A peak-only pass sweeps a
+whole batch of receivers at once and keeps, per receiver, just the
+strongest sample and its slot, drawn from the same law as the dense trace;
+the maximum of many noise samples comes from the standard library's normal
+quantile, statistics.NormalDist().inv_cdf.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .channel import ChannelParams, received_power_on_axis
-from .geometry import BeamGrid, ReceiverState, Room, in_fov, incidence_cosine, spherical_from_direction
+from .geometry import BeamGrid, ReceiverState, Room, in_fov, incidence_cosine, norm, spherical_from_direction
+from .streams import uniform_index
 
 DEFAULT_PILOT_LEN = 64
 _PILOT_SEED = 0x5CA17B0  # fixed so the stock preamble is reproducible
 _STD_NORMAL = NormalDist()
+
+# uniforms a peak-only pass reads per receiver, by column: Box-Muller pairs
+# for the normals of the four support cells (0-3), the noise-only maximum
+# and its slot (4, 5), the nadir ring's maximum and its slot (6, 7)
+PEAK_UNIFORMS = 8
+
+# candidate rings (and azimuths) of a support cell: the nearest and its two neighbours
+_NEAR = np.array([-1.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
 class ScanPlan:
     """One sweep: the grid, an optional pilot preamble, and the trace it needs.
 
-    peak_only asks run_scan for just the samples a peak pick reads (see
-    there); it samples the same peak as the dense trace but has no pilot.
+    peak_only asks run_scan for a peak-only pass over a batch of receivers
+    (see there); it samples the same peak as the dense trace but has no pilot.
     """
 
     grid: BeamGrid
@@ -52,14 +61,17 @@ class ScanPlan:
 
 @dataclass
 class MeasurementTrace:
-    """Sampled powers for one sweep: pilot slots first, then one slot per beam.
-
-    A peak-only trace holds a few of the beam slots; slots gives the beam
-    index of each sample (None on a dense trace, where it is the position).
-    """
+    """Sampled powers for one sweep: pilot slots first, then one slot per beam."""
 
     samples: np.ndarray
-    slots: np.ndarray | None = None
+
+
+@dataclass
+class PeakTrace:
+    """A peak-only pass: per receiver, the strongest sample and its beam slot."""
+
+    samples: np.ndarray
+    beams: np.ndarray
 
 
 def make_pilot(on_level_w: float, length: int = DEFAULT_PILOT_LEN, seed: int = _PILOT_SEED) -> np.ndarray:
@@ -74,131 +86,129 @@ def make_pilot(on_level_w: float, length: int = DEFAULT_PILOT_LEN, seed: int = _
     return bits.astype(float) * on_level_w
 
 
-def _rings_within_half_step(elevation_deg: float, grid: BeamGrid) -> list[int]:
-    step = grid.elevation_step_deg
-    centre = int(round(elevation_deg / step))
-    rings = []
-    for ring in (centre - 1, centre, centre + 1):
-        if 0 <= ring < grid.n_elevation and abs(ring * step - elevation_deg) <= 0.5 * step:
-            rings.append(ring)
-    return rings
+def support(grid: BeamGrid, room: Room, rx: ReceiverState, params: ChannelParams):
+    """Beam cells that carry signal for each receiver, and the on-axis power they carry.
 
-
-def _azimuths_within_half_step(azimuth_deg: float, grid: BeamGrid) -> list[int]:
-    step = grid.azimuth_step_deg
-    n = grid.n_azimuth
-    centre = int(round(azimuth_deg / step))
-    hits = []
-    for a in (centre - 1, centre, centre + 1):
-        ai = a % n
-        delta = abs(ai * step - azimuth_deg)
-        if min(delta, 360.0 - delta) <= 0.5 * step and ai not in hits:
-            hits.append(ai)
-    return sorted(hits)
-
-
-def support(grid: BeamGrid, room: Room, rx: ReceiverState, params: ChannelParams) -> tuple[np.ndarray, float]:
-    """Beam slots that carry signal, ascending, and the on-axis power they carry.
-
-    A slot carries signal when its beam cell covers the receiver's direction
-    from the emitter (the nadir ring counts as one cell for every azimuth,
-    since all its beams point the same way) and the arrival lies inside the
-    field of view.  Returns an empty slot array and zero power otherwise.
+    A cell carries signal when it covers the receiver's direction from the
+    emitter and the arrival lies inside the field of view.  The nadir ring
+    counts as one cell for every azimuth, since all its beams point the same
+    way; it is listed as slot 0 and stands for slots 0 .. n_azimuth - 1.
+    Returns (cells, power): cells (..., 4) beam slots, ascending, padded with
+    grid.size; power (...) in W, zero (with no cells) out of view.
     """
     tx = room.emitter_pos
-    to_rx = rx.position - tx
-    dist = float(np.linalg.norm(to_rx))
-    cos_psi = incidence_cosine(tx, rx)
-    if not (dist > 0.0 and in_fov(cos_psi, rx.fov_deg)):
-        return np.zeros(0, dtype=int), 0.0
-    az_t, el_t = spherical_from_direction(to_rx)
-    slots = []
-    for ring in _rings_within_half_step(el_t, grid):
-        if ring == 0:
-            slots.extend(range(grid.n_azimuth))
-        else:
-            slots.extend(ring * grid.n_azimuth + a for a in _azimuths_within_half_step(az_t, grid))
-    return np.array(sorted(slots), dtype=int), received_power_on_axis(dist, cos_psi, params)
+    shape = np.shape(rx.position)[:-1]
+    to_rx = np.reshape(rx.position - tx, (-1, 3))
+    cos_psi = np.reshape(incidence_cosine(tx, rx), -1)
+    seen = in_fov(cos_psi, rx.fov_deg)
+    az, el = (a[:, None] for a in spherical_from_direction(to_rx))
+    e_step, a_step, n_az = grid.elevation_step_deg, grid.azimuth_step_deg, grid.n_azimuth
+    ring = np.rint(el / e_step) + _NEAR
+    ring_ok = (ring >= 0) & (ring < grid.n_elevation) & (np.abs(ring * e_step - el) <= 0.5 * e_step)
+    azi = (np.rint(az / a_step) + _NEAR) % n_az
+    delta = np.abs(azi * a_step - az)
+    azi_ok = np.minimum(delta, 360.0 - delta) <= 0.5 * a_step
+    # (N, 3, 3) candidates, ring by azimuth; the nadir ring is one cell at slot 0
+    nadir = (ring == 0)[:, :, None]
+    slot = np.where(nadir, 0.0, (ring * n_az)[:, :, None] + azi[:, None, :])
+    ok = (ring_ok & seen[:, None])[:, :, None] & (azi_ok[:, None, :] | nadir)
+    cells = np.sort(np.where(ok, slot, grid.size).reshape(-1, 9), axis=1)
+    cells[:, 1:][cells[:, 1:] == cells[:, :-1]] = grid.size  # one entry per cell
+    cells = np.sort(cells, axis=1)[:, :4].astype(int)
+    power = np.where(seen, received_power_on_axis(norm(to_rx), np.where(seen, cos_psi, 0.0), params), 0.0)
+    return cells.reshape(shape + (4,)), power.reshape(shape)
 
 
-def draw_noise_max(sigma_w: float, k: int, rng: np.random.Generator) -> float:
-    """One draw of the maximum of k iid N(0, sigma_w^2) samples.
+def noise_max(sigma_w: float, k, u):
+    """Maximum of k iid N(0, sigma_w^2) samples from a uniform u in (0, 1), elementwise.
 
-    The maximum has CDF Phi(x / sigma_w)^k, so with U uniform on (0, 1) it is
-    sigma_w * Phi^-1(p) for p = U^(1/k).  Phi^-1 is the standard library's
-    NormalDist().inv_cdf (Wichura's AS 241, full double precision); for
-    p > 1/2 it is evaluated as -Phi^-1(1 - p), with 1 - p formed by expm1 so
-    the upper tail keeps its relative precision.  Consumes one uniform from rng.
+    The maximum has CDF Phi(x / sigma_w)^k, so it is sigma_w * Phi^-1(p) for
+    p = u^(1/k).  Phi^-1 is the standard library's NormalDist().inv_cdf
+    (Wichura's AS 241, full double precision); for p > 1/2 it is evaluated
+    as -Phi^-1(1 - p), with 1 - p formed by expm1 so the upper tail keeps
+    its relative precision.
     """
-    if k < 1:
+    if (np.asarray(k) < 1).any():
         raise ValueError("need at least one sample")
-    u = rng.random()
-    while u == 0.0:  # the open interval: log(0) has no quantile
-        u = rng.random()
-    log_p = math.log(u) / k
-    p = math.exp(log_p)
-    if p <= 0.5:
-        return sigma_w * _STD_NORMAL.inv_cdf(p)
-    return -sigma_w * _STD_NORMAL.inv_cdf(-math.expm1(log_p))
+    log_p = np.log(u) / k
+    p = np.exp(log_p)
+    upper = p > 0.5
+    q = np.where(upper, -np.expm1(log_p), p)
+    z = np.array([_STD_NORMAL.inv_cdf(x) for x in np.ravel(q).tolist()]).reshape(q.shape)
+    return sigma_w * np.where(upper, -z, z)
 
 
-def run_scan(
-    plan: ScanPlan,
-    room: Room,
-    rx: ReceiverState,
-    params: ChannelParams,
-    sigma_w: float,
-    rng: np.random.Generator,
-) -> MeasurementTrace:
+def _box_muller(u):
+    """Standard normals from uniform pairs: columns (0, 1) give normals 0 and 1, (2, 3) give 2 and 3."""
+    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    t = 2.0 * np.pi * u[:, 1::2]
+    return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(len(u), -1)
+
+
+def run_scan(plan: ScanPlan, room: Room, rx: ReceiverState, params: ChannelParams, sigma_w: float, draws):
     """Sweep every beam once and record the received power per dwell slot.
 
-    The slots from support() collect its on-axis power.  Dense plans give
-    every slot, pilot included, an independent N(0, sigma_w^2) draw.
-    Peak-only plans keep just what the peak pick can read: the support slots
-    with their noise draws (ascending slot order), then the maximum of the K
-    noise-only slots as one draw_noise_max sample placed at a uniformly drawn
-    noise-only slot.  Their trace lists the slot of every sample in ascending
-    order, so argmax ties resolve as on the dense trace.  Noiseless, that
-    maximum is 0 at the lowest noise-only slot, as a dense argmax sees it.
+    The cells from support() collect its on-axis power.  A dense plan sweeps
+    one receiver and returns a MeasurementTrace: every slot, pilot included,
+    gets an independent N(0, sigma_w^2) draw from draws, a numpy Generator.
+
+    A peak-only plan sweeps a batch (rx holds (N, 3) arrays) and returns a
+    PeakTrace; draws holds each receiver's PEAK_UNIFORMS uniforms.  Each
+    support cell gets power plus a Box-Muller normal; the nadir ring cell
+    gets power plus the noise_max of its n_azimuth slots, at a uniformly
+    drawn ring slot; the K noise-only slots give one noise_max sample at a
+    uniformly drawn noise-only slot.  The peak is the largest of these, ties
+    to the lowest slot, as a dense argmax picks it.  Noiseless, every
+    maximum is its power (0 for the noise-only slots) at its lowest slot.
     """
     room.check_receiver(rx.position)
     if sigma_w < 0.0:
         raise ValueError("sigma_w must be nonnegative")
 
     grid = plan.grid
-    slots, power = support(grid, room, rx, params)
+    cells, power = support(grid, room, rx, params)
     if plan.peak_only:
-        return _peak_only_trace(grid.size, slots, power, sigma_w, rng)
+        return _peak_pass(grid, cells, power, sigma_w, np.asarray(draws))
 
     k = plan.pilot_len
     n = k + grid.size
-    if sigma_w > 0.0:
-        samples = rng.normal(0.0, sigma_w, size=n)
-    else:
-        samples = np.zeros(n)
+    samples = draws.normal(0.0, sigma_w, size=n) if sigma_w > 0.0 else np.zeros(n)
     if k:
         samples[:k] += plan.pilot_w
+    slots = cells[cells < grid.size]
+    if len(slots) and slots[0] == 0:  # the nadir ring cell covers its whole ring
+        slots = np.concatenate([np.arange(grid.n_azimuth), slots[1:]])
     samples[k + slots] += power
     return MeasurementTrace(samples)
 
 
-def _peak_only_trace(n_slots, slots, power, sigma_w, rng) -> MeasurementTrace:
-    m = len(slots)
-    values = power + rng.normal(0.0, sigma_w, size=m) if sigma_w > 0.0 else np.full(m, power)
-    n_noise = n_slots - m
-    if n_noise == 0:
-        return MeasurementTrace(values, slots)
+def _peak_pass(grid, cells, power, sigma_w, u) -> PeakTrace:
+    n, n_az = grid.size, grid.n_azimuth
+    lit = cells < n
+    ring = cells == 0
+    size = np.where(ring, n_az, lit)  # beam slots per cell
+    k = n - size.sum(axis=1)  # noise-only slots
+    values = np.where(lit, power[:, None], -np.inf)
+    slots = cells.copy()
+    noise = np.where(k > 0, 0.0, -np.inf)
+    r = np.zeros(len(k), dtype=int)  # rank of the noise-only maximum's slot
     if sigma_w > 0.0:
-        peak = draw_noise_max(sigma_w, n_noise, rng)
-        r = int(rng.integers(n_noise))
-    else:
-        peak, r = 0.0, 0
-    # the r-th noise-only slot is r plus the number of support slots before it
-    before = int(np.searchsorted(slots - np.arange(m), r, side="right"))
-    return MeasurementTrace(
-        np.concatenate((values[:before], [peak], values[before:])),
-        np.concatenate((slots[:before], [r + before], slots[before:])),
-    )
+        values += sigma_w * _box_muller(u[:, 0:4])
+        rows = ring[:, 0]
+        values[rows, 0] = power[rows] + noise_max(sigma_w, n_az, u[rows, 6])
+        slots[rows, 0] = uniform_index(u[rows, 7], n_az)
+        has = k > 0
+        noise[has] = noise_max(sigma_w, k[has], u[has, 4])
+        r[has] = uniform_index(u[has, 5], k[has])
+    # the r-th noise-only slot is r plus the support slots before it; a cell
+    # at slot c with j support slots ahead of it lies before it when c - j <= r
+    ahead = np.cumsum(size, axis=1) - size
+    before = (size * (cells - ahead <= r[:, None])).sum(axis=1)
+    values = np.column_stack([values, noise])
+    slots = np.column_stack([slots, r + before])
+    peak = values.max(axis=1)
+    beams = np.where(values == peak[:, None], slots, n).min(axis=1)
+    return PeakTrace(peak, beams)
 
 
 def apply_timing_offset(trace: MeasurementTrace, offset_steps: int) -> MeasurementTrace:
@@ -206,10 +216,12 @@ def apply_timing_offset(trace: MeasurementTrace, offset_steps: int) -> Measureme
 
     The trace is one full period, so shifting by its length is the identity.
     """
-    n = len(trace.samples)
+    x = trace.samples
+    n = len(x)
     if abs(offset_steps) > n:
         raise ValueError("offset beyond one full trace period")
-    return MeasurementTrace(np.roll(trace.samples, offset_steps))
+    cut = n - offset_steps % n if n else 0  # np.roll(x, offset_steps), by slices
+    return MeasurementTrace(np.concatenate((x[cut:], x[:cut])))
 
 
 def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> MeasurementTrace:
@@ -230,12 +242,16 @@ def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> MeasurementTrace:
     # corr[s] = sum_i pilot[i] * x[(s + i) mod n]; accumulating per pilot tap
     # keeps the float op order identical for every shift, so exact ties stay
     # exact and argmax's first-index rule implements the tie-break.
-    # x[(s + i) mod n] == xx[s + i]: slices of one wrapped copy, no rolls.
+    # x[(s + i) mod n] == xx[s + i]: slices of one wrapped copy, no rolls;
+    # each distinct tap level multiplies the copy once.
     xx = np.concatenate([x, x[:k]])
+    scaled = {}
     corr = np.zeros(n)
-    for i in range(k):
-        if pilot[i] != 0.0:
-            corr += pilot[i] * xx[i : i + n]
-    best = int(np.argmax(corr))
-    realigned = np.roll(x, -best)
+    for i in np.flatnonzero(pilot):
+        level = pilot[i]
+        if level not in scaled:
+            scaled[level] = level * xx
+        corr += scaled[level][i : i + n]
+    best = int(corr.argmax())
+    realigned = np.concatenate((x[best:], x[:best]))  # np.roll(x, -best)
     return MeasurementTrace(realigned[k:])

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from vlp_sim import cli, experiments
-from vlp_sim.estimator import STATUS_LOW_SIGNAL
+from vlp_sim.estimator import STATUS_LOW_SIGNAL, estimate_position, locate, position_error
 from vlp_sim.experiments import (
     ExperimentConfig,
     compute_cdf,
@@ -20,13 +20,15 @@ from vlp_sim.experiments import (
     run_cdf_experiment,
     run_snr_sweep,
     run_sync_test,
+    pass_uniforms,
     sample_positions,
     scan_trial,
 )
 from vlp_sim.channel import noise_sigma_for_snr
 from vlp_sim.geometry import ReceiverState, build_beam_grid, incidence_cosine
 from vlp_sim.io import build_experiment, load_config
-from vlp_sim.scan import ScanPlan
+from vlp_sim.orientation import receiver_normals
+from vlp_sim.scan import PEAK_UNIFORMS, ScanPlan, run_scan
 
 # coarse setup keeps module tests fast; acceptance runs the full defaults
 SMALL = dict(grid_spacing_m=0.5, trials_per_point=2)
@@ -56,6 +58,14 @@ class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="warp")
+
+    def test_stream_counter_limits(self):
+        # the seed is the 64-bit Philox key; a pass index packs mode and snr into 16 bits each
+        ExperimentConfig(master_seed=2**64 - 1, mode="snr-sweep", snr_list_db=range(2**16))
+        with pytest.raises(ValueError):
+            ExperimentConfig(master_seed=2**64)
+        with pytest.raises(ValueError):
+            ExperimentConfig(mode="snr-sweep", snr_list_db=range(2**16 + 1))
 
 
 class TestSamplePositions:
@@ -214,7 +224,7 @@ class TestRunCdfExperiment:
     def test_noiseless_errors_are_pure_quantization(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=4, snr_list_db=(float("inf"),), **SMALL)
         plan = ScanPlan(build_beam_grid(), peak_only=True)
-        rec = experiments._run_grid(cfg, plan, sample_positions(cfg), cfg.orientation, 0.0, seed_ctx=(0, 0))
+        rec = experiments._run_grid(cfg, plan, sample_positions(cfg), cfg.orientation, 0.0, pass_index=(0, 0))
         # rows run in point order, then trial order
         true_pos = np.repeat(sample_positions(cfg), cfg.trials, axis=0)
         d = np.linalg.norm(true_pos - cfg.room.emitter_pos, axis=1)
@@ -261,44 +271,88 @@ class TestRunSyncTest:
             run_sync_test(ExperimentConfig(mode="sync-test", pilot_len=0))
 
 
-def _grid_trials(plan, seed, snr, mode, trials):
-    """err_3d and statuses of a whole 0.25 m grid pass under the given plan."""
+def _grid_setup(seed, snr, mode, trials):
     cfg = ExperimentConfig(mode="cdf", grid_spacing_m=0.25, trials_per_point=trials, master_seed=seed)
     sigma = noise_sigma_for_snr(reference_peak_power(cfg), snr)
-    ori = dataclasses.replace(cfg.orientation, mode=mode)
-    return experiments._run_grid(cfg, plan, sample_positions(cfg), ori, sigma, seed_ctx=(0, 0))
+    return cfg, sigma, dataclasses.replace(cfg.orientation, mode=mode)
+
+
+def _dense_grid_trials(seed, snr, mode, trials):
+    """err_3d and statuses of a whole 0.25 m grid through the dense oracle,
+    one default_rng((seed, point, trial)) stream per trial."""
+    cfg, sigma, ori = _grid_setup(seed, snr, mode, trials)
+    plan = ScanPlan(build_beam_grid())
+    errs, status = [], []
+    for i, point in enumerate(sample_positions(cfg)):
+        for trial in range(trials):
+            _, est = scan_trial(cfg, plan, ori, point, sigma, np.random.default_rng((seed, i, trial)))
+            errs.append(position_error(point, est.position).total_m)
+            status.append(est.status)
+    return {"err_3d": np.array(errs), "status": np.array(status)}
+
+
+def _peak_grid_trials(seed, snr, mode, trials):
+    """The same grid as one peak-only pass."""
+    cfg, sigma, ori = _grid_setup(seed, snr, mode, trials)
+    plan = ScanPlan(build_beam_grid(), peak_only=True)
+    return experiments._run_grid(cfg, plan, sample_positions(cfg), ori, sigma, pass_index=(0, 0))
 
 
 class TestPeakOnlyEquivalence:
-    """The peak-only trace is sampled from the same law as the dense oracle."""
+    """The peak-only pass is sampled from the same law as the dense oracle."""
 
     @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
     def test_noiseless_estimates_identical(self, mode):
-        cfg = ExperimentConfig(grid_spacing_m=0.25)
+        # the pass's own normals feed both paths, one dense sweep per point
+        cfg = ExperimentConfig(grid_spacing_m=0.25, trials_per_point=1)
         grid = build_beam_grid()
         ori = dataclasses.replace(cfg.orientation, mode=mode)
-        for i, point in enumerate(sample_positions(cfg)):
-            dense, peak = (
-                scan_trial(cfg, plan, ori, point, 0.0, np.random.default_rng((3, i)))[1]
-                for plan in (ScanPlan(grid), ScanPlan(grid, peak_only=True))
-            )
-            np.testing.assert_array_equal(dense.position, peak.position)
-            assert (dense.beam_index, dense.distance_m, dense.status, dense.assumed_cos_psi) == (
-                peak.beam_index, peak.distance_m, peak.status, peak.assumed_cos_psi)
+        points = sample_positions(cfg)
+        u = pass_uniforms(cfg, len(points), (0, 0))
+        normals = receiver_normals(ori, u[:, :3] - 0.5)
+        rx = ReceiverState(points, normals, cfg.fov_deg)
+        trace = run_scan(ScanPlan(grid, peak_only=True), cfg.room, rx, cfg.channel, sigma_w=0.0,
+                         draws=u[:, 3 : 3 + PEAK_UNIFORMS])
+        peak = locate(cfg.room.emitter_pos, trace.samples, trace.beams, grid, cfg.channel, 0.0)
+        for i, (point, normal) in enumerate(zip(points, normals)):
+            one = ReceiverState(point, normal, cfg.fov_deg)
+            dense = run_scan(ScanPlan(grid), cfg.room, one, cfg.channel, 0.0, np.random.default_rng(i))
+            est = estimate_position(cfg.room.emitter_pos, dense.samples, grid, cfg.channel, 0.0)
+            np.testing.assert_array_equal(est.position, peak.position[i])
+            assert (est.beam_index, est.distance_m, est.status, est.assumed_cos_psi) == (
+                peak.beam_index[i], peak.distance_m[i], peak.status[i], peak.assumed_cos_psi[i])
 
     @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
     @pytest.mark.parametrize("snr", [20.0, 30.0, 40.0])
     def test_error_law_matches_dense(self, snr, mode):
         # independent streams: dense seed 1001, peak-only seed 2002; n = 1,100 each
-        grid = build_beam_grid()
-        dense = _grid_trials(ScanPlan(grid), 1001, snr, mode, trials=4)
-        peak = _grid_trials(ScanPlan(grid, peak_only=True), 2002, snr, mode, trials=4)
+        dense = _dense_grid_trials(1001, snr, mode, trials=4)
+        peak = _peak_grid_trials(2002, snr, mode, trials=4)
         n = len(dense["err_3d"])
         assert n == len(peak["err_3d"]) >= 1000
         assert stats.ks_2samp(dense["err_3d"], peak["err_3d"]).pvalue > 0.01
         low = [int((rec["status"] == STATUS_LOW_SIGNAL).sum()) for rec in (dense, peak)]
         rate = sum(low) / (2 * n)
         assert abs(low[0] - low[1]) <= 4.0 * np.sqrt(2 * n * rate * (1.0 - rate))
+
+
+class TestGridPassStreams:
+    """Each row's draws are a pure function of its indices (Philox counters)."""
+
+    @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
+    def test_rows_independent_of_pass_size(self, mode):
+        # a 3-trial pass gives every point's first 3 trials of a 5-trial pass
+        short, long = (_peak_grid_trials(17, 30.0, mode, trials=t) for t in (3, 5))
+        for key in ("status", "err_3d", "err_x", "err_y", "err_z"):
+            np.testing.assert_array_equal(short[key], long[key].reshape(-1, 5)[:, :3].ravel(), err_msg=key)
+
+    def test_passes_get_their_own_streams(self):
+        cfg = ExperimentConfig(grid_spacing_m=0.5, trials_per_point=2, master_seed=3)
+        draws = [pass_uniforms(cfg, 4, index) for index in ((0, 0), (0, 1), (1, 0))]
+        assert draws[0].shape == (8, experiments.ROW_UNIFORMS)
+        assert not np.any(draws[0] == draws[1]) and not np.any(draws[0] == draws[2])
+        other_seed = dataclasses.replace(cfg, master_seed=2**64 - 1)
+        assert not np.any(pass_uniforms(other_seed, 4, (0, 0)) == draws[0])
 
 
 class TestBenchmarkContract:

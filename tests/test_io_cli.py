@@ -1,6 +1,9 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,10 +106,14 @@ class TestBuildExperiment:
         assert cfg.room.height_m == 3.0
 
     def test_only_replay_keys_leave_the_run_unchanged(self):
-        base = build_experiment(load_config(None, {})[0])
+        def build(overrides):
+            return build_experiment(load_config(None, overrides)[0])
+
+        # orientation_modes is valid in snr-sweep only, so its case runs there
+        context = {key: {"mode": "snr-sweep"} if key == "orientation_modes" else {} for key in CONFIG_DEFAULTS}
         unchanged = {
             key for key in CONFIG_DEFAULTS
-            if build_experiment(load_config(None, {key: other_value(key)})[0]) == base
+            if build({**context[key], key: other_value(key)}) == build(context[key])
         }
         assert unchanged == REPLAY_ONLY_KEYS
 
@@ -309,6 +316,8 @@ class TestCli:
             {"noise_variance_w_hz": -1},
             {"h_min_m": 2.6, "h_max_m": 2.8},
             {"snr_db": [20, 30]},
+            {"seed": 2**64},
+            {"orientation_modes": ["random-euler"]},
         ],
     )
     def test_malformed_number_exits_one_before_work(self, tmp_path, capsys, extra):
@@ -325,6 +334,31 @@ class TestCli:
         assert code == 1
         assert "bad --rx value" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scan_demo_with_several_snrs_exits_one_before_work(self, tmp_path, capsys):
+        # whatever the config mode: a sweep config's snr list must not run at its first value
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {"mode": "snr-sweep"})
+        assert main(["scan-demo", "--config", config, "--snr", "20,30", "--out", str(out)]) == 1
+        assert "exactly one snr" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_orientation_modes_outside_sweep_exits_one_before_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {"orientation_modes": ["random-euler"]})
+        for command in ("cdf", "sync-test"):
+            assert main([command, "--config", config, "--out", str(out)]) == 1
+            assert "orientation_modes" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["snr-sweep", "--config", config, "--out", str(out)]) == 0
+
+    def test_import_loads_no_scipy_or_thread_pool(self):
+        # scipy is a test-only extra; neither belongs in the CLI's start-up cost
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, vlp_sim.cli; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_sync_test_without_pilot_exits_one_before_work(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -7,15 +5,17 @@ from scipy import special, stats
 from vlp_sim.channel import ChannelParams
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
 from vlp_sim.scan import (
+    PEAK_UNIFORMS,
     MeasurementTrace,
     ScanPlan,
     apply_timing_offset,
-    draw_noise_max,
     make_pilot,
+    noise_max,
     realign_with_pilot,
     run_scan,
     support,
 )
+from vlp_sim.streams import uniform_index, uniforms
 
 P = ChannelParams()
 ROOM = Room()
@@ -24,6 +24,24 @@ ROOM = Room()
 @pytest.fixture(scope="module")
 def grid():
     return build_beam_grid(1.0, 1.0)
+
+
+def support_slots(grid, cells):
+    """Every beam slot the cells stand for; the nadir ring cell is slot 0."""
+    cells = cells[cells < grid.size]
+    if len(cells) and cells[0] == 0:
+        return np.concatenate([np.arange(grid.n_azimuth), cells[1:]])
+    return cells
+
+
+def batch(rx: ReceiverState, n: int) -> ReceiverState:
+    """n copies of one receiver, as a peak-only pass takes them."""
+    return ReceiverState(np.tile(rx.position, (n, 1)), np.tile(rx.normal, (n, 1)), rx.fov_deg)
+
+
+def row_uniforms(seed: int, n: int) -> np.ndarray:
+    prefix = np.column_stack([np.arange(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)])
+    return uniforms(seed, prefix, PEAK_UNIFORMS)
 
 
 def brute_force_best_shift(samples, pilot):
@@ -90,60 +108,79 @@ class TestSupport:
     @pytest.mark.parametrize("pos", [[0.5, 0.5, 1.5], [0.8, 0.5, 1.0], [0.03, 0.91, 0.2], [0.5, 0.5 + 1e-3, 2.4]])
     def test_matches_noiseless_dense_trace(self, grid, pos):
         rx = ReceiverState(pos)
-        slots, power = support(grid, ROOM, rx, P)
+        cells, power = support(grid, ROOM, rx, P)
         trace = run_scan(ScanPlan(grid), ROOM, rx, P, 0.0, np.random.default_rng(0))
+        slots = support_slots(grid, cells)
         np.testing.assert_array_equal(slots, np.nonzero(trace.samples)[0])
         assert np.all(trace.samples[slots] == power)
+        # a batch gives every receiver the cells and power it gets alone
+        many, powers = support(grid, ROOM, batch(rx, 3), P)
+        np.testing.assert_array_equal(many, np.tile(cells, (3, 1)))
+        np.testing.assert_array_equal(powers, np.full(3, power))
 
     def test_out_of_view_is_empty(self, grid):
-        slots, power = support(grid, ROOM, ReceiverState([0.2, 0.7, 1.0], [0, 0, -1]), P)
-        assert len(slots) == 0 and power == 0.0
+        cells, power = support(grid, ROOM, ReceiverState([0.2, 0.7, 1.0], [0, 0, -1]), P)
+        assert np.all(cells == grid.size) and power == 0.0
 
 
 class TestPeakOnlyScan:
     def test_support_then_one_noise_slot(self, grid):
+        # off the nadir the peak is a support cell or the one noise-only maximum
         rx = ReceiverState([0.8, 0.5, 1.0])
-        slots, power = support(grid, ROOM, rx, P)
-        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, rx, P, 1e-7, np.random.default_rng(4))
-        # the traced benchmark hook counts len(samples) as the slots drawn
-        assert len(trace.samples) == len(trace.slots) == len(slots) + 1
-        assert np.all(np.diff(trace.slots) > 0)
-        extra = np.setdiff1d(trace.slots, slots)
-        assert len(extra) == 1 and 0 <= extra[0] < grid.size
+        cells, power = support(grid, ROOM, rx, P)
+        slots = support_slots(grid, cells)
+        n = 2000
+        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, batch(rx, n), P, sigma_w=0.3 * power,
+                         draws=row_uniforms(4, n))
+        # the traced benchmark hook counts len(samples): one peak per receiver
+        assert len(trace.samples) == len(trace.beams) == n
+        on = np.isin(trace.beams, slots)
+        assert 0 < on.sum() < n
+        assert np.all((trace.beams >= 0) & (trace.beams < grid.size))
 
     def test_draw_order(self, grid):
-        # support normals in ascending slot order, then U, then the slot index
-        rx = ReceiverState([0.5, 0.5, 1.5])
+        # column map: Box-Muller pairs (0, 1), (2, 3) for the cells in
+        # ascending slot order, then U and the slot of the noise-only maximum
+        rx = ReceiverState([0.8, 0.5, 1.0])
+        cells, power = support(grid, ROOM, rx, P)
+        assert np.count_nonzero(cells < grid.size) == 1  # one cell, off the nadir ring
         sigma = 1e-6
-        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, rx, P, sigma, np.random.default_rng(8))
-        twin = np.random.default_rng(8)
-        slots, power = support(grid, ROOM, rx, P)
-        noisy = power + twin.normal(0.0, sigma, size=len(slots))
-        peak = draw_noise_max(sigma, grid.size - len(slots), twin)
-        slot = len(slots) + int(twin.integers(grid.size - len(slots)))  # nadir ring is slots 0..359
-        np.testing.assert_array_equal(trace.slots, np.append(slots, slot))
-        np.testing.assert_array_equal(trace.samples, np.append(noisy, peak))
+        u = row_uniforms(8, 50)
+        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, batch(rx, 50), P, sigma_w=sigma, draws=u)
+        z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+        k = grid.size - 1
+        noise = noise_max(sigma, k, u[:, 4])
+        r = uniform_index(u[:, 5], k)
+        noise_slot = r + (r >= cells[0])  # the one support slot shifts the noise-only slots after it
+        cell_wins = power + sigma * z > noise
+        np.testing.assert_array_equal(trace.samples, np.where(cell_wins, power + sigma * z, noise))
+        np.testing.assert_array_equal(trace.beams, np.where(cell_wins, cells[0], noise_slot))
 
     def test_noiseless_peak_is_zero_at_lowest_noise_slot(self, grid):
-        rx = ReceiverState([0.5, 0.5, 1.5])  # nadir: the support is slots 0..359
-        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, rx, P, 0.0, np.random.default_rng(0))
-        assert trace.slots[-1] == grid.n_azimuth and trace.samples[-1] == 0.0
-        out = run_scan(ScanPlan(grid, peak_only=True), ROOM, ReceiverState([0.2, 0.7, 1.0], [0, 0, -1]),
-                       P, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.slots, [0])
-        np.testing.assert_array_equal(out.samples, [0.0])
+        # nadir: the ring cell wins at its lowest slot, the noise-only maximum
+        # (0 at slot 360, the lowest noise-only slot) loses
+        rx = ReceiverState([0.5, 0.5, 1.5])
+        _, power = support(grid, ROOM, rx, P)
+        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, batch(rx, 2), P, sigma_w=0.0, draws=row_uniforms(0, 2))
+        np.testing.assert_array_equal(trace.beams, [0, 0])
+        np.testing.assert_array_equal(trace.samples, [power, power])
+        # out of view only the noise-only maximum is left: 0 at slot 0
+        away = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
+        out = run_scan(ScanPlan(grid, peak_only=True), ROOM, batch(away, 2), P, sigma_w=0.0, draws=row_uniforms(0, 2))
+        np.testing.assert_array_equal(out.beams, [0, 0])
+        np.testing.assert_array_equal(out.samples, [0.0, 0.0])
 
     def test_k_zero_draws_no_extreme(self):
-        # a 1-beam grid with the receiver at nadir: every slot carries signal
+        # a 1-beam grid with the receiver at nadir: every slot carries signal,
+        # so the peak is the ring cell's own maximum (of one sample: a normal)
         one = build_beam_grid(360.0, 90.0)
         assert one.size == 1
         rx = ReceiverState([0.5, 0.5, 1.5])
-        rng = np.random.default_rng(21)
-        trace = run_scan(ScanPlan(one, peak_only=True), ROOM, rx, P, 1e-6, rng)
-        twin = np.random.default_rng(21)
-        twin.normal(0.0, 1e-6, size=1)
-        np.testing.assert_array_equal(trace.slots, [0])
-        assert rng.random() == twin.random()  # nothing drawn beyond the one normal
+        _, power = support(one, ROOM, rx, P)
+        u = row_uniforms(21, 40)
+        trace = run_scan(ScanPlan(one, peak_only=True), ROOM, batch(rx, 40), P, sigma_w=1e-6, draws=u)
+        np.testing.assert_array_equal(trace.beams, np.zeros(40))
+        np.testing.assert_array_equal(trace.samples, power + noise_max(1e-6, 1, u[:, 6]))
 
     def test_pilot_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -155,8 +192,7 @@ class TestNoiseMaxSampler:
     def test_max_follows_order_statistic_law(self, k):
         # oracle: the max of k iid N(0, sigma^2) has CDF Phi(x / sigma)^k
         sigma = 2.5e-6
-        rng = np.random.default_rng(1000 + k)
-        draws = np.array([draw_noise_max(sigma, k, rng) for _ in range(5000)])
+        draws = noise_max(sigma, k, row_uniforms(1000 + k, 5000)[:, 4])
         p = stats.kstest(draws, lambda x: np.exp(k * special.log_ndtr(x / sigma))).pvalue
         assert p > 0.01
 
@@ -169,14 +205,14 @@ class TestNoiseMaxSampler:
             1.0 - np.logspace(-12, np.log10(0.5), 1200),
         ])
         for k in (1, 7, 32_400):
-            fixed_u = (SimpleNamespace(random=lambda v=v: v) for v in u)  # draw_noise_max reads one uniform
-            got = np.array([draw_noise_max(sigma, k, rng) for rng in fixed_u])
             want = sigma * special.ndtri_exp(np.log(u) / k)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"k = {k}")
+            np.testing.assert_allclose(noise_max(sigma, k, u), want, rtol=1e-12, atol=0.0, err_msg=f"k = {k}")
+            # per-row k, as a pass draws it
+            np.testing.assert_array_equal(noise_max(sigma, np.full(len(u), k), u), noise_max(sigma, k, u))
 
     def test_empty_set_has_no_max(self):
         with pytest.raises(ValueError):
-            draw_noise_max(1.0, 0, np.random.default_rng(0))
+            noise_max(1.0, 0, np.array([0.5]))
 
 
 class TestApplyTimingOffset:
