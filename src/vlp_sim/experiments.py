@@ -1,8 +1,9 @@
 """Monte Carlo harness: the grid pass and the dense scan trial; cdf /
 snr-sweep / sync-test / scan-demo.  A grid pass runs every trial at every
-grid point for one (orientation mode, SNR) as one array pass over its
-rows, point by point, then trial by trial: cdf is the single pass (0, 0),
-snr-sweep one pass per pair.
+grid point for one (orientation mode, SNR) as array passes over its rows,
+point by point, then trial by trial, GRID_BLOCK_ROWS rows at a time: cdf
+is the single pass (0, 0), snr-sweep one pass per pair.  Every caller
+composes scan.support (the geometry) with scan.run_scan (the sweep).
 
 Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
@@ -19,9 +20,12 @@ every draw is a pure function of the master seed and its indices.
 * sync-test and scan-demo sweep densely, one normal per slot, pilot first,
   from np.random.default_rng(entropy) (PCG64 seeded through a
   SeedSequence): entropy (master_seed, 0, snr_index, 0, trial_index) per
-  sync-test trial and (master_seed,) for scan-demo.  A sync-test trial
-  first draws its receiver position (x, y, z) and timing offset, then the
-  orientation, then the sweep's noise.
+  sync-test trial and (master_seed,) for scan-demo.  A sync-test trial's
+  stream first draws its receiver position (x, y, z) and timing offset,
+  then the orientation, then the sweep's noise.  Per SNR, sync-test draws
+  every trial's pose, takes one scan.support over all the receivers, then
+  sweeps each trial from the rest of its stream and locates all peaks at
+  once.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .scan import (
     make_pilot,
     realign_with_pilot,
     run_scan,
+    support,
 )
 from .streams import uniforms
 
@@ -71,6 +76,10 @@ DEFAULT_TRIALS = {"cdf": 5, "snr-sweep": 20, "sync-test": 1000}
 
 # uniforms per grid-pass row: 3 orientation angles, the scan's, one spare
 ROW_UNIFORMS = 12
+
+# rows a grid pass sweeps at once; rows draw from their own Philox counters,
+# so the block size bounds the pass's memory without changing a result
+GRID_BLOCK_ROWS = 2**14
 
 # stay half a metre clear of the emitter: directly underneath, the angular
 # cell degenerates and the inversion is numerically useless
@@ -195,24 +204,24 @@ def percentile(samples, q: float) -> float:
 def scan_trial(
     cfg: ExperimentConfig, plan: ScanPlan, orientation: OrientationConfig, point, sigma: float, rng: np.random.Generator
 ) -> tuple[MeasurementTrace, PositionEstimate]:
-    """One dense fix: draw the receiver normal, sweep once, pick the peak.
+    """One dense fix: draw the receiver normal, take its support, sweep once, pick the peak.
 
     The orientation draw precedes the sweep's noise draws in rng.  The
     estimate reads the slots after the pilot and flags peaks under the
     low-signal threshold for this sigma.
     """
     normal = sample_receiver_normal(orientation, rng)
-    rx = ReceiverState(point, normal, cfg.fov_deg)
-    trace = run_scan(plan, cfg.room, rx, cfg.channel, sigma, rng)
+    cells, power = support(plan.grid, cfg.room, ReceiverState(point, normal, cfg.fov_deg), cfg.channel)
+    trace = run_scan(plan, cells, power, sigma_w=sigma, draws=rng)
     est = estimate_position(cfg.room.emitter_pos, trace.samples[plan.pilot_len :], plan.grid, cfg.channel, sigma)
     return trace, est
 
 
-def pass_uniforms(cfg: ExperimentConfig, n_points: int, pass_index: tuple[int, int]) -> np.ndarray:
-    """The (n_points * trials, ROW_UNIFORMS) uniforms of one grid pass, rows
-    in point order, then trial order (see the module docstring)."""
+def pass_uniforms(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> np.ndarray:
+    """The (len(rows), ROW_UNIFORMS) uniforms of the given rows of one grid
+    pass; row point * trials + trial (see the module docstring)."""
     mode_index, snr_index = pass_index
-    point, trial = np.divmod(np.arange(n_points * cfg.trials), cfg.trials)
+    point, trial = np.divmod(np.asarray(rows), cfg.trials)
     prefix = np.column_stack([point, trial, np.full_like(point, (mode_index << 16) | snr_index)])
     return uniforms(cfg.master_seed, prefix, ROW_UNIFORMS)
 
@@ -224,12 +233,20 @@ def _run_grid(cfg, plan, points, orientation, sigma, pass_index):
     3D and per-axis errors, and the outage mask.  Low-signal flags count as
     out-of-view only when the orientation model can miss the view cone; a
     fixed upright receiver is in view by geometry, so there the flag stays
-    a diagnostic.
+    a diagnostic.  Rows are swept GRID_BLOCK_ROWS at a time.
     """
-    u = pass_uniforms(cfg, len(points), pass_index)
-    positions = np.repeat(points, cfg.trials, axis=0)
+    rows = np.arange(len(points) * cfg.trials)
+    blocks = [_grid_block(cfg, plan, points, orientation, sigma, pass_index, rows[lo : lo + GRID_BLOCK_ROWS])
+              for lo in range(0, len(rows), GRID_BLOCK_ROWS)]
+    return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+
+
+def _grid_block(cfg, plan, points, orientation, sigma, pass_index, rows):
+    u = pass_uniforms(cfg, rows, pass_index)
+    positions = points[rows // cfg.trials]
     rx = ReceiverState(positions, receiver_normals(orientation, u[:, :3] - 0.5), cfg.fov_deg)
-    trace = run_scan(plan, cfg.room, rx, cfg.channel, sigma_w=sigma, draws=u[:, 3 : 3 + PEAK_UNIFORMS])
+    cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
+    trace = run_scan(plan, cells, power, sigma_w=sigma, draws=u[:, 3 : 3 + PEAK_UNIFORMS])
     est = locate(cfg.room.emitter_pos, trace.samples, trace.beams, plan.grid, cfg.channel, sigma)
     flagged = est.status == STATUS_LOW_SIGNAL
     return {
@@ -312,6 +329,12 @@ def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
     return RunResult("snr-sweep", {"rows": rows}, _base_metadata(cfg, p_ref))
 
 
+def _peak(samples):
+    """The strongest sample and its slot, ties to the lowest slot."""
+    i = int(samples.argmax())
+    return samples[i], i
+
+
 def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     """End-to-end sync validation: estimates from synchronized traces versus
     offset-then-realigned traces, plus the naive no-realignment baseline.
@@ -325,40 +348,44 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
     plan = ScanPlan(grid, pilot)
-    emitter = cfg.room.emitter_pos
-    n_slots = cfg.pilot_len + grid.size
+    k = cfg.pilot_len
+    n_slots = k + grid.size
     p_pilot = float(np.max(pilot))
+    lo = np.array([0.0, 0.0, cfg.h_min_m])
+    hi = np.array([cfg.room.width_m, cfg.room.depth_m, _height_cap(cfg)])
 
     rows = []
     for snr_idx, snr in enumerate(cfg.snr_list_db):
         sigma = noise_sigma_for_snr(p_pilot, snr)
-        mismatches = 0
-        errs = {"synced": [], "realigned": [], "naive": []}
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, trial))
-            point = np.array(
-                [
-                    rng.uniform(0.0, cfg.room.width_m),
-                    rng.uniform(0.0, cfg.room.depth_m),
-                    rng.uniform(cfg.h_min_m, _height_cap(cfg)),
-                ]
-            )
-            offset = int(rng.integers(-(n_slots // 2), n_slots // 2 + 1))
-            # sigma only sets est_sync's status flag, which is not recorded
-            trace, est_sync = scan_trial(cfg, plan, cfg.orientation, point, sigma, rng)
-            shifted = apply_timing_offset(trace, offset)
+        # each trial's pose, from its own stream: position, offset, orientation
+        rngs = [np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t)) for t in range(cfg.trials)]
+        points = np.empty((cfg.trials, 3))
+        offsets, normals = [], []
+        for t, rng in enumerate(rngs):
+            points[t] = rng.uniform(lo, hi)  # x, y, z in turn
+            offsets.append(int(rng.integers(-(n_slots // 2), n_slots // 2 + 1)))
+            normals.append(sample_receiver_normal(cfg.orientation, rng))
+        cells, power = support(grid, cfg.room, ReceiverState(points, normals, cfg.fov_deg), cfg.channel)
+        # then each trial's sweep, from the rest of its stream, and the peaks
+        # of its synced, its offset-then-realigned and its naive (offset)
+        # trace.  The loop keeps a trial's traces until the next trial's
+        # replace them, so the allocator reuses their pages; as a function
+        # body that frees them all on return, it page-faults ~1.5 MB a trial.
+        peaks = np.empty((3, cfg.trials))
+        beams = np.empty((3, cfg.trials), dtype=int)
+        for t, rng in enumerate(rngs):
+            trace = run_scan(plan, cells[t], power[t], sigma_w=sigma, draws=rng)
+            shifted = apply_timing_offset(trace, offsets[t])
             realigned = realign_with_pilot(shifted, pilot)
-            est_re = estimate_position(emitter, realigned.samples, grid, cfg.channel)
-            est_naive = estimate_position(emitter, shifted.samples[cfg.pilot_len :], grid, cfg.channel)
-
-            mismatches += int(est_re.beam_index != est_sync.beam_index)
-            for key, est in (("synced", est_sync), ("realigned", est_re), ("naive", est_naive)):
-                errs[key].append(position_error(point, est.position).total_m)
+            peaks[:, t], beams[:, t] = zip(*map(_peak, (trace.samples[k:], realigned.samples, shifted.samples[k:])))
+        est = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), grid, cfg.channel)
+        errs = position_error(np.tile(points, (3, 1)), est.position).total_m.reshape(3, -1)
         rows.append(
             {
                 "snr_db": snr,
-                "mismatch_rate": mismatches / cfg.trials,
-                **{f"mean_error_{key}_m": float(np.mean(e)) for key, e in errs.items()},
+                "mismatch_rate": int((beams[1] != beams[0]).sum()) / cfg.trials,
+                **{f"mean_error_{key}_m": float(np.mean(e))
+                   for key, e in zip(("synced", "realigned", "naive"), errs)},
                 "sigma_w": sigma,
             }
         )

@@ -83,15 +83,6 @@ def _uniform_open(rng: np.random.Generator) -> float:
             return u
 
 
-def sample_orientation_angles(cfg: OrientationConfig, rng: np.random.Generator) -> tuple[float, float]:
-    """Independent (azimuth_deg, elevation_deg) draws for the spherical mode."""
-    if cfg.mode != "random-spherical":
-        raise ValueError("orientation config is not in random-spherical mode")
-    phi = laplace_sample(cfg.azimuth, _uniform_open(rng))
-    theta = laplace_sample(cfg.elevation, _uniform_open(rng))
-    return phi, theta
-
-
 def normal_from_spherical(azimuth_deg, elevation_deg) -> np.ndarray:
     """Facing normal from azimuth/elevation; elevation 90 faces straight up.
 

@@ -3,11 +3,15 @@
 A sweep visits every grid direction once, dwelling for a fixed step time.
 The receiver records one power sample per dwell slot; an optional known
 pilot preamble precedes the sweep so a desynchronized receiver can realign
-its sample indexing by cyclic cross-correlation.  A peak-only pass sweeps a
-whole batch of receivers at once and keeps, per receiver, just the
-strongest sample and its slot, drawn from the same law as the dense trace;
-the maximum of many noise samples comes from the standard library's normal
-quantile, statistics.NormalDist().inv_cdf.
+its sample indexing by cyclic cross-correlation.
+
+The geometry and the sweep are two calls: support() finds, for one
+receiver or a batch, the beam cells that carry signal and their on-axis
+power; run_scan() sweeps them.  A dense sweep takes one receiver's support
+and records every slot.  A peak-only pass takes a whole batch's support and
+keeps, per receiver, just the strongest sample and its slot, drawn from the
+same law as the dense trace; the maximum of many noise samples comes from
+the standard library's normal quantile, statistics.NormalDist().inv_cdf.
 """
 
 from __future__ import annotations
@@ -94,8 +98,10 @@ def support(grid: BeamGrid, room: Room, rx: ReceiverState, params: ChannelParams
     counts as one cell for every azimuth, since all its beams point the same
     way; it is listed as slot 0 and stands for slots 0 .. n_azimuth - 1.
     Returns (cells, power): cells (..., 4) beam slots, ascending, padded with
-    grid.size; power (...) in W, zero (with no cells) out of view.
+    grid.size; power (...) in W, zero (with no cells) out of view.  Raises
+    ValueError for a receiver outside the room or at the ceiling.
     """
+    room.check_receiver(rx.position)
     tx = room.emitter_pos
     shape = np.shape(rx.position)[:-1]
     to_rx = np.reshape(rx.position - tx, (-1, 3))
@@ -145,14 +151,15 @@ def _box_muller(u):
     return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(len(u), -1)
 
 
-def run_scan(plan: ScanPlan, room: Room, rx: ReceiverState, params: ChannelParams, sigma_w: float, draws):
+def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws):
     """Sweep every beam once and record the received power per dwell slot.
 
-    The cells from support() collect its on-axis power.  A dense plan sweeps
-    one receiver and returns a MeasurementTrace: every slot, pilot included,
-    gets an independent N(0, sigma_w^2) draw from draws, a numpy Generator.
+    cells and power are support()'s output: the cells collect their on-axis
+    power.  A dense plan sweeps one receiver (cells (4,), power a scalar) and
+    returns a MeasurementTrace: every slot, pilot included, gets an
+    independent N(0, sigma_w^2) draw from draws, a numpy Generator.
 
-    A peak-only plan sweeps a batch (rx holds (N, 3) arrays) and returns a
+    A peak-only plan sweeps a batch (cells (N, 4), power (N,)) and returns a
     PeakTrace; draws holds each receiver's PEAK_UNIFORMS uniforms.  Each
     support cell gets power plus a Box-Muller normal; the nadir ring cell
     gets power plus the noise_max of its n_azimuth slots, at a uniformly
@@ -161,12 +168,10 @@ def run_scan(plan: ScanPlan, room: Room, rx: ReceiverState, params: ChannelParam
     to the lowest slot, as a dense argmax picks it.  Noiseless, every
     maximum is its power (0 for the noise-only slots) at its lowest slot.
     """
-    room.check_receiver(rx.position)
     if sigma_w < 0.0:
         raise ValueError("sigma_w must be nonnegative")
 
     grid = plan.grid
-    cells, power = support(grid, room, rx, params)
     if plan.peak_only:
         return _peak_pass(grid, cells, power, sigma_w, np.asarray(draws))
 

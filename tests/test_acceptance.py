@@ -23,7 +23,7 @@ from vlp_sim.experiments import (
 )
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
 from vlp_sim.orientation import LaplaceParams, laplace_sample
-from vlp_sim.scan import ScanPlan, apply_timing_offset, make_pilot, realign_with_pilot, run_scan
+from vlp_sim.scan import ScanPlan, apply_timing_offset, make_pilot, realign_with_pilot, run_scan, support
 
 P = ChannelParams()
 
@@ -94,7 +94,7 @@ def test_criterion_1_exact_recovery_on_grid_directions(full_grid):
         d = float(rng.uniform(0.5, 2.5))
         p_true = room.emitter_pos + d * u
         rx = ReceiverState(p_true, [0, 0, 1])
-        trace = run_scan(plan, room, rx, P, 0.0, rng)
+        trace = run_scan(plan, *support(plan.grid, room, rx, P), 0.0, rng)
         est = estimate_position(room.emitter_pos, trace.samples, full_grid, P)
         worst = max(worst, position_error(p_true, est.position).total_m)
     elapsed = time.perf_counter() - t0
@@ -113,7 +113,7 @@ def test_criterion_2_quantization_bound(full_grid):
     for _ in range(1000):
         p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
         rx = ReceiverState(p_true, [0, 0, 1])
-        trace = run_scan(plan, room, rx, P, 0.0, rng)
+        trace = run_scan(plan, *support(plan.grid, room, rx, P), 0.0, rng)
         est = estimate_position(room.emitter_pos, trace.samples, full_grid, P)
         to_rx = p_true - room.emitter_pos
         d = float(np.linalg.norm(to_rx))
@@ -186,7 +186,7 @@ def test_criterion_7_synchronization(full_grid):
         rx = ReceiverState(
             [rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)], [0, 0, 1]
         )
-        trace = run_scan(plan, room, rx, P, 1e-4, rng)
+        trace = run_scan(plan, *support(plan.grid, room, rx, P), 1e-4, rng)
         offset = int(rng.integers(-(n // 2), n // 2 + 1))
         shifted = apply_timing_offset(trace, offset)
         # brute force over every cyclic shift, scored with a direct dot product

@@ -12,7 +12,7 @@ from vlp_sim.estimator import (
     select_beam,
 )
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
-from vlp_sim.scan import ScanPlan, run_scan
+from vlp_sim.scan import ScanPlan, run_scan, support
 
 P = ChannelParams()
 
@@ -84,7 +84,7 @@ class TestEstimatePosition:
         u = grid.directions[40 * 360 + 30]  # az 30, el 40
         p_true = room.emitter_pos + 2.0 * u
         rx = ReceiverState(p_true, [0, 0, 1])
-        trace = run_scan(ScanPlan(grid), room, rx, P, 0.0, np.random.default_rng(0))
+        trace = run_scan(ScanPlan(grid), *support(grid, room, rx, P), 0.0, np.random.default_rng(0))
         est = estimate_position(room.emitter_pos, trace.samples, grid, P)
         assert est.status == STATUS_OK
         assert position_error(p_true, est.position).total_m < 1e-9
@@ -97,7 +97,7 @@ class TestEstimatePosition:
         for _ in range(100):
             p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
             rx = ReceiverState(p_true, [0, 0, 1])
-            trace = run_scan(ScanPlan(grid), room, rx, P, 0.0, rng)
+            trace = run_scan(ScanPlan(grid), *support(grid, room, rx, P), 0.0, rng)
             est = estimate_position(room.emitter_pos, trace.samples, grid, P)
             to_rx = p_true - room.emitter_pos
             d = float(np.linalg.norm(to_rx))
@@ -111,7 +111,7 @@ class TestEstimatePosition:
         for _ in range(200):
             p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
             rx = ReceiverState(p_true, [0, 0, 1])
-            trace = run_scan(ScanPlan(grid), room, rx, P, 0.0, rng)
+            trace = run_scan(ScanPlan(grid), *support(grid, room, rx, P), 0.0, rng)
             est = estimate_position(room.emitter_pos, trace.samples, grid, P)
             d = float(np.linalg.norm(p_true - room.emitter_pos))
             assert abs(est.distance_m - d) <= 0.02

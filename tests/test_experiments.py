@@ -28,7 +28,15 @@ from vlp_sim.channel import noise_sigma_for_snr
 from vlp_sim.geometry import ReceiverState, build_beam_grid, incidence_cosine
 from vlp_sim.io import build_experiment, load_config
 from vlp_sim.orientation import receiver_normals
-from vlp_sim.scan import PEAK_UNIFORMS, ScanPlan, run_scan
+from vlp_sim.scan import (
+    PEAK_UNIFORMS,
+    ScanPlan,
+    apply_timing_offset,
+    make_pilot,
+    realign_with_pilot,
+    run_scan,
+    support,
+)
 
 # coarse setup keeps module tests fast; acceptance runs the full defaults
 SMALL = dict(grid_spacing_m=0.5, trials_per_point=2)
@@ -270,6 +278,47 @@ class TestRunSyncTest:
         with pytest.raises(ValueError):
             run_sync_test(ExperimentConfig(mode="sync-test", pilot_len=0))
 
+    @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
+    def test_matches_per_trial_oracle(self, mode):
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=30,
+                               master_seed=11, snr_list_db=(float("inf"), 20.0),
+                               orientation=dataclasses.replace(ExperimentConfig().orientation, mode=mode))
+        assert run_sync_test(cfg).aggregates["rows"] == _sync_oracle_rows(cfg)
+
+
+def _sync_oracle_rows(cfg):
+    """sync-test rows from one trial at a time: its own stream draws the
+    position, the offset, then scan_trial's orientation and noise."""
+    grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
+    pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
+    plan = ScanPlan(grid, pilot)
+    emitter = cfg.room.emitter_pos
+    n_slots = cfg.pilot_len + grid.size
+    rows = []
+    for snr_idx, snr in enumerate(cfg.snr_list_db):
+        sigma = noise_sigma_for_snr(float(pilot.max()), snr)
+        mismatches = 0
+        errs = {"synced": [], "realigned": [], "naive": []}
+        for trial in range(cfg.trials):
+            rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, trial))
+            point = np.array([rng.uniform(0.0, cfg.room.width_m), rng.uniform(0.0, cfg.room.depth_m),
+                              rng.uniform(cfg.h_min_m, experiments._height_cap(cfg))])
+            offset = int(rng.integers(-(n_slots // 2), n_slots // 2 + 1))
+            trace, est_sync = scan_trial(cfg, plan, cfg.orientation, point, sigma, rng)
+            shifted = apply_timing_offset(trace, offset)
+            est_re = estimate_position(emitter, realign_with_pilot(shifted, pilot).samples, grid, cfg.channel)
+            est_naive = estimate_position(emitter, shifted.samples[cfg.pilot_len :], grid, cfg.channel)
+            mismatches += int(est_re.beam_index != est_sync.beam_index)
+            for key, est in (("synced", est_sync), ("realigned", est_re), ("naive", est_naive)):
+                errs[key].append(position_error(point, est.position).total_m)
+        rows.append({
+            "snr_db": snr,
+            "mismatch_rate": mismatches / cfg.trials,
+            **{f"mean_error_{key}_m": float(np.mean(e)) for key, e in errs.items()},
+            "sigma_w": sigma,
+        })
+    return rows
+
 
 def _grid_setup(seed, snr, mode, trials):
     cfg = ExperimentConfig(mode="cdf", grid_spacing_m=0.25, trials_per_point=trials, master_seed=seed)
@@ -308,15 +357,15 @@ class TestPeakOnlyEquivalence:
         grid = build_beam_grid()
         ori = dataclasses.replace(cfg.orientation, mode=mode)
         points = sample_positions(cfg)
-        u = pass_uniforms(cfg, len(points), (0, 0))
+        u = pass_uniforms(cfg, np.arange(len(points)), (0, 0))
         normals = receiver_normals(ori, u[:, :3] - 0.5)
         rx = ReceiverState(points, normals, cfg.fov_deg)
-        trace = run_scan(ScanPlan(grid, peak_only=True), cfg.room, rx, cfg.channel, sigma_w=0.0,
+        trace = run_scan(ScanPlan(grid, peak_only=True), *support(grid, cfg.room, rx, cfg.channel), sigma_w=0.0,
                          draws=u[:, 3 : 3 + PEAK_UNIFORMS])
         peak = locate(cfg.room.emitter_pos, trace.samples, trace.beams, grid, cfg.channel, 0.0)
         for i, (point, normal) in enumerate(zip(points, normals)):
             one = ReceiverState(point, normal, cfg.fov_deg)
-            dense = run_scan(ScanPlan(grid), cfg.room, one, cfg.channel, 0.0, np.random.default_rng(i))
+            dense = run_scan(ScanPlan(grid), *support(grid, cfg.room, one, cfg.channel), 0.0, np.random.default_rng(i))
             est = estimate_position(cfg.room.emitter_pos, dense.samples, grid, cfg.channel, 0.0)
             np.testing.assert_array_equal(est.position, peak.position[i])
             assert (est.beam_index, est.distance_m, est.status, est.assumed_cos_psi) == (
@@ -346,13 +395,21 @@ class TestGridPassStreams:
         for key in ("status", "err_3d", "err_x", "err_y", "err_z"):
             np.testing.assert_array_equal(short[key], long[key].reshape(-1, 5)[:, :3].ravel(), err_msg=key)
 
+    def test_blocks_do_not_change_results(self, monkeypatch):
+        # 275 points x 2 trials in blocks of 64 rows, the last one short
+        whole = _peak_grid_trials(17, 30.0, "random-euler", trials=2)
+        monkeypatch.setattr(experiments, "GRID_BLOCK_ROWS", 64)
+        blocked = _peak_grid_trials(17, 30.0, "random-euler", trials=2)
+        for key in whole:
+            np.testing.assert_array_equal(blocked[key], whole[key], err_msg=key)
+
     def test_passes_get_their_own_streams(self):
         cfg = ExperimentConfig(grid_spacing_m=0.5, trials_per_point=2, master_seed=3)
-        draws = [pass_uniforms(cfg, 4, index) for index in ((0, 0), (0, 1), (1, 0))]
+        draws = [pass_uniforms(cfg, np.arange(8), index) for index in ((0, 0), (0, 1), (1, 0))]
         assert draws[0].shape == (8, experiments.ROW_UNIFORMS)
         assert not np.any(draws[0] == draws[1]) and not np.any(draws[0] == draws[2])
         other_seed = dataclasses.replace(cfg, master_seed=2**64 - 1)
-        assert not np.any(pass_uniforms(other_seed, 4, (0, 0)) == draws[0])
+        assert not np.any(pass_uniforms(other_seed, np.arange(8), (0, 0)) == draws[0])
 
 
 class TestBenchmarkContract:
@@ -375,6 +432,20 @@ class TestBenchmarkContract:
         monkeypatch.setattr(experiments, "run_scan", sentinel)
         with pytest.raises(self.Reached):
             run(ExperimentConfig(mode=mode, snr_list_db=(30.0,), **SMALL))
+
+    def test_sync_test_scans_each_trial_once(self, monkeypatch):
+        # one dense run_scan per trial and snr, on the support of one receiver
+        calls = []
+
+        def counting(plan, cells, power, sigma_w, draws):
+            calls.append((plan.peak_only, np.shape(cells), np.shape(power), sigma_w))
+            return run_scan(plan, cells, power, sigma_w, draws)
+
+        monkeypatch.setattr(experiments, "run_scan", counting)
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=5,
+                               snr_list_db=(float("inf"), 30.0))
+        sigmas = [row["sigma_w"] for row in run_sync_test(cfg).aggregates["rows"]]
+        assert calls == [(False, (4,), (), sigma) for sigma in sigmas for _ in range(5)]
 
     def test_run_scan_takes_sigma_w(self):
         assert "sigma_w" in inspect.signature(experiments.run_scan).parameters

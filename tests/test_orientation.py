@@ -8,7 +8,7 @@ from vlp_sim.orientation import (
     laplace_sample,
     normal_from_euler,
     normal_from_spherical,
-    sample_orientation_angles,
+    receiver_normals,
     sample_receiver_normal,
 )
 
@@ -61,26 +61,29 @@ class TestLaplaceSample:
         assert abs(np.median(samples)) < 0.1
 
 
-class TestSampleOrientationAngles:
+class TestSphericalReceiverNormals:
     def test_degenerate_scale_returns_means(self):
         cfg = OrientationConfig(
             mode="random-spherical",
             azimuth=LaplaceParams(12.0, 0.0),
             elevation=LaplaceParams(80.0, 0.0),
         )
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            assert sample_orientation_angles(cfg, rng) == (12.0, 80.0)
-
-    def test_requires_spherical_mode(self):
-        with pytest.raises(ValueError):
-            sample_orientation_angles(OrientationConfig(mode="fixed"), np.random.default_rng(0))
+        v = np.random.default_rng(1).uniform(-0.49, 0.49, size=(10, 2))
+        np.testing.assert_array_equal(receiver_normals(cfg, v), np.tile(normal_from_spherical(12.0, 80.0), (10, 1)))
 
     def test_variance(self):
-        cfg = OrientationConfig(mode="random-spherical", azimuth=LaplaceParams(0.0, 10.0))
-        rng = np.random.default_rng(77)
-        phis = np.array([sample_orientation_angles(cfg, rng)[0] for _ in range(100_000)])
+        # elevation mean 0 keeps the normal off the pole, so both angles read back
+        cfg = OrientationConfig(
+            mode="random-spherical",
+            azimuth=LaplaceParams(0.0, 10.0),
+            elevation=LaplaceParams(0.0, 10.0),
+        )
+        v = np.random.default_rng(77).uniform(-0.49999, 0.49999, size=(100_000, 2))
+        x, y, z = receiver_normals(cfg, v).T
+        phis = np.degrees(np.arctan2(y, x))
+        thetas = np.degrees(np.arctan2(z, np.hypot(x, y)))
         assert abs(phis.var() / 100.0 - 1.0) < 0.02
+        assert abs(thetas.var() / 100.0 - 1.0) < 0.02
 
 
 class TestNormalFromSpherical:

@@ -63,26 +63,26 @@ class TestRunScan:
         spread = P.wavelength_m * 1.5 / (np.pi * P.waist_m**2)
         expected = 2 * P.p_opt_w * P.pd_area_m2 / (np.pi * P.waist_m**2 * (1 + spread**2))
         rx = ReceiverState([0.5, 0.5, 1.5], [0, 0, 1])
-        trace = run_scan(ScanPlan(grid), ROOM, rx, P, 0.0, np.random.default_rng(0))
+        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         nadir = trace.samples[: grid.n_azimuth]
         np.testing.assert_allclose(nadir, expected, rtol=1e-12)
         assert np.all(trace.samples[grid.n_azimuth :] == 0.0)
 
     def test_receiver_facing_away_sees_nothing(self, grid):
         rx = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
-        trace = run_scan(ScanPlan(grid), ROOM, rx, P, 0.0, np.random.default_rng(0))
+        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         assert np.all(trace.samples == 0.0)
 
     def test_trace_length_with_pilot(self, grid):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = run_scan(ScanPlan(grid, pilot_w=pilot), ROOM, rx, P, 0.0, np.random.default_rng(0))
+        trace = run_scan(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         assert len(trace.samples) == 64 + 32400
 
     def test_off_centre_receiver_hits_single_cell(self, grid):
         # direction to (0.8, 0.5, 1.0): az = 0, el = atan(0.3/2.0)
         rx = ReceiverState([0.8, 0.5, 1.0])
-        trace = run_scan(ScanPlan(grid), ROOM, rx, P, 0.0, np.random.default_rng(0))
+        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         el = np.degrees(np.arctan2(0.3, 2.0))
         expected_beam = int(round(el)) * grid.n_azimuth + 0
         hits = np.nonzero(trace.samples)[0]
@@ -90,18 +90,18 @@ class TestRunScan:
 
     def test_noise_reaches_every_slot(self, grid):
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = run_scan(ScanPlan(grid), ROOM, rx, P, 1e-9, np.random.default_rng(3))
+        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 1e-9, np.random.default_rng(3))
         assert np.count_nonzero(trace.samples) == len(trace.samples)
 
     def test_outside_room_rejected(self, grid):
         rx = ReceiverState([1.5, 0.5, 1.0])
         with pytest.raises(ValueError):
-            run_scan(ScanPlan(grid), ROOM, rx, P, 0.0, np.random.default_rng(0))
+            support(grid, ROOM, rx, P)
 
     def test_receiver_at_ceiling_rejected(self, grid):
         rx = ReceiverState([0.2, 0.2, 3.0])
         with pytest.raises(ValueError):
-            run_scan(ScanPlan(grid), ROOM, rx, P, 0.0, np.random.default_rng(0))
+            support(grid, ROOM, rx, P)
 
 
 class TestSupport:
@@ -109,7 +109,7 @@ class TestSupport:
     def test_matches_noiseless_dense_trace(self, grid, pos):
         rx = ReceiverState(pos)
         cells, power = support(grid, ROOM, rx, P)
-        trace = run_scan(ScanPlan(grid), ROOM, rx, P, 0.0, np.random.default_rng(0))
+        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         slots = support_slots(grid, cells)
         np.testing.assert_array_equal(slots, np.nonzero(trace.samples)[0])
         assert np.all(trace.samples[slots] == power)
@@ -130,7 +130,7 @@ class TestPeakOnlyScan:
         cells, power = support(grid, ROOM, rx, P)
         slots = support_slots(grid, cells)
         n = 2000
-        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, batch(rx, n), P, sigma_w=0.3 * power,
+        trace = run_scan(ScanPlan(grid, peak_only=True), *support(grid, ROOM, batch(rx, n), P), sigma_w=0.3 * power,
                          draws=row_uniforms(4, n))
         # the traced benchmark hook counts len(samples): one peak per receiver
         assert len(trace.samples) == len(trace.beams) == n
@@ -146,7 +146,8 @@ class TestPeakOnlyScan:
         assert np.count_nonzero(cells < grid.size) == 1  # one cell, off the nadir ring
         sigma = 1e-6
         u = row_uniforms(8, 50)
-        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, batch(rx, 50), P, sigma_w=sigma, draws=u)
+        trace = run_scan(ScanPlan(grid, peak_only=True), *support(grid, ROOM, batch(rx, 50), P), sigma_w=sigma,
+                         draws=u)
         z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
         k = grid.size - 1
         noise = noise_max(sigma, k, u[:, 4])
@@ -161,12 +162,14 @@ class TestPeakOnlyScan:
         # (0 at slot 360, the lowest noise-only slot) loses
         rx = ReceiverState([0.5, 0.5, 1.5])
         _, power = support(grid, ROOM, rx, P)
-        trace = run_scan(ScanPlan(grid, peak_only=True), ROOM, batch(rx, 2), P, sigma_w=0.0, draws=row_uniforms(0, 2))
+        trace = run_scan(ScanPlan(grid, peak_only=True), *support(grid, ROOM, batch(rx, 2), P), sigma_w=0.0,
+                         draws=row_uniforms(0, 2))
         np.testing.assert_array_equal(trace.beams, [0, 0])
         np.testing.assert_array_equal(trace.samples, [power, power])
         # out of view only the noise-only maximum is left: 0 at slot 0
         away = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
-        out = run_scan(ScanPlan(grid, peak_only=True), ROOM, batch(away, 2), P, sigma_w=0.0, draws=row_uniforms(0, 2))
+        out = run_scan(ScanPlan(grid, peak_only=True), *support(grid, ROOM, batch(away, 2), P), sigma_w=0.0,
+                       draws=row_uniforms(0, 2))
         np.testing.assert_array_equal(out.beams, [0, 0])
         np.testing.assert_array_equal(out.samples, [0.0, 0.0])
 
@@ -178,7 +181,7 @@ class TestPeakOnlyScan:
         rx = ReceiverState([0.5, 0.5, 1.5])
         _, power = support(one, ROOM, rx, P)
         u = row_uniforms(21, 40)
-        trace = run_scan(ScanPlan(one, peak_only=True), ROOM, batch(rx, 40), P, sigma_w=1e-6, draws=u)
+        trace = run_scan(ScanPlan(one, peak_only=True), *support(one, ROOM, batch(rx, 40), P), sigma_w=1e-6, draws=u)
         np.testing.assert_array_equal(trace.beams, np.zeros(40))
         np.testing.assert_array_equal(trace.samples, power + noise_max(1e-6, 1, u[:, 6]))
 
@@ -234,7 +237,7 @@ class TestRealignWithPilot:
     def test_no_offset_strips_pilot(self, grid):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = run_scan(ScanPlan(grid, pilot_w=pilot), ROOM, rx, P, 0.0, np.random.default_rng(1))
+        trace = run_scan(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(1))
         realigned = realign_with_pilot(trace, pilot)
         np.testing.assert_array_equal(realigned.samples, trace.samples[64:])
 
@@ -242,7 +245,7 @@ class TestRealignWithPilot:
     def test_offset_then_realign_restores_exactly(self, grid, offset):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.31, 0.62, 0.9])
-        trace = run_scan(ScanPlan(grid, pilot_w=pilot), ROOM, rx, P, 0.0, np.random.default_rng(2))
+        trace = run_scan(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(2))
         realigned = realign_with_pilot(apply_timing_offset(trace, offset), pilot)
         np.testing.assert_array_equal(realigned.samples, trace.samples[64:])
 
@@ -308,7 +311,7 @@ class TestNoiseRobustSelection:
         # noise at 1% of the peak cannot displace a clean peak
         rx = ReceiverState([0.62, 0.41, 1.2])
         plan = ScanPlan(grid)
-        clean = run_scan(plan, ROOM, rx, P, 0.0, np.random.default_rng(0))
+        clean = run_scan(plan, *support(plan.grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         peak = float(clean.samples.max())
         k_clean = int(np.argmax(clean.samples))
         rng = np.random.default_rng(99)
