@@ -24,8 +24,8 @@ every draw is a pure function of the master seed and its indices.
   stream first draws its receiver position (x, y, z) and timing offset,
   then the orientation, then the sweep's noise.  Per SNR, sync-test draws
   every trial's pose, takes one scan.support over all the receivers, then
-  sweeps each trial from the rest of its stream and locates all peaks at
-  once.
+  sweeps each trial from the rest of its stream (its saved bit-generator
+  state, restored into one generator) and locates all peaks at once.
 """
 
 from __future__ import annotations
@@ -357,23 +357,26 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     rows = []
     for snr_idx, snr in enumerate(cfg.snr_list_db):
         sigma = noise_sigma_for_snr(p_pilot, snr)
-        # each trial's pose, from its own stream: position, offset, orientation
-        rngs = [np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t)) for t in range(cfg.trials)]
+        # each trial's pose, from its own stream: position, offset, orientation;
+        # the sweep resumes each stream from its saved state in one generator
         points = np.empty((cfg.trials, 3))
-        offsets, normals = [], []
-        for t, rng in enumerate(rngs):
+        offsets, normals, states = [], [], []
+        for t in range(cfg.trials):
+            rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t))
             points[t] = rng.uniform(lo, hi)  # x, y, z in turn
             offsets.append(int(rng.integers(-(n_slots // 2), n_slots // 2 + 1)))
             normals.append(sample_receiver_normal(cfg.orientation, rng))
+            states.append(rng.bit_generator.state)
         cells, power = support(grid, cfg.room, ReceiverState(points, normals, cfg.fov_deg), cfg.channel)
         # then each trial's sweep, from the rest of its stream, and the peaks
         # of its synced, its offset-then-realigned and its naive (offset)
         # trace.  The loop keeps a trial's traces until the next trial's
         # replace them, so the allocator reuses their pages; as a function
-        # body that frees them all on return, it page-faults ~1.5 MB a trial.
+        # body that frees them all on return, it faults them in every trial.
         peaks = np.empty((3, cfg.trials))
         beams = np.empty((3, cfg.trials), dtype=int)
-        for t, rng in enumerate(rngs):
+        for t, state in enumerate(states):
+            rng.bit_generator.state = state
             trace = run_scan(plan, cells[t], power[t], sigma_w=sigma, draws=rng)
             shifted = apply_timing_offset(trace, offsets[t])
             realigned = realign_with_pilot(shifted, pilot)

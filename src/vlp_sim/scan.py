@@ -3,7 +3,10 @@
 A sweep visits every grid direction once, dwelling for a fixed step time.
 The receiver records one power sample per dwell slot; an optional known
 pilot preamble precedes the sweep so a desynchronized receiver can realign
-its sample indexing by cyclic cross-correlation.
+its sample indexing by cyclic cross-correlation.  Realignment returns the
+shift that scoring every cyclic shift returns, but scores only the short
+run of shifts that can beat a floor (see realign_with_pilot); with a
+noisy pilot nothing can be ruled out and every shift is scored.
 
 The geometry and the sweep are two calls: support() finds, for one
 receiver or a batch, the beam cells that carry signal and their on-axis
@@ -28,6 +31,12 @@ from .streams import uniform_index
 DEFAULT_PILOT_LEN = 64
 _PILOT_SEED = 0x5CA17B0  # fixed so the stock preamble is reproducible
 _STD_NORMAL = NormalDist()
+
+# pilot realignment's rounding allowance per tap, relative to
+# levels.sum() * max|x| (see realign_with_pilot): about 90 units of
+# roundoff (2^-53 = 1.1e-16)
+_TAP_ROUNDING = 1e-14
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 # uniforms a peak-only pass reads per receiver, by column: Box-Muller pairs
 # for the normals of the four support cells (0-3), the noise-only maximum
@@ -177,7 +186,11 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws):
 
     k = plan.pilot_len
     n = k + grid.size
-    samples = draws.normal(0.0, sigma_w, size=n) if sigma_w > 0.0 else np.zeros(n)
+    if sigma_w > 0.0:
+        samples = draws.standard_normal(n)
+        samples *= sigma_w  # bit for bit draws.normal(0.0, sigma_w, n), by the faster fill loop
+    else:
+        samples = np.zeros(n)
     if k:
         samples[:k] += plan.pilot_w
     slots = cells[cells < grid.size]
@@ -232,31 +245,100 @@ def apply_timing_offset(trace: MeasurementTrace, offset_steps: int) -> Measureme
 def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> MeasurementTrace:
     """Undo an unknown cyclic offset by correlating against the known pilot.
 
-    Scores every cyclic shift, takes the best (ties -> smallest nonnegative
-    shift), rotates the trace so the pilot sits at the head, and returns the
-    measurement part with the pilot stripped.
+    Shift s scores corr[s] = sum_i pilot[i] * x[(s + i) mod n] over the
+    on-taps i, accumulated tap by tap in ascending order from 0.0, so every
+    shift gets the same float operations and exact ties stay exact.  The
+    best shift (ties -> smallest nonnegative shift) rotates the trace so the
+    pilot sits at the head; the measurement part, pilot stripped, is
+    returned.  Pilot levels must be nonnegative.
+
+    Only the shifts that can win are scored, and the result is the shift
+    that scoring every shift gives:
+    * floor: the best exact score of the shifts that put an on-tap on the
+      strongest sample.  It is a score some shift gets, so the best score
+      is at least the floor.
+    * bound: with levels >= 0, a shift scores at most L = levels.sum() times
+      the largest sample in its k-sample window, plus rounding.  The margin
+      (k + 1) * (1e-14 * L * max|x| + the smallest subnormal) is about 90
+      times the rounding a k-term sum of products can carry, so a shift
+      whose window holds no sample >= (floor - margin) / L scores below the
+      floor and cannot win.
+    * run: the shortest cyclic run of shifts whose windows cover every such
+      sample holds every shift that can win, ties included.  When it is
+      longer than half the trace, or the floor is not finite (a NaN or an
+      infinity in the trace), every shift is scored.
     """
     pilot = np.asarray(pilot_w, dtype=float)
     k = int(len(pilot))
     if k == 0:
         raise ValueError("cannot realign without a pilot")
+    if np.any(pilot < 0.0):
+        raise ValueError("pilot power levels must be nonnegative")
     x = trace.samples
     n = len(x)
     if n < k:
         raise ValueError("trace shorter than the pilot")
-    # corr[s] = sum_i pilot[i] * x[(s + i) mod n]; accumulating per pilot tap
-    # keeps the float op order identical for every shift, so exact ties stay
-    # exact and argmax's first-index rule implements the tie-break.
-    # x[(s + i) mod n] == xx[s + i]: slices of one wrapped copy, no rolls;
-    # each distinct tap level multiplies the copy once.
-    xx = np.concatenate([x, x[:k]])
+    taps = np.flatnonzero(pilot)
+    start, count = _candidate_shifts(x, pilot, taps)
+    # corr[j] scores shift (start + j) mod n.  The shifts read one cyclic
+    # segment of x, one slice or two joined: it ends before 2n, since the
+    # run of all n shifts starts at 0 and a pruned run holds k to n / 2.
+    # Each distinct tap level multiplies it once; a tap adds a slice of that.
+    stop = start + count + k - 1
+    seg = x[start:stop] if stop <= n else np.concatenate((x[start:], x[: stop - n]))
     scaled = {}
-    corr = np.zeros(n)
-    for i in np.flatnonzero(pilot):
+    corr = np.zeros(count)
+    for i in taps:
         level = pilot[i]
         if level not in scaled:
-            scaled[level] = level * xx
-        corr += scaled[level][i : i + n]
-    best = int(corr.argmax())
-    realigned = np.concatenate((x[best:], x[:best]))  # np.roll(x, -best)
-    return MeasurementTrace(realigned[k:])
+            scaled[level] = level * seg
+        corr += scaled[level][i : i + count]
+    j = int(corr.argmax())
+    if j < n - start < count:  # the run wraps past shift n - 1: a tie after the wrap is a smaller shift
+        late = corr[n - start :]
+        i = int(late.argmax())
+        if late[i] == corr[j]:
+            j = n - start + i
+    best = (start + j) % n
+    # rotate the whole trace and drop the pilot.  A copy the size of the
+    # trace, made while the scoring buffers live, keeps a sync-test trial's
+    # large buffers one size and off the heap top, so the allocator hands
+    # them to the next trial instead of trimming the heap and faulting the
+    # pages in again (either undone measured 16-18x the minor faults)
+    return MeasurementTrace(np.concatenate((x[best:], x[:best]))[k:])
+
+
+def _candidate_shifts(x, pilot, taps) -> tuple[int, int]:
+    """The cyclic run of shifts, (start, count), that holds every shift able
+    to win (see realign_with_pilot); (0, n) when it cannot be narrowed."""
+    n, k = len(x), len(pilot)
+    if len(taps) == 0:
+        return 0, n
+    levels = pilot[taps]
+    peak = int(x.argmax())
+    # exact scores of the shifts peak - taps: accumulate adds along a row in
+    # tap order, as the scoring loop does (whose first add, 0.0 + a, equals a)
+    window = np.take(x, (peak - taps)[:, None] + taps, mode="wrap") * levels
+    floor = np.add.accumulate(window, axis=1)[:, -1].max()
+    if not np.isfinite(floor):
+        return 0, n
+    total = levels.sum()
+    margin = (k + 1) * (_TAP_ROUNDING * total * max(x[peak], -x.min()) + _SUBNORMAL)
+    tau = (floor - margin) / total
+    if not np.isfinite(tau):  # an infinite sample
+        return 0, n
+    hot = x >= tau
+    # a run of at most n / 2 shifts leaves more than n / 2 samples in a row
+    # not hot, a stretch that holds one of eight equal arcs whole: when every
+    # arc holds a hot sample, the run cannot be that short
+    if np.logical_or.reduceat(hot, range(0, n, -(-n // 8))).all():
+        return 0, n
+    hot = np.flatnonzero(hot)
+    # the shortest cyclic run covering every hot sample leaves out the widest
+    # gap between neighbours; shifts hot - k + 1 .. hot cover a hot sample
+    gaps = np.diff(hot, append=hot[0] + n)
+    g = int(gaps.argmax())
+    count = n - int(gaps[g]) + k
+    if 2 * count > n:
+        return 0, n
+    return (int(hot[(g + 1) % len(hot)]) - k + 1) % n, count

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -57,6 +59,17 @@ def brute_force_best_shift(samples, pilot):
     return best
 
 
+def rolled_copies_realign(x, pilot):
+    # reference: the per-tap accumulation over np.roll copies, every shift
+    # scored, same tap order; argmax takes the first maximum (or NaN)
+    k = len(pilot)
+    corr = np.zeros(len(x))
+    for i in range(k):
+        if pilot[i] != 0.0:
+            corr += pilot[i] * np.roll(x, -i)
+    return np.roll(x, -int(np.argmax(corr)))[k:]
+
+
 class TestRunScan:
     def test_nadir_receiver_hits_whole_nadir_ring(self, grid):
         # oracle: on-axis power at 1.5 m evaluated from the closed form
@@ -87,6 +100,16 @@ class TestRunScan:
         expected_beam = int(round(el)) * grid.n_azimuth + 0
         hits = np.nonzero(trace.samples)[0]
         assert list(hits) == [expected_beam]
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("sigma", [1e-6, 2.5])
+    def test_noise_is_generator_normal_bit_for_bit(self, grid, seed, sigma):
+        # an out-of-view receiver's trace is the noise alone: the same bits
+        # as Generator.normal(0, sigma) from the same stream
+        rx = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
+        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), sigma, np.random.default_rng(seed))
+        want = np.random.default_rng(seed).normal(0.0, sigma, size=grid.size)
+        np.testing.assert_array_equal(trace.samples.view(np.int64), want.view(np.int64))
 
     def test_noise_reaches_every_slot(self, grid):
         rx = ReceiverState([0.5, 0.5, 1.5])
@@ -294,12 +317,96 @@ class TestRealignWithPilot:
             x = rng.normal(0.0, 1e-4, size=3000)
             x[:64] += pilot
             x = np.roll(x, int(rng.integers(-1500, 1501)))
-            corr = np.zeros(len(x))
-            for i in range(64):
-                if pilot[i] != 0.0:
-                    corr += pilot[i] * np.roll(x, -i)
-            expected = np.roll(x, -int(np.argmax(corr)))[64:]
+            expected = rolled_copies_realign(x, pilot)
             np.testing.assert_array_equal(realign_with_pilot(MeasurementTrace(x), pilot).samples, expected)
+
+    @pytest.mark.parametrize("snr_db", [np.inf, 40.0, 20.0, 10.0, 0.0, -10.0])
+    @pytest.mark.parametrize("levels", ["single", "multi"])
+    def test_pruned_search_matches_dense_scoring(self, grid, snr_db, levels):
+        # the pruned search returns what scoring every shift returns, on
+        # short and full-grid traces, with the pilot straddling the wrap
+        rng = np.random.default_rng(int(snr_db) + 1000 if np.isfinite(snr_db) else 7)
+        on = 1e-3
+        sigma = 0.0 if np.isinf(snr_db) else on / 10.0 ** (snr_db / 20.0)
+        for k in (8, 64):
+            pilot = make_pilot(on, k)
+            if levels == "multi":
+                pilot = pilot * rng.choice([0.25, 1.0, 3.0], size=k)
+            for n in sorted({k, k + 1, 40, 1000, 64 + grid.size}):
+                if n < k:
+                    continue
+                base = rng.normal(0.0, sigma, size=n)
+                base[:k] += pilot
+                if n > k + 1:
+                    base[k + int(rng.integers(0, n - k))] += 0.05 * on  # a beam's signal
+                for offset in sorted({0, 1, -1, k // 2, -(k // 2), 1 - k, n // 2, int(rng.integers(0, n))}):
+                    x = np.roll(base, offset)
+                    got = realign_with_pilot(MeasurementTrace(x), pilot).samples
+                    np.testing.assert_array_equal(got, rolled_copies_realign(x, pilot), err_msg=f"{k=} {n=} {offset=}")
+
+    @pytest.mark.parametrize(
+        "case",
+        ["constant", "zeros", "all-negative", "subnormal", "nan", "+inf", "-inf", "+-inf", "twin-pilots-across-wrap",
+         "first-tap-only", "last-tap-only"],
+    )
+    def test_pruned_search_matches_dense_scoring_on_edge_traces(self, case):
+        rng = np.random.default_rng(31)
+        pilot = make_pilot(1.0, 16)
+        if case.endswith("tap-only"):
+            # one on-tap at either end of the pilot: the winning shift sits at
+            # an end of the run, its window holding the strongest sample first or last
+            pilot = np.zeros(16)
+            pilot[0 if case == "first-tap-only" else -1] = 1.0
+        n = 1000
+        x = rng.normal(0.0, 0.01, size=n)
+        x[:16] += pilot
+        x = np.roll(x, 5)
+        if case == "constant":
+            x = np.full(n, 0.3)  # every shift ties: shift 0
+        elif case == "zeros":
+            x = np.zeros(n)
+        elif case == "all-negative":
+            x -= 5.0
+        elif case == "subnormal":
+            x *= 1e-318  # products round to absolute, not relative, steps
+        elif case == "nan":
+            x[500] = np.nan
+        elif case in ("+inf", "-inf"):
+            x[500] = float(case[0] + "inf")
+        elif case == "+-inf":
+            x[[300, 310]] = np.inf, -np.inf  # windows holding both score NaN
+        elif case == "twin-pilots-across-wrap":
+            # the same pilot at shifts 990 and 3: an exact tie in a run that
+            # wraps past shift n - 1; the smaller shift, after the wrap, wins
+            x = np.zeros(n)
+            x[(990 + np.arange(16)) % n] += pilot
+            x[3:19] += pilot
+        with np.errstate(invalid="ignore"):
+            want = rolled_copies_realign(x, pilot)
+            got = realign_with_pilot(MeasurementTrace(x), pilot).samples
+        np.testing.assert_array_equal(got, want)
+        if case == "twin-pilots-across-wrap":
+            np.testing.assert_array_equal(got, np.roll(x, -3)[16:])
+
+    def test_pruned_search_allocates_one_trace(self, grid):
+        # at 20 dB the run is a few hundred shifts: the output copy is the
+        # one full-length allocation
+        rng = np.random.default_rng(20)
+        pilot = make_pilot(1e-3, 64)
+        x = rng.normal(0.0, 1e-4, size=64 + grid.size)
+        x[:64] += pilot
+        trace = MeasurementTrace(np.roll(x, 12_345))
+        tracemalloc.start()
+        try:
+            realign_with_pilot(trace, pilot)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * trace.samples.nbytes
+
+    def test_negative_pilot_level_rejected(self):
+        with pytest.raises(ValueError):
+            realign_with_pilot(MeasurementTrace(np.ones(10)), np.array([1.0, -1.0, 1.0]))
 
     def test_empty_pilot_rejected(self):
         with pytest.raises(ValueError):
