@@ -1,8 +1,9 @@
 """Position reconstruction from a synchronized sweep trace.
 
-Pipeline: pick the strongest slot, take its beam direction, invert the
-on-axis power law for range under an assumed upright receiver, and walk
-that distance from the emitter along the beam.
+Two steps: peak picks the strongest slot of a trace; locate takes that
+slot's beam direction, inverts the on-axis power law for range under an
+assumed upright receiver, and walks that distance from the emitter along
+the beam.  locate takes one peak or a batch of them.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ LOW_SIGNAL_SIGMAS = 5.0
 
 @dataclass(frozen=True)
 class PositionEstimate:
-    """One estimate, or a batch of them with every field an array (see locate)."""
+    """Estimates as arrays, one element per peak (0-d for one peak); position
+    has a trailing axis of 3 and status holds STATUS_* strings."""
 
-    beam_index: int
-    distance_m: float
+    beam_index: np.ndarray
+    distance_m: np.ndarray
     position: np.ndarray
-    status: str
-    assumed_cos_psi: float
+    status: np.ndarray
+    assumed_cos_psi: np.ndarray
 
 
 class PositionError(NamedTuple):
@@ -44,30 +46,13 @@ class PositionError(NamedTuple):
     z_m: float
 
 
-def select_beam(powers) -> int:
-    """Index of the strongest sample; ties go to the lowest index."""
-    y = np.asarray(powers)
+def peak(samples) -> tuple[float, int]:
+    """The strongest sample and its slot; ties go to the lowest slot."""
+    y = np.asarray(samples)
     if y.size == 0:
         raise ValueError("empty measurement vector")
-    return int(y.argmax())
-
-
-def invert_distance(power_w, cos_psi_hat, params: ChannelParams):
-    """Distance at which the on-axis model would yield power_w, and its status.
-
-    When the sample exceeds the zero-distance maximum (noise pushed it past
-    anything the model can produce) the result clamps to 0 with a status
-    flag instead of taking a negative square root.  Elementwise: returns
-    arrays (0-d for scalar inputs) of distances and statuses.
-    """
-    power_w = np.asarray(power_w, dtype=float)
-    cos_psi_hat = np.asarray(cos_psi_hat, dtype=float)
-    if (power_w <= 0.0).any():
-        raise ValueError("no invertible signal: power must be positive")
-    if not ((0.0 < cos_psi_hat) & (cos_psi_hat <= 1.0)).all():
-        raise ValueError("cos_psi_hat must be in (0, 1]")
-    distance, clamped = _invert(power_w, cos_psi_hat, params)
-    return distance, _STATUSES[clamped.astype(int)]
+    i = int(y.argmax())
+    return y[i], i
 
 
 def _invert(power_w, cos_psi_hat, params: ChannelParams):
@@ -91,31 +76,16 @@ def locate(emitter_pos, peak_w, beam, grid: BeamGrid, params: ChannelParams, noi
     estimate is still produced but callers should treat it as meaningless.
     A peak <= 0 carries no signal: distance 0, flagged the same way.
     """
-    peak = np.asarray(peak_w, dtype=float)
+    power = np.asarray(peak_w, dtype=float)
     u = grid.directions[beam]
     cos_hat = np.minimum(-u[..., 2], 1.0)  # -u . UP
-    lit = peak > 0.0
-    distance, clamped = _invert(np.where(lit, peak, 1.0), cos_hat, params)  # 1 W: a stand-in
+    lit = power > 0.0
+    distance, clamped = _invert(np.where(lit, power, 1.0), cos_hat, params)  # 1 W: a stand-in
     distance = distance * lit
-    low = ~lit if noise_sigma_w is None else ~lit | (peak < LOW_SIGNAL_SIGMAS * noise_sigma_w)
+    low = ~lit if noise_sigma_w is None else ~lit | (power < LOW_SIGNAL_SIGMAS * noise_sigma_w)
     position = np.asarray(emitter_pos, dtype=float) + distance[..., None] * u
     status = _STATUSES[np.where(low, 2, clamped.astype(int))]
     return PositionEstimate(np.asarray(beam), distance, position, status, cos_hat)
-
-
-def estimate_position(
-    emitter_pos,
-    powers,
-    grid: BeamGrid,
-    params: ChannelParams,
-    noise_sigma_w: float | None = None,
-) -> PositionEstimate:
-    """Locate the receiver from the peak slot of a synchronized dense trace
-    (sample i is beam i); see locate for the rest."""
-    y = np.asarray(powers, dtype=float)
-    i = select_beam(y)
-    est = locate(emitter_pos, y[i], i, grid, params, noise_sigma_w)
-    return PositionEstimate(i, est.distance_m.item(), est.position, est.status.item(), est.assumed_cos_psi.item())
 
 
 def position_error(true_pos, est_pos) -> PositionError:

@@ -3,7 +3,10 @@ snr-sweep / sync-test / scan-demo.  A grid pass runs every trial at every
 grid point for one (orientation mode, SNR) as array passes over its rows,
 point by point, then trial by trial, GRID_BLOCK_ROWS rows at a time: cdf
 is the single pass (0, 0), snr-sweep one pass per pair.  Every caller
-composes scan.support (the geometry) with scan.run_scan (the sweep).
+composes scan.support (the geometry), scan.run_scan (the sweep) and
+estimator.locate (the fix); a peak-only pass yields its peaks directly, and
+the dense trials (scan_trial, sync-test) take each trace's with
+estimator.peak.
 
 Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
@@ -40,8 +43,8 @@ from .estimator import (
     STATUS_CLAMPED,
     STATUS_LOW_SIGNAL,
     PositionEstimate,
-    estimate_position,
     locate,
+    peak,
     position_error,
 )
 from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, check_fov
@@ -204,16 +207,17 @@ def percentile(samples, q: float) -> float:
 def scan_trial(
     cfg: ExperimentConfig, plan: ScanPlan, orientation: OrientationConfig, point, sigma: float, rng: np.random.Generator
 ) -> tuple[MeasurementTrace, PositionEstimate]:
-    """One dense fix: draw the receiver normal, take its support, sweep once, pick the peak.
+    """One dense fix: draw the receiver normal, take its support, sweep once,
+    then peak and locate.
 
-    The orientation draw precedes the sweep's noise draws in rng.  The
-    estimate reads the slots after the pilot and flags peaks under the
-    low-signal threshold for this sigma.
+    The orientation draw precedes the sweep's noise draws in rng.  The peak
+    is taken over the slots after the pilot, and locate flags it when it
+    falls under the low-signal threshold for this sigma.
     """
     normal = sample_receiver_normal(orientation, rng)
     cells, power = support(plan.grid, cfg.room, ReceiverState(point, normal, cfg.fov_deg), cfg.channel)
     trace = run_scan(plan, cells, power, sigma_w=sigma, draws=rng)
-    est = estimate_position(cfg.room.emitter_pos, trace.samples[plan.pilot_len :], plan.grid, cfg.channel, sigma)
+    est = locate(cfg.room.emitter_pos, *peak(trace.samples[plan.pilot_len :]), plan.grid, cfg.channel, sigma)
     return trace, est
 
 
@@ -329,12 +333,6 @@ def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
     return RunResult("snr-sweep", {"rows": rows}, _base_metadata(cfg, p_ref))
 
 
-def _peak(samples):
-    """The strongest sample and its slot, ties to the lowest slot."""
-    i = int(samples.argmax())
-    return samples[i], i
-
-
 def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     """End-to-end sync validation: estimates from synchronized traces versus
     offset-then-realigned traces, plus the naive no-realignment baseline.
@@ -380,7 +378,7 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
             trace = run_scan(plan, cells[t], power[t], sigma_w=sigma, draws=rng)
             shifted = apply_timing_offset(trace, offsets[t])
             realigned = realign_with_pilot(shifted, pilot)
-            peaks[:, t], beams[:, t] = zip(*map(_peak, (trace.samples[k:], realigned.samples, shifted.samples[k:])))
+            peaks[:, t], beams[:, t] = zip(*map(peak, (trace.samples[k:], realigned.samples, shifted.samples[k:])))
         est = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), grid, cfg.channel)
         errs = position_error(np.tile(points, (3, 1)), est.position).total_m.reshape(3, -1)
         rows.append(

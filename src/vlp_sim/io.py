@@ -109,14 +109,16 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[dict, list[st
 
 def _normalize(cfg: dict) -> dict:
     cfg = dict(cfg)
-    mode = cfg["orientation_mode"]
+    mode, modes = cfg["orientation_mode"], cfg["orientation_modes"]
+    if not isinstance(mode, str):
+        raise ConfigError(f"orientation_mode must be a string, got {mode!r}")
     cfg["orientation_mode"] = _ORIENTATION_ALIASES.get(mode, mode)
     if cfg["orientation_mode"] not in ORIENTATION_MODES:
         raise ConfigError(f"orientation_mode must be one of {ORIENTATION_MODES} (or 'random')")
-    if cfg["orientation_modes"] is not None:
-        cfg["orientation_modes"] = [
-            _ORIENTATION_ALIASES.get(m, m) for m in cfg["orientation_modes"]
-        ]
+    if modes is not None:
+        if not (isinstance(modes, list) and modes and all(isinstance(m, str) for m in modes)):
+            raise ConfigError(f"orientation_modes must be a nonempty list of strings, got {modes!r}")
+        cfg["orientation_modes"] = [_ORIENTATION_ALIASES.get(m, m) for m in modes]
     if cfg["mode"] not in EXPERIMENT_MODES:
         raise ConfigError(f"mode must be one of {EXPERIMENT_MODES}")
     snr = cfg["snr_db"]

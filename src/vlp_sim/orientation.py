@@ -61,16 +61,10 @@ class OrientationConfig:
             raise ValueError(f"mode must be one of {ORIENTATION_MODES}, got {self.mode!r}")
 
 
-def laplace_sample(p: LaplaceParams, u: float) -> float:
-    """Map a uniform draw u in the open interval (-0.5, 0.5) through the
-    inverse Laplace CDF; u = 0 lands exactly on the median."""
-    if abs(u) >= 0.5:
-        raise ValueError("u must lie strictly inside (-0.5, 0.5)")
-    return float(_laplace_quantile(p, u))
-
-
-def _laplace_quantile(p: LaplaceParams, u):
-    # elementwise; u already checked to lie inside (-0.5, 0.5)
+def laplace_quantile(p: LaplaceParams, u):
+    """Inverse Laplace CDF of uniform draws u in the open interval (-0.5, 0.5),
+    elementwise; u = 0 lands exactly on the median.  u is not range-checked
+    here (receiver_normals checks its draws)."""
     return p.mu_deg - p.scale_deg * np.sign(u) * np.log1p(-2.0 * abs(u))
 
 
@@ -117,7 +111,7 @@ def receiver_normals(cfg: OrientationConfig, v) -> np.ndarray:
     """Facing normals from uniforms v in (-0.5, 0.5), one row per receiver.
 
     The last axis of v holds the ANGLES_DRAWN[cfg.mode] angles' draws in
-    order, each mapped as laplace_sample maps one; fixed mode reads none and
+    order, each mapped through laplace_quantile; fixed mode reads none and
     gives the upright normal.
     """
     v = np.asarray(v, dtype=float)
@@ -129,8 +123,8 @@ def receiver_normals(cfg: OrientationConfig, v) -> np.ndarray:
         return up
     if cfg.mode == "random-euler":
         angles = (cfg.roll, cfg.pitch, cfg.yaw)
-        return normal_from_euler(*(_laplace_quantile(p, v[..., i]) for i, p in enumerate(angles)))
-    return normal_from_spherical(_laplace_quantile(cfg.azimuth, v[..., 0]), _laplace_quantile(cfg.elevation, v[..., 1]))
+        return normal_from_euler(*(laplace_quantile(p, v[..., i]) for i, p in enumerate(angles)))
+    return normal_from_spherical(laplace_quantile(cfg.azimuth, v[..., 0]), laplace_quantile(cfg.elevation, v[..., 1]))
 
 
 def sample_receiver_normal(cfg: OrientationConfig, rng: np.random.Generator) -> np.ndarray:

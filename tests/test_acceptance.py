@@ -14,7 +14,7 @@ from scipy import stats
 
 from vlp_sim.channel import ChannelParams
 from vlp_sim.cli import main as cli_main
-from vlp_sim.estimator import estimate_position, position_error
+from vlp_sim.estimator import locate, peak, position_error
 from vlp_sim.experiments import (
     ExperimentConfig,
     run_cdf_experiment,
@@ -22,7 +22,7 @@ from vlp_sim.experiments import (
     run_sync_test,
 )
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
-from vlp_sim.orientation import LaplaceParams, laplace_sample
+from vlp_sim.orientation import LaplaceParams, laplace_quantile
 from vlp_sim.scan import ScanPlan, apply_timing_offset, make_pilot, realign_with_pilot, run_scan, support
 
 P = ChannelParams()
@@ -95,7 +95,7 @@ def test_criterion_1_exact_recovery_on_grid_directions(full_grid):
         p_true = room.emitter_pos + d * u
         rx = ReceiverState(p_true, [0, 0, 1])
         trace = run_scan(plan, *support(plan.grid, room, rx, P), 0.0, rng)
-        est = estimate_position(room.emitter_pos, trace.samples, full_grid, P)
+        est = locate(room.emitter_pos, *peak(trace.samples), full_grid, P)
         worst = max(worst, position_error(p_true, est.position).total_m)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 10.0
@@ -114,7 +114,7 @@ def test_criterion_2_quantization_bound(full_grid):
         p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
         rx = ReceiverState(p_true, [0, 0, 1])
         trace = run_scan(plan, *support(plan.grid, room, rx, P), 0.0, rng)
-        est = estimate_position(room.emitter_pos, trace.samples, full_grid, P)
+        est = locate(room.emitter_pos, *peak(trace.samples), full_grid, P)
         to_rx = p_true - room.emitter_pos
         d = float(np.linalg.norm(to_rx))
         cosines = full_grid.directions @ (to_rx / d)
@@ -212,7 +212,7 @@ def test_criterion_8_laplace_sampler():
     rng = np.random.default_rng(2024)
     u = rng.uniform(-0.5, 0.5, size=1_000_000)
     u = u[np.abs(u) < 0.5]
-    samples = np.fromiter((laplace_sample(p, v) for v in u), dtype=float, count=len(u))
+    samples = laplace_quantile(p, u)
     ks = stats.kstest(samples, "laplace", args=(0.0, p.scale_deg)).statistic
     var_err = abs(samples.var() / p.sigma_deg**2 - 1.0)
     ok = ks < 0.002 and var_err < 0.02

@@ -8,7 +8,8 @@ from vlp_sim.channel import (
     noise_sigma_for_snr,
     received_power_on_axis,
 )
-from vlp_sim.estimator import invert_distance
+from vlp_sim.estimator import locate
+from vlp_sim.geometry import build_beam_grid
 
 P = ChannelParams()
 
@@ -137,12 +138,14 @@ class TestNoiseSigmaForSnr:
 
 class TestRoundTrip:
     def test_invert_recovers_distance(self):
-        # forward power then inversion must agree to 1e-9 relative
+        # forward power then inversion must agree to 1e-9 relative; locate
+        # takes the incidence cosine from the beam, upright receiver assumed
+        grid = build_beam_grid()
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            d = rng.uniform(0.01, 5.0)
-            c = rng.uniform(0.05, 1.0)
-            y = received_power_on_axis(d, c, P)
-            d_hat, status = invert_distance(y, c, P)
-            assert status == "ok"
-            assert abs(d_hat - d) / d < 1e-9
+        cos_beam = -grid.directions[:, 2]
+        beams = rng.choice(np.flatnonzero(cos_beam >= 0.05), size=200)
+        d = rng.uniform(0.01, 5.0, size=200)
+        y = received_power_on_axis(d, cos_beam[beams], P)
+        est = locate(np.zeros(3), y, beams, grid, P)
+        assert (est.status == "ok").all()
+        assert (abs(est.distance_m - d) / d < 1e-9).all()

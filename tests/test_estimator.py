@@ -6,15 +6,16 @@ from vlp_sim.estimator import (
     STATUS_CLAMPED,
     STATUS_LOW_SIGNAL,
     STATUS_OK,
-    estimate_position,
-    invert_distance,
+    locate,
+    peak,
     position_error,
-    select_beam,
 )
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
 from vlp_sim.scan import ScanPlan, run_scan, support
 
 P = ChannelParams()
+NADIR = 0  # beam 0 points straight down: assumed incidence cosine 1
+Y0 = 2 * P.pd_area_m2 * P.p_opt_w / (np.pi * P.waist_m**2)  # zero-distance on-axis power
 
 
 @pytest.fixture(scope="module")
@@ -23,69 +24,62 @@ def grid():
 
 
 class TestSelectBeam:
+    """peak: the strongest sample and its slot."""
+
     def test_simple_max(self):
-        assert select_beam([1.0, 3.0, 2.0]) == 1
+        assert peak([1.0, 3.0, 2.0]) == (3.0, 1)
 
     def test_tie_takes_lowest_index(self):
-        assert select_beam([5.0, 5.0, 1.0]) == 0
+        assert peak([5.0, 5.0, 1.0]) == (5.0, 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            select_beam([])
+            peak([])
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             y = rng.normal(size=500)
-            k = select_beam(y)
-            assert select_beam(3.0 * y + 1.0) == k
-            assert select_beam(np.exp(y)) == k
+            _, k = peak(y)
+            assert peak(3.0 * y + 1.0)[1] == k
+            assert peak(np.exp(y))[1] == k
 
 
 class TestInvertDistance:
-    def test_round_trip(self):
+    """locate's range inversion, read through the nadir beam."""
+
+    def test_round_trip(self, grid):
         y = received_power_on_axis(1.5, 1.0, P)
-        d, status = invert_distance(y, 1.0, P)
-        assert status == STATUS_OK
-        assert abs(d - 1.5) / 1.5 < 1e-9
+        est = locate(np.zeros(3), y, NADIR, grid, P)
+        assert est.status == STATUS_OK
+        assert abs(est.distance_m - 1.5) / 1.5 < 1e-9
 
-    def test_zero_distance_power_maps_to_zero(self):
-        y0 = 2 * P.pd_area_m2 * P.p_opt_w / (np.pi * P.waist_m**2)
-        d, status = invert_distance(y0, 1.0, P)
-        assert status == STATUS_OK
-        assert d == pytest.approx(0.0, abs=1e-9)
+    def test_zero_distance_power_maps_to_zero(self, grid):
+        est = locate(np.zeros(3), Y0, NADIR, grid, P)
+        assert est.status == STATUS_OK
+        assert est.distance_m == pytest.approx(0.0, abs=1e-9)
 
-    def test_power_above_maximum_clamps(self):
-        y0 = 2 * P.pd_area_m2 * P.p_opt_w / (np.pi * P.waist_m**2)
-        d, status = invert_distance(1.01 * y0, 1.0, P)
-        assert status == STATUS_CLAMPED
-        assert d == 0.0
+    def test_power_above_maximum_clamps(self, grid):
+        est = locate(np.zeros(3), 1.01 * Y0, NADIR, grid, P)
+        assert est.status == STATUS_CLAMPED
+        assert est.distance_m == 0.0
 
-    def test_nonpositive_power_rejected(self):
-        with pytest.raises(ValueError):
-            invert_distance(0.0, 1.0, P)
-
-    def test_bad_cosine_rejected(self):
-        with pytest.raises(ValueError):
-            invert_distance(1e-9, 0.0, P)
-        with pytest.raises(ValueError):
-            invert_distance(1e-9, 1.5, P)
-
-    def test_monotone_decreasing_in_power(self):
-        y0 = 2 * P.pd_area_m2 * P.p_opt_w / (np.pi * P.waist_m**2)
-        powers = np.linspace(1e-4 * y0, y0, 100)
-        dists = [invert_distance(float(y), 1.0, P)[0] for y in powers]
-        assert np.all(np.diff(dists) < 0)
+    def test_monotone_decreasing_in_power(self, grid):
+        powers = np.linspace(1e-4 * Y0, Y0, 100)
+        est = locate(np.zeros(3), powers, np.full(100, NADIR), grid, P)
+        assert np.all(np.diff(est.distance_m) < 0)
 
 
 class TestEstimatePosition:
+    """peak + locate on whole traces."""
+
     def test_exact_recovery_on_grid_direction(self, grid):
         room = Room(6.0, 6.0, 3.0)
         u = grid.directions[40 * 360 + 30]  # az 30, el 40
         p_true = room.emitter_pos + 2.0 * u
         rx = ReceiverState(p_true, [0, 0, 1])
         trace = run_scan(ScanPlan(grid), *support(grid, room, rx, P), 0.0, np.random.default_rng(0))
-        est = estimate_position(room.emitter_pos, trace.samples, grid, P)
+        est = locate(room.emitter_pos, *peak(trace.samples), grid, P)
         assert est.status == STATUS_OK
         assert position_error(p_true, est.position).total_m < 1e-9
 
@@ -98,7 +92,7 @@ class TestEstimatePosition:
             p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
             rx = ReceiverState(p_true, [0, 0, 1])
             trace = run_scan(ScanPlan(grid), *support(grid, room, rx, P), 0.0, rng)
-            est = estimate_position(room.emitter_pos, trace.samples, grid, P)
+            est = locate(room.emitter_pos, *peak(trace.samples), grid, P)
             to_rx = p_true - room.emitter_pos
             d = float(np.linalg.norm(to_rx))
             cosines = grid.directions @ (to_rx / d)
@@ -112,7 +106,7 @@ class TestEstimatePosition:
             p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
             rx = ReceiverState(p_true, [0, 0, 1])
             trace = run_scan(ScanPlan(grid), *support(grid, room, rx, P), 0.0, rng)
-            est = estimate_position(room.emitter_pos, trace.samples, grid, P)
+            est = locate(room.emitter_pos, *peak(trace.samples), grid, P)
             d = float(np.linalg.norm(p_true - room.emitter_pos))
             assert abs(est.distance_m - d) <= 0.02
 
@@ -121,14 +115,14 @@ class TestEstimatePosition:
         rng = np.random.default_rng(8)
         for _ in range(50):
             y = np.abs(rng.normal(1e-7, 5e-8, size=grid.size))
-            est = estimate_position(room.emitter_pos, y, grid, P)
+            est = locate(room.emitter_pos, *peak(y), grid, P)
             assert est.position[2] <= room.emitter_pos[2] + 1e-12
 
     def test_low_signal_flag(self, grid):
         room = Room()
         y = np.full(grid.size, 1e-9)
         y[100] = 2e-9  # max well below 5 sigma
-        est = estimate_position(room.emitter_pos, y, grid, P, noise_sigma_w=1e-9)
+        est = locate(room.emitter_pos, *peak(y), grid, P, noise_sigma_w=1e-9)
         assert est.status == STATUS_LOW_SIGNAL
         assert est.beam_index == 100
 
@@ -136,12 +130,12 @@ class TestEstimatePosition:
         room = Room()
         y = np.zeros(grid.size)
         y[100] = received_power_on_axis(1.5, 1.0, P)
-        est = estimate_position(room.emitter_pos, y, grid, P, noise_sigma_w=1e-9)
+        est = locate(room.emitter_pos, *peak(y), grid, P, noise_sigma_w=1e-9)
         assert est.status == STATUS_OK
 
     def test_all_zero_trace_flagged_without_sigma(self, grid):
         room = Room()
-        est = estimate_position(room.emitter_pos, np.zeros(grid.size), grid, P)
+        est = locate(room.emitter_pos, *peak(np.zeros(grid.size)), grid, P)
         assert est.status == STATUS_LOW_SIGNAL
         assert est.distance_m == 0.0
         np.testing.assert_array_equal(est.position, room.emitter_pos)
@@ -151,7 +145,7 @@ class TestEstimatePosition:
         y = np.zeros(grid.size)
         j = 30 * 360 + 45  # el 30 ring
         y[j] = received_power_on_axis(2.0, 1.0, P)
-        est = estimate_position(room.emitter_pos, y, grid, P)
+        est = locate(room.emitter_pos, *peak(y), grid, P)
         assert est.assumed_cos_psi == pytest.approx(np.cos(np.radians(30.0)), rel=1e-12)
 
 

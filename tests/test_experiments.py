@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from vlp_sim import cli, experiments
-from vlp_sim.estimator import STATUS_LOW_SIGNAL, estimate_position, locate, position_error
+from vlp_sim.estimator import STATUS_LOW_SIGNAL, locate, peak, position_error
 from vlp_sim.experiments import (
     ExperimentConfig,
     compute_cdf,
@@ -306,8 +306,8 @@ def _sync_oracle_rows(cfg):
             offset = int(rng.integers(-(n_slots // 2), n_slots // 2 + 1))
             trace, est_sync = scan_trial(cfg, plan, cfg.orientation, point, sigma, rng)
             shifted = apply_timing_offset(trace, offset)
-            est_re = estimate_position(emitter, realign_with_pilot(shifted, pilot).samples, grid, cfg.channel)
-            est_naive = estimate_position(emitter, shifted.samples[cfg.pilot_len :], grid, cfg.channel)
+            est_re = locate(emitter, *peak(realign_with_pilot(shifted, pilot).samples), grid, cfg.channel)
+            est_naive = locate(emitter, *peak(shifted.samples[cfg.pilot_len :]), grid, cfg.channel)
             mismatches += int(est_re.beam_index != est_sync.beam_index)
             for key, est in (("synced", est_sync), ("realigned", est_re), ("naive", est_naive)):
                 errs[key].append(position_error(point, est.position).total_m)
@@ -362,25 +362,25 @@ class TestPeakOnlyEquivalence:
         rx = ReceiverState(points, normals, cfg.fov_deg)
         trace = run_scan(ScanPlan(grid, peak_only=True), *support(grid, cfg.room, rx, cfg.channel), sigma_w=0.0,
                          draws=u[:, 3 : 3 + PEAK_UNIFORMS])
-        peak = locate(cfg.room.emitter_pos, trace.samples, trace.beams, grid, cfg.channel, 0.0)
+        batch = locate(cfg.room.emitter_pos, trace.samples, trace.beams, grid, cfg.channel, 0.0)
         for i, (point, normal) in enumerate(zip(points, normals)):
             one = ReceiverState(point, normal, cfg.fov_deg)
             dense = run_scan(ScanPlan(grid), *support(grid, cfg.room, one, cfg.channel), 0.0, np.random.default_rng(i))
-            est = estimate_position(cfg.room.emitter_pos, dense.samples, grid, cfg.channel, 0.0)
-            np.testing.assert_array_equal(est.position, peak.position[i])
+            est = locate(cfg.room.emitter_pos, *peak(dense.samples), grid, cfg.channel, 0.0)
+            np.testing.assert_array_equal(est.position, batch.position[i])
             assert (est.beam_index, est.distance_m, est.status, est.assumed_cos_psi) == (
-                peak.beam_index[i], peak.distance_m[i], peak.status[i], peak.assumed_cos_psi[i])
+                batch.beam_index[i], batch.distance_m[i], batch.status[i], batch.assumed_cos_psi[i])
 
     @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
     @pytest.mark.parametrize("snr", [20.0, 30.0, 40.0])
     def test_error_law_matches_dense(self, snr, mode):
         # independent streams: dense seed 1001, peak-only seed 2002; n = 1,100 each
         dense = _dense_grid_trials(1001, snr, mode, trials=4)
-        peak = _peak_grid_trials(2002, snr, mode, trials=4)
+        peak_only = _peak_grid_trials(2002, snr, mode, trials=4)
         n = len(dense["err_3d"])
-        assert n == len(peak["err_3d"]) >= 1000
-        assert stats.ks_2samp(dense["err_3d"], peak["err_3d"]).pvalue > 0.01
-        low = [int((rec["status"] == STATUS_LOW_SIGNAL).sum()) for rec in (dense, peak)]
+        assert n == len(peak_only["err_3d"]) >= 1000
+        assert stats.ks_2samp(dense["err_3d"], peak_only["err_3d"]).pvalue > 0.01
+        low = [int((rec["status"] == STATUS_LOW_SIGNAL).sum()) for rec in (dense, peak_only)]
         rate = sum(low) / (2 * n)
         assert abs(low[0] - low[1]) <= 4.0 * np.sqrt(2 * n * rate * (1.0 - rate))
 

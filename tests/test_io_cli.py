@@ -352,6 +352,24 @@ class TestCli:
         assert not out.exists()
         assert main(["snr-sweep", "--config", config, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"orientation_modes": []},
+            {"orientation_modes": 3},
+            {"orientation_modes": "fixed"},
+            {"orientation_modes": [["fixed"]]},
+            {"orientation_mode": ["fixed"]},
+        ],
+        ids=["modes-empty", "modes-number", "modes-string", "modes-nested", "mode-list"],
+    )
+    def test_malformed_orientation_modes_exit_one_before_work(self, tmp_path, capsys, extra):
+        # neither a silent fallback to orientation_mode nor a Python traceback
+        out = tmp_path / "out"
+        assert main(["snr-sweep", "--config", write_tiny_config(tmp_path, extra), "--out", str(out)]) == 1
+        assert "error: orientation_mode" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_import_loads_no_scipy_or_thread_pool(self):
         # scipy is a test-only extra; neither belongs in the CLI's start-up cost
         src = Path(__file__).resolve().parent.parent / "src"

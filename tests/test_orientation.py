@@ -5,7 +5,7 @@ from scipy import stats
 from vlp_sim.orientation import (
     LaplaceParams,
     OrientationConfig,
-    laplace_sample,
+    laplace_quantile,
     normal_from_euler,
     normal_from_spherical,
     receiver_normals,
@@ -26,25 +26,25 @@ class TestLaplaceParams:
 
 
 class TestLaplaceSample:
+    """laplace_quantile, and the range check receiver_normals puts before it."""
+
     def test_median_at_zero(self):
-        assert laplace_sample(LaplaceParams(3.0, 10.0), 0.0) == 3.0
+        assert laplace_quantile(LaplaceParams(3.0, 10.0), 0.0) == 3.0
 
     def test_quarter_draws(self):
         # unit scale needs sigma = sqrt(2); hand evaluation gives ln(0.5)
         p = LaplaceParams(0.0, float(np.sqrt(2.0)))
-        assert laplace_sample(p, -0.25) == pytest.approx(LN_HALF, rel=1e-12)
-        assert laplace_sample(p, 0.25) == pytest.approx(-LN_HALF, rel=1e-12)
+        np.testing.assert_allclose(laplace_quantile(p, np.array([-0.25, 0.25])), [LN_HALF, -LN_HALF], rtol=1e-12)
         assert LN_HALF == pytest.approx(-0.6931, abs=5e-5)
 
     @pytest.mark.parametrize("u", [0.5, -0.5, 0.7])
     def test_domain_error(self, u):
         with pytest.raises(ValueError):
-            laplace_sample(LaplaceParams(0.0, 1.0), u)
+            receiver_normals(OrientationConfig(mode="random-euler"), [[0.0, u, 0.0]])
 
     def test_monotone_in_u(self):
         p = LaplaceParams(-2.0, 7.0)
-        us = np.linspace(-0.49, 0.49, 99)
-        vals = [laplace_sample(p, u) for u in us]
+        vals = laplace_quantile(p, np.linspace(-0.49, 0.49, 99))
         assert np.all(np.diff(vals) > 0)
 
     def test_distribution_matches_analytic_cdf(self):
@@ -54,7 +54,7 @@ class TestLaplaceSample:
         n = 200_000
         u = rng.uniform(-0.5, 0.5, size=n)
         u = u[np.abs(u) < 0.5]
-        samples = np.array([laplace_sample(p, ui) for ui in u])
+        samples = laplace_quantile(p, u)
         ks = stats.kstest(samples, "laplace", args=(0.0, p.scale_deg)).statistic
         assert ks < 0.004  # ~1.6/sqrt(n)
         assert abs(samples.var() / 100.0 - 1.0) < 0.02
@@ -114,11 +114,10 @@ class TestNormalFromEuler:
         np.testing.assert_allclose(normal_from_euler(0.0, 0.0, 90.0), [1, 0, 0], atol=1e-12)
 
     def test_unit_norm_numeric_sweep(self):
-        rng = np.random.default_rng(9)
-        worst = 0.0
-        for _ in range(100_000):
-            n = normal_from_euler(*rng.uniform(-180, 180, size=3))
-            worst = max(worst, abs(float(np.linalg.norm(n)) - 1.0))
+        # 100,000 angle triples, the rows of one draw
+        angles = np.random.default_rng(9).uniform(-180, 180, size=(100_000, 3))
+        n = normal_from_euler(*angles.T)
+        worst = float(np.abs(np.linalg.norm(n, axis=-1) - 1.0).max())
         assert worst <= 1e-12
 
 
