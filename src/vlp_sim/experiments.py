@@ -11,24 +11,22 @@ estimator.peak.
 Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
 
-* cdf and snr-sweep draw from Philox4x32-10 (see streams), keyed by the
-  master seed.  Row (point, trial) of pass (mode_index, snr_index) reads the
-  blocks with counter (point, trial, mode_index * 2^16 + snr_index, block),
-  blocks 0-5, two uniforms per block: ROW_UNIFORMS uniforms in (0, 1).
-  Column map: 0-2 the orientation angles (orientation.receiver_normals,
-  from u - 1/2: roll, pitch, yaw, or azimuth, elevation; fixed reads none),
-  3-6 the Box-Muller pairs of the support-cell normals, 7-8 the noise-only
-  maximum and its slot, 9-10 the nadir ring's maximum and its slot (columns
-  3-10 are scan.run_scan's PEAK_UNIFORMS), 11 unused.
-* sync-test and scan-demo sweep densely, one normal per slot, pilot first,
-  from np.random.default_rng(entropy) (PCG64 seeded through a
-  SeedSequence): entropy (master_seed, 0, snr_index, 0, trial_index) per
-  sync-test trial and (master_seed,) for scan-demo.  A sync-test trial's
-  stream first draws its receiver position (x, y, z) and timing offset,
-  then the orientation, then the sweep's noise.  Per SNR, sync-test draws
-  every trial's pose, takes one scan.support over all the receivers, then
-  sweeps each trial from the rest of its stream (its saved bit-generator
-  state, restored into one generator) and locates all peaks at once.
+* Every pose, and a grid pass's peak draws, come from Philox4x32-10 (see
+  streams), keyed by the master seed.  Row (point, trial) of pass
+  (mode_index, snr_index) reads counters (point, trial, mode_index * 2^16 +
+  snr_index, block), blocks 0-5: ROW_UNIFORMS uniforms in (0, 1).  Columns:
+    0-2   every row: orientation.receiver_normals of u - 1/2 (roll, pitch,
+          yaw, or azimuth, elevation; fixed reads none)
+    3-10  grid rows (cdf, snr-sweep): scan.run_scan's PEAK_UNIFORMS
+    3-5   sync-test (row trial of pass (0, snr_index)): position in the
+          sampled box, lo + (hi - lo) * u
+    6     sync-test: offset uniform_index(u, 2h + 1) - h, h = n_slots // 2
+    11    unused
+  scan-demo reads columns 0-2 of row 0 of pass (0, 0).
+* The dense sweeps (sync-test, scan-demo) draw only their noise, one normal
+  per slot, pilot first, from np.random.default_rng(entropy) (PCG64 seeded
+  through a SeedSequence): entropy (master_seed, 0, snr_index, 0,
+  trial_index) per sync-test trial, (master_seed,) for scan-demo.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .estimator import (
     position_error,
 )
 from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, check_fov
-from .orientation import ORIENTATION_MODES, OrientationConfig, receiver_normals, sample_receiver_normal
+from .orientation import ORIENTATION_MODES, OrientationConfig, receiver_normals
 from .scan import (
     DEFAULT_PILOT_LEN,
     PEAK_UNIFORMS,
@@ -60,7 +58,7 @@ from .scan import (
     run_scan,
     support,
 )
-from .streams import uniforms
+from .streams import uniform_index, uniforms
 
 EXPERIMENT_MODES = ("cdf", "snr-sweep", "sync-test")
 
@@ -77,7 +75,7 @@ SNR_DEFINITION = (
 # default trials per grid point (cdf, snr-sweep) or total trials (sync-test)
 DEFAULT_TRIALS = {"cdf": 5, "snr-sweep": 20, "sync-test": 1000}
 
-# uniforms per grid-pass row: 3 orientation angles, the scan's, one spare
+# uniforms per row: 3 orientation angles, the scan's or the sync pose's, one spare
 ROW_UNIFORMS = 12
 
 # rows a grid pass sweeps at once; rows draw from their own Philox counters,
@@ -137,6 +135,8 @@ class ExperimentConfig:
             raise ValueError("trials_per_point must be >= 1")
         if self.orientation_modes is not None:
             object.__setattr__(self, "orientation_modes", tuple(self.orientation_modes))
+            if not self.orientation_modes:
+                raise ValueError("orientation_modes must be nonempty (None runs orientation.mode)")
             for m in self.orientation_modes:
                 if m not in ORIENTATION_MODES:
                     raise ValueError(f"unknown orientation mode {m!r}")
@@ -205,25 +205,23 @@ def percentile(samples, q: float) -> float:
 
 
 def scan_trial(
-    cfg: ExperimentConfig, plan: ScanPlan, orientation: OrientationConfig, point, sigma: float, rng: np.random.Generator
+    cfg: ExperimentConfig, plan: ScanPlan, rx: ReceiverState, sigma: float, rng: np.random.Generator
 ) -> tuple[MeasurementTrace, PositionEstimate]:
-    """One dense fix: draw the receiver normal, take its support, sweep once,
-    then peak and locate.
+    """One dense fix of receiver rx: take its support, sweep once with noise
+    from rng (its only draws), then peak and locate.
 
-    The orientation draw precedes the sweep's noise draws in rng.  The peak
-    is taken over the slots after the pilot, and locate flags it when it
-    falls under the low-signal threshold for this sigma.
+    The peak is taken over the slots after the pilot, and locate flags it
+    when it falls under the low-signal threshold for this sigma.
     """
-    normal = sample_receiver_normal(orientation, rng)
-    cells, power = support(plan.grid, cfg.room, ReceiverState(point, normal, cfg.fov_deg), cfg.channel)
+    cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
     trace = run_scan(plan, cells, power, sigma_w=sigma, draws=rng)
     est = locate(cfg.room.emitter_pos, *peak(trace.samples[plan.pilot_len :]), plan.grid, cfg.channel, sigma)
     return trace, est
 
 
 def pass_uniforms(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> np.ndarray:
-    """The (len(rows), ROW_UNIFORMS) uniforms of the given rows of one grid
-    pass; row point * trials + trial (see the module docstring)."""
+    """The (len(rows), ROW_UNIFORMS) uniforms of the given rows of one pass;
+    row point * trials + trial (see the module docstring)."""
     mode_index, snr_index = pass_index
     point, trial = np.divmod(np.asarray(rows), cfg.trials)
     prefix = np.column_stack([point, trial, np.full_like(point, (mode_index << 16) | snr_index)])
@@ -324,7 +322,8 @@ def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
     """
     if cfg.mode != "snr-sweep":
         raise ValueError("config mode must be 'snr-sweep'")
-    p_ref, passes = _grid_passes(cfg, cfg.orientation_modes or (cfg.orientation.mode,), cfg.snr_list_db)
+    modes = cfg.orientation_modes if cfg.orientation_modes is not None else (cfg.orientation.mode,)
+    p_ref, passes = _grid_passes(cfg, modes, cfg.snr_list_db)
     rows = []
     for mode, rec, stats in passes:
         valid = ~rec["excluded"]
@@ -347,7 +346,7 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
     plan = ScanPlan(grid, pilot)
     k = cfg.pilot_len
-    n_slots = k + grid.size
+    half = (k + grid.size) // 2
     p_pilot = float(np.max(pilot))
     lo = np.array([0.0, 0.0, cfg.h_min_m])
     hi = np.array([cfg.room.width_m, cfg.room.depth_m, _height_cap(cfg)])
@@ -355,30 +354,27 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     rows = []
     for snr_idx, snr in enumerate(cfg.snr_list_db):
         sigma = noise_sigma_for_snr(p_pilot, snr)
-        # each trial's pose, from its own stream: position, offset, orientation;
-        # the sweep resumes each stream from its saved state in one generator
-        points = np.empty((cfg.trials, 3))
-        offsets, normals, states = [], [], []
-        for t in range(cfg.trials):
-            rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t))
-            points[t] = rng.uniform(lo, hi)  # x, y, z in turn
-            offsets.append(int(rng.integers(-(n_slots // 2), n_slots // 2 + 1)))
-            normals.append(sample_receiver_normal(cfg.orientation, rng))
-            states.append(rng.bit_generator.state)
-        cells, power = support(grid, cfg.room, ReceiverState(points, normals, cfg.fov_deg), cfg.channel)
-        # then each trial's sweep, from the rest of its stream, and the peaks
-        # of its synced, its offset-then-realigned and its naive (offset)
-        # trace.  The loop keeps a trial's traces until the next trial's
-        # replace them, so the allocator reuses their pages; as a function
-        # body that frees them all on return, it faults them in every trial.
+        # every trial's pose from its Philox row (see the column map)
+        u = pass_uniforms(cfg, np.arange(cfg.trials), (0, snr_idx))
+        points = lo + (hi - lo) * u[:, 3:6]
+        offsets = uniform_index(u[:, 6], 2 * half + 1) - half
+        rx = ReceiverState(points, receiver_normals(cfg.orientation, u[:, :3] - 0.5), cfg.fov_deg)
+        cells, power = support(grid, cfg.room, rx, cfg.channel)
+        # then each trial's sweep, from its own noise stream, and the peaks
+        # of its synced, its offset-then-realigned and its naive (offset) trace
         peaks = np.empty((3, cfg.trials))
         beams = np.empty((3, cfg.trials), dtype=int)
-        for t, state in enumerate(states):
-            rng.bit_generator.state = state
+        for t in range(cfg.trials):
+            rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t))
             trace = run_scan(plan, cells[t], power[t], sigma_w=sigma, draws=rng)
-            shifted = apply_timing_offset(trace, offsets[t])
-            realigned = realign_with_pilot(shifted, pilot)
-            peaks[:, t], beams[:, t] = zip(*map(peak, (trace.samples[k:], realigned.samples, shifted.samples[k:])))
+            shifted = apply_timing_offset(trace, int(offsets[t]))
+            shift = realign_with_pilot(shifted, pilot)
+            # the realigned trace is a temporary: only two traces live on until
+            # the next trial's replace them, so the allocator reuses their pages
+            # (a third kept alive measured 10x the minor faults: heap-top trims)
+            peaks[0, t], beams[0, t] = peak(trace.samples[k:])
+            peaks[1, t], beams[1, t] = peak(apply_timing_offset(shifted, -shift).samples[k:])
+            peaks[2, t], beams[2, t] = peak(shifted.samples[k:])
         est = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), grid, cfg.channel)
         errs = position_error(np.tile(points, (3, 1)), est.position).total_m.reshape(3, -1)
         rows.append(
@@ -394,7 +390,9 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
 
 
 def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTrace, PositionEstimate]:
-    """One dense trial at a given receiver position, seeded by the master seed alone.
+    """One dense trial at a given receiver position, seeded by the master seed
+    alone: the orientation from row 0 of pass (0, 0), the noise from its own
+    stream.
 
     Uses the config's one snr value, anchored like a grid pass, and the
     configured pilot.  Returns (plan, trace, estimate).
@@ -402,5 +400,7 @@ def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTr
     sigma = noise_sigma_for_snr(reference_peak_power(cfg), cfg.snr_list_db[0])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
-    trace, est = scan_trial(cfg, plan, cfg.orientation, point, sigma, np.random.default_rng((cfg.master_seed,)))
+    normal = receiver_normals(cfg.orientation, pass_uniforms(cfg, [0], (0, 0))[0, :3] - 0.5)
+    rx = ReceiverState(point, normal, cfg.fov_deg)
+    trace, est = scan_trial(cfg, plan, rx, sigma, np.random.default_rng((cfg.master_seed,)))
     return plan, trace, est

@@ -36,24 +36,10 @@ def unit(v) -> np.ndarray:
     return v / n[..., None]
 
 
-def direction_from_angles(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
-    """Unit pointing vector for a beam at the given azimuth/elevation.
-
-    (az=0, el=0) -> (0, 0, -1); (az=0, el=90) -> (1, 0, 0).
-    """
-    if not 0.0 <= azimuth_deg < 360.0:
-        raise ValueError(f"azimuth_deg must be in [0, 360), got {azimuth_deg}")
-    if not 0.0 <= elevation_deg <= 90.0:
-        raise ValueError(f"elevation_deg must be in [0, 90], got {elevation_deg}")
-    a = np.radians(azimuth_deg)
-    e = np.radians(elevation_deg)
-    return np.array([np.sin(e) * np.cos(a), np.sin(e) * np.sin(a), -np.cos(e)])
-
-
 def spherical_from_direction(v):
-    """Inverse of direction_from_angles, for one vector (3,) or each row of (N, 3).
-
-    Returns (azimuth_deg in [0, 360), elevation_deg from nadir in [0, 180]).
+    """Beam angles of one direction (3,) or of each row of (N, 3), in the
+    module's convention: (azimuth_deg in [0, 360), elevation_deg from nadir
+    in [0, 180]); (0, 0, -1) is elevation 0 and (1, 0, 0) is (0, 90).
     """
     # contiguous components: numpy's strided and SIMD loops for arccos and
     # arctan2 can differ in the last bit, and a batch must match one vector

@@ -3,6 +3,10 @@
 Device tilt angles are Laplace-distributed; the facing normal comes from
 either a roll/pitch/yaw rotation or an azimuth/elevation pair.  Angles are
 degrees at every interface and become radians only inside trig calls.
+Every trial's angles come from its Philox row (see experiments), each
+uniform u in (0, 1) through the inverse Laplace CDF of u - 1/2; Philox
+uniforms never reach 0 or 1, so u - 1/2 never hits the singularity at
++-1/2.
 """
 
 from __future__ import annotations
@@ -14,10 +18,6 @@ import numpy as np
 SQRT2 = float(np.sqrt(2.0))
 
 ORIENTATION_MODES = ("fixed", "random-euler", "random-spherical")
-
-# angles each mode draws, in order: roll, pitch, yaw (random-euler);
-# azimuth, elevation (random-spherical)
-ANGLES_DRAWN = {"fixed": 0, "random-euler": 3, "random-spherical": 2}
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,6 @@ def laplace_quantile(p: LaplaceParams, u):
     return p.mu_deg - p.scale_deg * np.sign(u) * np.log1p(-2.0 * abs(u))
 
 
-def _uniform_open(rng: np.random.Generator) -> float:
-    # rejection keeps the draw strictly inside (-0.5, 0.5); the endpoint has
-    # probability ~2^-53 but would hit the log singularity
-    while True:
-        u = float(rng.uniform(-0.5, 0.5))
-        if abs(u) < 0.5:
-            return u
-
-
 def normal_from_spherical(azimuth_deg, elevation_deg) -> np.ndarray:
     """Facing normal from azimuth/elevation; elevation 90 faces straight up.
 
@@ -110,9 +101,10 @@ def normal_from_euler(roll_deg, pitch_deg, yaw_deg) -> np.ndarray:
 def receiver_normals(cfg: OrientationConfig, v) -> np.ndarray:
     """Facing normals from uniforms v in (-0.5, 0.5), one row per receiver.
 
-    The last axis of v holds the ANGLES_DRAWN[cfg.mode] angles' draws in
-    order, each mapped through laplace_quantile; fixed mode reads none and
-    gives the upright normal.
+    The last axis of v holds one draw per angle, in order: roll, pitch, yaw
+    (random-euler) or azimuth, elevation (random-spherical), each mapped
+    through laplace_quantile; fixed mode reads none and gives the upright
+    normal.
     """
     v = np.asarray(v, dtype=float)
     if not (np.abs(v) < 0.5).all():
@@ -126,8 +118,3 @@ def receiver_normals(cfg: OrientationConfig, v) -> np.ndarray:
         return normal_from_euler(*(laplace_quantile(p, v[..., i]) for i, p in enumerate(angles)))
     return normal_from_spherical(laplace_quantile(cfg.azimuth, v[..., 0]), laplace_quantile(cfg.elevation, v[..., 1]))
 
-
-def sample_receiver_normal(cfg: OrientationConfig, rng: np.random.Generator) -> np.ndarray:
-    """One facing-normal draw per the configured mode, from
-    ANGLES_DRAWN[cfg.mode] open uniforms of rng (fixed mode draws none)."""
-    return receiver_normals(cfg, [_uniform_open(rng) for _ in range(ANGLES_DRAWN[cfg.mode])])

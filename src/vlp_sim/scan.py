@@ -4,9 +4,10 @@ A sweep visits every grid direction once, dwelling for a fixed step time.
 The receiver records one power sample per dwell slot; an optional known
 pilot preamble precedes the sweep so a desynchronized receiver can realign
 its sample indexing by cyclic cross-correlation.  Realignment returns the
-shift that scoring every cyclic shift returns, but scores only the short
-run of shifts that can beat a floor (see realign_with_pilot); with a
-noisy pilot nothing can be ruled out and every shift is scored.
+cyclic shift it recovers, the one that scoring every shift returns, but
+scores only the short run of shifts that can beat a floor (see
+realign_with_pilot); with a noisy pilot nothing can be ruled out and every
+shift is scored.
 
 The geometry and the sweep are two calls: support() finds, for one
 receiver or a batch, the beam cells that carry signal and their on-axis
@@ -242,15 +243,15 @@ def apply_timing_offset(trace: MeasurementTrace, offset_steps: int) -> Measureme
     return MeasurementTrace(np.concatenate((x[cut:], x[:cut])))
 
 
-def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> MeasurementTrace:
-    """Undo an unknown cyclic offset by correlating against the known pilot.
+def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> int:
+    """The cyclic shift s in [0, n) that puts the known pilot at the head of
+    the trace: apply_timing_offset(trace, -s) is the synchronized trace.
 
     Shift s scores corr[s] = sum_i pilot[i] * x[(s + i) mod n] over the
     on-taps i, accumulated tap by tap in ascending order from 0.0, so every
     shift gets the same float operations and exact ties stay exact.  The
-    best shift (ties -> smallest nonnegative shift) rotates the trace so the
-    pilot sits at the head; the measurement part, pilot stripped, is
-    returned.  Pilot levels must be nonnegative.
+    best score wins, ties to the smallest nonnegative shift (a first NaN
+    score wins, as argmax takes it).  Pilot levels must be nonnegative.
 
     Only the shifts that can win are scored, and the result is the shift
     that scoring every shift gives:
@@ -299,13 +300,7 @@ def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> MeasurementTrace:
         i = int(late.argmax())
         if late[i] == corr[j]:
             j = n - start + i
-    best = (start + j) % n
-    # rotate the whole trace and drop the pilot.  A copy the size of the
-    # trace, made while the scoring buffers live, keeps a sync-test trial's
-    # large buffers one size and off the heap top, so the allocator hands
-    # them to the next trial instead of trimming the heap and faulting the
-    # pages in again (either undone measured 16-18x the minor faults)
-    return MeasurementTrace(np.concatenate((x[best:], x[:best]))[k:])
+    return (start + j) % n
 
 
 def _candidate_shifts(x, pilot, taps) -> tuple[int, int]:

@@ -37,6 +37,7 @@ from vlp_sim.scan import (
     run_scan,
     support,
 )
+from vlp_sim.streams import uniform_index
 
 # coarse setup keeps module tests fast; acceptance runs the full defaults
 SMALL = dict(grid_spacing_m=0.5, trials_per_point=2)
@@ -58,6 +59,11 @@ class TestConfigValidation:
     def test_spacing_must_divide_room(self):
         with pytest.raises(ValueError):
             ExperimentConfig(grid_spacing_m=0.3)
+
+    def test_empty_orientation_modes_rejected(self):
+        # an empty tuple must not fall back to orientation.mode
+        with pytest.raises(ValueError, match="orientation_modes"):
+            ExperimentConfig(mode="snr-sweep", orientation_modes=(), grid_spacing_m=0.5, trials_per_point=1)
 
     def test_empty_snr_list(self):
         with pytest.raises(ValueError):
@@ -287,26 +293,31 @@ class TestRunSyncTest:
 
 
 def _sync_oracle_rows(cfg):
-    """sync-test rows from one trial at a time: its own stream draws the
-    position, the offset, then scan_trial's orientation and noise."""
+    """sync-test rows from one trial at a time: its Philox row gives the
+    orientation (columns 0-2), the position (3-5) and the offset (6), and
+    its own stream scan_trial's noise."""
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
     plan = ScanPlan(grid, pilot)
     emitter = cfg.room.emitter_pos
-    n_slots = cfg.pilot_len + grid.size
+    half = (cfg.pilot_len + grid.size) // 2
+    lo = np.array([0.0, 0.0, cfg.h_min_m])
+    hi = np.array([cfg.room.width_m, cfg.room.depth_m, experiments._height_cap(cfg)])
     rows = []
     for snr_idx, snr in enumerate(cfg.snr_list_db):
         sigma = noise_sigma_for_snr(float(pilot.max()), snr)
         mismatches = 0
         errs = {"synced": [], "realigned": [], "naive": []}
         for trial in range(cfg.trials):
+            u = pass_uniforms(cfg, [trial], (0, snr_idx))[0]
+            point = lo + (hi - lo) * u[3:6]
+            offset = int(uniform_index(u[6], 2 * half + 1)) - half
+            rx = ReceiverState(point, receiver_normals(cfg.orientation, u[:3] - 0.5), cfg.fov_deg)
             rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, trial))
-            point = np.array([rng.uniform(0.0, cfg.room.width_m), rng.uniform(0.0, cfg.room.depth_m),
-                              rng.uniform(cfg.h_min_m, experiments._height_cap(cfg))])
-            offset = int(rng.integers(-(n_slots // 2), n_slots // 2 + 1))
-            trace, est_sync = scan_trial(cfg, plan, cfg.orientation, point, sigma, rng)
+            trace, est_sync = scan_trial(cfg, plan, rx, sigma, rng)
             shifted = apply_timing_offset(trace, offset)
-            est_re = locate(emitter, *peak(realign_with_pilot(shifted, pilot).samples), grid, cfg.channel)
+            realigned = apply_timing_offset(shifted, -realign_with_pilot(shifted, pilot))
+            est_re = locate(emitter, *peak(realigned.samples[cfg.pilot_len :]), grid, cfg.channel)
             est_naive = locate(emitter, *peak(shifted.samples[cfg.pilot_len :]), grid, cfg.channel)
             mismatches += int(est_re.beam_index != est_sync.beam_index)
             for key, est in (("synced", est_sync), ("realigned", est_re), ("naive", est_naive)):
@@ -328,13 +339,17 @@ def _grid_setup(seed, snr, mode, trials):
 
 def _dense_grid_trials(seed, snr, mode, trials):
     """err_3d and statuses of a whole 0.25 m grid through the dense oracle,
-    one default_rng((seed, point, trial)) stream per trial."""
+    one default_rng((seed, point, trial)) stream per trial: the orientation's
+    uniforms, then the noise."""
     cfg, sigma, ori = _grid_setup(seed, snr, mode, trials)
     plan = ScanPlan(build_beam_grid())
+    m = {"fixed": 0, "random-euler": 3}[mode]  # angles the mode reads
     errs, status = [], []
     for i, point in enumerate(sample_positions(cfg)):
         for trial in range(trials):
-            _, est = scan_trial(cfg, plan, ori, point, sigma, np.random.default_rng((seed, i, trial)))
+            rng = np.random.default_rng((seed, i, trial))
+            rx = ReceiverState(point, receiver_normals(ori, rng.uniform(-0.5, 0.5, m)), cfg.fov_deg)
+            _, est = scan_trial(cfg, plan, rx, sigma, rng)
             errs.append(position_error(point, est.position).total_m)
             status.append(est.status)
     return {"err_3d": np.array(errs), "status": np.array(status)}

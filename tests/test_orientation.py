@@ -9,7 +9,6 @@ from vlp_sim.orientation import (
     normal_from_euler,
     normal_from_spherical,
     receiver_normals,
-    sample_receiver_normal,
 )
 
 LN_HALF = float(np.log(0.5))
@@ -122,11 +121,11 @@ class TestNormalFromEuler:
 
 
 class TestSampleReceiverNormal:
+    """One receiver's normal from receiver_normals, as a dense trial maps its row."""
+
     def test_fixed_mode_upright(self):
-        rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(
-            sample_receiver_normal(OrientationConfig(mode="fixed"), rng), [0, 0, 1]
-        )
+        v = np.random.default_rng(0).uniform(-0.5, 0.5, 3)
+        np.testing.assert_array_equal(receiver_normals(OrientationConfig(mode="fixed"), v), [0, 0, 1])
 
     def test_euler_mode_zero_spread_upright(self):
         cfg = OrientationConfig(
@@ -135,12 +134,12 @@ class TestSampleReceiverNormal:
             pitch=LaplaceParams(0.0, 0.0),
             yaw=LaplaceParams(0.0, 0.0),
         )
-        n = sample_receiver_normal(cfg, np.random.default_rng(4))
+        n = receiver_normals(cfg, np.random.default_rng(4).uniform(-0.5, 0.5, 3))
         np.testing.assert_allclose(n, [0, 0, 1], atol=1e-12)
 
     def test_spherical_mode_zero_spread_upright(self):
         cfg = OrientationConfig(mode="random-spherical")  # defaults: mu_theta 90, zero sigmas
-        n = sample_receiver_normal(cfg, np.random.default_rng(4))
+        n = receiver_normals(cfg, np.random.default_rng(4).uniform(-0.5, 0.5, 2))
         np.testing.assert_allclose(n, [0, 0, 1], atol=1e-12)
 
     def test_table_defaults(self):
@@ -154,8 +153,8 @@ class TestSampleReceiverNormal:
             OrientationConfig(mode="wobble")
 
     def test_euler_draws_are_unit_norm(self):
+        # 500 receivers, one row of three draws each
         cfg = OrientationConfig(mode="random-euler")
-        rng = np.random.default_rng(8)
-        for _ in range(500):
-            n = sample_receiver_normal(cfg, rng)
-            assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
+        n = receiver_normals(cfg, np.random.default_rng(8).uniform(-0.5, 0.5, (500, 3)))
+        assert n.shape == (500, 3)
+        assert np.abs(np.linalg.norm(n, axis=-1) - 1.0).max() <= 1e-12

@@ -10,8 +10,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "vlp_sim"
 ALLOWED = {
     # the Gaussian beam profile: the beam-overlap scan model on the ROADMAP gives it a caller
     "channel.intensity",
-    # the scalar reference that build_beam_grid's tests compare against
-    "geometry.direction_from_angles",
 }
 
 
