@@ -22,8 +22,8 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("p_opt_w", "wavelength_m", "waist_m", "pd_area_m2"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def beam_radius(distance_m: float, radiance_angle_rad: float, p: ChannelParams) -> float:
@@ -79,6 +79,6 @@ def noise_sigma_for_snr(signal_w: float, snr_db: float) -> float:
 
     snr_db = inf maps to sigma = 0 (noiseless).
     """
-    if signal_w <= 0.0:
+    if not signal_w > 0.0:
         raise ValueError("signal must be positive")
     return signal_w / 10.0 ** (snr_db / 20.0)

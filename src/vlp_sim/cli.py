@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .estimator import position_error
+from .estimator import STATUS_NAMES, position_error
 from .experiments import ExperimentConfig, run_cdf_experiment, run_scan_demo, run_snr_sweep, run_sync_test
 from .io import ConfigError, build_experiment, load_config, write_results, write_trace_csv
 
@@ -81,13 +81,13 @@ def _scan_demo(cfg: ExperimentConfig, args) -> None:
         point = np.array(
             [cfg.room.width_m / 2.0, cfg.room.depth_m / 2.0, (cfg.h_min_m + cfg.h_max_m) / 2.0]
         )
-    plan, trace, est = run_scan_demo(cfg, point)
-    err = position_error(point, est.position)
+    plan, trace, estimate, status = run_scan_demo(cfg, point)
+    err = position_error(point, estimate)
     path = write_trace_csv(trace, plan.grid, plan.pilot_len, os.path.join(args.out, "scan_trace.csv"))
     print(f"wrote {path}", file=sys.stderr)
     print(
-        f"receiver at {point.tolist()}, estimate {est.position.round(4).tolist()} "
-        f"({est.status}), error {err.total_m:.4g} m",
+        f"receiver at {point.tolist()}, estimate {estimate.round(4).tolist()} "
+        f"({STATUS_NAMES[status]}), error {err.total_m:.4g} m",
         file=sys.stderr,
     )
 

@@ -3,12 +3,12 @@
 Two steps: peak picks the strongest slot of a trace; locate takes that
 slot's beam direction, inverts the on-axis power law for range under an
 assumed upright receiver, and walks that distance from the emitter along
-the beam.  locate takes one peak or a batch of them.
+the beam.  locate takes one peak or a batch of them and returns positions
+and int8 status codes (STATUS_*; STATUS_NAMES spells them out).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,27 +16,12 @@ import numpy as np
 from .channel import ChannelParams
 from .geometry import BeamGrid, norm
 
-STATUS_OK = "ok"
-STATUS_CLAMPED = "clamped-radicand"
-STATUS_LOW_SIGNAL = "out-of-fov-suspected"
-
-_STATUSES = np.array([STATUS_OK, STATUS_CLAMPED, STATUS_LOW_SIGNAL])  # by status code
+STATUS_OK, STATUS_CLAMPED, STATUS_LOW_SIGNAL = range(3)
+STATUS_NAMES = ("ok", "clamped-radicand", "out-of-fov-suspected")  # by status code
 
 # a trace whose strongest sample stays under this many noise sigmas is
 # treated as carrying no signal (receiver probably outside the view cone)
 LOW_SIGNAL_SIGMAS = 5.0
-
-
-@dataclass(frozen=True)
-class PositionEstimate:
-    """Estimates as arrays, one element per peak (0-d for one peak); position
-    has a trailing axis of 3 and status holds STATUS_* strings."""
-
-    beam_index: np.ndarray
-    distance_m: np.ndarray
-    position: np.ndarray
-    status: np.ndarray
-    assumed_cos_psi: np.ndarray
 
 
 class PositionError(NamedTuple):
@@ -64,28 +49,27 @@ def _invert(power_w, cos_psi_hat, params: ChannelParams):
     return np.sqrt(np.maximum(radicand, 0.0)), radicand < 0.0
 
 
-def locate(emitter_pos, peak_w, beam, grid: BeamGrid, params: ChannelParams, noise_sigma_w: float | None = None) -> PositionEstimate:
-    """Position estimate from the peak power of a sweep and the beam it came from.
+def locate(emitter_pos, peak_w, beam, grid: BeamGrid, params: ChannelParams, noise_sigma_w: float):
+    """(position, status) from the peak power of a sweep and the beam it came from.
 
-    Takes one peak or arrays of peaks and beams; every field of the estimate
-    is an array (0-d for one peak).  The estimator cannot observe the true
-    device orientation, so the incidence cosine always assumes an upright
-    receiver (normal UP); a randomly tilted receiver therefore degrades
-    accuracy even on noiseless traces.  With noise_sigma_w given, a peak
-    below LOW_SIGNAL_SIGMAS * sigma is flagged as suspected out-of-view; the
-    estimate is still produced but callers should treat it as meaningless.
-    A peak <= 0 carries no signal: distance 0, flagged the same way.
+    Takes one peak or arrays of peaks and beams; position has a trailing axis
+    of 3 and status holds one int8 STATUS_* code per peak (0-d for one peak).
+    The estimator cannot observe the true device orientation, so the
+    incidence cosine always assumes an upright receiver (normal UP); a
+    randomly tilted receiver therefore degrades accuracy even on noiseless
+    traces.  A peak below LOW_SIGNAL_SIGMAS * noise_sigma_w is flagged as
+    suspected out-of-view; the position is still produced but callers should
+    treat it as meaningless.  A peak <= 0 carries no signal: the emitter's
+    position, flagged the same way.
     """
     power = np.asarray(peak_w, dtype=float)
     u = grid.directions[beam]
     cos_hat = np.minimum(-u[..., 2], 1.0)  # -u . UP
     lit = power > 0.0
     distance, clamped = _invert(np.where(lit, power, 1.0), cos_hat, params)  # 1 W: a stand-in
-    distance = distance * lit
-    low = ~lit if noise_sigma_w is None else ~lit | (power < LOW_SIGNAL_SIGMAS * noise_sigma_w)
-    position = np.asarray(emitter_pos, dtype=float) + distance[..., None] * u
-    status = _STATUSES[np.where(low, 2, clamped.astype(int))]
-    return PositionEstimate(np.asarray(beam), distance, position, status, cos_hat)
+    position = np.asarray(emitter_pos, dtype=float) + (distance * lit)[..., None] * u
+    low = ~lit | (power < LOW_SIGNAL_SIGMAS * noise_sigma_w)
+    return position, np.where(low, STATUS_LOW_SIGNAL, clamped).astype(np.int8)
 
 
 def position_error(true_pos, est_pos) -> PositionError:

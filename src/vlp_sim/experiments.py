@@ -37,14 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, noise_sigma_for_snr, received_power_on_axis
-from .estimator import (
-    STATUS_CLAMPED,
-    STATUS_LOW_SIGNAL,
-    PositionEstimate,
-    locate,
-    peak,
-    position_error,
-)
+from .estimator import STATUS_CLAMPED, STATUS_LOW_SIGNAL, locate, peak, position_error
 from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, check_fov
 from .orientation import ORIENTATION_MODES, OrientationConfig, receiver_normals
 from .scan import (
@@ -114,7 +107,7 @@ class ExperimentConfig:
             raise ValueError("need 0 <= h_min < h_max <= room height")
         if self.h_min_m > _height_cap(self):
             raise ValueError(f"h_min must stay {NEAR_FIELD_CLEARANCE_M} m below the ceiling")
-        if self.grid_spacing_m <= 0.0:
+        if not self.grid_spacing_m > 0.0:
             raise ValueError("grid_spacing_m must be positive")
         for span in (self.room.width_m, self.room.depth_m):
             ratio = span / self.grid_spacing_m
@@ -125,6 +118,8 @@ class ExperimentConfig:
         object.__setattr__(self, "snr_list_db", tuple(float(s) for s in self.snr_list_db or ()))
         if len(self.snr_list_db) == 0:
             raise ValueError("snr_list_db must be nonempty")
+        if not all(s > -np.inf for s in self.snr_list_db):  # +inf is noiseless; NaN and -inf give no sigma
+            raise ValueError("snr_list_db values must be finite or +inf")
         if self.mode == "cdf" and len(self.snr_list_db) != 1:
             raise ValueError("cdf mode takes exactly one snr value")
         if self.pilot_len < 0:
@@ -206,17 +201,17 @@ def percentile(samples, q: float) -> float:
 
 def scan_trial(
     cfg: ExperimentConfig, plan: ScanPlan, rx: ReceiverState, sigma: float, rng: np.random.Generator
-) -> tuple[MeasurementTrace, PositionEstimate]:
+) -> tuple[MeasurementTrace, np.ndarray, np.ndarray]:
     """One dense fix of receiver rx: take its support, sweep once with noise
     from rng (its only draws), then peak and locate.
 
-    The peak is taken over the slots after the pilot, and locate flags it
-    when it falls under the low-signal threshold for this sigma.
+    Returns (trace, position, status).  The peak is taken over the slots
+    after the pilot, and locate flags it when it falls under the low-signal
+    threshold for this sigma.
     """
     cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
     trace = run_scan(plan, cells, power, sigma_w=sigma, draws=rng)
-    est = locate(cfg.room.emitter_pos, *peak(trace.samples[plan.pilot_len :]), plan.grid, cfg.channel, sigma)
-    return trace, est
+    return trace, *locate(cfg.room.emitter_pos, *peak(trace.samples[plan.pilot_len :]), plan.grid, cfg.channel, sigma)
 
 
 def pass_uniforms(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> np.ndarray:
@@ -231,7 +226,7 @@ def pass_uniforms(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> n
 def _run_grid(cfg, plan, points, orientation, sigma, pass_index):
     """One peak-only pass over the whole position grid at a single noise level.
 
-    Returns per-sample arrays in point order, then trial order: status, the
+    Returns per-sample arrays in point order, then trial order: status code, the
     3D and per-axis errors, and the outage mask.  Low-signal flags count as
     out-of-view only when the orientation model can miss the view cone; a
     fixed upright receiver is in view by geometry, so there the flag stays
@@ -249,11 +244,11 @@ def _grid_block(cfg, plan, points, orientation, sigma, pass_index, rows):
     rx = ReceiverState(positions, receiver_normals(orientation, u[:, :3] - 0.5), cfg.fov_deg)
     cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
     trace = run_scan(plan, cells, power, sigma_w=sigma, draws=u[:, 3 : 3 + PEAK_UNIFORMS])
-    est = locate(cfg.room.emitter_pos, trace.samples, trace.beams, plan.grid, cfg.channel, sigma)
-    flagged = est.status == STATUS_LOW_SIGNAL
+    estimate, status = locate(cfg.room.emitter_pos, trace.samples, trace.beams, plan.grid, cfg.channel, sigma)
+    flagged = status == STATUS_LOW_SIGNAL
     return {
-        "status": est.status,
-        **dict(zip(("err_3d", "err_x", "err_y", "err_z"), position_error(positions, est.position))),
+        "status": status,
+        **dict(zip(("err_3d", "err_x", "err_y", "err_z"), position_error(positions, estimate))),
         "excluded": np.zeros_like(flagged) if orientation.mode == "fixed" else flagged,
     }
 
@@ -375,8 +370,8 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
             peaks[0, t], beams[0, t] = peak(trace.samples[k:])
             peaks[1, t], beams[1, t] = peak(apply_timing_offset(shifted, -shift).samples[k:])
             peaks[2, t], beams[2, t] = peak(shifted.samples[k:])
-        est = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), grid, cfg.channel)
-        errs = position_error(np.tile(points, (3, 1)), est.position).total_m.reshape(3, -1)
+        estimates, _ = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), grid, cfg.channel, sigma)
+        errs = position_error(np.tile(points, (3, 1)), estimates).total_m.reshape(3, -1)
         rows.append(
             {
                 "snr_db": snr,
@@ -389,18 +384,17 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     return RunResult("sync-test", {"rows": rows}, _base_metadata(cfg, p_pilot))
 
 
-def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTrace, PositionEstimate]:
+def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTrace, np.ndarray, np.ndarray]:
     """One dense trial at a given receiver position, seeded by the master seed
     alone: the orientation from row 0 of pass (0, 0), the noise from its own
     stream.
 
     Uses the config's one snr value, anchored like a grid pass, and the
-    configured pilot.  Returns (plan, trace, estimate).
+    configured pilot.  Returns (plan, trace, position, status).
     """
     sigma = noise_sigma_for_snr(reference_peak_power(cfg), cfg.snr_list_db[0])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
     normal = receiver_normals(cfg.orientation, pass_uniforms(cfg, [0], (0, 0))[0, :3] - 0.5)
     rx = ReceiverState(point, normal, cfg.fov_deg)
-    trace, est = scan_trial(cfg, plan, rx, sigma, np.random.default_rng((cfg.master_seed,)))
-    return plan, trace, est
+    return plan, *scan_trial(cfg, plan, rx, sigma, np.random.default_rng((cfg.master_seed,)))

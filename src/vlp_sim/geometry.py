@@ -58,7 +58,7 @@ class Room:
     height_m: float = 3.0
 
     def __post_init__(self):
-        if min(self.width_m, self.depth_m, self.height_m) <= 0.0:
+        if not all(span > 0.0 for span in (self.width_m, self.depth_m, self.height_m)):
             raise ValueError("room dimensions must be positive")
 
     @property

@@ -31,8 +31,10 @@ class LaplaceParams:
     sigma_deg: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_deg < 0.0:
-            raise ValueError("sigma_deg must be nonnegative")
+        if not np.isfinite(self.mu_deg):
+            raise ValueError("mu_deg must be finite")
+        if not 0.0 <= self.sigma_deg < np.inf:
+            raise ValueError("sigma_deg must be nonnegative and finite")
 
     @property
     def scale_deg(self) -> float:

@@ -88,13 +88,13 @@ class PeakTrace:
     beams: np.ndarray
 
 
-def make_pilot(on_level_w: float, length: int = DEFAULT_PILOT_LEN, seed: int = _PILOT_SEED) -> np.ndarray:
+def make_pilot(on_level_w: float, length: int) -> np.ndarray:
     """Pseudo-random on/off pilot with a sharp cyclic autocorrelation peak."""
-    if on_level_w <= 0.0:
+    if not on_level_w > 0.0:
         raise ValueError("pilot on-level must be positive")
     if length < 1:
         raise ValueError("pilot length must be >= 1")
-    bits = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=length)
+    bits = np.random.Generator(np.random.PCG64(_PILOT_SEED)).integers(0, 2, size=length)
     if bits.sum() == 0:  # degenerate all-off draw cannot correlate
         bits[0] = 1
     return bits.astype(float) * on_level_w
@@ -178,7 +178,7 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws):
     to the lowest slot, as a dense argmax picks it.  Noiseless, every
     maximum is its power (0 for the noise-only slots) at its lowest slot.
     """
-    if sigma_w < 0.0:
+    if not sigma_w >= 0.0:
         raise ValueError("sigma_w must be nonnegative")
 
     grid = plan.grid

@@ -96,8 +96,8 @@ def test_criterion_1_exact_recovery_on_grid_directions(full_grid):
         p_true = room.emitter_pos + d * u
         rx = ReceiverState(p_true, [0, 0, 1])
         trace = run_scan(plan, *support(plan.grid, room, rx, P), 0.0, rng)
-        est = locate(room.emitter_pos, *peak(trace.samples), full_grid, P)
-        worst = max(worst, position_error(p_true, est.position).total_m)
+        position, _ = locate(room.emitter_pos, *peak(trace.samples), full_grid, P, 0.0)
+        worst = max(worst, position_error(p_true, position).total_m)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 10.0
     report(1, ok, f"exact recovery: worst error {worst:.3e} m (< 1e-9), {elapsed:.1f}s (< 10s)")
@@ -115,12 +115,13 @@ def test_criterion_2_quantization_bound(full_grid):
         p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
         rx = ReceiverState(p_true, [0, 0, 1])
         trace = run_scan(plan, *support(plan.grid, room, rx, P), 0.0, rng)
-        est = locate(room.emitter_pos, *peak(trace.samples), full_grid, P)
+        y, beam = peak(trace.samples)
+        position, _ = locate(room.emitter_pos, y, beam, full_grid, P, 0.0)
         to_rx = p_true - room.emitter_pos
         d = float(np.linalg.norm(to_rx))
         cosines = full_grid.directions @ (to_rx / d)
-        assert cosines[est.beam_index] >= cosines.max() - 1e-12
-        err = position_error(p_true, est.position).total_m
+        assert cosines[beam] >= cosines.max() - 1e-12
+        err = position_error(p_true, position).total_m
         bound = d * np.tan(np.radians(0.71)) + 0.02
         worst_margin = max(worst_margin, err - bound)
     elapsed = time.perf_counter() - t0

@@ -45,29 +45,33 @@ class TestSelectBeam:
             assert peak(np.exp(y))[1] == k
 
 
+def _distance(position, emitter=np.zeros(3)):
+    return np.linalg.norm(position - emitter, axis=-1)
+
+
 class TestInvertDistance:
     """locate's range inversion, read through the nadir beam."""
 
     def test_round_trip(self, grid):
         y = received_power_on_axis(1.5, 1.0, P)
-        est = locate(np.zeros(3), y, NADIR, grid, P)
-        assert est.status == STATUS_OK
-        assert abs(est.distance_m - 1.5) / 1.5 < 1e-9
+        position, status = locate(np.zeros(3), y, NADIR, grid, P, 0.0)
+        assert status == STATUS_OK
+        assert abs(_distance(position) - 1.5) / 1.5 < 1e-9
 
     def test_zero_distance_power_maps_to_zero(self, grid):
-        est = locate(np.zeros(3), Y0, NADIR, grid, P)
-        assert est.status == STATUS_OK
-        assert est.distance_m == pytest.approx(0.0, abs=1e-9)
+        position, status = locate(np.zeros(3), Y0, NADIR, grid, P, 0.0)
+        assert status == STATUS_OK
+        assert _distance(position) == pytest.approx(0.0, abs=1e-9)
 
     def test_power_above_maximum_clamps(self, grid):
-        est = locate(np.zeros(3), 1.01 * Y0, NADIR, grid, P)
-        assert est.status == STATUS_CLAMPED
-        assert est.distance_m == 0.0
+        position, status = locate(np.zeros(3), 1.01 * Y0, NADIR, grid, P, 0.0)
+        assert status == STATUS_CLAMPED
+        assert _distance(position) == 0.0
 
     def test_monotone_decreasing_in_power(self, grid):
         powers = np.linspace(1e-4 * Y0, Y0, 100)
-        est = locate(np.zeros(3), powers, np.full(100, NADIR), grid, P)
-        assert np.all(np.diff(est.distance_m) < 0)
+        position, _ = locate(np.zeros(3), powers, np.full(100, NADIR), grid, P, 0.0)
+        assert np.all(np.diff(_distance(position)) < 0)
 
 
 class TestEstimatePosition:
@@ -79,9 +83,9 @@ class TestEstimatePosition:
         p_true = room.emitter_pos + 2.0 * u
         rx = ReceiverState(p_true, [0, 0, 1])
         trace = run_scan(ScanPlan(grid), *support(grid, room, rx, P), 0.0, np.random.default_rng(0))
-        est = locate(room.emitter_pos, *peak(trace.samples), grid, P)
-        assert est.status == STATUS_OK
-        assert position_error(p_true, est.position).total_m < 1e-9
+        position, status = locate(room.emitter_pos, *peak(trace.samples), grid, P, 0.0)
+        assert status == STATUS_OK
+        assert position_error(p_true, position).total_m < 1e-9
 
     def test_quantization_bound_with_brute_force_selection(self, grid):
         # the picked beam must be the angular argmin over the whole grid, and
@@ -92,12 +96,13 @@ class TestEstimatePosition:
             p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
             rx = ReceiverState(p_true, [0, 0, 1])
             trace = run_scan(ScanPlan(grid), *support(grid, room, rx, P), 0.0, rng)
-            est = locate(room.emitter_pos, *peak(trace.samples), grid, P)
+            y, beam = peak(trace.samples)
+            position, _ = locate(room.emitter_pos, y, beam, grid, P, 0.0)
             to_rx = p_true - room.emitter_pos
             d = float(np.linalg.norm(to_rx))
             cosines = grid.directions @ (to_rx / d)
-            assert cosines[est.beam_index] >= cosines.max() - 1e-12
-            assert position_error(p_true, est.position).total_m <= d * np.tan(np.radians(0.71)) + 0.02
+            assert cosines[beam] >= cosines.max() - 1e-12
+            assert position_error(p_true, position).total_m <= d * np.tan(np.radians(0.71)) + 0.02
 
     def test_distance_error_bounded_by_two_centimetres(self, grid):
         room = Room()
@@ -106,47 +111,52 @@ class TestEstimatePosition:
             p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
             rx = ReceiverState(p_true, [0, 0, 1])
             trace = run_scan(ScanPlan(grid), *support(grid, room, rx, P), 0.0, rng)
-            est = locate(room.emitter_pos, *peak(trace.samples), grid, P)
+            position, _ = locate(room.emitter_pos, *peak(trace.samples), grid, P, 0.0)
             d = float(np.linalg.norm(p_true - room.emitter_pos))
-            assert abs(est.distance_m - d) <= 0.02
+            assert abs(_distance(position, room.emitter_pos) - d) <= 0.02
 
     def test_never_above_ceiling(self, grid):
         room = Room()
         rng = np.random.default_rng(8)
         for _ in range(50):
             y = np.abs(rng.normal(1e-7, 5e-8, size=grid.size))
-            est = locate(room.emitter_pos, *peak(y), grid, P)
-            assert est.position[2] <= room.emitter_pos[2] + 1e-12
+            position, _ = locate(room.emitter_pos, *peak(y), grid, P, 0.0)
+            assert position[2] <= room.emitter_pos[2] + 1e-12
 
     def test_low_signal_flag(self, grid):
         room = Room()
         y = np.full(grid.size, 1e-9)
         y[100] = 2e-9  # max well below 5 sigma
-        est = locate(room.emitter_pos, *peak(y), grid, P, noise_sigma_w=1e-9)
-        assert est.status == STATUS_LOW_SIGNAL
-        assert est.beam_index == 100
+        y_peak, beam = peak(y)
+        _, status = locate(room.emitter_pos, y_peak, beam, grid, P, noise_sigma_w=1e-9)
+        assert status == STATUS_LOW_SIGNAL
+        assert beam == 100
 
     def test_strong_signal_not_flagged(self, grid):
         room = Room()
         y = np.zeros(grid.size)
         y[100] = received_power_on_axis(1.5, 1.0, P)
-        est = locate(room.emitter_pos, *peak(y), grid, P, noise_sigma_w=1e-9)
-        assert est.status == STATUS_OK
+        _, status = locate(room.emitter_pos, *peak(y), grid, P, noise_sigma_w=1e-9)
+        assert status == STATUS_OK
 
     def test_all_zero_trace_flagged_without_sigma(self, grid):
         room = Room()
-        est = locate(room.emitter_pos, *peak(np.zeros(grid.size)), grid, P)
-        assert est.status == STATUS_LOW_SIGNAL
-        assert est.distance_m == 0.0
-        np.testing.assert_array_equal(est.position, room.emitter_pos)
+        position, status = locate(room.emitter_pos, *peak(np.zeros(grid.size)), grid, P, 0.0)
+        assert status == STATUS_LOW_SIGNAL
+        assert _distance(position, room.emitter_pos) == 0.0
+        np.testing.assert_array_equal(position, room.emitter_pos)
 
     def test_assumed_cosine_uses_selected_beam(self, grid):
+        # the position lies along the picked beam, at the range whose power
+        # under the el-30 beam's assumed cosine, cos 30 deg, is the peak
         room = Room()
         y = np.zeros(grid.size)
         j = 30 * 360 + 45  # el 30 ring
         y[j] = received_power_on_axis(2.0, 1.0, P)
-        est = locate(room.emitter_pos, *peak(y), grid, P)
-        assert est.assumed_cos_psi == pytest.approx(np.cos(np.radians(30.0)), rel=1e-12)
+        position, _ = locate(room.emitter_pos, *peak(y), grid, P, 0.0)
+        d = _distance(position, room.emitter_pos)
+        assert received_power_on_axis(d, np.cos(np.radians(30.0)), P) == pytest.approx(y[j], rel=1e-9)
+        np.testing.assert_allclose(position, room.emitter_pos + d * grid.directions[j], rtol=0, atol=1e-12)
 
 
 class TestPositionError:

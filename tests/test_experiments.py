@@ -24,10 +24,10 @@ from vlp_sim.experiments import (
     sample_positions,
     scan_trial,
 )
-from vlp_sim.channel import noise_sigma_for_snr
-from vlp_sim.geometry import ReceiverState, build_beam_grid, incidence_cosine
+from vlp_sim.channel import ChannelParams, noise_sigma_for_snr
+from vlp_sim.geometry import ReceiverState, Room, build_beam_grid, incidence_cosine
 from vlp_sim.io import build_experiment, load_config
-from vlp_sim.orientation import receiver_normals
+from vlp_sim.orientation import LaplaceParams, receiver_normals
 from vlp_sim.scan import (
     PEAK_UNIFORMS,
     ScanPlan,
@@ -64,6 +64,25 @@ class TestConfigValidation:
         # an empty tuple must not fall back to orientation.mode
         with pytest.raises(ValueError, match="orientation_modes"):
             ExperimentConfig(mode="snr-sweep", orientation_modes=(), grid_spacing_m=0.5, trials_per_point=1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ChannelParams(p_opt_w=np.nan),
+        lambda: ChannelParams(p_opt_w=np.inf),
+        lambda: Room(1.0, np.nan, 3.0),
+        lambda: Room(1.0, 1.0, np.nan),
+        lambda: LaplaceParams(0.0, np.nan),
+        lambda: LaplaceParams(np.nan, 10.0),
+        lambda: ExperimentConfig(snr_list_db=(np.nan,)),
+        lambda: ExperimentConfig(mode="snr-sweep", snr_list_db=(np.nan, 40.0)),
+        lambda: ExperimentConfig(mode="snr-sweep", snr_list_db=(-np.inf, 40.0)),
+        lambda: run_scan(ScanPlan(build_beam_grid(2.0, 2.0)), np.array([0]), np.array([1e-5]), np.nan,
+                         np.random.default_rng(0)),
+    ], ids=["p_opt_w", "p_opt_w_inf", "room_depth", "room_height", "laplace_sigma", "laplace_mu", "cdf_snr",
+            "sweep_snr", "sweep_snr_-inf", "scan_sigma"])
+    def test_non_finite_values_rejected(self, build):
+        # a NaN compares false both ways, so each check is written to fail on it
+        with pytest.raises(ValueError):
+            build()
 
     def test_empty_snr_list(self):
         with pytest.raises(ValueError):
@@ -314,14 +333,15 @@ def _sync_oracle_rows(cfg):
             offset = int(uniform_index(u[6], 2 * half + 1)) - half
             rx = ReceiverState(point, receiver_normals(cfg.orientation, u[:3] - 0.5), cfg.fov_deg)
             rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, trial))
-            trace, est_sync = scan_trial(cfg, plan, rx, sigma, rng)
+            trace, est_sync, _ = scan_trial(cfg, plan, rx, sigma, rng)
             shifted = apply_timing_offset(trace, offset)
             realigned = apply_timing_offset(shifted, -realign_with_pilot(shifted, pilot))
-            est_re = locate(emitter, *peak(realigned.samples[cfg.pilot_len :]), grid, cfg.channel)
-            est_naive = locate(emitter, *peak(shifted.samples[cfg.pilot_len :]), grid, cfg.channel)
-            mismatches += int(est_re.beam_index != est_sync.beam_index)
+            peak_sync, peak_re, peak_naive = (peak(tr.samples[cfg.pilot_len :]) for tr in (trace, realigned, shifted))
+            est_re, _ = locate(emitter, *peak_re, grid, cfg.channel, 0.0)
+            est_naive, _ = locate(emitter, *peak_naive, grid, cfg.channel, 0.0)
+            mismatches += int(peak_re[1] != peak_sync[1])
             for key, est in (("synced", est_sync), ("realigned", est_re), ("naive", est_naive)):
-                errs[key].append(position_error(point, est.position).total_m)
+                errs[key].append(position_error(point, est).total_m)
         rows.append({
             "snr_db": snr,
             "mismatch_rate": mismatches / cfg.trials,
@@ -349,9 +369,9 @@ def _dense_grid_trials(seed, snr, mode, trials):
         for trial in range(trials):
             rng = np.random.default_rng((seed, i, trial))
             rx = ReceiverState(point, receiver_normals(ori, rng.uniform(-0.5, 0.5, m)), cfg.fov_deg)
-            _, est = scan_trial(cfg, plan, rx, sigma, rng)
-            errs.append(position_error(point, est.position).total_m)
-            status.append(est.status)
+            _, est, code = scan_trial(cfg, plan, rx, sigma, rng)
+            errs.append(position_error(point, est).total_m)
+            status.append(code)
     return {"err_3d": np.array(errs), "status": np.array(status)}
 
 
@@ -377,14 +397,14 @@ class TestPeakOnlyEquivalence:
         rx = ReceiverState(points, normals, cfg.fov_deg)
         trace = run_scan(ScanPlan(grid, peak_only=True), *support(grid, cfg.room, rx, cfg.channel), sigma_w=0.0,
                          draws=u[:, 3 : 3 + PEAK_UNIFORMS])
-        batch = locate(cfg.room.emitter_pos, trace.samples, trace.beams, grid, cfg.channel, 0.0)
+        batch, batch_status = locate(cfg.room.emitter_pos, trace.samples, trace.beams, grid, cfg.channel, 0.0)
         for i, (point, normal) in enumerate(zip(points, normals)):
             one = ReceiverState(point, normal, cfg.fov_deg)
             dense = run_scan(ScanPlan(grid), *support(grid, cfg.room, one, cfg.channel), 0.0, np.random.default_rng(i))
-            est = locate(cfg.room.emitter_pos, *peak(dense.samples), grid, cfg.channel, 0.0)
-            np.testing.assert_array_equal(est.position, batch.position[i])
-            assert (est.beam_index, est.distance_m, est.status, est.assumed_cos_psi) == (
-                batch.beam_index[i], batch.distance_m[i], batch.status[i], batch.assumed_cos_psi[i])
+            y, beam = peak(dense.samples)
+            est, status = locate(cfg.room.emitter_pos, y, beam, grid, cfg.channel, 0.0)
+            np.testing.assert_array_equal(est, batch[i])
+            assert (beam, y, status) == (trace.beams[i], trace.samples[i], batch_status[i])
 
     @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
     @pytest.mark.parametrize("snr", [20.0, 30.0, 40.0])
