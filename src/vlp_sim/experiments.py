@@ -26,7 +26,8 @@ every draw is a pure function of the master seed and its indices.
 * The dense sweeps (sync-test, scan-demo) draw only their noise, one normal
   per slot, pilot first, from np.random.default_rng(entropy) (PCG64 seeded
   through a SeedSequence): entropy (master_seed, 0, snr_index, 0,
-  trial_index) per sync-test trial, (master_seed,) for scan-demo.
+  trial_index) per sync-test trial, (master_seed,) for scan-demo.  A
+  noiseless sync-test trial draws nothing and builds no generator.
 """
 
 from __future__ import annotations
@@ -192,11 +193,26 @@ def compute_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def percentile(samples, q: float) -> float:
-    """Linear-interpolation percentile (q in [0, 100])."""
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty sample set")
-    return float(np.percentile(x, q))
+    """Linear-interpolation percentile (q in [0, 100]); any NaN gives NaN.
+
+    numpy's default method, Hyndman & Fan's definition 7, written out with
+    numpy's operations, so the result is np.percentile's bit for bit: index
+    v = (n - 1) q / 100 into the sorted values, then its lerp, which takes
+    the upper neighbour's side from t = 0.5 on.  np.percentile itself
+    imports numpy.ma on a process's first call (about 20 ms).
+    """
+    x, _ = compute_cdf(samples)
+    p = q / 100
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("q must be in [0, 100]")
+    if np.isnan(x[-1]):  # NaNs sort last
+        return float("nan")
+    v = (x.size - 1) * p
+    i = int(v)  # floor: v >= 0
+    j = min(i + 1, x.size - 1)
+    t = v - i
+    d = x[j] - x[i]
+    return float(x[j] - d * (1 - t) if t >= 0.5 else x[i] + d * t)
 
 
 def scan_trial(
@@ -305,7 +321,7 @@ def run_cdf_experiment(cfg: ExperimentConfig) -> RunResult:
     if valid.any():
         errs = {axis: rec[f"err_{axis}"][valid] for axis in ("3d", "x", "y", "z")}
         agg.update({f"cdf_{axis}": compute_cdf(e) for axis, e in errs.items()})
-        agg.update({f"p{q}_3d_m": percentile(errs["3d"], q) for q in (50, 90, 95)})
+        agg.update({f"p{q}_3d_m": percentile(agg["cdf_3d"][0], q) for q in (50, 90, 95)})
         agg.update({f"subcm_frac_{axis}": float((errs[axis] < 0.01).mean()) for axis in ("x", "y")})
     return RunResult("cdf", agg, _base_metadata(cfg, p_ref))
 
@@ -341,7 +357,8 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
     plan = ScanPlan(grid, pilot)
     k = cfg.pilot_len
-    half = (k + grid.size) // 2
+    n = k + grid.size
+    half = n // 2
     p_pilot = float(np.max(pilot))
     lo = np.array([0.0, 0.0, cfg.h_min_m])
     hi = np.array([cfg.room.width_m, cfg.room.depth_m, _height_cap(cfg)])
@@ -360,15 +377,20 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
         peaks = np.empty((3, cfg.trials))
         beams = np.empty((3, cfg.trials), dtype=int)
         for t in range(cfg.trials):
-            rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t))
+            # a noiseless sweep reads no draws: it needs no generator
+            rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t)) if sigma > 0.0 else None
             trace = run_scan(plan, cells[t], power[t], sigma_w=sigma, draws=rng)
-            shifted = apply_timing_offset(trace, int(offsets[t]))
+            offset = int(offsets[t])
+            shifted = apply_timing_offset(trace, offset)
             shift = realign_with_pilot(shifted, pilot)
-            # the realigned trace is a temporary: only two traces live on until
-            # the next trial's replace them, so the allocator reuses their pages
-            # (a third kept alive measured 10x the minor faults: heap-top trims)
             peaks[0, t], beams[0, t] = peak(trace.samples[k:])
-            peaks[1, t], beams[1, t] = peak(apply_timing_offset(shifted, -shift).samples[k:])
+            if shift == offset % n:  # the realigned trace is the synced one, slot for slot
+                peaks[1, t], beams[1, t] = peaks[0, t], beams[0, t]
+            else:
+                # the realigned trace is a temporary: only two traces live on until
+                # the next trial's replace them, so the allocator reuses their pages
+                # (a third kept alive measured 10x the minor faults: heap-top trims)
+                peaks[1, t], beams[1, t] = peak(apply_timing_offset(shifted, -shift).samples[k:])
             peaks[2, t], beams[2, t] = peak(shifted.samples[k:])
         estimates, _ = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), grid, cfg.channel, sigma)
         errs = position_error(np.tile(points, (3, 1)), estimates).total_m.reshape(3, -1)

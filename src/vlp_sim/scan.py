@@ -167,7 +167,8 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws):
     cells and power are support()'s output: the cells collect their on-axis
     power.  A dense plan sweeps one receiver (cells (4,), power a scalar) and
     returns a MeasurementTrace: every slot, pilot included, gets an
-    independent N(0, sigma_w^2) draw from draws, a numpy Generator.
+    independent N(0, sigma_w^2) draw from draws, a numpy Generator (unread,
+    and may be None, when sigma_w is 0).
 
     A peak-only plan sweeps a batch (cells (N, 4), power (N,)) and returns a
     PeakTrace; draws holds each receiver's PEAK_UNIFORMS uniforms.  Each

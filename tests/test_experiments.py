@@ -165,6 +165,26 @@ class TestComputeCdf:
         with pytest.raises(ValueError):
             percentile([], 50.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1375])
+    def test_percentile_bit_identical_to_numpy(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(0.0, 2.0, n).round(1)  # negatives; ties at n = 1,375
+        x[n // 2 :: 3] = x[0]  # ties at every size
+        for q in [0, 25, 50, 90, 95, 100, *rng.uniform(0.0, 100.0, 200).tolist()]:
+            assert percentile(x, q) == np.percentile(x, q), q
+
+    @pytest.mark.parametrize("x, q", [([-1.303, 0.33], 50), ([0.33, 1.0, -1.303], 25)])
+    def test_percentile_midpoint_takes_upper_lerp(self, x, q):
+        # t == 0.5 exactly: numpy lerps down from the upper neighbour, which
+        # here differs in the last bit from lerping up from the lower one
+        lo, hi = sorted(x)[:2]
+        assert percentile(x, q) == np.percentile(x, q) == hi - (hi - lo) * 0.5 != lo + (hi - lo) * 0.5
+
+    def test_percentile_nan_gives_nan(self):
+        x = [0.5, np.nan, -2.0]
+        assert np.isnan(np.percentile(x, 50.0))
+        assert all(np.isnan(percentile(x, q)) for q in (0, 50, 100))
+
 
 class TestNoiseSigma:
     """Each runner turns its SNR into sigma against the power it records."""
@@ -306,9 +326,12 @@ class TestRunSyncTest:
     @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
     def test_matches_per_trial_oracle(self, mode):
         cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=30,
-                               master_seed=11, snr_list_db=(float("inf"), 20.0),
+                               master_seed=11, snr_list_db=(float("inf"), 20.0, 0.0),
                                orientation=dataclasses.replace(ExperimentConfig().orientation, mode=mode))
-        assert run_sync_test(cfg).aggregates["rows"] == _sync_oracle_rows(cfg)
+        rows = run_sync_test(cfg).aggregates["rows"]
+        assert rows == _sync_oracle_rows(cfg)
+        # at 0 dB some realignments miss the offset, so both peak paths run
+        assert rows[2]["mismatch_rate"] > 0
 
 
 def _sync_oracle_rows(cfg):

@@ -378,6 +378,17 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("command", ["cdf", "snr-sweep", "sync-test"])
+    def test_run_loads_no_numpy_ma(self, tmp_path, command):
+        # numpy >= 2 imports numpy.ma on a process's first np.unique,
+        # np.percentile or np.quantile call: about 20 ms inside the timed run
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = [command, "--config", write_tiny_config(tmp_path), "--out", str(tmp_path / "out")]
+        code = f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; print('numpy.ma' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_sync_test_without_pilot_exits_one_before_work(self, tmp_path, capsys):
         out = tmp_path / "out"
         config = write_tiny_config(tmp_path, {"pilot_length": 0})
