@@ -1,11 +1,11 @@
-"""Monte Carlo harness: the grid pass and the dense scan trial; cdf /
-snr-sweep / sync-test / scan-demo.  A grid pass runs every trial at every
-grid point for one (orientation mode, SNR) as array passes over its rows,
-point by point, then trial by trial, GRID_BLOCK_ROWS rows at a time: cdf
-is the single pass (0, 0), snr-sweep one pass per pair.  Every caller
-composes scan.support (the geometry), scan.run_scan (the sweep) and
-estimator.locate (the fix); a peak-only pass yields its peaks directly, and
-the dense trials (scan_trial, sync-test) take each trace's with
+"""Monte Carlo harness: the grid pass, the dense scan trial and the sync
+trial; cdf / snr-sweep / sync-test / scan-demo.  A grid pass runs every
+trial at every grid point for one (orientation mode, SNR) as array passes
+over its rows, point by point, then trial by trial, GRID_BLOCK_ROWS rows at
+a time: cdf is the single pass (0, 0), snr-sweep one pass per pair.  Every
+caller composes scan.support (the geometry), scan.run_scan (the sweep) and
+estimator.locate (the fix); a peak-only pass and a sync trial yield their
+peaks directly, and the dense trial (scan_trial) takes its trace's with
 estimator.peak.
 
 Reproducibility contract: results are bit-identical across reruns, and
@@ -23,11 +23,13 @@ every draw is a pure function of the master seed and its indices.
     6     sync-test: offset uniform_index(u, 2h + 1) - h, h = n_slots // 2
     11    unused
   scan-demo reads columns 0-2 of row 0 of pass (0, 0).
-* The dense sweeps (sync-test, scan-demo) draw only their noise, one normal
-  per slot, pilot first, from np.random.default_rng(entropy) (PCG64 seeded
-  through a SeedSequence): entropy (master_seed, 0, snr_index, 0,
-  trial_index) per sync-test trial, (master_seed,) for scan-demo.  A
-  noiseless sync-test trial draws nothing and builds no generator.
+* The sync-test and scan-demo sweeps draw only their noise, from
+  np.random.default_rng(entropy) (PCG64 seeded through a SeedSequence):
+  entropy (master_seed, 0, snr_index, 0, trial_index) per sync-test trial,
+  (master_seed,) for scan-demo.  scan-demo draws one normal per slot, pilot
+  first; a sync-test trial draws only the samples its peaks and its
+  realignment read, in the order scan._sync_trial states.  A noiseless
+  sync-test trial draws nothing and builds no generator.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ from .scan import (
     PEAK_UNIFORMS,
     MeasurementTrace,
     ScanPlan,
-    apply_timing_offset,
     make_pilot,
-    realign_with_pilot,
     run_scan,
     support,
 )
@@ -349,16 +349,16 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
 
     snr values set the pilot SNR (sigma = pilot on-level / 10^(snr/20)), and
     the metadata records that on-level as reference_power_w; snr = inf runs
-    noiseless.  trials_per_point is the total trial count.
+    noiseless.  trials_per_point is the total trial count.  Each trial is one
+    sync run_scan: the three peaks of the dense trial, from a sweep that
+    draws only the samples they need.
     """
     if cfg.mode != "sync-test":
         raise ValueError("config mode must be 'sync-test'")
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
-    plan = ScanPlan(grid, pilot)
-    k = cfg.pilot_len
-    n = k + grid.size
-    half = n // 2
+    plan = ScanPlan(grid, pilot, sync=True)
+    half = (cfg.pilot_len + grid.size) // 2
     p_pilot = float(np.max(pilot))
     lo = np.array([0.0, 0.0, cfg.h_min_m])
     hi = np.array([cfg.room.width_m, cfg.room.depth_m, _height_cap(cfg)])
@@ -372,26 +372,15 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
         offsets = uniform_index(u[:, 6], 2 * half + 1) - half
         rx = ReceiverState(points, receiver_normals(cfg.orientation, u[:, :3] - 0.5), cfg.fov_deg)
         cells, power = support(grid, cfg.room, rx, cfg.channel)
-        # then each trial's sweep, from its own noise stream, and the peaks
-        # of its synced, its offset-then-realigned and its naive (offset) trace
+        # then each trial's sync sweep, from its own noise stream: the peaks of
+        # its synced, its offset-then-realigned and its naive (offset) trace
         peaks = np.empty((3, cfg.trials))
         beams = np.empty((3, cfg.trials), dtype=int)
         for t in range(cfg.trials):
             # a noiseless sweep reads no draws: it needs no generator
             rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t)) if sigma > 0.0 else None
-            trace = run_scan(plan, cells[t], power[t], sigma_w=sigma, draws=rng)
-            offset = int(offsets[t])
-            shifted = apply_timing_offset(trace, offset)
-            shift = realign_with_pilot(shifted, pilot)
-            peaks[0, t], beams[0, t] = peak(trace.samples[k:])
-            if shift == offset % n:  # the realigned trace is the synced one, slot for slot
-                peaks[1, t], beams[1, t] = peaks[0, t], beams[0, t]
-            else:
-                # the realigned trace is a temporary: only two traces live on until
-                # the next trial's replace them, so the allocator reuses their pages
-                # (a third kept alive measured 10x the minor faults: heap-top trims)
-                peaks[1, t], beams[1, t] = peak(apply_timing_offset(shifted, -shift).samples[k:])
-            peaks[2, t], beams[2, t] = peak(shifted.samples[k:])
+            trace = run_scan(plan, cells[t], power[t], sigma_w=sigma, draws=rng, offset_steps=int(offsets[t]))
+            peaks[:, t], beams[:, t] = trace.peaks, trace.beams
         estimates, _ = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), grid, cfg.channel, sigma)
         errs = position_error(np.tile(points, (3, 1)), estimates).total_m.reshape(3, -1)
         rows.append(

@@ -11,21 +11,27 @@ shift is scored.
 
 The geometry and the sweep are two calls: support() finds, for one
 receiver or a batch, the beam cells that carry signal and their on-axis
-power; run_scan() sweeps them.  A dense sweep takes one receiver's support
-and records every slot.  A peak-only pass takes a whole batch's support and
-keeps, per receiver, just the strongest sample and its slot, drawn from the
-same law as the dense trace; the maximum of many noise samples comes from
-the standard library's normal quantile, statistics.NormalDist().inv_cdf.
+power; run_scan() sweeps them, in one of three plans.  A dense sweep takes
+one receiver's support and records every slot.  A peak-only pass takes a
+whole batch's support and keeps, per receiver, just the strongest sample
+and its slot, drawn from the same law as the dense trace; the maximum of
+many noise samples comes from the standard library's normal quantile,
+statistics.NormalDist().inv_cdf.  A sync trial takes one receiver's support
+and a timing offset and returns the peaks of its synced, realigned and
+naive traces; it draws only the samples that the realignment and the three
+peaks read, and the rest of the trace stays implicit (see run_scan).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
 
 from .channel import ChannelParams, received_power_on_axis
+from .estimator import peak
 from .geometry import BeamGrid, ReceiverState, Room, in_fov, incidence_cosine, norm, spherical_from_direction
 from .streams import uniform_index
 
@@ -47,6 +53,11 @@ PEAK_UNIFORMS = 8
 # candidate rings (and azimuths) of a support cell: the nearest and its two neighbours
 _NEAR = np.array([-1.0, 0.0, 1.0])
 
+# a sync trial draws the noise-only slots above tau standard deviations up
+# front; tau leaves about this many of them per trace, so the slots each of
+# its peaks is taken over hold one with near certainty (odds about e^-32 not)
+_HOT_PER_TRACE = 32
+
 
 @dataclass(frozen=True)
 class ScanPlan:
@@ -54,11 +65,13 @@ class ScanPlan:
 
     peak_only asks run_scan for a peak-only pass over a batch of receivers
     (see there); it samples the same peak as the dense trace but has no pilot.
+    sync asks it for a sync trial of one receiver, which needs the pilot.
     """
 
     grid: BeamGrid
     pilot_w: np.ndarray | None = None
     peak_only: bool = False
+    sync: bool = False
 
     def __post_init__(self):
         if self.pilot_w is not None:
@@ -67,10 +80,16 @@ class ScanPlan:
                 raise ValueError("pilot power levels must be nonnegative")
             if self.peak_only:
                 raise ValueError("a peak-only plan cannot carry a pilot")
+        elif self.sync:
+            raise ValueError("a sync plan needs a pilot")
 
     @property
     def pilot_len(self) -> int:
         return 0 if self.pilot_w is None else int(len(self.pilot_w))
+
+    @cached_property
+    def _sync_pilot(self) -> _SyncPilot:
+        return _SyncPilot(self)
 
 
 @dataclass
@@ -85,6 +104,16 @@ class PeakTrace:
     """A peak-only pass: per receiver, the strongest sample and its beam slot."""
 
     samples: np.ndarray
+    beams: np.ndarray
+
+
+@dataclass
+class SyncTrace:
+    """A sync trial: the samples it drew, and the peak and its beam slot of
+    the synced, the realigned and the naive trace, in that order."""
+
+    samples: np.ndarray
+    peaks: np.ndarray
     beams: np.ndarray
 
 
@@ -161,7 +190,7 @@ def _box_muller(u):
     return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(len(u), -1)
 
 
-def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws):
+def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: int = 0):
     """Sweep every beam once and record the received power per dwell slot.
 
     cells and power are support()'s output: the cells collect their on-axis
@@ -178,6 +207,14 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws):
     uniformly drawn noise-only slot.  The peak is the largest of these, ties
     to the lowest slot, as a dense argmax picks it.  Noiseless, every
     maximum is its power (0 for the noise-only slots) at its lowest slot.
+
+    A sync plan sweeps one receiver, desynchronized by offset_steps, and
+    returns a SyncTrace: the peaks that estimator.peak takes of the synced
+    trace, of the offset trace after realign_with_pilot, and of the offset
+    trace itself, each over the slots after the pilot; draws is a Generator
+    as for a dense plan.  The result is that of the dense trace, drawn from
+    the same law, but only the samples read are drawn, and the trace's
+    samples are those (see _sync_trial).
     """
     if not sigma_w >= 0.0:
         raise ValueError("sigma_w must be nonnegative")
@@ -185,6 +222,8 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws):
     grid = plan.grid
     if plan.peak_only:
         return _peak_pass(grid, cells, power, sigma_w, np.asarray(draws))
+    if plan.sync:
+        return _sync_trial(plan, cells, power, sigma_w, draws, offset_steps)
 
     k = plan.pilot_len
     n = k + grid.size
@@ -195,11 +234,16 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws):
         samples = np.zeros(n)
     if k:
         samples[:k] += plan.pilot_w
+    samples[k + _beam_slots(grid, cells)] += power
+    return MeasurementTrace(samples)
+
+
+def _beam_slots(grid, cells):
+    """Every beam slot one receiver's cells stand for, ascending."""
     slots = cells[cells < grid.size]
     if len(slots) and slots[0] == 0:  # the nadir ring cell covers its whole ring
         slots = np.concatenate([np.arange(grid.n_azimuth), slots[1:]])
-    samples[k + slots] += power
-    return MeasurementTrace(samples)
+    return slots
 
 
 def _peak_pass(grid, cells, power, sigma_w, u) -> PeakTrace:
@@ -295,7 +339,13 @@ def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> int:
         if level not in scaled:
             scaled[level] = level * seg
         corr += scaled[level][i : i + count]
+    return _winner(corr, start, n)
+
+
+def _winner(corr, start, n) -> int:
+    """The best-scoring shift of the run whose corr[j] scores shift (start + j) mod n."""
     j = int(corr.argmax())
+    count = len(corr)
     if j < n - start < count:  # the run wraps past shift n - 1: a tie after the wrap is a smaller shift
         late = corr[n - start :]
         i = int(late.argmax())
@@ -318,9 +368,7 @@ def _candidate_shifts(x, pilot, taps) -> tuple[int, int]:
     floor = np.add.accumulate(window, axis=1)[:, -1].max()
     if not np.isfinite(floor):
         return 0, n
-    total = levels.sum()
-    margin = (k + 1) * (_TAP_ROUNDING * total * max(x[peak], -x.min()) + _SUBNORMAL)
-    tau = (floor - margin) / total
+    tau = _hot_level(floor, levels.sum(), k, max(x[peak], -x.min()))
     if not np.isfinite(tau):  # an infinite sample
         return 0, n
     hot = x >= tau
@@ -329,12 +377,242 @@ def _candidate_shifts(x, pilot, taps) -> tuple[int, int]:
     # arc holds a hot sample, the run cannot be that short
     if np.logical_or.reduceat(hot, range(0, n, -(-n // 8))).all():
         return 0, n
-    hot = np.flatnonzero(hot)
-    # the shortest cyclic run covering every hot sample leaves out the widest
-    # gap between neighbours; shifts hot - k + 1 .. hot cover a hot sample
+    return _covering_run(np.flatnonzero(hot), n, k)
+
+
+def _scores(seg, taps, levels, count):
+    """corr[j] = sum_i levels[i] * seg[j + taps[i]] for j < count (levels a
+    column), added tap by tap in ascending order, as realign_with_pilot's
+    loop adds them: numpy sums pairwise only along the fast axis, so a
+    reduce over axis 0 adds the tap rows one after another."""
+    return np.add.reduce(seg[taps[:, None] + np.arange(count)] * levels, axis=0)
+
+
+def _hot_level(floor, total, k, scale) -> float:
+    """The level a window must reach to beat the floor, less the rounding
+    allowance (k + 1) * (1e-14 * total * scale + the smallest subnormal)."""
+    return (floor - (k + 1) * (_TAP_ROUNDING * total * scale + _SUBNORMAL)) / total
+
+
+def _covering_run(hot, n, k) -> tuple[int, int]:
+    """The shortest cyclic run of shifts whose windows cover every hot slot
+    (nonempty), (start, count); (0, n) when longer than n / 2."""
+    # it leaves out the widest gap between neighbours; shifts hot - k + 1 .. hot
+    # cover a hot sample
+    lo, hi = int(hot.min()), int(hot.max())
+    if 2 * (hi - lo + k) <= n:  # the gap from hi round to lo is wider than all the others together
+        return (lo - k + 1) % n, hi - lo + k
+    hot = np.sort(hot)
     gaps = np.diff(hot, append=hot[0] + n)
     g = int(gaps.argmax())
     count = n - int(gaps[g]) + k
     if 2 * count > n:
         return 0, n
     return (int(hot[(g + 1) % len(hot)]) - k + 1) % n, count
+
+
+class _SyncPilot:
+    """What a sync trial reads of its plan, once per plan: the pilot, its
+    on-taps and their levels (a column) and sum, the level tau that a
+    noise-only sample exceeds with probability q, the head (the pilot and
+    pad = k - 1 slots either side of it, none on a trace too short to hold
+    them, whose signal is the pilot), and quiet, the pruned run (see
+    _pruned_run) of a noiseless trace that holds the pilot alone."""
+
+    def __init__(self, plan: ScanPlan):
+        self.pilot = plan.pilot_w
+        k = self.k = len(self.pilot)
+        n = self.n = k + plan.grid.size
+        self.taps = np.flatnonzero(self.pilot)
+        self.levels = self.pilot[self.taps][:, None]
+        self.total = self.levels.sum()
+        self.q = min(0.5, _HOT_PER_TRACE / n)
+        self.tau = -_STD_NORMAL.inv_cdf(self.q)
+        self.pad = k - 1 if n >= 3 * k - 2 else 0
+        self.head_slots = np.arange(-self.pad, k + self.pad) % n
+        self.head_signal = np.zeros(k + 2 * self.pad)
+        self.head_signal[self.pad : self.pad + k] = self.pilot
+        # its windows lie in the head (its hot samples are on-taps), so a
+        # noiseless trial whose other samples lie under its hot level shares it
+        self.quiet = _pruned_run(_LazyTrace(self, self.head_slots[:0], 0.0, 0.0, None), self) if self.pad else None
+
+
+class _LazyTrace:
+    """A synced trace with pilot, drawn only where read.
+
+    slots and values hold the samples drawn so far, in draw order, the head
+    first (see _SyncPilot).  Every other slot is noise-only and holds at
+    most cut: exactly 0.0 when noiseless, else sigma_w times a standard
+    normal conditioned below tau, drawn the first time the slot is read.
+    """
+
+    def __init__(self, p: _SyncPilot, support, power, sigma_w, rng):
+        self.n, self.sigma_w, self.rng = p.n, sigma_w, rng
+        first = p.k + p.pad  # the first slot past the head
+        head, outside = p.head_signal, support
+        self.plain_head = True  # the head's signal is the pilot's alone
+        if len(support) and not first <= support[0] <= support[-1] < p.n - p.pad:
+            at = (support + p.pad) % p.n  # a support slot's place in the head, if it is there
+            inside = at < len(head)
+            head = head.copy()
+            head[at[inside]] = power
+            self.plain_head = not inside.any()
+            outside = support[~inside]  # ascending, past the head
+        slots = np.concatenate((p.head_slots, outside))
+        signal = np.concatenate((head, np.full(len(outside), power)))
+        if sigma_w == 0.0:
+            self.tau = self.cut = 0.0
+            self.slots, self.values = slots, signal
+            return
+        # the head and the other support slots, exactly, in that order; then
+        # the noise-only slots above tau: how many (binomial), which (uniform
+        # distinct ranks), and their values by inversion, z = -Phi^-1(q u)
+        # for u uniform in (0, 1]
+        values = sigma_w * rng.standard_normal(len(slots)) + signal
+        self.tau = p.tau
+        self.cut = sigma_w * p.tau
+        rest = p.n - len(slots)
+        m = rng.binomial(rest, p.q)
+        u = rng.random(2 * m)  # m ranks, then m values
+        ranks = np.sort(uniform_index(u[:m], rest))
+        while (dup := ranks[1:] == ranks[:-1]).any():  # redraw repeats: a uniform distinct set
+            ranks[1:][dup] = uniform_index(rng.random(int(dup.sum())), rest)
+            ranks.sort()
+        hot = [-sigma_w * _STD_NORMAL.inv_cdf(v) for v in (p.q * (1.0 - u[m:])).tolist()]
+        # the r-th noise-only slot is the r-th past the head, plus the support slots at or before it
+        ranks += first + np.searchsorted(outside - first - np.arange(len(outside)), ranks, "right")
+        self.slots = np.concatenate((slots, ranks))
+        self.values = np.concatenate((values, hot))
+
+    def _below(self, z):
+        """sigma_w times z, every z_i >= tau redrawn until it is below: N(0, 1)
+        conditioned below tau, by rejection, in place."""
+        while (high := z >= self.tau).any():
+            z[high] = self.rng.standard_normal(int(high.sum()))
+        z *= self.sigma_w
+        return z
+
+    def read(self, start, length):
+        """The samples of the cyclic run of slots start .. start + length - 1
+        (length <= n), drawing those not yet drawn in slot order from start."""
+        rel = (self.slots - start) % self.n
+        seen = rel < length
+        hit = rel[seen]
+        out = np.zeros(length)
+        out[hit] = self.values[seen]
+        if self.sigma_w > 0.0:
+            new = np.ones(length, dtype=bool)
+            new[hit] = False
+            out[new] = fresh = self._below(self.rng.standard_normal(int(new.sum())))
+            self.slots = np.concatenate((self.slots, (start + np.flatnonzero(new)) % self.n))
+            self.values = np.concatenate((self.values, fresh))
+        return out
+
+    def dense(self):
+        """Every slot: one normal per slot, in slot order, of which those
+        drawn already are discarded, conditioned below tau (see _below)."""
+        if self.sigma_w > 0.0:
+            x = self.rng.standard_normal(self.n)
+            x[self.slots] = -np.inf  # never redrawn, then overwritten
+            x = self._below(x)
+        else:
+            x = np.zeros(self.n)
+        x[self.slots] = self.values
+        return x
+
+
+def _sync_trial(plan, cells, power, sigma_w, rng, offset) -> SyncTrace:
+    """A sync trial on the synced trace x = signal + noise, drawn lazily.
+
+    In synced slots, shift s of the offset trace scores the window of k
+    slots from s - offset, and each peak is the argmax of x outside one such
+    window: the synced peak's starts at 0, the naive one's at -offset and
+    the realigned one's at shift - offset, mod n; ties go to the lowest slot
+    counted from the window's start.  Draw order: the head (the pilot and
+    k - 1 slots either side) and the other support slots, exactly; the
+    noise-only slots above tau (_LazyTrace); then, in slot order, any other
+    slot the pruned run's windows read.  When the realignment cannot be
+    pruned on what is drawn, or a peak's best drawn sample may be beaten by
+    one not drawn, _full_draw draws the rest (_LazyTrace.dense) and runs the
+    dense path.
+    """
+    p = plan._sync_pilot
+    if abs(offset) > p.n:
+        raise ValueError("offset beyond one full trace period")
+    x = _LazyTrace(p, p.k + _beam_slots(plan.grid, cells), power, sigma_w, rng)
+    shift = _sparse_shift(x, p, offset)
+    if shift is not None and (found := _sparse_peaks(x, p.k, [[0], [shift - offset], [-offset]])) is not None:
+        return SyncTrace(x.values, *found)
+    return _full_draw(x, p, offset)
+
+
+def _sparse_shift(x, p: _SyncPilot, offset):
+    """realign_with_pilot's shift from the drawn samples, or None when its
+    bound and run argument needs samples not drawn (see _pruned_run)."""
+    quiet = x.sigma_w == 0.0 and x.plain_head and p.quiet is not None
+    if quiet and x.values[len(p.head_slots) :].max(initial=0.0) < p.quiet[0]:
+        run = p.quiet
+    elif (run := _pruned_run(x, p)) is None:
+        return None
+    _, start, corr = run
+    return _winner(corr, (start + offset) % p.n, p.n)
+
+
+def _pruned_run(x, p: _SyncPilot):
+    """(hot level, start, scores) of the run of windows that can win, in
+    synced slots, or None when it cannot be found on the drawn samples.
+
+    In synced slots, the window starting at slot w is shift w + offset's.
+    The floor is the score of the synced window, shift offset's: a score
+    some shift gets, which is all the bound asks of a floor.  With the bound
+    level above cut, every hot sample is drawn, and only the pruned run's
+    windows are read and scored, tap by tap in ascending order as
+    realign_with_pilot scores them; they lie in the head when every hot
+    sample is a pilot slot.  Every window the bound rules out holds samples
+    under a positive level t only, and a window's score rounds monotonically
+    in its samples, so it stays under (1 + (k + 1) 2^-53) L t whatever its
+    negative samples: the strongest sample drawn, which is at least the
+    synced window's, scales the rounding allowance.
+    """
+    k, n = p.k, p.n
+    if len(p.taps) == 0 or 2 * k - 2 > n:  # no score to beat, or a run whose windows overlap
+        return None
+    head = x.values[: len(p.head_slots)]
+    floor = np.add.accumulate(head[p.pad + p.taps] * p.levels[:, 0])[-1]  # in tap order, as _scores adds
+    tau = _hot_level(floor, p.total, k, x.values.max())
+    if not tau > x.cut:
+        return None
+    start, count = _covering_run(x.slots[x.values >= tau], n, k)
+    if count == n:
+        return None
+    lo = (start + p.pad) % n
+    seg = head[lo : lo + count + k - 1] if lo + count + k - 1 <= len(head) else x.read(start, count + k - 1)
+    return tau, start, _scores(seg, p.taps, p.levels, count)
+
+
+def _sparse_peaks(x, k, starts):
+    """(peaks, beams) of the traces whose pilot windows start at the given
+    synced slots (a column), or None when a sample not drawn could beat a peak."""
+    above = x.values > x.cut  # only these can beat a slot not drawn
+    rel = (x.slots[above] - np.array(starts)) % x.n
+    values = np.where(rel >= k, x.values[above], -np.inf)
+    best = values.max(axis=1, initial=-np.inf)
+    beams = np.where(values == best[:, None], rel, x.n).min(axis=1, initial=x.n) - k
+    if x.sigma_w == 0.0:
+        # noiseless samples are >= 0 and the undrawn ones 0: with no positive
+        # drawn sample, the trace is all zeros and peaks at its first slot
+        flat = best == -np.inf
+        best[flat], beams[flat] = 0.0, 0
+    elif (best == -np.inf).any():
+        return None
+    return best, beams
+
+
+def _full_draw(x, p: _SyncPilot, offset) -> SyncTrace:
+    """The dense path, on every slot of x: realign_with_pilot and estimator.peak."""
+    synced = MeasurementTrace(x.dense())
+    shifted = apply_timing_offset(synced, offset)
+    shift = realign_with_pilot(shifted, p.pilot)
+    realigned = synced if shift == offset % p.n else apply_timing_offset(shifted, -shift)
+    found = [peak(trace.samples[p.k :]) for trace in (synced, realigned, shifted)]
+    return SyncTrace(synced.samples, *map(np.array, zip(*found)))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from vlp_sim import cli, experiments
+from vlp_sim import cli, experiments, scan
 from vlp_sim.estimator import STATUS_LOW_SIGNAL, locate, peak, position_error
 from vlp_sim.experiments import (
     ExperimentConfig,
@@ -30,6 +30,7 @@ from vlp_sim.io import build_experiment, load_config
 from vlp_sim.orientation import LaplaceParams, receiver_normals
 from vlp_sim.scan import (
     PEAK_UNIFORMS,
+    MeasurementTrace,
     ScanPlan,
     apply_timing_offset,
     make_pilot,
@@ -41,6 +42,7 @@ from vlp_sim.streams import uniform_index
 
 # coarse setup keeps module tests fast; acceptance runs the full defaults
 SMALL = dict(grid_spacing_m=0.5, trials_per_point=2)
+FULL_N = 64 + 32_400  # slots of a default sweep: pilot, then one per beam
 
 
 class TestConfigValidation:
@@ -325,19 +327,195 @@ class TestRunSyncTest:
 
     @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
     def test_matches_per_trial_oracle(self, mode):
-        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=30,
-                               master_seed=11, snr_list_db=(float("inf"), 20.0, 0.0),
+        # noiseless rows equal the dense per-trial oracle's bit for bit; noisy
+        # rows draw other samples from the same law (TestSyncTrialLaw)
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=100,
+                               master_seed=11, snr_list_db=(float("inf"),),
                                orientation=dataclasses.replace(ExperimentConfig().orientation, mode=mode))
         rows = run_sync_test(cfg).aggregates["rows"]
         assert rows == _sync_oracle_rows(cfg)
-        # at 0 dB some realignments miss the offset, so both peak paths run
-        assert rows[2]["mismatch_rate"] > 0
+
+    @pytest.mark.parametrize("position, normal", [
+        ([0.8, 0.5, 1.0], [0, 0, 1]),  # one support cell
+        ([0.5, 0.5, 1.5], [0, 0, 1]),  # the nadir ring: 360 slots of equal power
+        ([0.2, 0.7, 1.0], [0, 0, -1]),  # out of view: every beam slot 0, the peak at the lowest
+    ])
+    @pytest.mark.parametrize("offset", [0, 1, -1, 9_001, FULL_N // 2, -(FULL_N // 2), FULL_N])
+    @pytest.mark.parametrize("pilot_w", [1e-3, 1e-6])  # the stock pilot, and one weaker than the signal
+    def test_noiseless_trial_matches_dense(self, position, normal, offset, pilot_w):
+        grid = build_beam_grid()
+        pilot = make_pilot(pilot_w, 64)
+        cells, power = support(grid, Room(), ReceiverState(position, normal), ChannelParams())
+        trace = run_scan(ScanPlan(grid, pilot, sync=True), cells, power, sigma_w=0.0, draws=None, offset_steps=offset)
+        peaks, beams, _ = _dense_sync(run_scan(ScanPlan(grid, pilot), cells, power, 0.0, None), pilot, offset)
+        np.testing.assert_array_equal(trace.beams, beams)
+        np.testing.assert_array_equal(trace.peaks, peaks)
+        # it holds the pilot with the 63 slots either side, and the support
+        # slots, the nadir ring cell standing for 360; nothing else is drawn
+        slots = cells[cells < grid.size]
+        if len(slots) and slots[0] == 0:
+            slots = np.concatenate([np.arange(grid.n_azimuth), slots[1:]])
+        assert len(trace.samples) == len(set(range(-63, 127)) | set(64 + slots))
+
+    def test_full_draw_is_rare_at_20_db(self, monkeypatch):
+        # criterion 7's trials: the sparse trial falls back to the dense path
+        # in at most 1 % of the 20 dB ones
+        noisy = _count_full_draws(monkeypatch)
+        run_sync_test(ExperimentConfig(mode="sync-test", snr_list_db=(float("inf"), 20.0), trials_per_point=1000,
+                                       master_seed=20259))
+        assert len(noisy) <= 10
+
+
+class TestSyncTrialLaw:
+    """The sparse sync trial is sampled from the dense trial's law: per-trial
+    errors, peak values and beam slots (two-sample KS) and the rates of beam
+    mismatch and of a recovered shift equal to the offset (two-proportion),
+    against the dense oracle on independent seeds (sparse 1001, dense 2002),
+    1,000 trials each."""
+
+    @pytest.mark.parametrize("snr", [20.0, 10.0, 0.0])
+    def test_matches_dense_oracle(self, monkeypatch, snr):
+        dense = _sync_trial_records(2002, snr, dense=True)
+        full_draws = _count_full_draws(monkeypatch)
+        shifts = _record_shifts(monkeypatch)
+        sparse = _sync_trial_records(1001, snr, dense=False, shifts=shifts)
+        n = len(dense["synced"])
+        for key in ("synced", "realigned", "naive"):
+            assert stats.ks_2samp(dense[key], sparse[key]).pvalue > 0.01, key
+        # the peaks and beams behind the errors, which a wrong exceedance law
+        # moves first: six more tests, at 0.01 / 6 each
+        for key in ("peaks", "beams"):
+            for i in range(3):
+                assert stats.ks_2samp(dense[key][i], sparse[key][i]).pvalue > 0.01 / 6, (key, i)
+        for key in ("mismatch", "hit"):
+            counts = [int(rec[key].sum()) for rec in (dense, sparse)]
+            rate = sum(counts) / (2 * n)
+            assert abs(counts[0] - counts[1]) <= 4.0 * np.sqrt(2 * n * rate * (1.0 - rate)), key
+        if snr == 0.0:  # no pruning: every trial draws in full, and the mismatches are real
+            assert len(full_draws) == n
+            assert sparse["mismatch"].any() and not sparse["hit"].all()
+
+
+class TestSyncTrialCompletion:
+    """A sparse sync trial returns what the dense path returns on the trace
+    it leaves implicit: completed by drawing every slot it did not draw, the
+    trace gives the same shift, peaks and beams, bit for bit."""
+
+    @pytest.mark.parametrize("snr", [40.0, 20.0, 10.0])
+    def test_dense_path_on_completed_trace_agrees(self, monkeypatch, snr):
+        traces = []
+
+        class Kept(scan._LazyTrace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                traces.append(self)
+
+        monkeypatch.setattr(scan, "_LazyTrace", Kept)
+        full_draws = _count_full_draws(monkeypatch)
+        shifts = _record_shifts(monkeypatch)
+        grid = build_beam_grid(2.0, 2.0)
+        pilot = make_pilot(ChannelParams().p_opt_w, 64)
+        n = 64 + grid.size
+        sigma = noise_sigma_for_snr(float(pilot.max()), snr)
+        rng = np.random.default_rng(7)
+        room = Room()
+        sparse_trials = 0
+        for t in range(300):
+            position = rng.uniform([0.0, 0.0, 0.0], [1.0, 1.0, 2.5])
+            cells, power = support(grid, room, ReceiverState(position, [0.0, 0.0, 1.0]), ChannelParams())
+            offset = int(rng.integers(-(n // 2), n // 2 + 1))
+            drawn = len(full_draws)
+            trace = run_scan(ScanPlan(grid, pilot, sync=True), cells, power, sigma, np.random.default_rng((7, t)),
+                             offset_steps=offset)
+            if len(full_draws) > drawn:  # the dense path ran already
+                continue
+            sparse_trials += 1
+            sparse_shift = shifts[-1]
+            peaks, beams, shift = _dense_sync(MeasurementTrace(traces[-1].dense()), pilot, offset)
+            assert shift == sparse_shift
+            np.testing.assert_array_equal(trace.peaks, peaks)
+            np.testing.assert_array_equal(trace.beams, beams)
+        assert sparse_trials >= 50
+
+
+def _count_full_draws(monkeypatch):
+    """Record sigma_w of every noisy sync trial that falls back to the dense path."""
+    calls = []
+    full_draw = scan._full_draw
+
+    def counting(x, *args):
+        if x.sigma_w > 0.0:
+            calls.append(x.sigma_w)
+        return full_draw(x, *args)
+
+    monkeypatch.setattr(scan, "_full_draw", counting)
+    return calls
+
+
+def _record_shifts(monkeypatch):
+    """Record every shift a realignment returns: the last one of a trial is its own."""
+    shifts = []
+    winner = scan._winner
+
+    def recording(*args):
+        shifts.append(winner(*args))
+        return shifts[-1]
+
+    monkeypatch.setattr(scan, "_winner", recording)
+    return shifts
+
+
+def _dense_sync(trace, pilot, offset):
+    """(peaks, beams, shift) of the synced, realigned and naive traces of one
+    dense synced trace, as sync-test computed them before its sparse trial."""
+    shifted = apply_timing_offset(trace, offset)
+    shift = realign_with_pilot(shifted, pilot)
+    realigned = apply_timing_offset(shifted, -shift)
+    found = [peak(tr.samples[len(pilot) :]) for tr in (trace, realigned, shifted)]
+    return np.array([f[0] for f in found]), np.array([f[1] for f in found]), shift
+
+
+def _sync_trial_records(seed, snr, dense, shifts=None):
+    """Per-trial errors (synced, realigned, naive), peaks and beams (3, trials),
+    beam mismatch, and whether the recovered shift equals the offset, for
+    1,000 sync-test trials on a 2 degree grid: its poses, offsets and noise
+    streams, through the sync plan (the last of shifts is each trial's
+    shift) or the dense oracle."""
+    cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=1000,
+                           master_seed=seed, snr_list_db=(snr,))
+    grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
+    pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
+    n = cfg.pilot_len + grid.size
+    sigma = noise_sigma_for_snr(float(pilot.max()), snr)
+    u = pass_uniforms(cfg, np.arange(cfg.trials), (0, 0))
+    lo = np.array([0.0, 0.0, cfg.h_min_m])
+    hi = np.array([cfg.room.width_m, cfg.room.depth_m, experiments._height_cap(cfg)])
+    points = lo + (hi - lo) * u[:, 3:6]
+    offsets = uniform_index(u[:, 6], 2 * (n // 2) + 1) - n // 2
+    rx = ReceiverState(points, receiver_normals(cfg.orientation, u[:, :3] - 0.5), cfg.fov_deg)
+    cells, power = support(grid, cfg.room, rx, cfg.channel)
+    peaks, beams = np.empty((3, cfg.trials)), np.empty((3, cfg.trials), dtype=int)
+    hit = np.empty(cfg.trials, dtype=bool)
+    for t in range(cfg.trials):
+        rng = np.random.default_rng((seed, 0, 0, 0, t))
+        offset = int(offsets[t])
+        if dense:
+            trace = run_scan(ScanPlan(grid, pilot), cells[t], power[t], sigma, rng)
+            peaks[:, t], beams[:, t], shift = _dense_sync(trace, pilot, offset)
+        else:
+            trace = run_scan(ScanPlan(grid, pilot, sync=True), cells[t], power[t], sigma, rng, offset_steps=offset)
+            peaks[:, t], beams[:, t], shift = trace.peaks, trace.beams, shifts[-1]
+        hit[t] = shift == offset % n
+    estimates, _ = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), grid, cfg.channel, sigma)
+    errs = position_error(np.tile(points, (3, 1)), estimates).total_m.reshape(3, -1)
+    return {**dict(zip(("synced", "realigned", "naive"), errs)), "peaks": peaks, "beams": beams,
+            "mismatch": beams[1] != beams[0], "hit": hit}
 
 
 def _sync_oracle_rows(cfg):
-    """sync-test rows from one trial at a time: its Philox row gives the
+    """sync-test rows from one dense trial at a time: its Philox row gives the
     orientation (columns 0-2), the position (3-5) and the offset (6), and
-    its own stream scan_trial's noise."""
+    its own stream the noise."""
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
     plan = ScanPlan(grid, pilot)
@@ -356,15 +534,11 @@ def _sync_oracle_rows(cfg):
             offset = int(uniform_index(u[6], 2 * half + 1)) - half
             rx = ReceiverState(point, receiver_normals(cfg.orientation, u[:3] - 0.5), cfg.fov_deg)
             rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, trial))
-            trace, est_sync, _ = scan_trial(cfg, plan, rx, sigma, rng)
-            shifted = apply_timing_offset(trace, offset)
-            realigned = apply_timing_offset(shifted, -realign_with_pilot(shifted, pilot))
-            peak_sync, peak_re, peak_naive = (peak(tr.samples[cfg.pilot_len :]) for tr in (trace, realigned, shifted))
-            est_re, _ = locate(emitter, *peak_re, grid, cfg.channel, 0.0)
-            est_naive, _ = locate(emitter, *peak_naive, grid, cfg.channel, 0.0)
-            mismatches += int(peak_re[1] != peak_sync[1])
-            for key, est in (("synced", est_sync), ("realigned", est_re), ("naive", est_naive)):
-                errs[key].append(position_error(point, est).total_m)
+            cells, power = support(grid, cfg.room, rx, cfg.channel)
+            peaks, beams, _ = _dense_sync(run_scan(plan, cells, power, sigma, rng), pilot, offset)
+            mismatches += int(beams[1] != beams[0])
+            for key, y, beam in zip(("synced", "realigned", "naive"), peaks, beams):
+                errs[key].append(position_error(point, locate(emitter, y, beam, grid, cfg.channel, 0.0)[0]).total_m)
         rows.append({
             "snr_db": snr,
             "mismatch_rate": mismatches / cfg.trials,
@@ -484,7 +658,7 @@ class TestBenchmarkContract:
     ])
     def test_every_scan_goes_through_run_scan(self, monkeypatch, mode, run, peak_only):
         def sentinel(plan, *args, **kwargs):
-            assert plan.peak_only is peak_only
+            assert (plan.peak_only, plan.sync) == (peak_only, mode == "sync-test")
             raise self.Reached
 
         monkeypatch.setattr(experiments, "run_scan", sentinel)
@@ -492,18 +666,20 @@ class TestBenchmarkContract:
             run(ExperimentConfig(mode=mode, snr_list_db=(30.0,), **SMALL))
 
     def test_sync_test_scans_each_trial_once(self, monkeypatch):
-        # one dense run_scan per trial and snr, on the support of one receiver
+        # one sync run_scan per trial and snr, on the support of one receiver;
+        # the traced hook counts the samples the result holds
         calls = []
 
-        def counting(plan, cells, power, sigma_w, draws):
-            calls.append((plan.peak_only, np.shape(cells), np.shape(power), sigma_w))
-            return run_scan(plan, cells, power, sigma_w, draws)
+        def counting(plan, cells, power, sigma_w, draws, offset_steps):
+            trace = run_scan(plan, cells, power, sigma_w, draws, offset_steps)
+            calls.append((plan.sync, np.shape(cells), np.shape(power), sigma_w, isinstance(trace.samples, np.ndarray)))
+            return trace
 
         monkeypatch.setattr(experiments, "run_scan", counting)
         cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=5,
                                snr_list_db=(float("inf"), 30.0))
         sigmas = [row["sigma_w"] for row in run_sync_test(cfg).aggregates["rows"]]
-        assert calls == [(False, (4,), (), sigma) for sigma in sigmas for _ in range(5)]
+        assert calls == [(True, (4,), (), sigma, True) for sigma in sigmas for _ in range(5)]
 
     def test_run_scan_takes_sigma_w(self):
         assert "sigma_w" in inspect.signature(experiments.run_scan).parameters
