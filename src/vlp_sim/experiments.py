@@ -27,7 +27,8 @@ every draw is a pure function of the master seed and its indices.
   np.random.default_rng(entropy) (PCG64 seeded through a SeedSequence):
   entropy (master_seed, 0, snr_index, 0, trial_index) per sync-test trial,
   (master_seed,) for scan-demo.  scan-demo draws one normal per slot, pilot
-  first; a sync-test trial draws only the samples its peaks and its
+  first, and so does a sync-test trial whose pilot is too noisy to prune
+  on; any other sync-test trial draws only the samples its peaks and its
   realignment read, in the order scan._sync_trial states.  A noiseless
   sync-test trial draws nothing and builds no generator.
 """
@@ -351,7 +352,8 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     the metadata records that on-level as reference_power_w; snr = inf runs
     noiseless.  trials_per_point is the total trial count.  Each trial is one
     sync run_scan: the three peaks of the dense trial, from a sweep that
-    draws only the samples they need.
+    draws only the samples they need (all of them at a pilot SNR too low
+    for that to pay, see scan._sync_trial).
     """
     if cfg.mode != "sync-test":
         raise ValueError("config mode must be 'sync-test'")

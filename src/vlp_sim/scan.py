@@ -18,8 +18,9 @@ and its slot, drawn from the same law as the dense trace; the maximum of
 many noise samples comes from the standard library's normal quantile,
 statistics.NormalDist().inv_cdf.  A sync trial takes one receiver's support
 and a timing offset and returns the peaks of its synced, realigned and
-naive traces; it draws only the samples that the realignment and the three
-peaks read, and the rest of the trace stays implicit (see run_scan).
+naive traces; unless its pilot is too noisy to prune on, it draws only the
+samples that the realignment and the three peaks read, and the rest of the
+trace stays implicit (see run_scan).
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ _NEAR = np.array([-1.0, 0.0, 1.0])
 # front; tau leaves about this many of them per trace, so the slots each of
 # its peaks is taken over hold one with near certainty (odds about e^-32 not)
 _HOT_PER_TRACE = 32
+# the expected count of noise-only samples at the pilot's level above which a
+# noisy sync trial draws every slot up front (see _SyncPilot); below about
+# this, its sparse attempt costs less than the dense trial (measured)
+_SPREAD_ODDS = 0.25
 
 
 @dataclass(frozen=True)
@@ -214,19 +219,24 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: 
     trace itself, each over the slots after the pilot; draws is a Generator
     as for a dense plan.  The result is that of the dense trace, drawn from
     the same law, but only the samples read are drawn, and the trace's
-    samples are those (see _sync_trial).
+    samples are those (see _sync_trial); at a sigma_w too large for that to
+    pay, the trial draws the dense trace, as a dense plan does, and its
+    samples are all of them.  The realignment runs inside this call.
     """
     if not sigma_w >= 0.0:
         raise ValueError("sigma_w must be nonnegative")
 
-    grid = plan.grid
     if plan.peak_only:
-        return _peak_pass(grid, cells, power, sigma_w, np.asarray(draws))
+        return _peak_pass(plan.grid, cells, power, sigma_w, np.asarray(draws))
     if plan.sync:
         return _sync_trial(plan, cells, power, sigma_w, draws, offset_steps)
+    return MeasurementTrace(_dense_samples(plan, cells, power, sigma_w, draws))
 
+
+def _dense_samples(plan, cells, power, sigma_w, draws):
+    """A dense plan's trace: one N(0, sigma_w^2) draw per slot, pilot first, plus the signal."""
     k = plan.pilot_len
-    n = k + grid.size
+    n = k + plan.grid.size
     if sigma_w > 0.0:
         samples = draws.standard_normal(n)
         samples *= sigma_w  # bit for bit draws.normal(0.0, sigma_w, n), by the faster fill loop
@@ -234,8 +244,8 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: 
         samples = np.zeros(n)
     if k:
         samples[:k] += plan.pilot_w
-    samples[k + _beam_slots(grid, cells)] += power
-    return MeasurementTrace(samples)
+    samples[k + _beam_slots(plan.grid, cells)] += power
+    return samples
 
 
 def _beam_slots(grid, cells):
@@ -399,11 +409,8 @@ def _covering_run(hot, n, k) -> tuple[int, int]:
     (nonempty), (start, count); (0, n) when longer than n / 2."""
     # it leaves out the widest gap between neighbours; shifts hot - k + 1 .. hot
     # cover a hot sample
-    lo, hi = int(hot.min()), int(hot.max())
-    if 2 * (hi - lo + k) <= n:  # the gap from hi round to lo is wider than all the others together
-        return (lo - k + 1) % n, hi - lo + k
     hot = np.sort(hot)
-    gaps = np.diff(hot, append=hot[0] + n)
+    gaps = np.concatenate((hot[1:], hot[:1] + n)) - hot  # to the next hot slot, round the ring
     g = int(gaps.argmax())
     count = n - int(gaps[g]) + k
     if 2 * count > n:
@@ -416,8 +423,8 @@ class _SyncPilot:
     on-taps and their levels (a column) and sum, the level tau that a
     noise-only sample exceeds with probability q, the head (the pilot and
     pad = k - 1 slots either side of it, none on a trace too short to hold
-    them, whose signal is the pilot), and quiet, the pruned run (see
-    _pruned_run) of a noiseless trace that holds the pilot alone."""
+    them, whose signal is the pilot), and sigma_sparse, the largest sigma_w
+    a trial draws sparsely at."""
 
     def __init__(self, plan: ScanPlan):
         self.pilot = plan.pilot_w
@@ -432,9 +439,14 @@ class _SyncPilot:
         self.head_slots = np.arange(-self.pad, k + self.pad) % n
         self.head_signal = np.zeros(k + 2 * self.pad)
         self.head_signal[self.pad : self.pad + k] = self.pilot
-        # its windows lie in the head (its hot samples are on-taps), so a
-        # noiseless trial whose other samples lie under its hot level shares it
-        self.quiet = _pruned_run(_LazyTrace(self, self.head_slots[:0], 0.0, 0.0, None), self) if self.pad else None
+        # the pruned run is short when the only samples that reach the bound
+        # level, about sum(level^2) / sum(level), are the pilot's: a noise-only
+        # one that does stretches it across the trace.  Where the noise-only
+        # slots hold more than _SPREAD_ODDS of one on average (a pilot SNR
+        # under 12.7 dB on the 1 degree grid), a trial draws every slot up
+        # front: the choice reads sigma_w alone, never a draw
+        reach = float(self.levels[:, 0] @ self.levels[:, 0]) / self.total if len(self.taps) else 0.0
+        self.sigma_sparse = reach / -_STD_NORMAL.inv_cdf(_SPREAD_ODDS / n)
 
 
 class _LazyTrace:
@@ -450,13 +462,11 @@ class _LazyTrace:
         self.n, self.sigma_w, self.rng = p.n, sigma_w, rng
         first = p.k + p.pad  # the first slot past the head
         head, outside = p.head_signal, support
-        self.plain_head = True  # the head's signal is the pilot's alone
         if len(support) and not first <= support[0] <= support[-1] < p.n - p.pad:
             at = (support + p.pad) % p.n  # a support slot's place in the head, if it is there
             inside = at < len(head)
             head = head.copy()
             head[at[inside]] = power
-            self.plain_head = not inside.any()
             outside = support[~inside]  # ascending, past the head
         slots = np.concatenate((p.head_slots, outside))
         signal = np.concatenate((head, np.full(len(outside), power)))
@@ -528,38 +538,39 @@ def _sync_trial(plan, cells, power, sigma_w, rng, offset) -> SyncTrace:
     slots from s - offset, and each peak is the argmax of x outside one such
     window: the synced peak's starts at 0, the naive one's at -offset and
     the realigned one's at shift - offset, mod n; ties go to the lowest slot
-    counted from the window's start.  Draw order: the head (the pilot and
+    counted from the window's start.  Above sigma_sparse (see _SyncPilot)
+    the trial draws the dense plan's trace and takes the dense path
+    (_full_draw) from the start.  Else, draw order: the head (the pilot and
     k - 1 slots either side) and the other support slots, exactly; the
     noise-only slots above tau (_LazyTrace); then, in slot order, any other
     slot the pruned run's windows read.  When the realignment cannot be
     pruned on what is drawn, or a peak's best drawn sample may be beaten by
-    one not drawn, _full_draw draws the rest (_LazyTrace.dense) and runs the
-    dense path.
+    one not drawn, the trial draws the rest (_LazyTrace.dense) and
+    _full_draw runs the dense path.
     """
     p = plan._sync_pilot
     if abs(offset) > p.n:
         raise ValueError("offset beyond one full trace period")
+    if sigma_w > p.sigma_sparse:  # a pruned run would rarely be short: draw every slot
+        return _full_draw(_dense_samples(plan, cells, power, sigma_w, rng), p, offset)
     x = _LazyTrace(p, p.k + _beam_slots(plan.grid, cells), power, sigma_w, rng)
     shift = _sparse_shift(x, p, offset)
     if shift is not None and (found := _sparse_peaks(x, p.k, [[0], [shift - offset], [-offset]])) is not None:
         return SyncTrace(x.values, *found)
-    return _full_draw(x, p, offset)
+    return _full_draw(x.dense(), p, offset)
 
 
 def _sparse_shift(x, p: _SyncPilot, offset):
     """realign_with_pilot's shift from the drawn samples, or None when its
     bound and run argument needs samples not drawn (see _pruned_run)."""
-    quiet = x.sigma_w == 0.0 and x.plain_head and p.quiet is not None
-    if quiet and x.values[len(p.head_slots) :].max(initial=0.0) < p.quiet[0]:
-        run = p.quiet
-    elif (run := _pruned_run(x, p)) is None:
+    if (run := _pruned_run(x, p)) is None:
         return None
-    _, start, corr = run
+    start, corr = run
     return _winner(corr, (start + offset) % p.n, p.n)
 
 
 def _pruned_run(x, p: _SyncPilot):
-    """(hot level, start, scores) of the run of windows that can win, in
+    """(start, scores) of the run of windows that can win, in
     synced slots, or None when it cannot be found on the drawn samples.
 
     In synced slots, the window starting at slot w is shift w + offset's.
@@ -587,7 +598,7 @@ def _pruned_run(x, p: _SyncPilot):
         return None
     lo = (start + p.pad) % n
     seg = head[lo : lo + count + k - 1] if lo + count + k - 1 <= len(head) else x.read(start, count + k - 1)
-    return tau, start, _scores(seg, p.taps, p.levels, count)
+    return start, _scores(seg, p.taps, p.levels, count)
 
 
 def _sparse_peaks(x, k, starts):
@@ -608,11 +619,16 @@ def _sparse_peaks(x, k, starts):
     return best, beams
 
 
-def _full_draw(x, p: _SyncPilot, offset) -> SyncTrace:
-    """The dense path, on every slot of x: realign_with_pilot and estimator.peak."""
-    synced = MeasurementTrace(x.dense())
-    shifted = apply_timing_offset(synced, offset)
+def _full_draw(samples, p: _SyncPilot, offset) -> SyncTrace:
+    """The dense path, on every slot of the synced trace: realign_with_pilot and estimator.peak."""
+    shifted = apply_timing_offset(MeasurementTrace(samples), offset)
     shift = realign_with_pilot(shifted, p.pilot)
-    realigned = synced if shift == offset % p.n else apply_timing_offset(shifted, -shift)
-    found = [peak(trace.samples[p.k :]) for trace in (synced, realigned, shifted)]
-    return SyncTrace(synced.samples, *map(np.array, zip(*found)))
+    synced = peak(samples[p.k :])
+    # the realigned trace is a temporary: a third trace kept alive measured
+    # 10x the minor faults (heap-top trims)
+    realigned = synced if shift == offset % p.n else peak(apply_timing_offset(shifted, -shift).samples[p.k :])
+    found = (synced, realigned, peak(shifted.samples[p.k :]))
+    # it returns a copy, made last: the one array that outlives the trial then
+    # sits above those it frees, so glibc reuses their pages rather than trim
+    # the heap top and fault them in again next trial (half the minor faults)
+    return SyncTrace(samples.copy(), *map(np.array, zip(*found)))

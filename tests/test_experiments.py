@@ -335,6 +335,17 @@ class TestRunSyncTest:
         rows = run_sync_test(cfg).aggregates["rows"]
         assert rows == _sync_oracle_rows(cfg)
 
+    def test_noisy_pilot_rows_match_oracle(self, monkeypatch):
+        # under the sparse trial's SNR (12.06 dB on this grid) a trial draws its
+        # whole trace from its stream, as the per-trial oracle does, without a
+        # sparse attempt: the rows are equal, not only equal in law
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=50,
+                               master_seed=11, snr_list_db=(10.0, 0.0))
+        monkeypatch.setattr(scan, "_LazyTrace", None)
+        rows = run_sync_test(cfg).aggregates["rows"]
+        monkeypatch.undo()
+        assert rows == _sync_oracle_rows(cfg)
+
     @pytest.mark.parametrize("position, normal", [
         ([0.8, 0.5, 1.0], [0, 0, 1]),  # one support cell
         ([0.5, 0.5, 1.5], [0, 0, 1]),  # the nadir ring: 360 slots of equal power
@@ -358,8 +369,8 @@ class TestRunSyncTest:
         assert len(trace.samples) == len(set(range(-63, 127)) | set(64 + slots))
 
     def test_full_draw_is_rare_at_20_db(self, monkeypatch):
-        # criterion 7's trials: the sparse trial falls back to the dense path
-        # in at most 1 % of the 20 dB ones
+        # criterion 7's trials: at most 1 % of the 20 dB ones fall back to the
+        # dense path, counting the noiseless ones' fallbacks against them too
         noisy = _count_full_draws(monkeypatch)
         run_sync_test(ExperimentConfig(mode="sync-test", snr_list_db=(float("inf"), 20.0), trials_per_point=1000,
                                        master_seed=20259))
@@ -373,7 +384,7 @@ class TestSyncTrialLaw:
     against the dense oracle on independent seeds (sparse 1001, dense 2002),
     1,000 trials each."""
 
-    @pytest.mark.parametrize("snr", [20.0, 10.0, 0.0])
+    @pytest.mark.parametrize("snr", [20.0, 13.0, 10.0, 0.0])
     def test_matches_dense_oracle(self, monkeypatch, snr):
         dense = _sync_trial_records(2002, snr, dense=True)
         full_draws = _count_full_draws(monkeypatch)
@@ -401,7 +412,7 @@ class TestSyncTrialCompletion:
     it leaves implicit: completed by drawing every slot it did not draw, the
     trace gives the same shift, peaks and beams, bit for bit."""
 
-    @pytest.mark.parametrize("snr", [40.0, 20.0, 10.0])
+    @pytest.mark.parametrize("snr", [40.0, 20.0, 13.0])
     def test_dense_path_on_completed_trace_agrees(self, monkeypatch, snr):
         traces = []
 
@@ -439,14 +450,13 @@ class TestSyncTrialCompletion:
 
 
 def _count_full_draws(monkeypatch):
-    """Record sigma_w of every noisy sync trial that falls back to the dense path."""
+    """Record the offset of every sync trial that takes the dense path."""
     calls = []
     full_draw = scan._full_draw
 
-    def counting(x, *args):
-        if x.sigma_w > 0.0:
-            calls.append(x.sigma_w)
-        return full_draw(x, *args)
+    def counting(samples, p, offset):
+        calls.append(offset)
+        return full_draw(samples, p, offset)
 
     monkeypatch.setattr(scan, "_full_draw", counting)
     return calls
