@@ -1,10 +1,11 @@
 """Monte Carlo harness: the grid pass, the dense scan trial and the sync
-trial; cdf / snr-sweep / sync-test / scan-demo.  A grid pass runs every
+run; cdf / snr-sweep / sync-test / scan-demo.  A grid pass runs every
 trial at every grid point for one (orientation mode, SNR) as array passes
 over its rows, point by point, then trial by trial, GRID_BLOCK_ROWS rows at
-a time: cdf is the single pass (0, 0), snr-sweep one pass per pair.  Every
-caller composes scan.support (the geometry), scan.run_scan (the sweep) and
-estimator.locate (the fix); a peak-only pass and a sync trial yield their
+a time: cdf is the single pass (0, 0), snr-sweep one pass per pair.  A sync
+run sweeps every trial of one SNR in one run_scan call.  Every caller
+composes scan.support (the geometry), scan.run_scan (the sweep) and
+estimator.locate (the fix); a peak-only pass and a sync run yield their
 peaks directly, and the dense trial (scan_trial) takes its trace's with
 estimator.peak.
 
@@ -23,14 +24,17 @@ every draw is a pure function of the master seed and its indices.
     6     sync-test: offset uniform_index(u, 2h + 1) - h, h = n_slots // 2
     11    unused
   scan-demo reads columns 0-2 of row 0 of pass (0, 0).
-* The sync-test and scan-demo sweeps draw only their noise, from
-  np.random.default_rng(entropy) (PCG64 seeded through a SeedSequence):
-  entropy (master_seed, 0, snr_index, 0, trial_index) per sync-test trial,
-  (master_seed,) for scan-demo.  scan-demo draws one normal per slot, pilot
-  first, and so does a sync-test trial whose pilot is too noisy to prune
-  on; any other sync-test trial draws only the samples its peaks and its
-  realignment read, in the order scan._sync_trial states.  A noiseless
-  sync-test trial draws nothing and builds no generator.
+* A sync-test trial's sweep noise comes from the same Philox row, blocks 6
+  on, every slot's a pure function of the row and the slot (scan's
+  _SLOT_BLOCK map: slot s's normal, the uniform that conditions it below
+  tau, and the exceedance process over the noise-only slots), so its
+  sparse pass reads any slot in any order and a trial completed in full
+  reads the same numbers.  In the dense band (a pilot too noisy to prune
+  on, scan._SyncPilot.sigma_sparse) a trial draws one normal per slot,
+  pilot first, from np.random.default_rng((master_seed, 0, snr_index, 0,
+  trial_index)) (PCG64 seeded through a SeedSequence); scan-demo draws its
+  one trace the same way from default_rng((master_seed,)).  numpy.random
+  loads only for those.  A noiseless sync-test trial draws nothing.
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, ch
 from .orientation import ORIENTATION_MODES, OrientationConfig, receiver_normals
 from .scan import (
     DEFAULT_PILOT_LEN,
+    MAX_PILOT_LEN,
     PEAK_UNIFORMS,
     MeasurementTrace,
     ScanPlan,
+    SyncDraws,
     make_pilot,
     run_scan,
     support,
@@ -124,8 +130,8 @@ class ExperimentConfig:
             raise ValueError("snr_list_db values must be finite or +inf")
         if self.mode == "cdf" and len(self.snr_list_db) != 1:
             raise ValueError("cdf mode takes exactly one snr value")
-        if self.pilot_len < 0:
-            raise ValueError("pilot_len must be >= 0")
+        if not 0 <= self.pilot_len <= MAX_PILOT_LEN:
+            raise ValueError(f"pilot_len must be in [0, {MAX_PILOT_LEN}]: the pilot's bits are a fixed table")
         if self.mode == "sync-test" and self.pilot_len < 1:
             raise ValueError("sync-test needs a pilot (pilot_len >= 1)")
         if self.trials_per_point is not None and self.trials_per_point < 1:
@@ -231,13 +237,17 @@ def scan_trial(
     return trace, *locate(cfg.room.emitter_pos, *peak(trace.samples[plan.pilot_len :]), plan.grid, cfg.channel, sigma)
 
 
-def pass_uniforms(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> np.ndarray:
-    """The (len(rows), ROW_UNIFORMS) uniforms of the given rows of one pass;
-    row point * trials + trial (see the module docstring)."""
+def pass_prefix(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> np.ndarray:
+    """The (len(rows), 3) Philox counter prefixes of the given rows of one
+    pass; row point * trials + trial (see the module docstring)."""
     mode_index, snr_index = pass_index
     point, trial = np.divmod(np.asarray(rows), cfg.trials)
-    prefix = np.column_stack([point, trial, np.full_like(point, (mode_index << 16) | snr_index)])
-    return uniforms(cfg.master_seed, prefix, ROW_UNIFORMS)
+    return np.column_stack([point, trial, np.full_like(point, (mode_index << 16) | snr_index)])
+
+
+def pass_uniforms(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> np.ndarray:
+    """The (len(rows), ROW_UNIFORMS) uniforms of the given rows of one pass."""
+    return uniforms(cfg.master_seed, pass_prefix(cfg, rows, pass_index), ROW_UNIFORMS)
 
 
 def _run_grid(cfg, plan, points, orientation, sigma, pass_index):
@@ -350,10 +360,10 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
 
     snr values set the pilot SNR (sigma = pilot on-level / 10^(snr/20)), and
     the metadata records that on-level as reference_power_w; snr = inf runs
-    noiseless.  trials_per_point is the total trial count.  Each trial is one
-    sync run_scan: the three peaks of the dense trial, from a sweep that
-    draws only the samples they need (all of them at a pilot SNR too low
-    for that to pay, see scan._sync_trial).
+    noiseless.  trials_per_point is the total trial count.  Each snr is one
+    sync run_scan over every trial: the three peaks of each dense trial,
+    from one array pass that draws only the samples they need (per trial,
+    all of them at a pilot SNR too low for that to pay, see run_scan).
     """
     if cfg.mode != "sync-test":
         raise ValueError("config mode must be 'sync-test'")
@@ -369,21 +379,23 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     for snr_idx, snr in enumerate(cfg.snr_list_db):
         sigma = noise_sigma_for_snr(p_pilot, snr)
         # every trial's pose from its Philox row (see the column map)
-        u = pass_uniforms(cfg, np.arange(cfg.trials), (0, snr_idx))
+        prefix = pass_prefix(cfg, np.arange(cfg.trials), (0, snr_idx))
+        u = uniforms(cfg.master_seed, prefix, ROW_UNIFORMS)
         points = lo + (hi - lo) * u[:, 3:6]
         offsets = uniform_index(u[:, 6], 2 * half + 1) - half
         rx = ReceiverState(points, receiver_normals(cfg.orientation, u[:, :3] - 0.5), cfg.fov_deg)
         cells, power = support(grid, cfg.room, rx, cfg.channel)
-        # then each trial's sync sweep, from its own noise stream: the peaks of
-        # its synced, its offset-then-realigned and its naive (offset) trace
-        peaks = np.empty((3, cfg.trials))
-        beams = np.empty((3, cfg.trials), dtype=int)
-        for t in range(cfg.trials):
-            # a noiseless sweep reads no draws: it needs no generator
-            rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t)) if sigma > 0.0 else None
-            trace = run_scan(plan, cells[t], power[t], sigma_w=sigma, draws=rng, offset_steps=int(offsets[t]))
-            peaks[:, t], beams[:, t] = trace.peaks, trace.beams
-        estimates, _ = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), grid, cfg.channel, sigma)
+
+        def dense(t, snr_idx=snr_idx):
+            """A dense-band trial's noise stream: numpy.random loads on the first call."""
+            return np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t))
+
+        # then one sync sweep of every trial: the peaks of its synced, its
+        # offset-then-realigned and its naive (offset) trace
+        draws = SyncDraws(cfg.master_seed, prefix, dense)
+        trace = run_scan(plan, cells, power, sigma_w=sigma, draws=draws, offset_steps=offsets)
+        beams = trace.beams
+        estimates, _ = locate(cfg.room.emitter_pos, trace.peaks.ravel(), beams.ravel(), grid, cfg.channel, sigma)
         errs = position_error(np.tile(points, (3, 1)), estimates).total_m.reshape(3, -1)
         rows.append(
             {

@@ -16,28 +16,40 @@ one receiver's support and records every slot.  A peak-only pass takes a
 whole batch's support and keeps, per receiver, just the strongest sample
 and its slot, drawn from the same law as the dense trace; the maximum of
 many noise samples comes from the standard library's normal quantile,
-statistics.NormalDist().inv_cdf.  A sync trial takes one receiver's support
-and a timing offset and returns the peaks of its synced, realigned and
-naive traces; unless its pilot is too noisy to prune on, it draws only the
-samples that the realignment and the three peaks read, and the rest of the
-trace stays implicit (see run_scan).
+statistics.NormalDist().inv_cdf.  A sync run takes a batch of receivers'
+support and timing offsets and returns, per trial, the peaks of its
+synced, realigned and naive traces; unless the pilot is too noisy to prune
+on, its trials run as one array pass that draws only the samples that the
+realignment and the three peaks read, each a pure function of the trial's
+Philox row and the slot, and the rest of each trace stays implicit (see
+run_scan).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelParams, received_power_on_axis
 from .estimator import peak
 from .geometry import BeamGrid, ReceiverState, Room, in_fov, incidence_cosine, norm, spherical_from_direction
-from .streams import uniform_index
+from .streams import uniform_index, uniforms
 
 DEFAULT_PILOT_LEN = 64
-_PILOT_SEED = 0x5CA17B0  # fixed so the stock preamble is reproducible
+# the pilot's on/off bits, most significant first: the first 1,024 integers(0, 2)
+# of numpy's Generator(PCG64(0x5CA17B0)), which a shorter draw repeats as a prefix
+_PILOT_BITS = (
+    "3431a523d1894c62c1267be48d0fa94c05c3559abf7057c306618eda4532e45a"
+    "ebdb75612f864284720b47b3a034d8d815a4fa050bf03ebf834d2ac8091b6a83"
+    "49113971682b77e2132f65e14f2347fc9627349eb3ec1da63fcbbbb2f40c8089"
+    "2f48895d38db5689ac96d10a69ab68307cb3c01c6f4f1dfce08ce167c298e8ac"
+)
+MAX_PILOT_LEN = 4 * len(_PILOT_BITS)
 _STD_NORMAL = NormalDist()
 
 # pilot realignment's rounding allowance per tap, relative to
@@ -58,9 +70,15 @@ _NEAR = np.array([-1.0, 0.0, 1.0])
 # front; tau leaves about this many of them per trace, so the slots each of
 # its peaks is taken over hold one with near certainty (odds about e^-32 not)
 _HOT_PER_TRACE = 32
+# a sync trial's Philox blocks, past the 0-5 of its row's uniforms, b =
+# ceil(n / 2) per trace: slot s's normal from block _SLOT_BLOCK + s // 2, its
+# conditioning uniform from block _SLOT_BLOCK + b + s // 2, and the noise-only
+# exceedances from _SLOT_BLOCK + 2b on (see _slot_normals)
+_SLOT_BLOCK = 6
 # the expected count of noise-only samples at the pilot's level above which a
 # noisy sync trial draws every slot up front (see _SyncPilot); below about
-# this, its sparse attempt costs less than the dense trial (measured)
+# this, a sparse trial run alone cost less than a dense one (measured), and
+# it fixes which trials the dense band draws from their PCG64 streams
 _SPREAD_ODDS = 0.25
 
 
@@ -70,7 +88,7 @@ class ScanPlan:
 
     peak_only asks run_scan for a peak-only pass over a batch of receivers
     (see there); it samples the same peak as the dense trace but has no pilot.
-    sync asks it for a sync trial of one receiver, which needs the pilot.
+    sync asks it for a sync run over a batch of receivers, which needs the pilot.
     """
 
     grid: BeamGrid
@@ -114,21 +132,36 @@ class PeakTrace:
 
 @dataclass
 class SyncTrace:
-    """A sync trial: the samples it drew, and the peak and its beam slot of
-    the synced, the realigned and the naive trace, in that order."""
+    """A sync run: the samples its sparse pass drew, and per trial the peak
+    and its beam slot of the synced, the realigned and the naive trace, in
+    that order, (3, T) each."""
 
     samples: np.ndarray
     peaks: np.ndarray
     beams: np.ndarray
 
 
+class SyncDraws(NamedTuple):
+    """A sync run's draws: the master seed and every trial's Philox counter
+    prefix (T, 3), which the sparse band reads, and dense(t), trial t's numpy
+    Generator, which the dense band reads (see run_scan)."""
+
+    seed: int
+    prefix: np.ndarray
+    dense: Callable[[int], object]
+
+    def uniforms(self, rows, blocks):
+        """The two uniforms of each block (R, B) or (B,) of the trials rows (R,): (R, B, 2)."""
+        return uniforms(self.seed, self.prefix[rows], blocks=blocks)
+
+
 def make_pilot(on_level_w: float, length: int) -> np.ndarray:
     """Pseudo-random on/off pilot with a sharp cyclic autocorrelation peak."""
     if not on_level_w > 0.0:
         raise ValueError("pilot on-level must be positive")
-    if length < 1:
-        raise ValueError("pilot length must be >= 1")
-    bits = np.random.Generator(np.random.PCG64(_PILOT_SEED)).integers(0, 2, size=length)
+    if not 1 <= length <= MAX_PILOT_LEN:
+        raise ValueError(f"pilot length must be in [1, {MAX_PILOT_LEN}]")
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(_PILOT_BITS), dtype=np.uint8))[:length]
     if bits.sum() == 0:  # degenerate all-off draw cannot correlate
         bits[0] = 1
     return bits.astype(float) * on_level_w
@@ -213,15 +246,19 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: 
     to the lowest slot, as a dense argmax picks it.  Noiseless, every
     maximum is its power (0 for the noise-only slots) at its lowest slot.
 
-    A sync plan sweeps one receiver, desynchronized by offset_steps, and
-    returns a SyncTrace: the peaks that estimator.peak takes of the synced
+    A sync plan runs a batch of trials (cells (T, 4), power (T,)), each
+    receiver desynchronized by its offset_steps (T,), and returns a
+    SyncTrace: per trial, the peaks that estimator.peak takes of the synced
     trace, of the offset trace after realign_with_pilot, and of the offset
-    trace itself, each over the slots after the pilot; draws is a Generator
-    as for a dense plan.  The result is that of the dense trace, drawn from
-    the same law, but only the samples read are drawn, and the trace's
-    samples are those (see _sync_trial); at a sigma_w too large for that to
-    pay, the trial draws the dense trace, as a dense plan does, and its
-    samples are all of them.  The realignment runs inside this call.
+    trace itself, each over the slots after the pilot.  draws is a SyncDraws.
+    Up to sigma_sparse (the sparse band, noiseless included) the trials run
+    as one array pass that draws only the samples they read, from their
+    Philox rows, every slot's noise a pure function of its row and slot (see
+    _SparseTraces); the results are those of the dense trace that the same
+    counters complete (_philox_trace), and the samples are those drawn.
+    Above it (the dense band, where pruning would rarely pay), each trial
+    draws its dense trace from draws.dense(t), as a dense plan does, and
+    keeps none of it.  The realignment runs inside this call.
     """
     if not sigma_w >= 0.0:
         raise ValueError("sigma_w must be nonnegative")
@@ -229,7 +266,8 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: 
     if plan.peak_only:
         return _peak_pass(plan.grid, cells, power, sigma_w, np.asarray(draws))
     if plan.sync:
-        return _sync_trial(plan, cells, power, sigma_w, draws, offset_steps)
+        samples, _, peaks, beams = _sync_trials(plan, cells, power, sigma_w, draws, offset_steps)
+        return SyncTrace(samples, peaks, beams)
     return MeasurementTrace(_dense_samples(plan, cells, power, sigma_w, draws))
 
 
@@ -244,16 +282,8 @@ def _dense_samples(plan, cells, power, sigma_w, draws):
         samples = np.zeros(n)
     if k:
         samples[:k] += plan.pilot_w
-    samples[k + _beam_slots(plan.grid, cells)] += power
+    samples[_support_slots(plan.grid, cells[None], k)[1]] += power
     return samples
-
-
-def _beam_slots(grid, cells):
-    """Every beam slot one receiver's cells stand for, ascending."""
-    slots = cells[cells < grid.size]
-    if len(slots) and slots[0] == 0:  # the nadir ring cell covers its whole ring
-        slots = np.concatenate([np.arange(grid.n_azimuth), slots[1:]])
-    return slots
 
 
 def _peak_pass(grid, cells, power, sigma_w, u) -> PeakTrace:
@@ -339,17 +369,24 @@ def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> int:
     # corr[j] scores shift (start + j) mod n.  The shifts read one cyclic
     # segment of x, one slice or two joined: it ends before 2n, since the
     # run of all n shifts starts at 0 and a pruned run holds k to n / 2.
-    # Each distinct tap level multiplies it once; a tap adds a slice of that.
     stop = start + count + k - 1
     seg = x[start:stop] if stop <= n else np.concatenate((x[start:], x[: stop - n]))
+    return _winner(_scores(seg[None], taps, pilot[taps], count)[0], start, n)
+
+
+def _scores(seg, taps, levels, count):
+    """corr[r, j] = sum_i levels[i] * seg[r, j + taps[i]] for j < count, the
+    segments seg (R, >= count + taps[-1]): added tap by tap in ascending
+    order from 0.0, so every shift gets the same float operations and exact
+    ties stay exact.  Each distinct level multiplies seg once; a tap adds a
+    slice of that."""
     scaled = {}
-    corr = np.zeros(count)
-    for i in taps:
-        level = pilot[i]
+    corr = np.zeros((len(seg), count))
+    for i, level in zip(taps.tolist(), levels.tolist()):
         if level not in scaled:
             scaled[level] = level * seg
-        corr += scaled[level][i : i + count]
-    return _winner(corr, start, n)
+        corr += scaled[level][:, i : i + count]
+    return corr
 
 
 def _winner(corr, start, n) -> int:
@@ -362,6 +399,15 @@ def _winner(corr, start, n) -> int:
         if late[i] == corr[j]:
             j = n - start + i
     return (start + j) % n
+
+
+def _winners(corr, start, n):
+    """_winner of each row of corr (R, C), scoring shifts (start[r] + j) mod n,
+    -inf past the row's run."""
+    shifts = (start + corr.argmax(axis=1)) % n
+    for r in np.flatnonzero(n - start < corr.shape[1]).tolist():  # a run that may wrap past shift n - 1
+        shifts[r] = _winner(corr[r], int(start[r]), n)
+    return shifts
 
 
 def _candidate_shifts(x, pilot, taps) -> tuple[int, int]:
@@ -390,15 +436,7 @@ def _candidate_shifts(x, pilot, taps) -> tuple[int, int]:
     return _covering_run(np.flatnonzero(hot), n, k)
 
 
-def _scores(seg, taps, levels, count):
-    """corr[j] = sum_i levels[i] * seg[j + taps[i]] for j < count (levels a
-    column), added tap by tap in ascending order, as realign_with_pilot's
-    loop adds them: numpy sums pairwise only along the fast axis, so a
-    reduce over axis 0 adds the tap rows one after another."""
-    return np.add.reduce(seg[taps[:, None] + np.arange(count)] * levels, axis=0)
-
-
-def _hot_level(floor, total, k, scale) -> float:
+def _hot_level(floor, total, k, scale):
     """The level a window must reach to beat the floor, less the rounding
     allowance (k + 1) * (1e-14 * total * scale + the smallest subnormal)."""
     return (floor - (k + 1) * (_TAP_ROUNDING * total * scale + _SUBNORMAL)) / total
@@ -406,10 +444,9 @@ def _hot_level(floor, total, k, scale) -> float:
 
 def _covering_run(hot, n, k) -> tuple[int, int]:
     """The shortest cyclic run of shifts whose windows cover every hot slot
-    (nonempty), (start, count); (0, n) when longer than n / 2."""
+    (nonempty, ascending), (start, count); (0, n) when longer than n / 2."""
     # it leaves out the widest gap between neighbours; shifts hot - k + 1 .. hot
     # cover a hot sample
-    hot = np.sort(hot)
     gaps = np.concatenate((hot[1:], hot[:1] + n)) - hot  # to the next hot slot, round the ring
     g = int(gaps.argmax())
     count = n - int(gaps[g]) + k
@@ -418,160 +455,279 @@ def _covering_run(hot, n, k) -> tuple[int, int]:
     return (int(hot[(g + 1) % len(hot)]) - k + 1) % n, count
 
 
+def _covering_runs(rows, hot, count, n, k):
+    """_covering_run of each row r < count, as one array pass: (start
+    (count,), count (count,)), (0, n) for a row with no hot slot.  rows and
+    hot (F,) list the hot slots by row, each row's ascending.  (A call costs
+    some 50 us more than _covering_run's at one row, which the dense path
+    would pay per trial.)"""
+    starts, counts = np.zeros(count, dtype=int), np.full(count, n)
+    size = len(hot)
+    if not size:
+        return starts, counts
+    first = np.searchsorted(rows, np.arange(count))
+    end = np.append(first[1:], size)
+    some = end > first
+    first, last = first[some], end[some] - 1
+    after = np.empty_like(hot)
+    after[:-1] = hot[1:]
+    after[last] = hot[first] + n  # a row's last hot slot wraps round to its first
+    # per row, the widest gap and, of equal ones, the first: one maximum of
+    # gap * size + (size - 1 - index)
+    widest, g = np.divmod(np.maximum.reduceat((after - hot) * size + np.arange(size - 1, -1, -1), first), size)
+    g = size - 1 - g
+    run = n - widest + k
+    short = 2 * run <= n
+    starts[some] = np.where(short, (hot[np.where(g == last, first, g + 1)] - k + 1) % n, 0)
+    counts[some] = np.where(short, run, n)
+    return starts, counts
+
+
 class _SyncPilot:
-    """What a sync trial reads of its plan, once per plan: the pilot, its
-    on-taps and their levels (a column) and sum, the level tau that a
-    noise-only sample exceeds with probability q, the head (the pilot and
-    pad = k - 1 slots either side of it, none on a trace too short to hold
-    them, whose signal is the pilot), and sigma_sparse, the largest sigma_w
-    a trial draws sparsely at."""
+    """What a sync run reads of its plan, once per plan: the pilot, its
+    on-taps, their levels and sum; the head (the pilot and pad = k - 1 slots
+    either side of it, none on a trace too short to hold them, whose signal
+    is the pilot) and the first slot past it; q and the level tau that a
+    noise-only sample reaches with probability q, and Phi(tau); and
+    sigma_sparse, the largest sigma_w a trial draws sparsely at."""
 
     def __init__(self, plan: ScanPlan):
         self.pilot = plan.pilot_w
         k = self.k = len(self.pilot)
         n = self.n = k + plan.grid.size
+        self.blocks = (n + 1) // 2  # Philox blocks a trace's slot normals take
         self.taps = np.flatnonzero(self.pilot)
-        self.levels = self.pilot[self.taps][:, None]
+        self.levels = self.pilot[self.taps]
         self.total = self.levels.sum()
         self.q = min(0.5, _HOT_PER_TRACE / n)
         self.tau = -_STD_NORMAL.inv_cdf(self.q)
+        self.below = _STD_NORMAL.cdf(self.tau)
         self.pad = k - 1 if n >= 3 * k - 2 else 0
         self.head_slots = np.arange(-self.pad, k + self.pad) % n
         self.head_signal = np.zeros(k + 2 * self.pad)
         self.head_signal[self.pad : self.pad + k] = self.pilot
+        self.first = k + self.pad
         # the pruned run is short when the only samples that reach the bound
         # level, about sum(level^2) / sum(level), are the pilot's: a noise-only
         # one that does stretches it across the trace.  Where the noise-only
         # slots hold more than _SPREAD_ODDS of one on average (a pilot SNR
         # under 12.7 dB on the 1 degree grid), a trial draws every slot up
         # front: the choice reads sigma_w alone, never a draw
-        reach = float(self.levels[:, 0] @ self.levels[:, 0]) / self.total if len(self.taps) else 0.0
+        reach = float(self.levels @ self.levels) / self.total if len(self.taps) else 0.0
         self.sigma_sparse = reach / -_STD_NORMAL.inv_cdf(_SPREAD_ODDS / n)
 
 
-class _LazyTrace:
-    """A synced trace with pilot, drawn only where read.
-
-    slots and values hold the samples drawn so far, in draw order, the head
-    first (see _SyncPilot).  Every other slot is noise-only and holds at
-    most cut: exactly 0.0 when noiseless, else sigma_w times a standard
-    normal conditioned below tau, drawn the first time the slot is read.
-    """
-
-    def __init__(self, p: _SyncPilot, support, power, sigma_w, rng):
-        self.n, self.sigma_w, self.rng = p.n, sigma_w, rng
-        first = p.k + p.pad  # the first slot past the head
-        head, outside = p.head_signal, support
-        if len(support) and not first <= support[0] <= support[-1] < p.n - p.pad:
-            at = (support + p.pad) % p.n  # a support slot's place in the head, if it is there
-            inside = at < len(head)
-            head = head.copy()
-            head[at[inside]] = power
-            outside = support[~inside]  # ascending, past the head
-        slots = np.concatenate((p.head_slots, outside))
-        signal = np.concatenate((head, np.full(len(outside), power)))
-        if sigma_w == 0.0:
-            self.tau = self.cut = 0.0
-            self.slots, self.values = slots, signal
-            return
-        # the head and the other support slots, exactly, in that order; then
-        # the noise-only slots above tau: how many (binomial), which (uniform
-        # distinct ranks), and their values by inversion, z = -Phi^-1(q u)
-        # for u uniform in (0, 1]
-        values = sigma_w * rng.standard_normal(len(slots)) + signal
-        self.tau = p.tau
-        self.cut = sigma_w * p.tau
-        rest = p.n - len(slots)
-        m = rng.binomial(rest, p.q)
-        u = rng.random(2 * m)  # m ranks, then m values
-        ranks = np.sort(uniform_index(u[:m], rest))
-        while (dup := ranks[1:] == ranks[:-1]).any():  # redraw repeats: a uniform distinct set
-            ranks[1:][dup] = uniform_index(rng.random(int(dup.sum())), rest)
-            ranks.sort()
-        hot = [-sigma_w * _STD_NORMAL.inv_cdf(v) for v in (p.q * (1.0 - u[m:])).tolist()]
-        # the r-th noise-only slot is the r-th past the head, plus the support slots at or before it
-        ranks += first + np.searchsorted(outside - first - np.arange(len(outside)), ranks, "right")
-        self.slots = np.concatenate((slots, ranks))
-        self.values = np.concatenate((values, hot))
-
-    def _below(self, z):
-        """sigma_w times z, every z_i >= tau redrawn until it is below: N(0, 1)
-        conditioned below tau, by rejection, in place."""
-        while (high := z >= self.tau).any():
-            z[high] = self.rng.standard_normal(int(high.sum()))
-        z *= self.sigma_w
-        return z
-
-    def read(self, start, length):
-        """The samples of the cyclic run of slots start .. start + length - 1
-        (length <= n), drawing those not yet drawn in slot order from start."""
-        rel = (self.slots - start) % self.n
-        seen = rel < length
-        hit = rel[seen]
-        out = np.zeros(length)
-        out[hit] = self.values[seen]
-        if self.sigma_w > 0.0:
-            new = np.ones(length, dtype=bool)
-            new[hit] = False
-            out[new] = fresh = self._below(self.rng.standard_normal(int(new.sum())))
-            self.slots = np.concatenate((self.slots, (start + np.flatnonzero(new)) % self.n))
-            self.values = np.concatenate((self.values, fresh))
-        return out
-
-    def dense(self):
-        """Every slot: one normal per slot, in slot order, of which those
-        drawn already are discarded, conditioned below tau (see _below)."""
-        if self.sigma_w > 0.0:
-            x = self.rng.standard_normal(self.n)
-            x[self.slots] = -np.inf  # never redrawn, then overwritten
-            x = self._below(x)
-        else:
-            x = np.zeros(self.n)
-        x[self.slots] = self.values
-        return x
-
-
-def _sync_trial(plan, cells, power, sigma_w, rng, offset) -> SyncTrace:
-    """A sync trial on the synced trace x = signal + noise, drawn lazily.
+def _sync_trials(plan, cells, power, sigma_w, draws, offsets):
+    """A sync run's (samples, shifts (T,), peaks (3, T), beams (3, T)), see run_scan.
 
     In synced slots, shift s of the offset trace scores the window of k
     slots from s - offset, and each peak is the argmax of x outside one such
     window: the synced peak's starts at 0, the naive one's at -offset and
     the realigned one's at shift - offset, mod n; ties go to the lowest slot
     counted from the window's start.  Above sigma_sparse (see _SyncPilot)
-    the trial draws the dense plan's trace and takes the dense path
-    (_full_draw) from the start.  Else, draw order: the head (the pilot and
-    k - 1 slots either side) and the other support slots, exactly; the
-    noise-only slots above tau (_LazyTrace); then, in slot order, any other
-    slot the pruned run's windows read.  When the realignment cannot be
-    pruned on what is drawn, or a peak's best drawn sample may be beaten by
-    one not drawn, the trial draws the rest (_LazyTrace.dense) and
-    _full_draw runs the dense path.
+    each trial draws its dense trace from draws.dense(t) and takes the dense
+    path (_full_draw).  Else the trials run as one sparse pass
+    (_SparseTraces, _pruned_runs, _sparse_peaks); a trial whose realignment
+    cannot be pruned on what is drawn, or whose peak's best drawn sample may
+    lose to one not drawn, completes its trace from its counters
+    (_philox_trace) and takes the dense path.
     """
     p = plan._sync_pilot
-    if abs(offset) > p.n:
+    offsets = np.asarray(offsets, dtype=int).reshape(-1)
+    if (np.abs(offsets) > p.n).any():
         raise ValueError("offset beyond one full trace period")
+    count = len(offsets)
+    shifts = np.zeros(count, dtype=int)
+    peaks, beams = np.zeros((3, count)), np.zeros((3, count), dtype=int)
     if sigma_w > p.sigma_sparse:  # a pruned run would rarely be short: draw every slot
-        return _full_draw(_dense_samples(plan, cells, power, sigma_w, rng), p, offset)
-    x = _LazyTrace(p, p.k + _beam_slots(plan.grid, cells), power, sigma_w, rng)
-    shift = _sparse_shift(x, p, offset)
-    if shift is not None and (found := _sparse_peaks(x, p.k, [[0], [shift - offset], [-offset]])) is not None:
-        return SyncTrace(x.values, *found)
-    return _full_draw(x.dense(), p, offset)
+        samples, rest = np.zeros(0), range(count)
+
+        def trace(t):
+            return _dense_samples(plan, cells[t], power[t], sigma_w, draws.dense(t))
+    else:
+        x = _SparseTraces(p, plan.grid, cells, power, sigma_w, draws)
+        ok, run_shifts = _pruned_runs(x, p, offsets)
+        found, found_peaks, found_beams = _sparse_peaks(x, np.stack([0 * offsets, run_shifts - offsets, -offsets]))
+        ok &= found
+        shifts[ok], peaks[:, ok], beams[:, ok] = run_shifts[ok], found_peaks[:, ok], found_beams[:, ok]
+        samples = x.drawn()
+        rest = np.flatnonzero(~ok)
+
+        def trace(t):
+            return _philox_trace(plan, p, cells[t], power[t], sigma_w, draws, t)
+    for t in rest:
+        shifts[t], peaks[:, t], beams[:, t], _held = _full_draw(trace(t), p, int(offsets[t]))
+    return samples, shifts, peaks, beams
 
 
-def _sparse_shift(x, p: _SyncPilot, offset):
-    """realign_with_pilot's shift from the drawn samples, or None when its
-    bound and run argument needs samples not drawn (see _pruned_run)."""
-    if (run := _pruned_run(x, p)) is None:
-        return None
-    start, corr = run
-    return _winner(corr, (start + offset) % p.n, p.n)
+def _slot_normals(draws, rows, slots):
+    """Per trial of rows (R,), the normal of each of its slots, slots (R, B),
+    or (B,) for slots every trial shares: slot s takes half s % 2 (the
+    cosine, the sine) of Box-Muller on the uniforms of block
+    _SLOT_BLOCK + s // 2 of the trial's row.  Shared slots draw each block once."""
+    if slots.ndim == 2:
+        z = _box_muller(draws.uniforms(rows, _SLOT_BLOCK + slots // 2).reshape(len(rows), -1))
+        return np.take_along_axis(z, 2 * np.arange(slots.shape[1]) + slots % 2, axis=1)
+    blocks = np.sort(slots // 2)
+    blocks = blocks[np.append(True, blocks[1:] != blocks[:-1])]
+    z = _box_muller(draws.uniforms(rows, _SLOT_BLOCK + blocks).reshape(len(rows), -1))
+    return z[:, 2 * np.searchsorted(blocks, slots // 2) + slots % 2]
 
 
-def _pruned_run(x, p: _SyncPilot):
-    """(start, scores) of the run of windows that can win, in
-    synced slots, or None when it cannot be found on the drawn samples.
+def _below_tau(p: _SyncPilot, draws, rows, slots, z):
+    """z (F,), the normals of noise-only (row, slot)s, conditioned below tau in
+    place: a z at or above tau becomes Phi^-1(u' Phi(tau)), u' uniform
+    slot % 2 of block _SLOT_BLOCK + ceil(n / 2) + slot // 2.  The two cases add up to N(0, 1)
+    conditioned below tau, with no rejection loop."""
+    high = np.flatnonzero(z >= p.tau)
+    if len(high):
+        u = draws.uniforms(rows[high], _SLOT_BLOCK + p.blocks + slots[high, None] // 2)[:, 0, :]
+        u = u[np.arange(len(high)), slots[high] % 2]
+        z[high] = [_STD_NORMAL.inv_cdf(v) for v in (p.below * u).tolist()]
+    return z
+
+
+def _exceedances(p: _SyncPilot, draws, rows):
+    """The noise-only slots past the head that reach tau, per row: an iid
+    Bernoulli(q) process over the ranks 0 .. n - len(head) - 1, slot
+    p.first + rank, whose j-th rank reads block _SLOT_BLOCK + 2 ceil(n / 2) + j: the
+    gap to it from the one before, floor(log u / log1p(-q)), and its value,
+    -Phi^-1(q u').  Returns (slots (R, M), z (R, M)), slots padded with n,
+    z with -inf.  A slot that carries signal is drawn exactly instead."""
+    rest = p.n - p.first - p.pad
+    chunk = int(p.q * rest + 4.0 * np.sqrt(p.q * rest)) + 2  # blocks per row at a time: one pass nearly always
+    last = np.full(len(rows), -1.0)
+    ranks, values = [], []
+    todo = np.arange(len(rows))
+    while len(todo):
+        u = draws.uniforms(rows[todo], _SLOT_BLOCK + 2 * p.blocks + len(ranks) * chunk + np.arange(chunk))
+        at = last[todo, None] + np.cumsum(np.floor(np.log(u[..., 0]) / np.log1p(-p.q)) + 1.0, axis=1)
+        r = np.full((len(rows), chunk), float(rest))
+        r[todo] = np.minimum(at, rest)
+        v = np.ones((len(rows), chunk))
+        v[todo] = u[..., 1]
+        ranks.append(r)
+        values.append(v)
+        last[todo] = at[:, -1]
+        todo = todo[at[:, -1] < rest]
+    ranks, values = np.concatenate(ranks, axis=1), np.concatenate(values, axis=1)
+    width = int((ranks < rest).sum(axis=1).max(initial=0))
+    ranks, values = ranks[:, :width].astype(int), values[:, :width]
+    hit = ranks < rest
+    z = np.full(ranks.shape, -np.inf)
+    z[hit] = [-_STD_NORMAL.inv_cdf(v) for v in (p.q * values[hit]).tolist()]
+    return np.where(hit, p.first + ranks, p.n), z
+
+
+def _support_slots(grid, cells, k):
+    """Every synced slot, k + beam slot, that each receiver's cells (T, 4)
+    stand for: (rows, slots), by row."""
+    rows, c = np.nonzero(cells < grid.size)
+    slots = k + cells[rows, c]
+    ring = np.flatnonzero(cells[:, 0] == 0)  # the nadir ring cell covers its whole ring
+    if len(ring):
+        rows = np.concatenate((rows, np.repeat(ring, grid.n_azimuth - 1)))
+        slots = np.concatenate((slots, np.tile(k + np.arange(1, grid.n_azimuth), len(ring))))
+    return rows, slots
+
+
+def _member(keys, query):
+    """Whether each query is in keys (ascending)."""
+    i = np.minimum(np.searchsorted(keys, query), max(len(keys) - 1, 0))
+    return keys[i] == query if len(keys) else np.zeros(len(query), dtype=bool)
+
+
+def _by_row(rows, slots, values, count, n):
+    """The (row, slot, value)s sorted by row, each row led by a sentinel
+    (slot n, value -inf) so that none is empty: (rows, slots, values, first),
+    first (count,) the index of each row's sentinel."""
+    rows = np.concatenate((np.arange(count), rows))
+    order = np.argsort(rows, kind="stable")
+    per_row = np.bincount(rows, minlength=count)
+    slots = np.concatenate((np.full(count, n), slots))[order]
+    values = np.concatenate((np.full(count, -np.inf), values))[order]
+    return rows[order], slots, values, np.cumsum(per_row) - per_row
+
+
+class _SparseTraces:
+    """The synced traces with pilot of a batch of trials, drawn only where read.
+
+    head (T, len(head)) holds the head's samples; keys and extra the other
+    samples drawn, the support slots past the head and the noise-only slots
+    at or above tau (_exceedances), by key row * n + slot, ascending.  Every
+    other slot is noise-only and holds at most cut: exactly 0.0 when
+    noiseless, else sigma_w times its normal conditioned below tau
+    (_below_tau), drawn by read().  Only a drawn sample above cut can beat
+    one not drawn: rows, slots and values (F,) list those, by row, and
+    first[r] is where row r's start (see _by_row); scale is each trial's
+    largest drawn sample.
+    """
+
+    def __init__(self, p: _SyncPilot, grid, cells, power, sigma_w, draws):
+        count, n, width = len(cells), p.n, len(p.head_slots)
+        self.p, self.sigma_w, self.draws = p, sigma_w, draws
+        rows, slots = _support_slots(grid, cells, p.k)
+        at = (slots + p.pad) % n  # a support slot's place in the head, if it is there
+        inside = at < width
+        head = np.tile(p.head_signal, (count, 1))
+        head[rows[inside], at[inside]] = power[rows[inside]]
+        rows, slots = rows[~inside], slots[~inside]
+        values = power[rows]
+        self.cut = sigma_w * p.tau
+        if sigma_w > 0.0:
+            # the head and the other support slots, exactly; then the noise-only
+            # slots at or above tau, but for those that carry signal
+            head += sigma_w * _slot_normals(draws, np.arange(count), p.head_slots)
+            values += sigma_w * _slot_normals(draws, rows, slots[:, None])[:, 0]
+            hot, z = _exceedances(p, draws, np.arange(count))
+            r, c = np.nonzero(hot < n)
+            keep = ~_member(np.sort(rows * n + slots), r * n + hot[r, c])
+            rows = np.concatenate((rows, r[keep]))
+            slots = np.concatenate((slots, hot[r, c][keep]))
+            values = np.concatenate((values, sigma_w * z[r, c][keep]))
+        self.head = head
+        order = np.argsort(rows * n + slots)
+        self.keys, self.extra = (rows * n + slots)[order], values[order]
+        self.reads = []
+        self.scale = head.max(axis=1)
+        np.maximum.at(self.scale, rows, values)
+        r, c = np.nonzero(head > self.cut)
+        strong = values > self.cut
+        self.rows, self.slots, self.values, self.first = _by_row(
+            np.concatenate((r, rows[strong])), np.concatenate((p.head_slots[c], slots[strong])),
+            np.concatenate((head[r, c], values[strong])), count, n)
+
+    def read(self, rows, slots):
+        """The samples of the (row, slot)s, rows and slots (F,), drawing those
+        not yet drawn."""
+        p, n = self.p, self.p.n
+        out = np.empty(len(slots))
+        at = (slots + p.pad) % n
+        head = at < self.head.shape[1]
+        out[head] = self.head[rows[head], at[head]]
+        rest = np.flatnonzero(~head)
+        key = rows[rest] * n + slots[rest]
+        drawn = _member(self.keys, key)
+        out[rest[drawn]] = self.extra[np.searchsorted(self.keys, key[drawn])]
+        new = rest[~drawn]
+        if len(new):
+            fresh = 0.0
+            if self.sigma_w > 0.0:
+                z = _slot_normals(self.draws, rows[new], slots[new, None])[:, 0]
+                fresh = self.sigma_w * _below_tau(p, self.draws, rows[new], slots[new], z)
+                self.reads.append(fresh)
+            out[new] = fresh
+        return out
+
+    def drawn(self):
+        """Every sample drawn so far: the head, row by row, then the rest."""
+        return np.concatenate([self.head.ravel(), self.extra, *self.reads])
+
+
+def _pruned_runs(x: _SparseTraces, p: _SyncPilot, offsets):
+    """(ok, shifts): per trial, realign_with_pilot's shift, where its bound
+    and run argument can be made on the drawn samples (ok), and the runs
+    scored.
 
     In synced slots, the window starting at slot w is shift w + offset's.
     The floor is the score of the synced window, shift offset's: a score
@@ -583,52 +739,96 @@ def _pruned_run(x, p: _SyncPilot):
     under a positive level t only, and a window's score rounds monotonically
     in its samples, so it stays under (1 + (k + 1) 2^-53) L t whatever its
     negative samples: the strongest sample drawn, which is at least the
-    synced window's, scales the rounding allowance.
+    synced window's, scales the rounding allowance.  The runs are scored
+    padded to the longest of runs within a factor of two of each other.
     """
     k, n = p.k, p.n
+    ok, shifts = np.zeros(len(offsets), dtype=bool), np.zeros(len(offsets), dtype=int)
     if len(p.taps) == 0 or 2 * k - 2 > n:  # no score to beat, or a run whose windows overlap
-        return None
-    head = x.values[: len(p.head_slots)]
-    floor = np.add.accumulate(head[p.pad + p.taps] * p.levels[:, 0])[-1]  # in tap order, as _scores adds
-    tau = _hot_level(floor, p.total, k, x.values.max())
-    if not tau > x.cut:
-        return None
-    start, count = _covering_run(x.slots[x.values >= tau], n, k)
-    if count == n:
-        return None
-    lo = (start + p.pad) % n
-    seg = head[lo : lo + count + k - 1] if lo + count + k - 1 <= len(head) else x.read(start, count + k - 1)
-    return start, _scores(seg, p.taps, p.levels, count)
+        return ok, shifts
+    floor = np.add.accumulate(x.head[:, p.pad + p.taps] * p.levels, axis=1)[:, -1]  # in tap order, as _scores adds
+    level = _hot_level(floor, p.total, k, x.scale)
+    hot = np.flatnonzero(x.values >= level[x.rows])  # every hot sample, where level > cut
+    hot = hot[np.lexsort((x.slots[hot], x.rows[hot]))]
+    start, count = _covering_runs(x.rows[hot], x.slots[hot], len(offsets), n, k)
+    ok = (level > x.cut) & (count < n)
+    rows = np.flatnonzero(ok)
+    width = x.head.shape[1]
+    lo = (start + p.pad) % n  # the run's first window, as a column of the head
+    size = np.frexp(count[rows])[1]  # runs within a factor of two share a padded pass
+    for b in sorted(set(size.tolist())):
+        g = rows[size == b]
+        most = int(count[g].max())
+        cols = np.arange(most + k - 1)
+        # the windows' samples: a slice of the head, else read (past a run's
+        # own segment, a row's columns are not scored)
+        seg = x.head[g[:, None], np.minimum(lo[g, None] + cols, width - 1)]
+        out = np.flatnonzero(lo[g] + count[g] + k - 1 > width)
+        if len(out):
+            need = cols < (count[g[out]] + k - 1)[:, None]
+            part = np.zeros(need.shape)
+            at = np.broadcast_to(g[out, None], need.shape)[need]
+            part[need] = x.read(at, ((start[g[out], None] + cols) % n)[need])
+            seg[out] = part
+        corr = _scores(seg, p.taps, p.levels, most)
+        corr[cols[:most] >= count[g, None]] = -np.inf
+        shifts[g] = _winners(corr, (start[g] + offsets[g]) % n, n)
+    return ok, shifts
 
 
-def _sparse_peaks(x, k, starts):
-    """(peaks, beams) of the traces whose pilot windows start at the given
-    synced slots (a column), or None when a sample not drawn could beat a peak."""
-    above = x.values > x.cut  # only these can beat a slot not drawn
-    rel = (x.slots[above] - np.array(starts)) % x.n
-    values = np.where(rel >= k, x.values[above], -np.inf)
-    best = values.max(axis=1, initial=-np.inf)
-    beams = np.where(values == best[:, None], rel, x.n).min(axis=1, initial=x.n) - k
+def _sparse_peaks(x: _SparseTraces, starts):
+    """(found (T,), peaks (3, T), beams (3, T)) of the traces whose pilot
+    windows start at the synced slots starts (3, T); found is False where a
+    sample not drawn could beat a peak."""
+    n, k = x.p.n, x.p.k
+    rel = x.slots - (starts % n)[:, x.rows]
+    rel[rel < 0] += n
+    values = np.where(rel >= k, x.values, -np.inf)  # only those above cut can beat a slot not drawn
+    best = np.maximum.reduceat(values, x.first, axis=1)
+    beams = np.minimum.reduceat(np.where(values == best[:, x.rows], rel, n), x.first, axis=1) - k
     if x.sigma_w == 0.0:
         # noiseless samples are >= 0 and the undrawn ones 0: with no positive
         # drawn sample, the trace is all zeros and peaks at its first slot
         flat = best == -np.inf
         best[flat], beams[flat] = 0.0, 0
-    elif (best == -np.inf).any():
-        return None
-    return best, beams
+        return np.ones(len(x.first), dtype=bool), best, beams
+    return (best > -np.inf).all(axis=0), best, beams
 
 
-def _full_draw(samples, p: _SyncPilot, offset) -> SyncTrace:
-    """The dense path, on every slot of the synced trace: realign_with_pilot and estimator.peak."""
+def _philox_trace(plan, p: _SyncPilot, cells, power, sigma_w, draws, t):
+    """Trial t's whole synced trace from its counters, as its sparse pass reads
+    it: the head and support slots their normals, the noise-only slots of
+    _exceedances their values, every other slot its normal conditioned below
+    tau; plus the signal."""
+    signal = np.zeros(p.n)
+    signal[: p.k] = p.pilot
+    support = _support_slots(plan.grid, cells[None], p.k)[1]
+    signal[support] += power
+    if sigma_w == 0.0:
+        return signal
+    z = _slot_normals(draws, np.array([t]), np.arange(p.n))[0]
+    exact = np.zeros(p.n, dtype=bool)
+    exact[p.head_slots] = exact[support] = True
+    noise = np.flatnonzero(~exact)
+    z[noise] = _below_tau(p, draws, np.full(len(noise), t), noise, z[noise])
+    hot, z_hot = _exceedances(p, draws, np.array([t]))
+    hit = (hot < p.n) & ~exact[np.minimum(hot, p.n - 1)]
+    z[hot[hit]] = z_hot[hit]
+    return sigma_w * z + signal
+
+
+def _full_draw(samples, p: _SyncPilot, offset):
+    """The dense path, on every slot of the synced trace: realign_with_pilot
+    and estimator.peak; (shift, peaks, beams, held)."""
     shifted = apply_timing_offset(MeasurementTrace(samples), offset)
     shift = realign_with_pilot(shifted, p.pilot)
     synced = peak(samples[p.k :])
     # the realigned trace is a temporary: a third trace kept alive measured
     # 10x the minor faults (heap-top trims)
     realigned = synced if shift == offset % p.n else peak(apply_timing_offset(shifted, -shift).samples[p.k :])
-    found = (synced, realigned, peak(shifted.samples[p.k :]))
-    # it returns a copy, made last: the one array that outlives the trial then
-    # sits above those it frees, so glibc reuses their pages rather than trim
-    # the heap top and fault them in again next trial (half the minor faults)
-    return SyncTrace(samples.copy(), *map(np.array, zip(*found)))
+    found = zip(synced, realigned, peak(shifted.samples[p.k :]))
+    # held, a copy made last, is for the caller to keep through its next
+    # trial: it sits above the arrays this one frees, so glibc reuses their
+    # pages rather than trim the heap top and fault them in again (measured:
+    # 141 minor faults a trial with it, 197 without)
+    return shift, *found, samples.copy()

@@ -19,15 +19,32 @@ _CHUNK = 8192  # counter prefixes per Philox call, so temporaries stay at a few 
 
 
 def philox4x32(counter, key) -> np.ndarray:
-    """Philox4x32-10 of counters (..., 4) under a key (2,), all uint32 words."""
+    """Philox4x32-10 of counters (..., 4) under a key (2,), all uint32 words.
+
+    The rounds run on one contiguous array per word, in place; the result's
+    words are contiguous too (word i is out[..., i], a view of an array
+    stored word-major), so a word-major counter costs no strided pass.
+    """
     c = np.asarray(counter, dtype=np.uint64)
-    c0, c1, c2, c3 = (c[..., i] for i in range(4))
+    c0, c1, c2, c3 = (c[..., i].copy() for i in range(4))
+    p0, p1 = np.empty_like(c0), np.empty_like(c0)
     k0, k1 = (int(k) for k in key)
     for _ in range(10):
-        p0, p1 = c0 * _M[0], c2 * _M[1]  # 32 x 32 -> 64-bit products
-        c0, c1, c2, c3 = (p1 >> _32) ^ c1 ^ np.uint64(k0), p1 & _LO, (p0 >> _32) ^ c3 ^ np.uint64(k1), p0 & _LO
+        np.multiply(c0, _M[0], out=p0)  # 32 x 32 -> 64-bit products
+        np.multiply(c2, _M[1], out=p1)
+        np.right_shift(p1, _32, out=c0)
+        c0 ^= c1
+        c0 ^= np.uint64(k0)
+        np.bitwise_and(p1, _LO, out=c1)
+        np.right_shift(p0, _32, out=c2)
+        c2 ^= c3
+        c2 ^= np.uint64(k1)
+        np.bitwise_and(p0, _LO, out=c3)
         k0, k1 = (k0 + _W[0]) & 0xFFFFFFFF, (k1 + _W[1]) & 0xFFFFFFFF
-    return np.stack([c0, c1, c2, c3], axis=-1).astype(np.uint32)
+    out = np.empty((4,) + c0.shape, dtype=np.uint32)
+    for i, word in enumerate((c0, c1, c2, c3)):
+        out[i] = word
+    return np.moveaxis(out, 0, -1)
 
 
 def seed_key(seed: int) -> tuple[int, int]:
@@ -37,28 +54,38 @@ def seed_key(seed: int) -> tuple[int, int]:
     return seed & 0xFFFFFFFF, seed >> 32
 
 
-def uniforms(seed: int, prefix, n: int) -> np.ndarray:
-    """n uniforms strictly inside (0, 1) per counter prefix (..., 3).
+def uniforms(seed: int, prefix, n: int = 0, blocks=None) -> np.ndarray:
+    """Uniforms strictly inside (0, 1) from the Philox blocks of counter
+    prefixes (..., 3).
 
     Block b of a prefix is the Philox output of counter (*prefix, b); each
     block holds two uniforms, in order, each made of 52 bits of one word
     pair: u = (bits + 1/2) / 2^52, so the extremes are 2^-53 and 1 - 2^-53.
+    Returns the first n uniforms per prefix, from blocks 0, 1, ...: (..., n);
+    or, given blocks, block indices (..., B) broadcast against the prefixes,
+    the two uniforms of each of them: (..., B, 2).
     """
     prefix = np.asarray(prefix, dtype=np.uint64)
-    rows = prefix.reshape(-1, 3)
+    if blocks is None:
+        flat = uniforms(seed, prefix, blocks=np.arange((n + 1) // 2))
+        return flat.reshape(prefix.shape[:-1] + (-1,))[..., :n]
+    blocks = np.asarray(blocks, dtype=np.uint64)
+    lead = np.broadcast_shapes(prefix.shape[:-1], blocks.shape[:-1])
+    width = blocks.shape[-1]
+    rows = np.broadcast_to(prefix, lead + (3,)).reshape(-1, 1, 3)
+    index = np.broadcast_to(blocks, lead + (width,)).reshape(-1, width)
     key = seed_key(seed)
-    n_blocks = (n + 1) // 2
-    out = np.empty((len(rows), 2 * n_blocks))
-    counter = np.empty((min(len(rows), _CHUNK), n_blocks, 4), dtype=np.uint64)
-    counter[..., 3] = np.arange(n_blocks)
+    out = np.empty((len(rows), width, 2))
+    counter = np.empty((4, min(len(rows), _CHUNK), width), dtype=np.uint64)  # word-major
     for start in range(0, len(rows), _CHUNK):
-        chunk = rows[start : start + _CHUNK]
-        c = counter[: len(chunk)]
-        c[..., :3] = chunk[:, None, :]
-        w = philox4x32(c, key).astype(np.uint64)
-        bits = (w[..., 0::2] << np.uint64(20)) | (w[..., 1::2] >> np.uint64(12))
-        out[start : start + len(chunk)] = ((bits.astype(float) + 0.5) * 2.0**-52).reshape(len(chunk), -1)
-    return out.reshape(prefix.shape[:-1] + (-1,))[..., :n]
+        stop = min(start + _CHUNK, len(rows))
+        c = counter[:, : stop - start]
+        c[:3] = np.moveaxis(rows[start:stop], -1, 0)
+        c[3] = index[start:stop]
+        w = philox4x32(np.moveaxis(c, 0, -1), key)
+        for j in range(2):  # (bits + 1/2) / 2^52 of words 2j (high 32 bits) and 2j + 1 (low 20), exactly
+            out[start:stop, :, j] = w[..., 2 * j] * 2.0**-32 + ((w[..., 2 * j + 1] >> np.uint32(12)) + 0.5) * 2.0**-52
+    return out.reshape(lead + (width, 2))
 
 
 def uniform_index(u, k):

@@ -341,7 +341,7 @@ class TestRunSyncTest:
         # sparse attempt: the rows are equal, not only equal in law
         cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=50,
                                master_seed=11, snr_list_db=(10.0, 0.0))
-        monkeypatch.setattr(scan, "_LazyTrace", None)
+        monkeypatch.setattr(scan, "_SparseTraces", None)
         rows = run_sync_test(cfg).aggregates["rows"]
         monkeypatch.undo()
         assert rows == _sync_oracle_rows(cfg)
@@ -357,10 +357,11 @@ class TestRunSyncTest:
         grid = build_beam_grid()
         pilot = make_pilot(pilot_w, 64)
         cells, power = support(grid, Room(), ReceiverState(position, normal), ChannelParams())
-        trace = run_scan(ScanPlan(grid, pilot, sync=True), cells, power, sigma_w=0.0, draws=None, offset_steps=offset)
+        trace = run_scan(ScanPlan(grid, pilot, sync=True), cells[None], np.array([power]), sigma_w=0.0, draws=None,
+                         offset_steps=np.array([offset]))
         peaks, beams, _ = _dense_sync(run_scan(ScanPlan(grid, pilot), cells, power, 0.0, None), pilot, offset)
-        np.testing.assert_array_equal(trace.beams, beams)
-        np.testing.assert_array_equal(trace.peaks, peaks)
+        np.testing.assert_array_equal(trace.beams[:, 0], beams)
+        np.testing.assert_array_equal(trace.peaks[:, 0], peaks)
         # it holds the pilot with the 63 slots either side, and the support
         # slots, the nadir ring cell standing for 360; nothing else is drawn
         slots = cells[cells < grid.size]
@@ -408,45 +409,75 @@ class TestSyncTrialLaw:
 
 
 class TestSyncTrialCompletion:
-    """A sparse sync trial returns what the dense path returns on the trace
-    it leaves implicit: completed by drawing every slot it did not draw, the
-    trace gives the same shift, peaks and beams, bit for bit."""
+    """Every slot's noise is a pure function of its trial's Philox row and the
+    slot, so a sparse sync trial returns what the dense path returns on the
+    trace it leaves implicit: completed from the same counters, the trace
+    gives the same shift, peaks and beams, bit for bit."""
 
-    @pytest.mark.parametrize("snr", [40.0, 20.0, 13.0])
+    @pytest.mark.parametrize("snr", [float("inf"), 40.0, 20.0, 13.0])
     def test_dense_path_on_completed_trace_agrees(self, monkeypatch, snr):
-        traces = []
-
-        class Kept(scan._LazyTrace):
-            def __init__(self, *args):
-                super().__init__(*args)
-                traces.append(self)
-
-        monkeypatch.setattr(scan, "_LazyTrace", Kept)
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=300,
+                               master_seed=7, snr_list_db=(snr,))
+        plan, pilot, sigma, _, cells, power, offsets, draws = _sync_inputs(cfg)
         full_draws = _count_full_draws(monkeypatch)
         shifts = _record_shifts(monkeypatch)
-        grid = build_beam_grid(2.0, 2.0)
-        pilot = make_pilot(ChannelParams().p_opt_w, 64)
-        n = 64 + grid.size
-        sigma = noise_sigma_for_snr(float(pilot.max()), snr)
-        rng = np.random.default_rng(7)
-        room = Room()
-        sparse_trials = 0
-        for t in range(300):
-            position = rng.uniform([0.0, 0.0, 0.0], [1.0, 1.0, 2.5])
-            cells, power = support(grid, room, ReceiverState(position, [0.0, 0.0, 1.0]), ChannelParams())
-            offset = int(rng.integers(-(n // 2), n // 2 + 1))
-            drawn = len(full_draws)
-            trace = run_scan(ScanPlan(grid, pilot, sync=True), cells, power, sigma, np.random.default_rng((7, t)),
-                             offset_steps=offset)
-            if len(full_draws) > drawn:  # the dense path ran already
-                continue
-            sparse_trials += 1
-            sparse_shift = shifts[-1]
-            peaks, beams, shift = _dense_sync(MeasurementTrace(traces[-1].dense()), pilot, offset)
-            assert shift == sparse_shift
-            np.testing.assert_array_equal(trace.peaks, peaks)
-            np.testing.assert_array_equal(trace.beams, beams)
-        assert sparse_trials >= 50
+        trace = run_scan(plan, cells, power, sigma, draws, offset_steps=offsets)
+        assert sigma <= plan._sync_pilot.sigma_sparse  # the sparse band
+        assert len(full_draws) <= 250  # at least 50 trials stayed sparse
+        monkeypatch.undo()
+        for t, offset in enumerate(offsets.tolist()):
+            completed = scan._philox_trace(plan, plan._sync_pilot, cells[t], power[t], sigma, draws, t)
+            peaks, beams, shift = _dense_sync(MeasurementTrace(completed), pilot, offset)
+            assert shift == shifts[-1][t], t
+            np.testing.assert_array_equal(trace.peaks[:, t], peaks, err_msg=str(t))
+            np.testing.assert_array_equal(trace.beams[:, t], beams, err_msg=str(t))
+
+    @pytest.mark.parametrize("snr", [float("inf"), 20.0, 13.0])
+    def test_lazy_reads_are_the_completed_trace(self, snr):
+        # every slot the sparse pass reads, drawn up front or lazily, holds the
+        # sample of the trace its counters complete, bit for bit; and every
+        # completed sample above cut is one the pass drew up front
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=40,
+                               master_seed=5, snr_list_db=(snr,))
+        plan, _, sigma, _, cells, power, _, draws = _sync_inputs(cfg)
+        p = plan._sync_pilot
+        x = scan._SparseTraces(p, plan.grid, cells, power, sigma, draws)
+        for t in range(cfg.trials):
+            completed = scan._philox_trace(plan, p, cells[t], power[t], sigma, draws, t)
+            slots = np.random.default_rng(t).permutation(p.n)  # reads in any order
+            np.testing.assert_array_equal(x.read(np.full(p.n, t), slots), completed[slots], err_msg=str(t))
+            strong = x.slots[(x.rows == t) & (x.slots < p.n)]
+            np.testing.assert_array_equal(np.sort(strong), np.flatnonzero(completed > x.cut), err_msg=str(t))
+
+    def test_exceedance_on_a_signal_slot_keeps_the_signal(self):
+        # a signal slot is drawn exactly, whatever the exceedance process puts
+        # there: the trials where the two meet read their completed traces
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=1000,
+                               master_seed=5, snr_list_db=(20.0,))
+        plan, _, sigma, _, cells, power, _, draws = _sync_inputs(cfg)
+        p = plan._sync_pilot
+        hot, _ = scan._exceedances(p, draws, np.arange(cfg.trials))
+        rows, slots = scan._support_slots(plan.grid, cells, p.k)
+        met = sorted({t for t, s in zip(rows.tolist(), slots.tolist()) if s in hot[t]})
+        assert met  # about 4 of the 1,000 trials
+        x = scan._SparseTraces(p, plan.grid, cells, power, sigma, draws)
+        for t in met:
+            completed = scan._philox_trace(plan, p, cells[t], power[t], sigma, draws, t)
+            np.testing.assert_array_equal(x.read(np.full(p.n, t), np.arange(p.n)), completed, err_msg=str(t))
+
+    @pytest.mark.parametrize("snr", [float("inf"), 20.0, 13.0, 10.0])
+    def test_trials_independent_of_batch_size(self, snr):
+        # the first 50 trials of a 100-trial run give the peaks and beams of a
+        # 50-trial run: each reads its own Philox row (or, below the sparse
+        # band, its own PCG64 stream), whatever the batch pads to
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=100,
+                               master_seed=12, snr_list_db=(snr,))
+        plan, _, sigma, _, cells, power, offsets, draws = _sync_inputs(cfg)
+        whole = run_scan(plan, cells, power, sigma, draws, offset_steps=offsets)
+        head = run_scan(plan, cells[:50], power[:50], sigma, draws._replace(prefix=draws.prefix[:50]),
+                        offset_steps=offsets[:50])
+        np.testing.assert_array_equal(head.peaks, whole.peaks[:, :50])
+        np.testing.assert_array_equal(head.beams, whole.beams[:, :50])
 
 
 def _count_full_draws(monkeypatch):
@@ -463,15 +494,16 @@ def _count_full_draws(monkeypatch):
 
 
 def _record_shifts(monkeypatch):
-    """Record every shift a realignment returns: the last one of a trial is its own."""
+    """Record the shifts (T,) that each sync run_scan recovers, one array per call."""
     shifts = []
-    winner = scan._winner
+    sync_trials = scan._sync_trials
 
     def recording(*args):
-        shifts.append(winner(*args))
-        return shifts[-1]
+        out = sync_trials(*args)
+        shifts.append(out[1])
+        return out
 
-    monkeypatch.setattr(scan, "_winner", recording)
+    monkeypatch.setattr(scan, "_sync_trials", recording)
     return shifts
 
 
@@ -485,41 +517,49 @@ def _dense_sync(trace, pilot, offset):
     return np.array([f[0] for f in found]), np.array([f[1] for f in found]), shift
 
 
-def _sync_trial_records(seed, snr, dense, shifts=None):
-    """Per-trial errors (synced, realigned, naive), peaks and beams (3, trials),
-    beam mismatch, and whether the recovered shift equals the offset, for
-    1,000 sync-test trials on a 2 degree grid: its poses, offsets and noise
-    streams, through the sync plan (the last of shifts is each trial's
-    shift) or the dense oracle."""
-    cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=1000,
-                           master_seed=seed, snr_list_db=(snr,))
+def _sync_inputs(cfg, snr_index=0):
+    """(plan, pilot, sigma, points, cells, power, offsets, draws) of one
+    sync-test snr, as run_sync_test builds them."""
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
     n = cfg.pilot_len + grid.size
-    sigma = noise_sigma_for_snr(float(pilot.max()), snr)
-    u = pass_uniforms(cfg, np.arange(cfg.trials), (0, 0))
+    sigma = noise_sigma_for_snr(float(pilot.max()), cfg.snr_list_db[snr_index])
+    prefix = experiments.pass_prefix(cfg, np.arange(cfg.trials), (0, snr_index))
+    u = pass_uniforms(cfg, np.arange(cfg.trials), (0, snr_index))
     lo = np.array([0.0, 0.0, cfg.h_min_m])
     hi = np.array([cfg.room.width_m, cfg.room.depth_m, experiments._height_cap(cfg)])
     points = lo + (hi - lo) * u[:, 3:6]
     offsets = uniform_index(u[:, 6], 2 * (n // 2) + 1) - n // 2
     rx = ReceiverState(points, receiver_normals(cfg.orientation, u[:, :3] - 0.5), cfg.fov_deg)
     cells, power = support(grid, cfg.room, rx, cfg.channel)
-    peaks, beams = np.empty((3, cfg.trials)), np.empty((3, cfg.trials), dtype=int)
-    hit = np.empty(cfg.trials, dtype=bool)
-    for t in range(cfg.trials):
-        rng = np.random.default_rng((seed, 0, 0, 0, t))
-        offset = int(offsets[t])
-        if dense:
-            trace = run_scan(ScanPlan(grid, pilot), cells[t], power[t], sigma, rng)
-            peaks[:, t], beams[:, t], shift = _dense_sync(trace, pilot, offset)
-        else:
-            trace = run_scan(ScanPlan(grid, pilot, sync=True), cells[t], power[t], sigma, rng, offset_steps=offset)
-            peaks[:, t], beams[:, t], shift = trace.peaks, trace.beams, shifts[-1]
-        hit[t] = shift == offset % n
-    estimates, _ = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), grid, cfg.channel, sigma)
+    draws = scan.SyncDraws(cfg.master_seed, prefix,
+                           lambda t: np.random.default_rng((cfg.master_seed, 0, snr_index, 0, t)))
+    return ScanPlan(grid, pilot, sync=True), pilot, sigma, points, cells, power, offsets, draws
+
+
+def _sync_trial_records(seed, snr, dense, shifts=None):
+    """Per-trial errors (synced, realigned, naive), peaks and beams (3, trials),
+    beam mismatch, and whether the recovered shift equals the offset, for
+    1,000 sync-test trials on a 2 degree grid: its poses, offsets and draws,
+    through one sync run_scan (shifts records its shifts) or the dense
+    oracle, one PCG64 stream per trial."""
+    cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=1000,
+                           master_seed=seed, snr_list_db=(snr,))
+    plan, pilot, sigma, points, cells, power, offsets, draws = _sync_inputs(cfg)
+    n = plan._sync_pilot.n
+    if dense:
+        peaks, beams = np.empty((3, cfg.trials)), np.empty((3, cfg.trials), dtype=int)
+        run_shifts = np.empty(cfg.trials, dtype=int)
+        for t in range(cfg.trials):
+            trace = run_scan(ScanPlan(plan.grid, pilot), cells[t], power[t], sigma, draws.dense(t))
+            peaks[:, t], beams[:, t], run_shifts[t] = _dense_sync(trace, pilot, int(offsets[t]))
+    else:
+        trace = run_scan(plan, cells, power, sigma, draws, offset_steps=offsets)
+        peaks, beams, run_shifts = trace.peaks, trace.beams, shifts[-1]
+    estimates, _ = locate(cfg.room.emitter_pos, peaks.ravel(), beams.ravel(), plan.grid, cfg.channel, sigma)
     errs = position_error(np.tile(points, (3, 1)), estimates).total_m.reshape(3, -1)
     return {**dict(zip(("synced", "realigned", "naive"), errs)), "peaks": peaks, "beams": beams,
-            "mismatch": beams[1] != beams[0], "hit": hit}
+            "mismatch": beams[1] != beams[0], "hit": run_shifts == offsets % n}
 
 
 def _sync_oracle_rows(cfg):
@@ -676,7 +716,7 @@ class TestBenchmarkContract:
             run(ExperimentConfig(mode=mode, snr_list_db=(30.0,), **SMALL))
 
     def test_sync_test_scans_each_trial_once(self, monkeypatch):
-        # one sync run_scan per trial and snr, on the support of one receiver;
+        # one sync run_scan per snr, on the support of every trial's receiver;
         # the traced hook counts the samples the result holds
         calls = []
 
@@ -689,7 +729,7 @@ class TestBenchmarkContract:
         cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=5,
                                snr_list_db=(float("inf"), 30.0))
         sigmas = [row["sigma_w"] for row in run_sync_test(cfg).aggregates["rows"]]
-        assert calls == [(True, (4,), (), sigma, True) for sigma in sigmas for _ in range(5)]
+        assert calls == [(True, (5, 4), (5,), sigma, True) for sigma in sigmas]
 
     def test_run_scan_takes_sigma_w(self):
         assert "sigma_w" in inspect.signature(experiments.run_scan).parameters

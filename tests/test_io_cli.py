@@ -19,7 +19,7 @@ from vlp_sim.io import (
     write_results,
     write_trace_csv,
 )
-from vlp_sim.scan import MeasurementTrace
+from vlp_sim.scan import MAX_PILOT_LEN, MeasurementTrace
 
 # small, fast run shapes shared by the CLI tests
 TINY = {"grid_spacing_m": 0.5, "trials_per_point": 1, "snr_db": [40.0]}
@@ -383,11 +383,39 @@ class TestCli:
         # numpy >= 2 imports numpy.ma on a process's first np.unique,
         # np.percentile or np.quantile call: about 20 ms inside the timed run
         src = Path(__file__).resolve().parent.parent / "src"
-        argv = [command, "--config", write_tiny_config(tmp_path), "--out", str(tmp_path / "out")]
+        # 200 sync trials: a batch large enough for numpy's set operations to sort
+        extra = {"trials_per_point": 200} if command == "sync-test" else None
+        argv = [command, "--config", write_tiny_config(tmp_path, extra), "--out", str(tmp_path / "out")]
         code = f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; print('numpy.ma' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["cdf"], False),
+        (["snr-sweep"], False),
+        (["sync-test", "--snr", "inf,20"], False),
+        (["sync-test", "--snr", "10"], True),  # the dense band, under 12.7 dB: one PCG64 stream per trial
+    ], ids=["cdf", "snr-sweep", "sync-test-sparse", "sync-test-dense"])
+    def test_run_loads_no_numpy_random(self, tmp_path, argv, loaded):
+        # numpy imports numpy.random on first use: about 20 ms inside the
+        # timed run, which only a run that builds a generator should pay
+        src = Path(__file__).resolve().parent.parent / "src"
+        extra = {"trials_per_point": 200} if argv[0] == "sync-test" else None
+        argv = argv + ["--config", write_tiny_config(tmp_path, extra), "--out", str(tmp_path / "out")]
+        code = f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == str(loaded)
+
+    def test_pilot_longer_than_its_table_exits_one_before_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {"pilot_length": MAX_PILOT_LEN + 1})
+        assert main(["sync-test", "--config", config, "--out", str(out)]) == 1
+        assert "pilot" in capsys.readouterr().err
+        assert not out.exists()
+        config = write_tiny_config(tmp_path, {"pilot_length": MAX_PILOT_LEN, "snr_db": [float("inf")]})
+        assert main(["sync-test", "--config", config, "--out", str(out)]) == 0
 
     def test_sync_test_without_pilot_exits_one_before_work(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from vlp_sim import scan
 from vlp_sim.channel import ChannelParams
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
 from vlp_sim.scan import (
+    MAX_PILOT_LEN,
     PEAK_UNIFORMS,
     MeasurementTrace,
     ScanPlan,
@@ -398,6 +400,19 @@ class TestRealignWithPilot:
             tracemalloc.stop()
         assert peak < 0.25 * trace.samples.nbytes
 
+    def test_batched_covering_runs_match_one_trace(self):
+        # the sparse sync pass finds every trial's covering run in one array
+        # pass; the one-trace form that realign_with_pilot uses is the reference
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            count, n, k = int(rng.integers(1, 30)), int(rng.integers(40, 3000)), int(rng.integers(1, 16))
+            sizes = rng.integers(0, 12, count)
+            hot = [np.sort(rng.choice(n, size, replace=False)) for size in sizes]
+            starts, counts = scan._covering_runs(np.repeat(np.arange(count), sizes), np.concatenate(hot).astype(int),
+                                                 count, n, k)
+            for r, h in enumerate(hot):
+                assert (starts[r], counts[r]) == (scan._covering_run(h, n, k) if len(h) else (0, n))
+
     def test_negative_pilot_level_rejected(self):
         with pytest.raises(ValueError):
             realign_with_pilot(MeasurementTrace(np.ones(10)), np.array([1.0, -1.0, 1.0]))
@@ -424,6 +439,26 @@ class TestNoiseRobustSelection:
 
 
 class TestMakePilot:
+    def test_table_is_the_generator_prefix(self):
+        # the bit table is the first MAX_PILOT_LEN integers(0, 2) of
+        # Generator(PCG64(0x5CA17B0)), and a shorter draw is its prefix; the
+        # stock 64-bit pilot is unchanged
+        want = np.random.Generator(np.random.PCG64(0x5CA17B0)).integers(0, 2, size=MAX_PILOT_LEN)
+        np.testing.assert_array_equal(make_pilot(1.0, MAX_PILOT_LEN), want)
+        for length in (3, 8, 64, 100, 1000):
+            bits = np.random.Generator(np.random.PCG64(0x5CA17B0)).integers(0, 2, size=length)
+            np.testing.assert_array_equal(make_pilot(1.0, length), bits)
+        assert "".join(str(int(b)) for b in make_pilot(1.0, 64)) == (
+            "0011010000110001101001010010001111010001100010010100110001100010")
+        # a draw with no on-bit cannot correlate: its first bit is set
+        np.testing.assert_array_equal(make_pilot(1.0, 2), [1.0, 0.0])
+
+    def test_length_beyond_the_table_rejected(self):
+        with pytest.raises(ValueError):
+            make_pilot(1.0, MAX_PILOT_LEN + 1)
+        with pytest.raises(ValueError):
+            make_pilot(1.0, 0)
+
     def test_levels_and_length(self):
         pilot = make_pilot(2e-3, 64)
         assert len(pilot) == 64
