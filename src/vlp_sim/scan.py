@@ -247,7 +247,7 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: 
     maximum is its power (0 for the noise-only slots) at its lowest slot.
 
     A sync plan runs a batch of trials (cells (T, 4), power (T,)), each
-    receiver desynchronized by its offset_steps (T,), and returns a
+    receiver desynchronized by its offset_steps (T,) (or one for all), and returns a
     SyncTrace: per trial, the peaks that estimator.peak takes of the synced
     trace, of the offset trace after realign_with_pilot, and of the offset
     trace itself, each over the slots after the pilot.  draws is a SyncDraws.
@@ -533,7 +533,7 @@ def _sync_trials(plan, cells, power, sigma_w, draws, offsets):
     (_philox_trace) and takes the dense path.
     """
     p = plan._sync_pilot
-    offsets = np.asarray(offsets, dtype=int).reshape(-1)
+    offsets = np.broadcast_to(np.asarray(offsets, dtype=int), (len(cells),))
     if (np.abs(offsets) > p.n).any():
         raise ValueError("offset beyond one full trace period")
     count = len(offsets)
