@@ -343,7 +343,7 @@ class TestRealignWithPilot:
     @pytest.mark.parametrize(
         "case",
         ["constant", "zeros", "all-negative", "subnormal", "nan", "+inf", "-inf", "+-inf", "twin-pilots-across-wrap",
-         "first-tap-only", "last-tap-only"],
+         "twin-pilots-apart", "first-tap-only", "last-tap-only"],
     )
     def test_pruned_search_matches_dense_scoring_on_edge_traces(self, case):
         rng = np.random.default_rng(31)
@@ -377,12 +377,20 @@ class TestRealignWithPilot:
             x = np.zeros(n)
             x[(990 + np.arange(16)) % n] += pilot
             x[3:19] += pilot
+        elif case == "twin-pilots-apart":
+            # the same pilot at shifts 990 and 400, each in runs of its own:
+            # an exact tie across runs; the smaller shift wins
+            x = np.zeros(n)
+            x[(990 + np.arange(16)) % n] += pilot
+            x[400:416] += pilot
         with np.errstate(invalid="ignore"):
             want = rolled_copies_realign(x, pilot)
             got = realign_with_pilot(MeasurementTrace(x), pilot)
         assert got == want
         if case == "twin-pilots-across-wrap":
             assert got == 3
+        if case == "twin-pilots-apart":
+            assert got == 400
 
     def test_pruned_search_allocates_one_trace(self, grid):
         # at 20 dB the run is a few hundred shifts: no allocation is as large
@@ -400,18 +408,52 @@ class TestRealignWithPilot:
             tracemalloc.stop()
         assert peak < 0.25 * trace.samples.nbytes
 
-    def test_batched_covering_runs_match_one_trace(self):
-        # the sparse sync pass finds every trial's covering run in one array
-        # pass; the one-trace form that realign_with_pilot uses is the reference
+    def test_window_runs_match_brute_force_union(self):
+        # the runs, taken mod n, are exactly the shifts whose k-slot window
+        # holds a hot slot, for each row of a batch keyed row * (n + k) + slot,
+        # as the sparse sync pass keys its trials
         rng = np.random.default_rng(41)
-        for _ in range(300):
-            count, n, k = int(rng.integers(1, 30)), int(rng.integers(40, 3000)), int(rng.integers(1, 16))
-            sizes = rng.integers(0, 12, count)
-            hot = [np.sort(rng.choice(n, size, replace=False)) for size in sizes]
-            starts, counts = scan._covering_runs(np.repeat(np.arange(count), sizes), np.concatenate(hot).astype(int),
-                                                 count, n, k)
+        for case in range(300):
+            count, n, k = int(rng.integers(1, 30)), int(rng.integers(40, 3001)), int(rng.integers(1, 17))
+            hot = []
+            for size in rng.integers(0, 13, count).tolist():
+                h = set(rng.choice(n, size, replace=False).tolist())
+                if size and case % 3 == 0:
+                    h |= {0, n - 1}  # the ends of the trace
+                if size and case % 3 == 1:
+                    a = int(rng.integers(0, n - 2 * k))
+                    h |= {a, a + k - 1, a + 2 * k - 1}  # neighbours k - 1 and k apart
+                hot.append(sorted(h))
+            start, size = scan._window_runs(np.array([r * (n + k) + s for r, h in enumerate(hot) for s in h], int), k)
+            assert (size >= k).all()
+            rows, start = np.divmod(start + k - 1, n + k)
+            start -= k - 1
             for r, h in enumerate(hot):
-                assert (starts[r], counts[r]) == (scan._covering_run(h, n, k) if len(h) else (0, n))
+                got = {(a + i) % n for a, c in zip(start[rows == r].tolist(), size[rows == r].tolist()) for i in range(c)}
+                assert got == {(s - i) % n for s in h for i in range(k)}, (case, r)
+
+    def test_prunes_at_10_db(self, grid, monkeypatch):
+        # at a 10 dB pilot the hot samples are a few dozen noise samples
+        # spread over the trace: their windows, not one run covering them
+        # all, are scored, at most half the trace in nearly every call
+        scored = []
+        scores = scan._scores
+
+        def counting(seg, taps, levels, count):
+            scored[-1] += len(seg) * count
+            return scores(seg, taps, levels, count)
+
+        monkeypatch.setattr(scan, "_scores", counting)
+        rng = np.random.default_rng(10)
+        pilot = make_pilot(1e-3, 64)
+        n = 64 + grid.size
+        for _ in range(200):
+            x = rng.normal(0.0, 1e-3 / 10.0 ** 0.5, size=n)
+            x[:64] += pilot
+            x = np.roll(x, int(rng.integers(0, n)))
+            scored.append(0)
+            assert realign_with_pilot(MeasurementTrace(x), pilot) == rolled_copies_realign(x, pilot)
+        assert np.mean(2 * np.array(scored) <= n) >= 0.95
 
     def test_negative_pilot_level_rejected(self):
         with pytest.raises(ValueError):
