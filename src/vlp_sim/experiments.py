@@ -4,10 +4,10 @@ trial at every grid point for one (orientation mode, SNR) as array passes
 over its rows, point by point, then trial by trial, GRID_BLOCK_ROWS rows at
 a time: cdf is the single pass (0, 0), snr-sweep one pass per pair.  A sync
 run sweeps every trial of one SNR in one run_scan call.  Every caller
-composes scan.support (the geometry), scan.run_scan (the sweep) and
-estimator.locate (the fix); a peak-only pass and a sync run yield their
-peaks directly, and the dense trial (scan_trial) takes its trace's with
-estimator.peak.
+composes scan.support (the geometry), a sweep and estimator.locate (the
+fix): a grid pass and a sync run sweep with scan.run_scan, which yields
+their peaks directly, and the dense trial (scan_trial) records its trace
+with scan.dense_trace and takes its peak with estimator.peak.
 
 Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
@@ -29,17 +29,21 @@ every draw is a pure function of the master seed and its indices.
   _SLOT_BLOCK map: slot s's normal, the uniform that conditions it below
   tau, and the exceedance process over the noise-only slots), so its
   sparse pass reads any slot in any order and a trial completed in full
-  reads the same numbers.  In the dense band (a pilot too noisy to prune
-  on, scan._SyncPilot.sigma_sparse) a trial draws one normal per slot,
-  pilot first, from np.random.default_rng((master_seed, 0, snr_index, 0,
-  trial_index)) (PCG64 seeded through a SeedSequence); scan-demo draws its
-  one trace the same way from default_rng((master_seed,)).  numpy.random
-  loads only for those.  A noiseless sync-test trial draws nothing.
+  reads the same numbers.  In the dense band (sigma_w above
+  scan._SyncPilot.sigma_sparse, a pilot SNR under 12.7 dB on the 1 degree
+  grid) a trial draws its whole trace up front, one normal per slot, pilot
+  first, from np.random.default_rng((master_seed, 0, snr_index, 0,
+  trial_index)) (PCG64 seeded through a SeedSequence); the band's edge
+  stays where it is because moving it changes those rows' bytes.
+  scan-demo draws its one trace the same way from
+  default_rng((master_seed,)).  numpy.random loads only for those.  A
+  noiseless sync-test trial draws nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,9 +56,9 @@ from .scan import (
     DEFAULT_PILOT_LEN,
     MAX_PILOT_LEN,
     PEAK_UNIFORMS,
-    MeasurementTrace,
     ScanPlan,
     SyncDraws,
+    dense_trace,
     make_pilot,
     run_scan,
     support,
@@ -111,6 +115,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in EXPERIMENT_MODES:
             raise ValueError(f"mode must be one of {EXPERIMENT_MODES}, got {self.mode!r}")
+        for name in ("pilot_len", "trials_per_point", "master_seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, None if value is None else operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not 0.0 <= self.h_min_m < self.h_max_m <= self.room.height_m:
             raise ValueError("need 0 <= h_min < h_max <= room height")
         if self.h_min_m > _height_cap(self):
@@ -119,7 +129,7 @@ class ExperimentConfig:
             raise ValueError("grid_spacing_m must be positive")
         for span in (self.room.width_m, self.room.depth_m):
             ratio = span / self.grid_spacing_m
-            if abs(ratio - round(ratio)) > 1e-9:
+            if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
                 raise ValueError("grid_spacing_m must divide the room width and depth")
         check_fov(self.fov_deg)
         check_beam_steps(self.azimuth_step_deg, self.elevation_step_deg)
@@ -224,7 +234,7 @@ def percentile(samples, q: float) -> float:
 
 def scan_trial(
     cfg: ExperimentConfig, plan: ScanPlan, rx: ReceiverState, sigma: float, rng: np.random.Generator
-) -> tuple[MeasurementTrace, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One dense fix of receiver rx: take its support, sweep once with noise
     from rng (its only draws), then peak and locate.
 
@@ -233,8 +243,8 @@ def scan_trial(
     threshold for this sigma.
     """
     cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
-    trace = run_scan(plan, cells, power, sigma_w=sigma, draws=rng)
-    return trace, *locate(cfg.room.emitter_pos, *peak(trace.samples[plan.pilot_len :]), plan.grid, cfg.channel, sigma)
+    trace = dense_trace(plan, cells, power, sigma, rng)
+    return trace, *locate(cfg.room.emitter_pos, *peak(trace[plan.pilot_len :]), plan.grid, cfg.channel, sigma)
 
 
 def pass_prefix(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> np.ndarray:
@@ -288,7 +298,7 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
     n_valid and sigma_w.
     """
     p_ref = reference_peak_power(cfg)
-    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg), peak_only=True)
+    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg))
     points = sample_positions(cfg)
     passes = []
     for mode_idx, mode in enumerate(modes):
@@ -361,15 +371,15 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     snr values set the pilot SNR (sigma = pilot on-level / 10^(snr/20)), and
     the metadata records that on-level as reference_power_w; snr = inf runs
     noiseless.  trials_per_point is the total trial count.  Each snr is one
-    sync run_scan over every trial: the three peaks of each dense trial,
-    from one array pass that draws only the samples they need (per trial,
-    all of them at a pilot SNR too low for that to pay, see run_scan).
+    sync run_scan over every trial: the three peaks of each trial, from one
+    array pass that draws only the samples they need, or, in the dense band
+    (see the module docstring), from each trial's whole trace drawn up front.
     """
     if cfg.mode != "sync-test":
         raise ValueError("config mode must be 'sync-test'")
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
-    plan = ScanPlan(grid, pilot, sync=True)
+    plan = ScanPlan(grid, pilot)
     half = (cfg.pilot_len + grid.size) // 2
     p_pilot = float(np.max(pilot))
     lo = np.array([0.0, 0.0, cfg.h_min_m])
@@ -409,13 +419,14 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     return RunResult("sync-test", {"rows": rows}, _base_metadata(cfg, p_pilot))
 
 
-def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, MeasurementTrace, np.ndarray, np.ndarray]:
+def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, np.ndarray, np.ndarray, np.ndarray]:
     """One dense trial at a given receiver position, seeded by the master seed
     alone: the orientation from row 0 of pass (0, 0), the noise from its own
     stream.
 
     Uses the config's one snr value, anchored like a grid pass, and the
-    configured pilot.  Returns (plan, trace, position, status).
+    configured pilot.  Returns (plan, trace, position, status), the trace
+    every slot's sample, pilot first.
     """
     sigma = noise_sigma_for_snr(reference_peak_power(cfg), cfg.snr_list_db[0])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)

@@ -58,8 +58,8 @@ class Room:
     height_m: float = 3.0
 
     def __post_init__(self):
-        if not all(span > 0.0 for span in (self.width_m, self.depth_m, self.height_m)):
-            raise ValueError("room dimensions must be positive")
+        if not all(0.0 < span < np.inf for span in (self.width_m, self.depth_m, self.height_m)):
+            raise ValueError("room dimensions must be positive and finite")
 
     @property
     def emitter_pos(self) -> np.ndarray:
@@ -140,12 +140,12 @@ class BeamGrid:
 
 
 def check_beam_steps(azimuth_step_deg: float, elevation_step_deg: float) -> None:
-    """Raise ValueError unless the steps divide 360 and 90 evenly."""
+    """Raise ValueError unless the steps divide 360 and 90 evenly, at least once."""
     for name, span, step in (
         ("azimuth", 360.0, azimuth_step_deg),
         ("elevation", 90.0, elevation_step_deg),
     ):
-        if step <= 0.0 or abs(span / step - round(span / step)) > 1e-9:
+        if not step > 0.0 or round(span / step) < 1 or abs(span / step - round(span / step)) > 1e-9:
             raise ValueError(f"{name} step {step} does not divide {span} evenly")
 
 

@@ -19,7 +19,7 @@ from .channel import ChannelParams
 from .experiments import EXPERIMENT_MODES, ExperimentConfig, RunResult
 from .geometry import BeamGrid, Room
 from .orientation import ORIENTATION_MODES, LaplaceParams, OrientationConfig
-from .scan import DEFAULT_PILOT_LEN, MeasurementTrace
+from .scan import DEFAULT_PILOT_LEN
 
 
 class ConfigError(ValueError):
@@ -276,12 +276,12 @@ def _summary(result: RunResult) -> dict:
     return {k: v for k, v in result.aggregates.items() if not k.startswith("cdf_")}
 
 
-def write_trace_csv(trace: MeasurementTrace, grid: BeamGrid, pilot_len: int, path) -> Path:
-    """Dump one sweep trace; pilot rows carry empty angle fields."""
+def write_trace_csv(samples, grid: BeamGrid, pilot_len: int, path) -> Path:
+    """Dump one sweep trace, every slot's sample; pilot rows carry empty angle fields."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i, p in enumerate(trace.samples):
+    for i, p in enumerate(samples):
         if i < pilot_len:
             rows.append(f"{i},,,{_fmt(p)}")
         else:

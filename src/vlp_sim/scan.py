@@ -12,18 +12,18 @@ be ruled out and every shift is scored.
 
 The geometry and the sweep are two calls: support() finds, for one
 receiver or a batch, the beam cells that carry signal and their on-axis
-power; run_scan() sweeps them, in one of three plans.  A dense sweep takes
-one receiver's support and records every slot.  A peak-only pass takes a
-whole batch's support and keeps, per receiver, just the strongest sample
-and its slot, drawn from the same law as the dense trace; the maximum of
-many noise samples comes from the standard library's normal quantile,
-statistics.NormalDist().inv_cdf.  A sync run takes a batch of receivers'
-support and timing offsets and returns, per trial, the peaks of its
-synced, realigned and naive traces; unless the pilot is too noisy to prune
-on, its trials run as one array pass that draws only the samples that the
-realignment and the three peaks read, each a pure function of the trial's
-Philox row and the slot, and the rest of each trace stays implicit (see
-run_scan).
+power; a sweep takes them.  dense_trace() records every slot of one
+receiver's sweep, pilot first.  run_scan() sweeps a batch, and the plan's
+pilot picks the sweep.  With no pilot it is a peak-only pass, which keeps,
+per receiver, just the strongest sample and its slot, drawn from the same
+law as the dense trace; the maximum of many noise samples comes from the
+standard library's normal quantile, statistics.NormalDist().inv_cdf.  With
+a pilot it is a sync run, which takes the receivers' timing offsets too and
+returns, per trial, the peaks of its synced, realigned and naive traces; up
+to a pilot noise level (the sparse band, see _SyncPilot) its trials run as
+one array pass that draws only the samples that the realignment and the
+three peaks read, each a pure function of the trial's Philox row and the
+slot, and the rest of each trace stays implicit (see run_scan).
 """
 
 from __future__ import annotations
@@ -84,27 +84,19 @@ _SPREAD_ODDS = 0.25
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """One sweep: the grid, an optional pilot preamble, and the trace it needs.
-
-    peak_only asks run_scan for a peak-only pass over a batch of receivers
-    (see there); it samples the same peak as the dense trace but has no pilot.
-    sync asks it for a sync run over a batch of receivers, which needs the pilot.
+    """One sweep: the grid and an optional pilot preamble, the pilot's power
+    per slot.  run_scan takes a plan without a pilot for a peak-only pass
+    and one with a pilot for a sync run (see there); dense_trace takes either.
     """
 
     grid: BeamGrid
     pilot_w: np.ndarray | None = None
-    peak_only: bool = False
-    sync: bool = False
 
     def __post_init__(self):
         if self.pilot_w is not None:
             object.__setattr__(self, "pilot_w", np.asarray(self.pilot_w, dtype=float))
             if np.any(self.pilot_w < 0.0):
                 raise ValueError("pilot power levels must be nonnegative")
-            if self.peak_only:
-                raise ValueError("a peak-only plan cannot carry a pilot")
-        elif self.sync:
-            raise ValueError("a sync plan needs a pilot")
 
     @property
     def pilot_len(self) -> int:
@@ -113,13 +105,6 @@ class ScanPlan:
     @cached_property
     def _sync_pilot(self) -> _SyncPilot:
         return _SyncPilot(self)
-
-
-@dataclass
-class MeasurementTrace:
-    """Sampled powers for one sweep: pilot slots first, then one slot per beam."""
-
-    samples: np.ndarray
 
 
 @dataclass
@@ -228,62 +213,65 @@ def _box_muller(u):
     return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(len(u), -1)
 
 
-def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: int = 0):
-    """Sweep every beam once and record the received power per dwell slot.
+def dense_trace(plan: ScanPlan, cells, power, sigma_w: float, rng) -> np.ndarray:
+    """One receiver's sweep, every slot recorded: the received power per
+    dwell slot, pilot slots first, then one slot per beam.
 
-    cells and power are support()'s output: the cells collect their on-axis
-    power.  A dense plan sweeps one receiver (cells (4,), power a scalar) and
-    returns a MeasurementTrace: every slot, pilot included, gets an
-    independent N(0, sigma_w^2) draw from draws, a numpy Generator (unread,
-    and may be None, when sigma_w is 0).
-
-    A peak-only plan sweeps a batch (cells (N, 4), power (N,)) and returns a
-    PeakTrace; draws holds each receiver's PEAK_UNIFORMS uniforms.  Each
-    support cell gets power plus a Box-Muller normal; the nadir ring cell
-    gets power plus the noise_max of its n_azimuth slots, at a uniformly
-    drawn ring slot; the K noise-only slots give one noise_max sample at a
-    uniformly drawn noise-only slot.  The peak is the largest of these, ties
-    to the lowest slot, as a dense argmax picks it.  Noiseless, every
-    maximum is its power (0 for the noise-only slots) at its lowest slot.
-
-    A sync plan runs a batch of trials (cells (T, 4), power (T,)), each
-    receiver desynchronized by its offset_steps (T,) (or one for all), and returns a
-    SyncTrace: per trial, the peaks that estimator.peak takes of the synced
-    trace, of the offset trace after realign_with_pilot, and of the offset
-    trace itself, each over the slots after the pilot.  draws is a SyncDraws.
-    Up to sigma_sparse (the sparse band, noiseless included) the trials run
-    as one array pass that draws only the samples they read, from their
-    Philox rows, every slot's noise a pure function of its row and slot (see
-    _SparseTraces); the results are those of the dense trace that the same
-    counters complete (_philox_trace), and the samples are those drawn.
-    Above it (the dense band, see _SyncPilot), each trial draws its dense
-    trace from draws.dense(t), as a dense plan does, and keeps none of it.
-    The realignment runs inside this call.
+    cells (4,) and power (a scalar) are support()'s output for the receiver:
+    the cells collect their on-axis power.  Every slot gets an independent
+    N(0, sigma_w^2) draw from rng, a numpy Generator (unread, and may be
+    None, when sigma_w is 0).
     """
     if not sigma_w >= 0.0:
         raise ValueError("sigma_w must be nonnegative")
-
-    if plan.peak_only:
-        return _peak_pass(plan.grid, cells, power, sigma_w, np.asarray(draws))
-    if plan.sync:
-        samples, _, peaks, beams = _sync_trials(plan, cells, power, sigma_w, draws, offset_steps)
-        return SyncTrace(samples, peaks, beams)
-    return MeasurementTrace(_dense_samples(plan, cells, power, sigma_w, draws))
-
-
-def _dense_samples(plan, cells, power, sigma_w, draws):
-    """A dense plan's trace: one N(0, sigma_w^2) draw per slot, pilot first, plus the signal."""
     k = plan.pilot_len
     n = k + plan.grid.size
     if sigma_w > 0.0:
-        samples = draws.standard_normal(n)
-        samples *= sigma_w  # bit for bit draws.normal(0.0, sigma_w, n), by the faster fill loop
+        samples = rng.standard_normal(n)
+        samples *= sigma_w  # bit for bit rng.normal(0.0, sigma_w, n), by the faster fill loop
     else:
         samples = np.zeros(n)
     if k:
         samples[:k] += plan.pilot_w
     samples[_support_slots(plan.grid, cells[None], k)[1]] += power
     return samples
+
+
+def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: int = 0):
+    """Sweep every beam once for a batch of receivers, and keep what the fix reads.
+
+    cells and power are support()'s output: the cells collect their on-axis
+    power.  A plan without a pilot runs a peak-only pass over the batch
+    (cells (N, 4), power (N,)) and returns a PeakTrace; draws holds each
+    receiver's PEAK_UNIFORMS uniforms.  Each support cell gets power plus a
+    Box-Muller normal; the nadir ring cell gets power plus the noise_max of
+    its n_azimuth slots, at a uniformly drawn ring slot; the K noise-only
+    slots give one noise_max sample at a uniformly drawn noise-only slot.
+    The peak is the largest of these, ties to the lowest slot, as a dense
+    argmax picks it.  Noiseless, every maximum is its power (0 for the
+    noise-only slots) at its lowest slot.
+
+    A plan with a pilot runs a sync run over a batch of trials (cells
+    (T, 4), power (T,)), each receiver desynchronized by its offset_steps
+    (T,) (or one for all), and returns a SyncTrace: per trial, the peaks
+    that estimator.peak takes of the synced trace, of the offset trace after
+    realign_with_pilot, and of the offset trace itself, each over the slots
+    after the pilot.  draws is a SyncDraws.
+    Up to sigma_sparse (the sparse band, noiseless included) the trials run
+    as one array pass that draws only the samples they read, from their
+    Philox rows, every slot's noise a pure function of its row and slot (see
+    _SparseTraces); the results are those of the dense trace that the same
+    counters complete (_philox_trace), and the samples are those drawn.
+    Above it (the dense band, see _SyncPilot), each trial draws its dense
+    trace with dense_trace from draws.dense(t), and keeps none of it.
+    The realignment runs inside this call.
+    """
+    if not sigma_w >= 0.0:
+        raise ValueError("sigma_w must be nonnegative")
+    if plan.pilot_w is None:
+        return _peak_pass(plan.grid, cells, power, sigma_w, np.asarray(draws))
+    samples, _, peaks, beams = _sync_trials(plan, cells, power, sigma_w, draws, offset_steps)
+    return SyncTrace(samples, peaks, beams)
 
 
 def _peak_pass(grid, cells, power, sigma_w, u) -> PeakTrace:
@@ -315,22 +303,21 @@ def _peak_pass(grid, cells, power, sigma_w, u) -> PeakTrace:
     return PeakTrace(peak, beams)
 
 
-def apply_timing_offset(trace: MeasurementTrace, offset_steps: int) -> MeasurementTrace:
-    """Cyclically rotate the sample indexing, as a desynchronized receiver sees it.
+def apply_timing_offset(x: np.ndarray, offset_steps: int) -> np.ndarray:
+    """Cyclically rotate a trace's sample indexing, as a desynchronized receiver sees it.
 
     The trace is one full period, so shifting by its length is the identity.
     """
-    x = trace.samples
     n = len(x)
     if abs(offset_steps) > n:
         raise ValueError("offset beyond one full trace period")
     cut = n - offset_steps % n if n else 0  # np.roll(x, offset_steps), by slices
-    return MeasurementTrace(np.concatenate((x[cut:], x[:cut])))
+    return np.concatenate((x[cut:], x[:cut]))
 
 
-def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> int:
+def realign_with_pilot(x: np.ndarray, pilot_w) -> int:
     """The cyclic shift s in [0, n) that puts the known pilot at the head of
-    the trace: apply_timing_offset(trace, -s) is the synchronized trace.
+    the trace x: apply_timing_offset(x, -s) is the synchronized trace.
 
     Shift s scores corr[s] = sum_i pilot[i] * x[(s + i) mod n] over the
     on-taps i, accumulated tap by tap in ascending order from the first
@@ -362,7 +349,6 @@ def realign_with_pilot(trace: MeasurementTrace, pilot_w) -> int:
         raise ValueError("cannot realign without a pilot")
     if np.any(pilot < 0.0):
         raise ValueError("pilot power levels must be nonnegative")
-    x = trace.samples
     n = len(x)
     if n < k:
         raise ValueError("trace shorter than the pilot")
@@ -534,7 +520,7 @@ def _sync_trials(plan, cells, power, sigma_w, draws, offsets):
         samples, rest = np.zeros(0), range(count)
 
         def trace(t):
-            return _dense_samples(plan, cells[t], power[t], sigma_w, draws.dense(t))
+            return dense_trace(plan, cells[t], power[t], sigma_w, draws.dense(t))
     else:
         x = _SparseTraces(p, plan.grid, cells, power, sigma_w, draws)
         ok, run_shifts = _pruned_runs(x, p, offsets)
@@ -812,13 +798,13 @@ def _philox_trace(plan, p: _SyncPilot, cells, power, sigma_w, draws, t):
 def _full_draw(samples, p: _SyncPilot, offset):
     """The dense path, on every slot of the synced trace: realign_with_pilot
     and estimator.peak; (shift, peaks, beams, held)."""
-    shifted = apply_timing_offset(MeasurementTrace(samples), offset)
+    shifted = apply_timing_offset(samples, offset)
     shift = realign_with_pilot(shifted, p.pilot)
     synced = peak(samples[p.k :])
     # the realigned trace is a temporary: a third trace kept alive measured
     # 10x the minor faults (heap-top trims)
-    realigned = synced if shift == offset % p.n else peak(apply_timing_offset(shifted, -shift).samples[p.k :])
-    found = zip(synced, realigned, peak(shifted.samples[p.k :]))
+    realigned = synced if shift == offset % p.n else peak(apply_timing_offset(shifted, -shift)[p.k :])
+    found = zip(synced, realigned, peak(shifted[p.k :]))
     # held, a copy made last, is for the caller to keep through its next
     # trial: it sits above the arrays this one frees, so glibc reuses their
     # pages rather than trim the heap top and fault them in again (measured

@@ -24,7 +24,7 @@ from vlp_sim.experiments import (
 )
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
 from vlp_sim.orientation import LaplaceParams, laplace_quantile
-from vlp_sim.scan import ScanPlan, apply_timing_offset, make_pilot, realign_with_pilot, run_scan, support
+from vlp_sim.scan import ScanPlan, apply_timing_offset, dense_trace, make_pilot, realign_with_pilot, support
 
 P = ChannelParams()
 
@@ -95,8 +95,8 @@ def test_criterion_1_exact_recovery_on_grid_directions(full_grid):
         d = float(rng.uniform(0.5, 2.5))
         p_true = room.emitter_pos + d * u
         rx = ReceiverState(p_true, [0, 0, 1])
-        trace = run_scan(plan, *support(plan.grid, room, rx, P), 0.0, rng)
-        position, _ = locate(room.emitter_pos, *peak(trace.samples), full_grid, P, 0.0)
+        trace = dense_trace(plan, *support(plan.grid, room, rx, P), 0.0, rng)
+        position, _ = locate(room.emitter_pos, *peak(trace), full_grid, P, 0.0)
         worst = max(worst, position_error(p_true, position).total_m)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 10.0
@@ -114,8 +114,8 @@ def test_criterion_2_quantization_bound(full_grid):
     for _ in range(1000):
         p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
         rx = ReceiverState(p_true, [0, 0, 1])
-        trace = run_scan(plan, *support(plan.grid, room, rx, P), 0.0, rng)
-        y, beam = peak(trace.samples)
+        trace = dense_trace(plan, *support(plan.grid, room, rx, P), 0.0, rng)
+        y, beam = peak(trace)
         position, _ = locate(room.emitter_pos, y, beam, full_grid, P, 0.0)
         to_rx = p_true - room.emitter_pos
         d = float(np.linalg.norm(to_rx))
@@ -188,12 +188,12 @@ def test_criterion_7_synchronization(full_grid):
         rx = ReceiverState(
             [rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)], [0, 0, 1]
         )
-        trace = run_scan(plan, *support(plan.grid, room, rx, P), 1e-4, rng)
+        trace = dense_trace(plan, *support(plan.grid, room, rx, P), 1e-4, rng)
         offset = int(rng.integers(-(n // 2), n // 2 + 1))
         shifted = apply_timing_offset(trace, offset)
         # brute force over every cyclic shift: each 64-sample window of the
         # wrapped trace, scored with a direct dot product against the pilot
-        s = shifted.samples
+        s = shifted
         scores = sliding_window_view(np.concatenate((s, s[:63])), 64) @ pilot
         assert realign_with_pilot(shifted, pilot) == int(np.argmax(scores))
 

@@ -3,6 +3,8 @@ import importlib.util
 import inspect
 import itertools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,15 +32,17 @@ from vlp_sim.io import build_experiment, load_config
 from vlp_sim.orientation import LaplaceParams, receiver_normals
 from vlp_sim.scan import (
     PEAK_UNIFORMS,
-    MeasurementTrace,
     ScanPlan,
     apply_timing_offset,
+    dense_trace,
     make_pilot,
     realign_with_pilot,
     run_scan,
     support,
 )
 from vlp_sim.streams import uniform_index
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # coarse setup keeps module tests fast; acceptance runs the full defaults
 SMALL = dict(grid_spacing_m=0.5, trials_per_point=2)
@@ -77,10 +81,15 @@ class TestConfigValidation:
         lambda: ExperimentConfig(snr_list_db=(np.nan,)),
         lambda: ExperimentConfig(mode="snr-sweep", snr_list_db=(np.nan, 40.0)),
         lambda: ExperimentConfig(mode="snr-sweep", snr_list_db=(-np.inf, 40.0)),
-        lambda: run_scan(ScanPlan(build_beam_grid(2.0, 2.0)), np.array([0]), np.array([1e-5]), np.nan,
-                         np.random.default_rng(0)),
+        lambda: dense_trace(ScanPlan(build_beam_grid(2.0, 2.0)), np.array([0]), 1e-5, np.nan,
+                            np.random.default_rng(0)),
+        lambda: Room(np.inf, 1.0, 3.0),
+        lambda: ExperimentConfig(grid_spacing_m=np.inf),
+        lambda: ExperimentConfig(azimuth_step_deg=np.inf),
+        lambda: ExperimentConfig(elevation_step_deg=np.inf),
     ], ids=["p_opt_w", "p_opt_w_inf", "room_depth", "room_height", "laplace_sigma", "laplace_mu", "cdf_snr",
-            "sweep_snr", "sweep_snr_-inf", "scan_sigma"])
+            "sweep_snr", "sweep_snr_-inf", "scan_sigma", "room_width_inf", "grid_spacing_inf", "azimuth_step_inf",
+            "elevation_step_inf"])
     def test_non_finite_values_rejected(self, build):
         # a NaN compares false both ways, so each check is written to fail on it
         with pytest.raises(ValueError):
@@ -101,6 +110,12 @@ class TestConfigValidation:
             ExperimentConfig(master_seed=2**64)
         with pytest.raises(ValueError):
             ExperimentConfig(mode="snr-sweep", snr_list_db=range(2**16 + 1))
+
+    @pytest.mark.parametrize("name", ["trials_per_point", "pilot_len", "master_seed"])
+    def test_non_integral_counts_rejected(self, name):
+        # the CLI rejects these too; through the API they used to fail mid-run
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: 2.5})
 
 
 class TestSamplePositions:
@@ -278,7 +293,7 @@ class TestRunCdfExperiment:
 
     def test_noiseless_errors_are_pure_quantization(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=4, snr_list_db=(float("inf"),), **SMALL)
-        plan = ScanPlan(build_beam_grid(), peak_only=True)
+        plan = ScanPlan(build_beam_grid())
         rec = experiments._run_grid(cfg, plan, sample_positions(cfg), cfg.orientation, 0.0, pass_index=(0, 0))
         # rows run in point order, then trial order
         true_pos = np.repeat(sample_positions(cfg), cfg.trials, axis=0)
@@ -357,9 +372,9 @@ class TestRunSyncTest:
         grid = build_beam_grid()
         pilot = make_pilot(pilot_w, 64)
         cells, power = support(grid, Room(), ReceiverState(position, normal), ChannelParams())
-        trace = run_scan(ScanPlan(grid, pilot, sync=True), cells[None], np.array([power]), sigma_w=0.0, draws=None,
+        trace = run_scan(ScanPlan(grid, pilot), cells[None], np.array([power]), sigma_w=0.0, draws=None,
                          offset_steps=np.array([offset]))
-        peaks, beams, _ = _dense_sync(run_scan(ScanPlan(grid, pilot), cells, power, 0.0, None), pilot, offset)
+        peaks, beams, _ = _dense_sync(dense_trace(ScanPlan(grid, pilot), cells, power, 0.0, None), pilot, offset)
         np.testing.assert_array_equal(trace.beams[:, 0], beams)
         np.testing.assert_array_equal(trace.peaks[:, 0], peaks)
         # it holds the pilot with the 63 slots either side, and the support
@@ -432,7 +447,7 @@ class TestSyncTrialCompletion:
         monkeypatch.undo()
         for t, offset in enumerate(offsets.tolist()):
             completed = scan._philox_trace(plan, plan._sync_pilot, cells[t], power[t], sigma, draws, t)
-            peaks, beams, shift = _dense_sync(MeasurementTrace(completed), pilot, offset)
+            peaks, beams, shift = _dense_sync(completed, pilot, offset)
             assert shift == shifts[-1][t], t
             np.testing.assert_array_equal(trace.peaks[:, t], peaks, err_msg=str(t))
             np.testing.assert_array_equal(trace.beams[:, t], beams, err_msg=str(t))
@@ -446,7 +461,7 @@ class TestSyncTrialCompletion:
         plan, pilot, sigma, _, cells, power, offsets, draws = _sync_inputs(cfg)
         one = np.zeros_like(pilot)
         one[tap] = pilot.max()
-        plan = ScanPlan(plan.grid, one, sync=True)
+        plan = ScanPlan(plan.grid, one)
         full_draws = _count_full_draws(monkeypatch)
         shifts = _record_shifts(monkeypatch)
         trace = run_scan(plan, cells, power, sigma, draws, offset_steps=offsets)
@@ -454,7 +469,7 @@ class TestSyncTrialCompletion:
         monkeypatch.undo()
         for t, offset in enumerate(offsets.tolist()):
             completed = scan._philox_trace(plan, plan._sync_pilot, cells[t], power[t], sigma, draws, t)
-            peaks, beams, shift = _dense_sync(MeasurementTrace(completed), one, offset)
+            peaks, beams, shift = _dense_sync(completed, one, offset)
             assert shift == shifts[-1][t], t
             np.testing.assert_array_equal(trace.peaks[:, t], peaks, err_msg=str(t))
             np.testing.assert_array_equal(trace.beams[:, t], beams, err_msg=str(t))
@@ -540,7 +555,7 @@ def _dense_sync(trace, pilot, offset):
     shifted = apply_timing_offset(trace, offset)
     shift = realign_with_pilot(shifted, pilot)
     realigned = apply_timing_offset(shifted, -shift)
-    found = [peak(tr.samples[len(pilot) :]) for tr in (trace, realigned, shifted)]
+    found = [peak(tr[len(pilot) :]) for tr in (trace, realigned, shifted)]
     return np.array([f[0] for f in found]), np.array([f[1] for f in found]), shift
 
 
@@ -561,7 +576,7 @@ def _sync_inputs(cfg, snr_index=0):
     cells, power = support(grid, cfg.room, rx, cfg.channel)
     draws = scan.SyncDraws(cfg.master_seed, prefix,
                            lambda t: np.random.default_rng((cfg.master_seed, 0, snr_index, 0, t)))
-    return ScanPlan(grid, pilot, sync=True), pilot, sigma, points, cells, power, offsets, draws
+    return ScanPlan(grid, pilot), pilot, sigma, points, cells, power, offsets, draws
 
 
 def _sync_trial_records(seed, snr, dense, shifts=None):
@@ -578,7 +593,7 @@ def _sync_trial_records(seed, snr, dense, shifts=None):
         peaks, beams = np.empty((3, cfg.trials)), np.empty((3, cfg.trials), dtype=int)
         run_shifts = np.empty(cfg.trials, dtype=int)
         for t in range(cfg.trials):
-            trace = run_scan(ScanPlan(plan.grid, pilot), cells[t], power[t], sigma, draws.dense(t))
+            trace = dense_trace(plan, cells[t], power[t], sigma, draws.dense(t))
             peaks[:, t], beams[:, t], run_shifts[t] = _dense_sync(trace, pilot, int(offsets[t]))
     else:
         trace = run_scan(plan, cells, power, sigma, draws, offset_steps=offsets)
@@ -612,7 +627,7 @@ def _sync_oracle_rows(cfg):
             rx = ReceiverState(point, receiver_normals(cfg.orientation, u[:3] - 0.5), cfg.fov_deg)
             rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, trial))
             cells, power = support(grid, cfg.room, rx, cfg.channel)
-            peaks, beams, _ = _dense_sync(run_scan(plan, cells, power, sigma, rng), pilot, offset)
+            peaks, beams, _ = _dense_sync(dense_trace(plan, cells, power, sigma, rng), pilot, offset)
             mismatches += int(beams[1] != beams[0])
             for key, y, beam in zip(("synced", "realigned", "naive"), peaks, beams):
                 errs[key].append(position_error(point, locate(emitter, y, beam, grid, cfg.channel, 0.0)[0]).total_m)
@@ -652,7 +667,7 @@ def _dense_grid_trials(seed, snr, mode, trials):
 def _peak_grid_trials(seed, snr, mode, trials):
     """The same grid as one peak-only pass."""
     cfg, sigma, ori = _grid_setup(seed, snr, mode, trials)
-    plan = ScanPlan(build_beam_grid(), peak_only=True)
+    plan = ScanPlan(build_beam_grid())
     return experiments._run_grid(cfg, plan, sample_positions(cfg), ori, sigma, pass_index=(0, 0))
 
 
@@ -669,13 +684,13 @@ class TestPeakOnlyEquivalence:
         u = pass_uniforms(cfg, np.arange(len(points)), (0, 0))
         normals = receiver_normals(ori, u[:, :3] - 0.5)
         rx = ReceiverState(points, normals, cfg.fov_deg)
-        trace = run_scan(ScanPlan(grid, peak_only=True), *support(grid, cfg.room, rx, cfg.channel), sigma_w=0.0,
+        trace = run_scan(ScanPlan(grid), *support(grid, cfg.room, rx, cfg.channel), sigma_w=0.0,
                          draws=u[:, 3 : 3 + PEAK_UNIFORMS])
         batch, batch_status = locate(cfg.room.emitter_pos, trace.samples, trace.beams, grid, cfg.channel, 0.0)
         for i, (point, normal) in enumerate(zip(points, normals)):
             one = ReceiverState(point, normal, cfg.fov_deg)
-            dense = run_scan(ScanPlan(grid), *support(grid, cfg.room, one, cfg.channel), 0.0, np.random.default_rng(i))
-            y, beam = peak(dense.samples)
+            dense = dense_trace(ScanPlan(grid), *support(grid, cfg.room, one, cfg.channel), 0.0, np.random.default_rng(i))
+            y, beam = peak(dense)
             est, status = locate(cfg.room.emitter_pos, y, beam, grid, cfg.channel, 0.0)
             np.testing.assert_array_equal(est, batch[i])
             assert (beam, y, status) == (trace.beams[i], trace.samples[i], batch_status[i])
@@ -735,7 +750,7 @@ class TestBenchmarkContract:
     ])
     def test_every_scan_goes_through_run_scan(self, monkeypatch, mode, run, peak_only):
         def sentinel(plan, *args, **kwargs):
-            assert (plan.peak_only, plan.sync) == (peak_only, mode == "sync-test")
+            assert (plan.pilot_w is None) == peak_only
             raise self.Reached
 
         monkeypatch.setattr(experiments, "run_scan", sentinel)
@@ -749,7 +764,7 @@ class TestBenchmarkContract:
 
         def counting(plan, cells, power, sigma_w, draws, offset_steps):
             trace = run_scan(plan, cells, power, sigma_w, draws, offset_steps)
-            calls.append((plan.sync, np.shape(cells), np.shape(power), sigma_w, isinstance(trace.samples, np.ndarray)))
+            calls.append((plan.pilot_w is not None, np.shape(cells), np.shape(power), sigma_w, isinstance(trace.samples, np.ndarray)))
             return trace
 
         monkeypatch.setattr(experiments, "run_scan", counting)
@@ -761,15 +776,43 @@ class TestBenchmarkContract:
     def test_run_scan_takes_sigma_w(self):
         assert "sigma_w" in inspect.signature(experiments.run_scan).parameters
 
-    def test_benchmark_command_lines_run(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _workload_argvs(tmp_path, monkeypatch):
+        """Each benchmark workload's CLI argv, as perfbench/run.py builds it, on
+        a tiny config (0.5 m grid, one trial)."""
         # perfbench/run.py puts its own directory on sys.path when loaded
         monkeypatch.setattr(sys, "path", list(sys.path))
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
-        spec = importlib.util.spec_from_file_location("perfbench_run", path)
+        spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
+        argvs = {}
         for name, workload in bench.WORKLOADS.items():
             config = tmp_path / f"{name}.json"
             config.write_text(json.dumps({**workload["config"], "grid_spacing_m": 0.5, "trials_per_point": 1}))
-            argv = bench.cli_args(workload, config, 3, tmp_path / name)
+            argvs[name] = bench.cli_args(workload, config, 3, tmp_path / name)
+        return argvs
+
+    def test_benchmark_command_lines_run(self, tmp_path, monkeypatch):
+        for name, argv in self._workload_argvs(tmp_path, monkeypatch).items():
             assert cli.main(argv) == 0, name
+
+    def test_child_shim_runs_each_workload(self, tmp_path, monkeypatch):
+        # setup_s and every per-layer metric come from perfbench/child.py,
+        # which reaches into experiments and scan from a child process
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+        def child(*args):
+            return subprocess.run([sys.executable, "perfbench/child.py", *args], cwd=ROOT, env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        for name, argv in self._workload_argvs(tmp_path, monkeypatch).items():
+            setup = child("setup", *argv)
+            assert setup.returncode == 0, (name, setup.stderr)
+            [line] = setup.stdout.splitlines()
+            assert float(line) > 0.0  # a CLOCK_MONOTONIC reading
+            spans = tmp_path / f"{name}.spans.json"
+            traced = child("trace", str(spans), name, *argv)
+            assert traced.returncode == 0, (name, traced.stderr)
+            dump = json.loads(spans.read_text())
+            assert dump["exit_code"] == 0, name
+            assert dump["counters"]["scan.slots_noised"] > 0, name

@@ -82,7 +82,9 @@ class TestBeamGrid:
         assert grid.angles_of(360) == (0.0, 1.0)
         assert grid.angles_of(360 * 89 + 359) == (359.0, 89.0)
 
-    @pytest.mark.parametrize("az_step,el_step", [(7.0, 1.0), (1.0, 7.0), (0.0, 1.0)])
+    # a step beyond its span rounds to zero beams: it divides nothing
+    @pytest.mark.parametrize("az_step,el_step", [(7.0, 1.0), (1.0, 7.0), (0.0, 1.0), (np.inf, 1.0), (1.0, np.inf),
+                                                 (1e12, 1.0), (1.0, 1e12)])
     def test_bad_steps_rejected(self, az_step, el_step):
         with pytest.raises(ValueError):
             build_beam_grid(az_step, el_step)

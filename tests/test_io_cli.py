@@ -19,7 +19,7 @@ from vlp_sim.io import (
     write_results,
     write_trace_csv,
 )
-from vlp_sim.scan import MAX_PILOT_LEN, MeasurementTrace
+from vlp_sim.scan import MAX_PILOT_LEN
 
 # small, fast run shapes shared by the CLI tests
 TINY = {"grid_spacing_m": 0.5, "trials_per_point": 1, "snr_db": [40.0]}
@@ -174,7 +174,7 @@ class TestWriteResults:
         old = os.umask(umask)
         try:
             write_results(result, tmp_path, resolved, applied)
-            write_trace_csv(MeasurementTrace(np.zeros(4)), build_beam_grid(90.0, 90.0), 0, tmp_path / "trace.csv")
+            write_trace_csv(np.zeros(4), build_beam_grid(90.0, 90.0), 0, tmp_path / "trace.csv")
         finally:
             os.umask(old)
         modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in tmp_path.iterdir()}
@@ -203,7 +203,7 @@ class TestWriteResults:
 class TestWriteTrace:
     def test_pilot_rows_have_empty_angles(self, tmp_path):
         grid = build_beam_grid(90.0, 45.0)
-        trace = MeasurementTrace(np.arange(11.0) * 1e-6)
+        trace = np.arange(11.0) * 1e-6
         path = write_trace_csv(trace, grid, 3, tmp_path / "trace.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "index,beam_azimuth_deg,beam_elevation_deg,power_watts"
@@ -312,6 +312,9 @@ class TestCli:
             {"elevation_step_deg": 0},
             {"grid_spacing_m": 0},
             {"grid_spacing_m": -0.5},
+            {"grid_spacing_m": 1e12},
+            {"azimuth_step_deg": 1e12},
+            {"elevation_step_deg": 1e12},
             {"bandwidth_ghz": 0},
             {"noise_variance_w_hz": -1},
             {"h_min_m": 2.6, "h_max_m": 2.8},

@@ -10,9 +10,9 @@ from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
 from vlp_sim.scan import (
     MAX_PILOT_LEN,
     PEAK_UNIFORMS,
-    MeasurementTrace,
     ScanPlan,
     apply_timing_offset,
+    dense_trace,
     make_pilot,
     noise_max,
     realign_with_pilot,
@@ -77,29 +77,29 @@ class TestRunScan:
         spread = P.wavelength_m * 1.5 / (np.pi * P.waist_m**2)
         expected = 2 * P.p_opt_w * P.pd_area_m2 / (np.pi * P.waist_m**2 * (1 + spread**2))
         rx = ReceiverState([0.5, 0.5, 1.5], [0, 0, 1])
-        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
-        nadir = trace.samples[: grid.n_azimuth]
+        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        nadir = trace[: grid.n_azimuth]
         np.testing.assert_allclose(nadir, expected, rtol=1e-12)
-        assert np.all(trace.samples[grid.n_azimuth :] == 0.0)
+        assert np.all(trace[grid.n_azimuth :] == 0.0)
 
     def test_receiver_facing_away_sees_nothing(self, grid):
         rx = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
-        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
-        assert np.all(trace.samples == 0.0)
+        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        assert np.all(trace == 0.0)
 
     def test_trace_length_with_pilot(self, grid):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = run_scan(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
-        assert len(trace.samples) == 64 + 32400
+        trace = dense_trace(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        assert len(trace) == 64 + 32400
 
     def test_off_centre_receiver_hits_single_cell(self, grid):
         # direction to (0.8, 0.5, 1.0): az = 0, el = atan(0.3/2.0)
         rx = ReceiverState([0.8, 0.5, 1.0])
-        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         el = np.degrees(np.arctan2(0.3, 2.0))
         expected_beam = int(round(el)) * grid.n_azimuth + 0
-        hits = np.nonzero(trace.samples)[0]
+        hits = np.nonzero(trace)[0]
         assert list(hits) == [expected_beam]
 
     @pytest.mark.parametrize("seed", [3, 4])
@@ -108,14 +108,14 @@ class TestRunScan:
         # an out-of-view receiver's trace is the noise alone: the same bits
         # as Generator.normal(0, sigma) from the same stream
         rx = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
-        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), sigma, np.random.default_rng(seed))
+        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), sigma, np.random.default_rng(seed))
         want = np.random.default_rng(seed).normal(0.0, sigma, size=grid.size)
-        np.testing.assert_array_equal(trace.samples.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(trace.view(np.int64), want.view(np.int64))
 
     def test_noise_reaches_every_slot(self, grid):
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 1e-9, np.random.default_rng(3))
-        assert np.count_nonzero(trace.samples) == len(trace.samples)
+        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 1e-9, np.random.default_rng(3))
+        assert np.count_nonzero(trace) == len(trace)
 
     def test_outside_room_rejected(self, grid):
         rx = ReceiverState([1.5, 0.5, 1.0])
@@ -133,10 +133,10 @@ class TestSupport:
     def test_matches_noiseless_dense_trace(self, grid, pos):
         rx = ReceiverState(pos)
         cells, power = support(grid, ROOM, rx, P)
-        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         slots = support_slots(grid, cells)
-        np.testing.assert_array_equal(slots, np.nonzero(trace.samples)[0])
-        assert np.all(trace.samples[slots] == power)
+        np.testing.assert_array_equal(slots, np.nonzero(trace)[0])
+        assert np.all(trace[slots] == power)
         # a batch gives every receiver the cells and power it gets alone
         many, powers = support(grid, ROOM, batch(rx, 3), P)
         np.testing.assert_array_equal(many, np.tile(cells, (3, 1)))
@@ -154,7 +154,7 @@ class TestPeakOnlyScan:
         cells, power = support(grid, ROOM, rx, P)
         slots = support_slots(grid, cells)
         n = 2000
-        trace = run_scan(ScanPlan(grid, peak_only=True), *support(grid, ROOM, batch(rx, n), P), sigma_w=0.3 * power,
+        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, batch(rx, n), P), sigma_w=0.3 * power,
                          draws=row_uniforms(4, n))
         # the traced benchmark hook counts len(samples): one peak per receiver
         assert len(trace.samples) == len(trace.beams) == n
@@ -170,7 +170,7 @@ class TestPeakOnlyScan:
         assert np.count_nonzero(cells < grid.size) == 1  # one cell, off the nadir ring
         sigma = 1e-6
         u = row_uniforms(8, 50)
-        trace = run_scan(ScanPlan(grid, peak_only=True), *support(grid, ROOM, batch(rx, 50), P), sigma_w=sigma,
+        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, batch(rx, 50), P), sigma_w=sigma,
                          draws=u)
         z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
         k = grid.size - 1
@@ -186,13 +186,13 @@ class TestPeakOnlyScan:
         # (0 at slot 360, the lowest noise-only slot) loses
         rx = ReceiverState([0.5, 0.5, 1.5])
         _, power = support(grid, ROOM, rx, P)
-        trace = run_scan(ScanPlan(grid, peak_only=True), *support(grid, ROOM, batch(rx, 2), P), sigma_w=0.0,
+        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, batch(rx, 2), P), sigma_w=0.0,
                          draws=row_uniforms(0, 2))
         np.testing.assert_array_equal(trace.beams, [0, 0])
         np.testing.assert_array_equal(trace.samples, [power, power])
         # out of view only the noise-only maximum is left: 0 at slot 0
         away = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
-        out = run_scan(ScanPlan(grid, peak_only=True), *support(grid, ROOM, batch(away, 2), P), sigma_w=0.0,
+        out = run_scan(ScanPlan(grid), *support(grid, ROOM, batch(away, 2), P), sigma_w=0.0,
                        draws=row_uniforms(0, 2))
         np.testing.assert_array_equal(out.beams, [0, 0])
         np.testing.assert_array_equal(out.samples, [0.0, 0.0])
@@ -205,13 +205,9 @@ class TestPeakOnlyScan:
         rx = ReceiverState([0.5, 0.5, 1.5])
         _, power = support(one, ROOM, rx, P)
         u = row_uniforms(21, 40)
-        trace = run_scan(ScanPlan(one, peak_only=True), *support(one, ROOM, batch(rx, 40), P), sigma_w=1e-6, draws=u)
+        trace = run_scan(ScanPlan(one), *support(one, ROOM, batch(rx, 40), P), sigma_w=1e-6, draws=u)
         np.testing.assert_array_equal(trace.beams, np.zeros(40))
         np.testing.assert_array_equal(trace.samples, power + noise_max(1e-6, 1, u[:, 6]))
-
-    def test_pilot_rejected(self, grid):
-        with pytest.raises(ValueError):
-            ScanPlan(grid, make_pilot(P.p_opt_w, 8), peak_only=True)
 
 
 class TestNoiseMaxSampler:
@@ -244,15 +240,15 @@ class TestNoiseMaxSampler:
 
 class TestApplyTimingOffset:
     def test_zero_offset_identity(self):
-        trace = MeasurementTrace(np.arange(10.0))
-        np.testing.assert_array_equal(apply_timing_offset(trace, 0).samples, trace.samples)
+        trace = np.arange(10.0)
+        np.testing.assert_array_equal(apply_timing_offset(trace, 0), trace)
 
     def test_full_period_identity(self):
-        trace = MeasurementTrace(np.arange(10.0))
-        np.testing.assert_array_equal(apply_timing_offset(trace, 10).samples, trace.samples)
+        trace = np.arange(10.0)
+        np.testing.assert_array_equal(apply_timing_offset(trace, 10), trace)
 
     def test_beyond_period_rejected(self):
-        trace = MeasurementTrace(np.arange(10.0))
+        trace = np.arange(10.0)
         with pytest.raises(ValueError):
             apply_timing_offset(trace, 11)
 
@@ -261,7 +257,7 @@ class TestRealignWithPilot:
     def test_no_offset_strips_pilot(self, grid):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = run_scan(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(1))
+        trace = dense_trace(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(1))
         shift = realign_with_pilot(trace, pilot)
         assert type(shift) is int and shift == 0
 
@@ -269,11 +265,11 @@ class TestRealignWithPilot:
     def test_offset_then_realign_restores_exactly(self, grid, offset):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.31, 0.62, 0.9])
-        trace = run_scan(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(2))
+        trace = dense_trace(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(2))
         shifted = apply_timing_offset(trace, offset)
         shift = realign_with_pilot(shifted, pilot)
-        assert shift == offset % len(trace.samples)
-        np.testing.assert_array_equal(apply_timing_offset(shifted, -shift).samples, trace.samples)
+        assert shift == offset % len(trace)
+        np.testing.assert_array_equal(apply_timing_offset(shifted, -shift), trace)
 
     def test_every_shift_matches_brute_force_small(self):
         # exhaustive oracle on a small synthetic trace
@@ -283,13 +279,13 @@ class TestRealignWithPilot:
         base[:8] += pilot
         for offset in range(-20, 21):
             shifted = np.roll(base, offset)
-            assert realign_with_pilot(MeasurementTrace(shifted), pilot) == brute_force_best_shift(shifted, pilot)
+            assert realign_with_pilot(shifted, pilot) == brute_force_best_shift(shifted, pilot)
 
     def test_tie_break_smallest_nonnegative_shift(self):
         # constant trace ties every shift; both routes must pick shift 0
         pilot = np.ones(4)
-        trace = MeasurementTrace(np.ones(12))
-        assert brute_force_best_shift(trace.samples, pilot) == 0
+        trace = np.ones(12)
+        assert brute_force_best_shift(trace, pilot) == 0
         assert realign_with_pilot(trace, pilot) == 0
 
     def test_noisy_recovery_rate(self):
@@ -303,7 +299,7 @@ class TestRealignWithPilot:
             base[:64] += pilot
             offset = int(rng.integers(-1000, 1001))
             shifted = np.roll(base, offset)
-            ok += realign_with_pilot(MeasurementTrace(shifted), pilot) == offset % len(base)
+            ok += realign_with_pilot(shifted, pilot) == offset % len(base)
         assert ok / n >= 0.99
 
     def test_bit_identical_to_rolled_copies(self):
@@ -314,7 +310,7 @@ class TestRealignWithPilot:
             x = rng.normal(0.0, 1e-4, size=3000)
             x[:64] += pilot
             x = np.roll(x, int(rng.integers(-1500, 1501)))
-            assert realign_with_pilot(MeasurementTrace(x), pilot) == rolled_copies_realign(x, pilot)
+            assert realign_with_pilot(x, pilot) == rolled_copies_realign(x, pilot)
 
     @pytest.mark.parametrize("snr_db", [np.inf, 40.0, 20.0, 10.0, 0.0, -10.0])
     @pytest.mark.parametrize("levels", ["single", "multi"])
@@ -337,7 +333,7 @@ class TestRealignWithPilot:
                     base[k + int(rng.integers(0, n - k))] += 0.05 * on  # a beam's signal
                 for offset in sorted({0, 1, -1, k // 2, -(k // 2), 1 - k, n // 2, int(rng.integers(0, n))}):
                     x = np.roll(base, offset)
-                    got = realign_with_pilot(MeasurementTrace(x), pilot)
+                    got = realign_with_pilot(x, pilot)
                     assert got == rolled_copies_realign(x, pilot), f"{k=} {n=} {offset=}"
 
     @pytest.mark.parametrize(
@@ -385,7 +381,7 @@ class TestRealignWithPilot:
             x[400:416] += pilot
         with np.errstate(invalid="ignore"):
             want = rolled_copies_realign(x, pilot)
-            got = realign_with_pilot(MeasurementTrace(x), pilot)
+            got = realign_with_pilot(x, pilot)
         assert got == want
         if case == "twin-pilots-across-wrap":
             assert got == 3
@@ -399,14 +395,14 @@ class TestRealignWithPilot:
         pilot = make_pilot(1e-3, 64)
         x = rng.normal(0.0, 1e-4, size=64 + grid.size)
         x[:64] += pilot
-        trace = MeasurementTrace(np.roll(x, 12_345))
+        trace = np.roll(x, 12_345)
         tracemalloc.start()
         try:
             realign_with_pilot(trace, pilot)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * trace.samples.nbytes
+        assert peak < 0.25 * trace.nbytes
 
     def test_window_runs_match_brute_force_union(self):
         # the runs, taken mod n, are exactly the shifts whose k-slot window
@@ -452,16 +448,16 @@ class TestRealignWithPilot:
             x[:64] += pilot
             x = np.roll(x, int(rng.integers(0, n)))
             scored.append(0)
-            assert realign_with_pilot(MeasurementTrace(x), pilot) == rolled_copies_realign(x, pilot)
+            assert realign_with_pilot(x, pilot) == rolled_copies_realign(x, pilot)
         assert np.mean(2 * np.array(scored) <= n) >= 0.95
 
     def test_negative_pilot_level_rejected(self):
         with pytest.raises(ValueError):
-            realign_with_pilot(MeasurementTrace(np.ones(10)), np.array([1.0, -1.0, 1.0]))
+            realign_with_pilot(np.ones(10), np.array([1.0, -1.0, 1.0]))
 
     def test_empty_pilot_rejected(self):
         with pytest.raises(ValueError):
-            realign_with_pilot(MeasurementTrace(np.ones(10)), np.array([]))
+            realign_with_pilot(np.ones(10), np.array([]))
 
 
 class TestNoiseRobustSelection:
@@ -470,11 +466,11 @@ class TestNoiseRobustSelection:
         # sweeps of one receiver, as one peak-only pass (the dense law, see
         # TestPeakOnlyEquivalence)
         rx = ReceiverState([0.62, 0.41, 1.2])
-        clean = run_scan(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
-        peak = float(clean.samples.max())
-        k_clean = int(np.argmax(clean.samples))
+        clean = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        peak = float(clean.max())
+        k_clean = int(np.argmax(clean))
         n = 10_000
-        noisy = run_scan(ScanPlan(grid, peak_only=True), *support(grid, ROOM, batch(rx, n), P), sigma_w=0.01 * peak,
+        noisy = run_scan(ScanPlan(grid), *support(grid, ROOM, batch(rx, n), P), sigma_w=0.01 * peak,
                          draws=row_uniforms(99, n))
         flips = int(np.count_nonzero(noisy.beams != k_clean))
         assert flips == 0
