@@ -1,8 +1,9 @@
-"""Monte Carlo harness: the grid pass, the dense scan trial and the sync
+"""Monte Carlo harness: the grid run, the dense scan trial and the sync
 run; cdf / snr-sweep / sync-test / scan-demo.  A grid pass runs every
-trial at every grid point for one (orientation mode, SNR) as array passes
-over its rows, point by point, then trial by trial, GRID_BLOCK_ROWS rows at
-a time: cdf is the single pass (0, 0), snr-sweep one pass per pair.  A sync
+trial at every grid point for one (orientation mode, SNR); cdf is the
+single pass (0, 0), snr-sweep one pass per pair.  A grid run sweeps all its
+passes as one array pass over their rows, pass by pass (SNR-major), then
+point by point, then trial by trial, GRID_BLOCK_ROWS rows at a time.  A sync
 run sweeps every trial of one SNR in one run_scan call.  Every caller
 composes scan.support (the geometry), a sweep and estimator.locate (the
 fix): a grid pass and a sync run sweep with scan.run_scan, which yields
@@ -83,9 +84,10 @@ DEFAULT_TRIALS = {"cdf": 5, "snr-sweep": 20, "sync-test": 1000}
 # uniforms per row: 3 orientation angles, the scan's or the sync pose's, one spare
 ROW_UNIFORMS = 12
 
-# rows a grid pass sweeps at once; rows draw from their own Philox counters,
-# so the block size bounds the pass's memory without changing a result
-GRID_BLOCK_ROWS = 2**14
+# rows a grid run sweeps at once; rows draw from their own Philox counters,
+# so the block size bounds the run's memory (about 1 MB of temporaries a
+# block) without changing a result
+GRID_BLOCK_ROWS = 2048
 
 # stay half a metre clear of the emitter: directly underneath, the angular
 # cell degenerates and the inversion is numerically useless
@@ -260,61 +262,101 @@ def pass_uniforms(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> n
     return uniforms(cfg.master_seed, pass_prefix(cfg, rows, pass_index), ROW_UNIFORMS)
 
 
-def _run_grid(cfg, plan, points, orientation, sigma, pass_index):
-    """One peak-only pass over the whole position grid at a single noise level.
-
-    Returns per-sample arrays in point order, then trial order: status code, the
-    3D and per-axis errors, and the outage mask.  Low-signal flags count as
-    out-of-view only when the orientation model can miss the view cone; a
-    fixed upright receiver is in view by geometry, so there the flag stays
-    a diagnostic.  Rows are swept GRID_BLOCK_ROWS at a time.
-    """
-    rows = np.arange(len(points) * cfg.trials)
-    blocks = [_grid_block(cfg, plan, points, orientation, sigma, pass_index, rows[lo : lo + GRID_BLOCK_ROWS])
-              for lo in range(0, len(rows), GRID_BLOCK_ROWS)]
-    return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
-
-
-def _grid_block(cfg, plan, points, orientation, sigma, pass_index, rows):
-    u = pass_uniforms(cfg, rows, pass_index)
-    positions = points[rows // cfg.trials]
-    rx = ReceiverState(positions, receiver_normals(orientation, u[:, :3] - 0.5), cfg.fov_deg)
-    cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
-    trace = run_scan(plan, cells, power, sigma_w=sigma, draws=u[:, 3 : 3 + PEAK_UNIFORMS])
-    estimate, status = locate(cfg.room.emitter_pos, trace.samples, trace.beams, plan.grid, cfg.channel, sigma)
-    flagged = status == STATUS_LOW_SIGNAL
-    return {
-        "status": status,
-        **dict(zip(("err_3d", "err_x", "err_y", "err_z"), position_error(positions, estimate))),
-        "excluded": np.zeros_like(flagged) if orientation.mode == "fixed" else flagged,
-    }
-
-
 def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
-    """One peak-only grid pass per (orientation mode, snr), seeded by their indices.
+    """Every peak-only grid pass of a run, one per (orientation mode, snr),
+    swept as one array pass over all their rows, GRID_BLOCK_ROWS at a time.
 
-    Returns (p_ref, passes); each pass is (mode, per-sample arrays from
-    _run_grid, stats), the stats holding snr_db, outage_frac, clamp_frac,
-    n_valid and sigma_w.
+    Rows run pass by pass, SNR-major (pass p is mode p % len(modes) at snr
+    p // len(modes)), then point by point, then trial by trial; each row
+    keeps its own pass's Philox counters, so the layout changes no draw.
+    Returns (p_ref, passes), the passes in mode, then snr order; each is
+    (mode, per-sample arrays in point, then trial order: status code, the
+    3D and per-axis errors and the outage mask, stats), the stats holding
+    snr_db, outage_frac, clamp_frac, n_valid and sigma_w.
     """
     p_ref = reference_peak_power(cfg)
     plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg))
     points = sample_positions(cfg)
+    orientations = [dataclasses.replace(cfg.orientation, mode=mode) for mode in modes]
+    sigmas = [noise_sigma_for_snr(p_ref, snr) for snr in snrs]
+    n = len(points) * cfg.trials
+    total = n * len(modes) * len(snrs)
+    rec = {}
+    for lo in range(0, total, GRID_BLOCK_ROWS):
+        hi = min(lo + GRID_BLOCK_ROWS, total)
+        block = _grid_block(cfg, plan, points, orientations, sigmas, lo, hi)
+        rec = rec or {key: np.empty(total, values.dtype) for key, values in block.items()}
+        for key, values in block.items():
+            rec[key][lo:hi] = values
     passes = []
     for mode_idx, mode in enumerate(modes):
-        orientation = dataclasses.replace(cfg.orientation, mode=mode)
-        for snr_idx, snr in enumerate(snrs):
-            sigma = noise_sigma_for_snr(p_ref, snr)
-            rec = _run_grid(cfg, plan, points, orientation, sigma, pass_index=(mode_idx, snr_idx))
+        for snr_idx, (snr, sigma) in enumerate(zip(snrs, sigmas)):
+            p = snr_idx * len(modes) + mode_idx
+            one = {key: values[p * n : (p + 1) * n] for key, values in rec.items()}
             stats = {
                 "snr_db": snr,
-                "outage_frac": float(rec["excluded"].mean()),
-                "clamp_frac": float((rec["status"] == STATUS_CLAMPED).mean()),
-                "n_valid": int((~rec["excluded"]).sum()),
+                "outage_frac": float(one["excluded"].mean()),
+                "clamp_frac": float((one["status"] == STATUS_CLAMPED).mean()),
+                "n_valid": int((~one["excluded"]).sum()),
                 "sigma_w": sigma,
             }
-            passes.append((mode, rec, stats))
+            passes.append((mode, one, stats))
     return p_ref, passes
+
+
+def _grid_block(cfg, plan, points, orientations, sigmas, lo, hi):
+    """Rows lo to hi of _grid_passes' row order: one uniforms, one support,
+    one locate, and a receiver_normals per mode and a run_scan per snr among
+    the rows.
+
+    The outage mask holds the receivers out of view: by geometry (no
+    support) under a fixed upright receiver, whose low-signal flag stays a
+    diagnostic, and by the low-signal flag under a random orientation.
+    """
+    n = len(points) * cfg.trials
+    n_modes = len(orientations)
+    # (pass, first row, end row) of each pass the block holds, rows from lo
+    spans = [(p, max(lo, p * n) - lo, min(hi, (p + 1) * n) - lo) for p in range(lo // n, (hi - 1) // n + 1)]
+    prefix = np.concatenate(
+        [pass_prefix(cfg, np.arange(a + lo - p * n, b + lo - p * n), (p % n_modes, p // n_modes)) for p, a, b in spans]
+    )
+    u = uniforms(cfg.master_seed, prefix, ROW_UNIFORMS)
+    positions = points[prefix[:, 0]]
+    by_mode = _rows_by(spans, lambda p: p % n_modes)
+    normals = np.empty((hi - lo, 3))
+    for m, rows in by_mode.items():
+        normals[rows] = receiver_normals(orientations[m], u[rows, :3] - 0.5)
+    rx = ReceiverState(positions, normals, cfg.fov_deg)
+    del prefix, normals  # support's temporaries set the block's peak memory
+    cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
+    peaks, beams, sigma = np.empty(hi - lo), np.empty(hi - lo, dtype=int), np.empty(hi - lo)
+    for s, rows in _rows_by(spans, lambda p: p // n_modes).items():  # contiguous: slices
+        trace = run_scan(plan, cells[rows], power[rows], sigma_w=sigmas[s], draws=u[rows, 3 : 3 + PEAK_UNIFORMS])
+        peaks[rows], beams[rows], sigma[rows] = trace.samples, trace.beams, sigmas[s]
+    estimate, status = locate(cfg.room.emitter_pos, peaks, beams, plan.grid, cfg.channel, sigma)
+    excluded = status == STATUS_LOW_SIGNAL
+    for m, rows in by_mode.items():
+        if orientations[m].mode == "fixed":
+            excluded[rows] = power[rows] == 0.0
+    return {
+        "status": status,
+        **dict(zip(("err_3d", "err_x", "err_y", "err_z"), position_error(positions, estimate))),
+        "excluded": excluded,
+    }
+
+
+def _rows_by(spans, key) -> dict:
+    """The rows of a block's pass spans grouped by key(pass): a slice where
+    a group's spans adjoin, else an index array."""
+    groups = {}
+    for p, a, b in spans:
+        groups.setdefault(key(p), []).append((a, b))
+    return {
+        k: slice(runs[0][0], runs[-1][1])
+        if all(end == start for (_, end), (start, _) in zip(runs, runs[1:]))
+        else np.concatenate([np.arange(a, b) for a, b in runs])
+        for k, runs in groups.items()
+    }
 
 
 def _base_metadata(cfg: ExperimentConfig, p_ref: float) -> dict:

@@ -15,18 +15,22 @@ _M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))  # round multipliers
 _W = (0x9E3779B9, 0xBB67AE85)  # Weyl key increments
 _LO = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
-_CHUNK = 8192  # counter prefixes per Philox call, so temporaries stay at a few MB
+_12 = np.uint64(12)
+# counters per Philox call at most: the rounds hold 48 bytes a counter (the
+# word-major buffer and two products), so under 1 MB; a call's prefixes are
+# split evenly between its chunks, so no chunk is a short tail
+_CHUNK = 16384
 
 
-def philox4x32(counter, key) -> np.ndarray:
-    """Philox4x32-10 of counters (..., 4) under a key (2,), all uint32 words.
+def philox4x32(words, key) -> None:
+    """Philox4x32-10 under a key (2,), in place on the counters' four
+    32-bit words: words is a word-major uint64 array (4, N, ...), and each
+    word ends as the output's.
 
-    The rounds run on one contiguous array per word, in place; the result's
-    words are contiguous too (word i is out[..., i], a view of an array
-    stored word-major), so a word-major counter costs no strided pass.
+    The rounds run on one contiguous array per word, so a word-major
+    counter costs no strided pass and no copy.
     """
-    c = np.asarray(counter, dtype=np.uint64)
-    c0, c1, c2, c3 = (c[..., i].copy() for i in range(4))
+    c0, c1, c2, c3 = words
     p0, p1 = np.empty_like(c0), np.empty_like(c0)
     k0, k1 = (int(k) for k in key)
     for _ in range(10):
@@ -41,10 +45,6 @@ def philox4x32(counter, key) -> np.ndarray:
         c2 ^= np.uint64(k1)
         np.bitwise_and(p0, _LO, out=c3)
         k0, k1 = (k0 + _W[0]) & 0xFFFFFFFF, (k1 + _W[1]) & 0xFFFFFFFF
-    out = np.empty((4,) + c0.shape, dtype=np.uint32)
-    for i, word in enumerate((c0, c1, c2, c3)):
-        out[i] = word
-    return np.moveaxis(out, 0, -1)
 
 
 def seed_key(seed: int) -> tuple[int, int]:
@@ -76,15 +76,17 @@ def uniforms(seed: int, prefix, n: int = 0, blocks=None) -> np.ndarray:
     index = np.broadcast_to(blocks, lead + (width,)).reshape(-1, width)
     key = seed_key(seed)
     out = np.empty((len(rows), width, 2))
-    counter = np.empty((4, min(len(rows), _CHUNK), width), dtype=np.uint64)  # word-major
-    for start in range(0, len(rows), _CHUNK):
-        stop = min(start + _CHUNK, len(rows))
+    chunks = max(1, -(-len(rows) * width // _CHUNK))
+    step = max(1, -(-len(rows) // chunks))  # prefixes per chunk
+    counter = np.empty((4, min(len(rows), step), width), dtype=np.uint64)  # word-major
+    for start in range(0, len(rows), step):
+        stop = min(start + step, len(rows))
         c = counter[:, : stop - start]
         c[:3] = np.moveaxis(rows[start:stop], -1, 0)
         c[3] = index[start:stop]
-        w = philox4x32(np.moveaxis(c, 0, -1), key)
+        philox4x32(c, key)  # the counter becomes the Philox output, word by word
         for j in range(2):  # (bits + 1/2) / 2^52 of words 2j (high 32 bits) and 2j + 1 (low 20), exactly
-            out[start:stop, :, j] = w[..., 2 * j] * 2.0**-32 + ((w[..., 2 * j + 1] >> np.uint32(12)) + 0.5) * 2.0**-52
+            out[start:stop, :, j] = c[2 * j] * 2.0**-32 + ((c[2 * j + 1] >> _12) + 0.5) * 2.0**-52
     return out.reshape(lead + (width, 2))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import inspect
 import itertools
@@ -46,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # coarse setup keeps module tests fast; acceptance runs the full defaults
 SMALL = dict(grid_spacing_m=0.5, trials_per_point=2)
+TINY = dict(grid_spacing_m=0.5, trials_per_point=1)
 FULL_N = 64 + 32_400  # slots of a default sweep: pilot, then one per beam
 
 
@@ -238,6 +240,14 @@ class TestNoiseSigma:
         assert [r["sigma_w"] for r in sweep.aggregates["rows"] + sync.aggregates["rows"]] == [0.0, 0.0]
 
 
+def _out_of_view_share(cfg):
+    """Share of the grid points whose arrival at an upright receiver lies
+    outside its view cone."""
+    d = cfg.room.emitter_pos - sample_positions(cfg)
+    zenith = np.degrees(np.arccos(d[:, 2] / np.linalg.norm(d, axis=1)))
+    return float((zenith > cfg.fov_deg / 2).mean())
+
+
 class TestRunCdfExperiment:
     def test_determinism(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=5, snr_list_db=(40.0,), **SMALL)
@@ -291,10 +301,19 @@ class TestRunCdfExperiment:
         with pytest.raises(ValueError):
             run_cdf_experiment(ExperimentConfig(mode="snr-sweep", snr_list_db=(40.0,)))
 
+    def test_fixed_outage_is_the_points_out_of_view(self):
+        # a 3 x 3 m room puts 12.7 % of the grid outside an upright receiver's
+        # cone: those points are outage, not fixes from a noise peak (which
+        # gave a P95 of 7.4 m)
+        cfg = ExperimentConfig(mode="cdf", room=Room(3.0, 3.0, 3.0), grid_spacing_m=0.25, trials_per_point=1,
+                               snr_list_db=(40.0,), master_seed=1)
+        agg = run_cdf_experiment(cfg).aggregates
+        assert agg["outage_frac"] == _out_of_view_share(cfg) > 0.1
+        assert agg["p95_3d_m"] < 0.1
+
     def test_noiseless_errors_are_pure_quantization(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=4, snr_list_db=(float("inf"),), **SMALL)
-        plan = ScanPlan(build_beam_grid())
-        rec = experiments._run_grid(cfg, plan, sample_positions(cfg), cfg.orientation, 0.0, pass_index=(0, 0))
+        _, [(_, rec, _)] = experiments._grid_passes(cfg, (cfg.orientation.mode,), cfg.snr_list_db)
         # rows run in point order, then trial order
         true_pos = np.repeat(sample_positions(cfg), cfg.trials, axis=0)
         d = np.linalg.norm(true_pos - cfg.room.emitter_pos, axis=1)
@@ -316,6 +335,14 @@ class TestRunSnrSweep:
         rows = run_snr_sweep(cfg).aggregates["rows"]
         assert [r["orientation_mode"] for r in rows] == ["fixed", "random-euler"]
         assert rows[1]["mean_error_m"] > rows[0]["mean_error_m"]
+
+    def test_fixed_outage_is_the_points_out_of_view(self):
+        cfg = ExperimentConfig(mode="snr-sweep", room=Room(3.0, 3.0, 3.0), grid_spacing_m=0.25, trials_per_point=1,
+                               snr_list_db=(20.0, 40.0), orientation_modes=("fixed",), master_seed=1)
+        rows = run_snr_sweep(cfg).aggregates["rows"]
+        share = _out_of_view_share(cfg)
+        assert [r["outage_frac"] for r in rows] == [share, share]
+        assert rows[1]["mean_error_m"] < 0.1  # 0.87 m with the out-of-view points' fixes
 
     def test_needs_snr_list(self):
         with pytest.raises(ValueError):
@@ -666,9 +693,28 @@ def _dense_grid_trials(seed, snr, mode, trials):
 
 def _peak_grid_trials(seed, snr, mode, trials):
     """The same grid as one peak-only pass."""
-    cfg, sigma, ori = _grid_setup(seed, snr, mode, trials)
-    plan = ScanPlan(build_beam_grid())
-    return experiments._run_grid(cfg, plan, sample_positions(cfg), ori, sigma, pass_index=(0, 0))
+    cfg, _, _ = _grid_setup(seed, snr, mode, trials)
+    _, [(_, rec, _)] = experiments._grid_passes(cfg, (mode,), (snr,))
+    return rec
+
+
+def _one_pass_oracle(cfg, mode_idx, mode, snr_idx, snr):
+    """Pass (mode_idx, snr_idx) of a grid run swept on its own: its rows'
+    uniforms and normals, one support, one run_scan and one locate."""
+    grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
+    positions = np.repeat(sample_positions(cfg), cfg.trials, axis=0)
+    u = pass_uniforms(cfg, np.arange(len(positions)), (mode_idx, snr_idx))
+    normals = receiver_normals(dataclasses.replace(cfg.orientation, mode=mode), u[:, :3] - 0.5)
+    cells, power = support(grid, cfg.room, ReceiverState(positions, normals, cfg.fov_deg), cfg.channel)
+    sigma = noise_sigma_for_snr(reference_peak_power(cfg), snr)
+    trace = run_scan(ScanPlan(grid), cells, power, sigma_w=sigma, draws=u[:, 3 : 3 + PEAK_UNIFORMS])
+    estimate, status = locate(cfg.room.emitter_pos, trace.samples, trace.beams, grid, cfg.channel, sigma)
+    errors = position_error(positions, estimate)
+    return {
+        "status": status,
+        **dict(zip(("err_3d", "err_x", "err_y", "err_z"), errors)),
+        "excluded": power == 0.0 if mode == "fixed" else status == STATUS_LOW_SIGNAL,
+    }
 
 
 class TestPeakOnlyEquivalence:
@@ -727,6 +773,26 @@ class TestGridPassStreams:
         for key in whole:
             np.testing.assert_array_equal(blocked[key], whole[key], err_msg=key)
 
+    def test_batched_passes_match_one_pass_at_a_time(self, monkeypatch):
+        # 2 modes x 3 snr values, noiseless included, 300 rows a pass on a
+        # 2 x 2 m room that puts some points out of view; blocks of 64 rows
+        # straddle pass and mode boundaries
+        cfg = ExperimentConfig(mode="snr-sweep", room=Room(2.0, 2.0, 3.0), grid_spacing_m=0.5, trials_per_point=2,
+                               master_seed=5, snr_list_db=(float("inf"), 20.0, 40.0),
+                               orientation_modes=("fixed", "random-euler"))
+        _, whole = experiments._grid_passes(cfg, cfg.orientation_modes, cfg.snr_list_db)
+        monkeypatch.setattr(experiments, "GRID_BLOCK_ROWS", 64)
+        _, blocked = experiments._grid_passes(cfg, cfg.orientation_modes, cfg.snr_list_db)
+        assert whole[0][1]["excluded"].any()
+        pairs = itertools.product(enumerate(cfg.orientation_modes), enumerate(cfg.snr_list_db))
+        for ((m, mode), (s, snr)), (got_mode, rec, _), (_, rec_whole, _) in zip(pairs, blocked, whole, strict=True):
+            assert got_mode == mode
+            oracle = _one_pass_oracle(cfg, m, mode, s, snr)
+            assert rec.keys() == rec_whole.keys() == oracle.keys()
+            for key in oracle:
+                np.testing.assert_array_equal(rec[key], oracle[key], err_msg=f"{mode} {snr} {key}")
+                np.testing.assert_array_equal(rec_whole[key], oracle[key], err_msg=f"{mode} {snr} {key}")
+
     def test_passes_get_their_own_streams(self):
         cfg = ExperimentConfig(grid_spacing_m=0.5, trials_per_point=2, master_seed=3)
         draws = [pass_uniforms(cfg, np.arange(8), index) for index in ((0, 0), (0, 1), (1, 0))]
@@ -776,10 +842,25 @@ class TestBenchmarkContract:
     def test_run_scan_takes_sigma_w(self):
         assert "sigma_w" in inspect.signature(experiments.run_scan).parameters
 
+    # SHA-256 of every file a benchmark workload's CLI run writes at CLI seed
+    # 3, meta.json without wall_time_s; a change that moves a byte on purpose
+    # updates these and says so
+    OUTPUT_SHA256 = {
+        "cdf-fixed/cdf_3d.csv": "4f72dfd327e9a11be3cd263672febf3f75ec5cb23376c244225040e441a8a9d9",
+        "cdf-fixed/cdf_x.csv": "8a8913d4996f3af9fae96fb695dc9c8c2feb75d7a99deb06adaaab96f3679d08",
+        "cdf-fixed/cdf_y.csv": "6e3e7d9ba5e1f77af162b836d1749550beb58860fc5fa994233faca281fb4fb2",
+        "cdf-fixed/cdf_z.csv": "d732658b36801816cc692d33b8b36fe7cf77a130dfbeea5ad4b6b785a7cf67f8",
+        "cdf-fixed/meta.json": "2fd0722810ab692cb51c4c52ae25df99d2e2e568a9e25c5f92771b0decf6a4ee",
+        "sweep-random/mean_error_vs_snr.csv": "b6e392eee7772a11b7d357e2ff509c239bf809abca2d8f67b221345eedc68cb3",
+        "sweep-random/meta.json": "a51e50adc5ca0cc99a8b2f4ba7b698acb1d1a1fcd96819d9e007715d4ded7a06",
+        "sync-pilot/meta.json": "84010efb4d69c96e37096bfee6eadad4ef9d5e7c1bb346525b9dd254626c97ce",
+        "sync-pilot/sync_test.csv": "787e3f302307171393c65c94da42552db12d2b822ddeb727aa789b052977741f",
+    }
+
     @staticmethod
-    def _workload_argvs(tmp_path, monkeypatch):
-        """Each benchmark workload's CLI argv, as perfbench/run.py builds it, on
-        a tiny config (0.5 m grid, one trial)."""
+    def _workload_argvs(tmp_path, monkeypatch, **override):
+        """Each benchmark workload's CLI argv at CLI seed 3, as perfbench/run.py
+        builds it, on its config with override's keys replaced."""
         # perfbench/run.py puts its own directory on sys.path when loaded
         monkeypatch.setattr(sys, "path", list(sys.path))
         spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
@@ -788,13 +869,27 @@ class TestBenchmarkContract:
         argvs = {}
         for name, workload in bench.WORKLOADS.items():
             config = tmp_path / f"{name}.json"
-            config.write_text(json.dumps({**workload["config"], "grid_spacing_m": 0.5, "trials_per_point": 1}))
+            config.write_text(json.dumps({**workload["config"], **override}))
             argvs[name] = bench.cli_args(workload, config, 3, tmp_path / name)
         return argvs
 
     def test_benchmark_command_lines_run(self, tmp_path, monkeypatch):
+        for name, argv in self._workload_argvs(tmp_path, monkeypatch, **TINY).items():
+            assert cli.main(argv) == 0, name
+
+    def test_benchmark_outputs_unchanged(self, tmp_path, monkeypatch):
+        # the benchmark's own command lines, at full size
+        digests = {}
         for name, argv in self._workload_argvs(tmp_path, monkeypatch).items():
             assert cli.main(argv) == 0, name
+            for path in sorted((tmp_path / name).iterdir()):
+                data = path.read_bytes()
+                if path.name == "meta.json":
+                    meta = json.loads(data)
+                    del meta["wall_time_s"]
+                    data = json.dumps(meta, indent=2, sort_keys=True).encode()
+                digests[f"{name}/{path.name}"] = hashlib.sha256(data).hexdigest()
+        assert digests == self.OUTPUT_SHA256
 
     def test_child_shim_runs_each_workload(self, tmp_path, monkeypatch):
         # setup_s and every per-layer metric come from perfbench/child.py,
@@ -805,7 +900,7 @@ class TestBenchmarkContract:
             return subprocess.run([sys.executable, "perfbench/child.py", *args], cwd=ROOT, env=env,
                                   capture_output=True, text=True, timeout=60)
 
-        for name, argv in self._workload_argvs(tmp_path, monkeypatch).items():
+        for name, argv in self._workload_argvs(tmp_path, monkeypatch, **TINY).items():
             setup = child("setup", *argv)
             assert setup.returncode == 0, (name, setup.stderr)
             [line] = setup.stdout.splitlines()

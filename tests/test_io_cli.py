@@ -24,6 +24,9 @@ from vlp_sim.scan import MAX_PILOT_LEN
 # small, fast run shapes shared by the CLI tests
 TINY = {"grid_spacing_m": 0.5, "trials_per_point": 1, "snr_db": [40.0]}
 
+# a grid run whose blocks hold passes of both modes and several snr values
+TWO_MODES = {"orientation_modes": ["fixed", "random-euler"]}
+
 CDF_FILES = ("cdf_3d.csv", "cdf_x.csv", "cdf_y.csv", "cdf_z.csv")
 
 # accepted so older configs replay; no output depends on them
@@ -381,30 +384,35 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("command", ["cdf", "snr-sweep", "sync-test"])
-    def test_run_loads_no_numpy_ma(self, tmp_path, command):
+    @pytest.mark.parametrize("argv, extra", [
+        (["cdf"], None),
+        (["snr-sweep"], None),
+        (["snr-sweep", "--snr", "inf,20,40"], TWO_MODES),
+        # 200 sync trials: a batch large enough for numpy's set operations to sort
+        (["sync-test"], {"trials_per_point": 200}),
+    ], ids=["cdf", "snr-sweep", "snr-sweep-two-modes", "sync-test"])
+    def test_run_loads_no_numpy_ma(self, tmp_path, argv, extra):
         # numpy >= 2 imports numpy.ma on a process's first np.unique,
         # np.percentile or np.quantile call: about 20 ms inside the timed run
         src = Path(__file__).resolve().parent.parent / "src"
-        # 200 sync trials: a batch large enough for numpy's set operations to sort
-        extra = {"trials_per_point": 200} if command == "sync-test" else None
-        argv = [command, "--config", write_tiny_config(tmp_path, extra), "--out", str(tmp_path / "out")]
+        argv = argv + ["--config", write_tiny_config(tmp_path, extra), "--out", str(tmp_path / "out")]
         code = f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; print('numpy.ma' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("argv, loaded", [
-        (["cdf"], False),
-        (["snr-sweep"], False),
-        (["sync-test", "--snr", "inf,20"], False),
-        (["sync-test", "--snr", "10"], True),  # the dense band, under 12.7 dB: one PCG64 stream per trial
-    ], ids=["cdf", "snr-sweep", "sync-test-sparse", "sync-test-dense"])
-    def test_run_loads_no_numpy_random(self, tmp_path, argv, loaded):
+    @pytest.mark.parametrize("argv, extra, loaded", [
+        (["cdf"], None, False),
+        (["snr-sweep"], None, False),
+        (["snr-sweep", "--snr", "inf,20,40"], TWO_MODES, False),
+        (["sync-test", "--snr", "inf,20"], {"trials_per_point": 200}, False),
+        # the dense band, under 12.7 dB: one PCG64 stream per trial
+        (["sync-test", "--snr", "10"], {"trials_per_point": 200}, True),
+    ], ids=["cdf", "snr-sweep", "snr-sweep-two-modes", "sync-test-sparse", "sync-test-dense"])
+    def test_run_loads_no_numpy_random(self, tmp_path, argv, extra, loaded):
         # numpy imports numpy.random on first use: about 20 ms inside the
         # timed run, which only a run that builds a generator should pay
         src = Path(__file__).resolve().parent.parent / "src"
-        extra = {"trials_per_point": 200} if argv[0] == "sync-test" else None
         argv = argv + ["--config", write_tiny_config(tmp_path, extra), "--out", str(tmp_path / "out")]
         code = f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; print('numpy.random' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(src)}

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
+from vlp_sim import streams
 from vlp_sim.streams import philox4x32, seed_key, uniform_index, uniforms
 
 
 def words(text):
     return [int(w, 16) for w in text.split()]
+
+
+def philox(counter, key):
+    """Philox4x32-10 of counters (N, 4) or (4,), words last: philox4x32 on a
+    word-major copy."""
+    c = np.atleast_2d(np.asarray(counter, dtype=np.uint64)).T.copy()
+    philox4x32(c, key)
+    return c.T.reshape(np.shape(counter))
 
 
 class TestPhilox:
@@ -16,13 +25,13 @@ class TestPhilox:
         ("243f6a88 85a308d3 13198a2e 03707344", "a4093822 299f31d0", "d16cfe09 94fdcceb 5001e420 24126ea1"),
     ])
     def test_known_answers(self, counter, key, expected):
-        np.testing.assert_array_equal(philox4x32(words(counter), words(key)), words(expected))
+        np.testing.assert_array_equal(philox(words(counter), words(key)), words(expected))
 
     def test_batch_matches_one_by_one(self):
         counters = np.random.default_rng(0).integers(0, 2**32, size=(50, 4))
-        batch = philox4x32(counters, (7, 9))
+        batch = philox(counters, (7, 9))
         for c, out in zip(counters, batch):
-            np.testing.assert_array_equal(philox4x32(c, (7, 9)), out)
+            np.testing.assert_array_equal(philox(c, (7, 9)), out)
 
     def test_seed_key_splits_words(self):
         assert seed_key(0) == (0, 0)
@@ -45,7 +54,7 @@ class TestUniforms:
         # counter 0 / key 0 and all-ones words give known words; the map
         # (52 bits + 1/2) / 2^52 keeps 2^-53 and 1 - 2^-53 as its extremes
         u = uniforms(0, [0, 0, 0], 2)
-        w = philox4x32([0, 0, 0, 0], (0, 0)).astype(np.uint64)
+        w = philox([0, 0, 0, 0], (0, 0))
         bits = [(int(w[0]) << 20) | (int(w[1]) >> 12), (int(w[2]) << 20) | (int(w[3]) >> 12)]
         np.testing.assert_array_equal(u, [(b + 0.5) * 2.0**-52 for b in bits])
         assert (0 + 0.5) * 2.0**-52 == 2.0**-53 and (2**52 - 1 + 0.5) * 2.0**-52 == 1.0 - 2.0**-53
@@ -55,6 +64,19 @@ class TestUniforms:
         a = uniforms(4, [[1, 2, 3]], 3)
         b = uniforms(4, [[1, 2, 3]], 6)
         np.testing.assert_array_equal(a, b[:, :3])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 24, 50])
+    def test_chunks_do_not_change_results(self, monkeypatch, chunk):
+        # 13 prefixes, split between chunks of at most `chunk` counters (one
+        # prefix a chunk when a prefix alone has more), in the n form and the
+        # blocks= form, the latter with each prefix's own blocks
+        prefix = np.column_stack([np.arange(13), np.arange(13) % 4, np.full(13, 5)])
+        blocks = (np.arange(13)[:, None] * 3 + np.arange(4)) % 11
+        whole = uniforms(9, prefix, 11), uniforms(9, prefix, blocks=blocks), uniforms(9, prefix, blocks=[2, 0])
+        monkeypatch.setattr(streams, "_CHUNK", chunk)
+        cut = uniforms(9, prefix, 11), uniforms(9, prefix, blocks=blocks), uniforms(9, prefix, blocks=[2, 0])
+        for a, b in zip(whole, cut):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestUniformIndex:
