@@ -2,8 +2,7 @@
 run; cdf / snr-sweep / sync-test / scan-demo.  A grid pass runs every
 trial at every grid point for one (orientation mode, SNR); cdf is the
 single pass (0, 0), snr-sweep one pass per pair.  A grid run sweeps all its
-passes as one array pass over their rows, pass by pass (SNR-major), then
-point by point, then trial by trial, GRID_BLOCK_ROWS rows at a time.  A sync
+passes' rows as one array pass, GRID_BLOCK_ROWS rows at a time.  A sync
 run sweeps every trial of one SNR in one run_scan call.  Every caller
 composes scan.support (the geometry), a sweep and estimator.locate (the
 fix): a grid pass and a sync run sweep with scan.run_scan, which yields
@@ -14,17 +13,21 @@ Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
 
 * Every pose, and a grid pass's peak draws, come from Philox4x32-10 (see
-  streams), keyed by the master seed.  Row (point, trial) of pass
+  streams), keyed by the master seed.  row_prefix is the row map: row i of
+  a run belongs to pass i // (points * trials), pass p is orientation mode
+  p % n_modes at SNR index p // n_modes (SNR-major), and inside a pass rows
+  run point by point, then trial by trial.  Row (point, trial) of pass
   (mode_index, snr_index) reads counters (point, trial, mode_index * 2^16 +
-  snr_index, block), blocks 0-5: ROW_UNIFORMS uniforms in (0, 1).  Columns:
+  snr_index, block), blocks 0-5: ROW_UNIFORMS uniforms in (0, 1).  A grid
+  run's rows are its passes'; a sync run is one point per SNR, its trial t
+  at SNR index s row s * trials + t; scan-demo is row 0.  Columns:
     0-2   every row: orientation.receiver_normals of u - 1/2 (roll, pitch,
           yaw, or azimuth, elevation; fixed reads none)
     3-10  grid rows (cdf, snr-sweep): scan.run_scan's PEAK_UNIFORMS
-    3-5   sync-test (row trial of pass (0, snr_index)): position in the
-          sampled box, lo + (hi - lo) * u
+    3-5   sync-test: position in the sampled box, lo + (hi - lo) * u
     6     sync-test: offset uniform_index(u, 2h + 1) - h, h = n_slots // 2
     11    unused
-  scan-demo reads columns 0-2 of row 0 of pass (0, 0).
+  scan-demo reads columns 0-2.
 * A sync-test trial's sweep noise comes from the same Philox row, blocks 6
   on, every slot's a pure function of the row and the slot (scan's
   _SLOT_BLOCK map: slot s's normal, the uniform that conditions it below
@@ -249,26 +252,19 @@ def scan_trial(
     return trace, *locate(cfg.room.emitter_pos, *peak(trace[plan.pilot_len :]), plan.grid, cfg.channel, sigma)
 
 
-def pass_prefix(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> np.ndarray:
-    """The (len(rows), 3) Philox counter prefixes of the given rows of one
-    pass; row point * trials + trial (see the module docstring)."""
-    mode_index, snr_index = pass_index
-    point, trial = np.divmod(np.asarray(rows), cfg.trials)
-    return np.column_stack([point, trial, np.full_like(point, (mode_index << 16) | snr_index)])
-
-
-def pass_uniforms(cfg: ExperimentConfig, rows, pass_index: tuple[int, int]) -> np.ndarray:
-    """The (len(rows), ROW_UNIFORMS) uniforms of the given rows of one pass."""
-    return uniforms(cfg.master_seed, pass_prefix(cfg, rows, pass_index), ROW_UNIFORMS)
+def row_prefix(cfg: ExperimentConfig, rows, n_points: int = 1, n_modes: int = 1) -> np.ndarray:
+    """The (len(rows), 3) Philox counter prefixes of a run's rows, n_points
+    points of cfg.trials trials a pass and n_modes orientation modes (the
+    row map of the module docstring)."""
+    pass_index, row = np.divmod(np.asarray(rows), n_points * cfg.trials)
+    snr_index, mode_index = np.divmod(pass_index, n_modes)
+    return np.column_stack([*np.divmod(row, cfg.trials), (mode_index << 16) | snr_index])
 
 
 def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
     """Every peak-only grid pass of a run, one per (orientation mode, snr),
     swept as one array pass over all their rows, GRID_BLOCK_ROWS at a time.
 
-    Rows run pass by pass, SNR-major (pass p is mode p % len(modes) at snr
-    p // len(modes)), then point by point, then trial by trial; each row
-    keeps its own pass's Philox counters, so the layout changes no draw.
     Returns (p_ref, passes), the passes in mode, then snr order; each is
     (mode, per-sample arrays in point, then trial order: status code, the
     3D and per-axis errors and the outage mask, stats), the stats holding
@@ -305,32 +301,28 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
 
 
 def _grid_block(cfg, plan, points, orientations, sigmas, lo, hi):
-    """Rows lo to hi of _grid_passes' row order: one uniforms, one support,
-    one locate, and a receiver_normals per mode and a run_scan per snr among
-    the rows.
+    """Rows lo to hi of a grid run: one uniforms, one support, one locate,
+    and a receiver_normals per mode and a run_scan per snr among the rows.
 
     The outage mask holds the receivers out of view: by geometry (no
     support) under a fixed upright receiver, whose low-signal flag stays a
     diagnostic, and by the low-signal flag under a random orientation.
     """
-    n = len(points) * cfg.trials
-    n_modes = len(orientations)
-    # (pass, first row, end row) of each pass the block holds, rows from lo
-    spans = [(p, max(lo, p * n) - lo, min(hi, (p + 1) * n) - lo) for p in range(lo // n, (hi - 1) // n + 1)]
-    prefix = np.concatenate(
-        [pass_prefix(cfg, np.arange(a + lo - p * n, b + lo - p * n), (p % n_modes, p // n_modes)) for p, a, b in spans]
-    )
+    prefix = row_prefix(cfg, np.arange(lo, hi), len(points), len(orientations))
     u = uniforms(cfg.master_seed, prefix, ROW_UNIFORMS)
     positions = points[prefix[:, 0]]
-    by_mode = _rows_by(spans, lambda p: p % n_modes)
+    mode_of, snr_of = prefix[:, 2] >> 16, prefix[:, 2] & 0xFFFF  # snr_of nondecreasing: SNR-major
+    # the modes among the rows; np.unique would import numpy.ma (about 20 ms)
+    by_mode = {m: mode_of == m for m in np.flatnonzero(np.bincount(mode_of))}
     normals = np.empty((hi - lo, 3))
     for m, rows in by_mode.items():
         normals[rows] = receiver_normals(orientations[m], u[rows, :3] - 0.5)
     rx = ReceiverState(positions, normals, cfg.fov_deg)
-    del prefix, normals  # support's temporaries set the block's peak memory
+    del prefix, mode_of, normals  # support's temporaries set the block's peak memory
     cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
     peaks, beams, sigma = np.empty(hi - lo), np.empty(hi - lo, dtype=int), np.empty(hi - lo)
-    for s, rows in _rows_by(spans, lambda p: p // n_modes).items():  # contiguous: slices
+    for s in range(snr_of[0], snr_of[-1] + 1):
+        rows = slice(*np.searchsorted(snr_of, (s, s + 1)))
         trace = run_scan(plan, cells[rows], power[rows], sigma_w=sigmas[s], draws=u[rows, 3 : 3 + PEAK_UNIFORMS])
         peaks[rows], beams[rows], sigma[rows] = trace.samples, trace.beams, sigmas[s]
     estimate, status = locate(cfg.room.emitter_pos, peaks, beams, plan.grid, cfg.channel, sigma)
@@ -342,20 +334,6 @@ def _grid_block(cfg, plan, points, orientations, sigmas, lo, hi):
         "status": status,
         **dict(zip(("err_3d", "err_x", "err_y", "err_z"), position_error(positions, estimate))),
         "excluded": excluded,
-    }
-
-
-def _rows_by(spans, key) -> dict:
-    """The rows of a block's pass spans grouped by key(pass): a slice where
-    a group's spans adjoin, else an index array."""
-    groups = {}
-    for p, a, b in spans:
-        groups.setdefault(key(p), []).append((a, b))
-    return {
-        k: slice(runs[0][0], runs[-1][1])
-        if all(end == start for (_, end), (start, _) in zip(runs, runs[1:]))
-        else np.concatenate([np.arange(a, b) for a, b in runs])
-        for k, runs in groups.items()
     }
 
 
@@ -431,7 +409,7 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     for snr_idx, snr in enumerate(cfg.snr_list_db):
         sigma = noise_sigma_for_snr(p_pilot, snr)
         # every trial's pose from its Philox row (see the column map)
-        prefix = pass_prefix(cfg, np.arange(cfg.trials), (0, snr_idx))
+        prefix = row_prefix(cfg, snr_idx * cfg.trials + np.arange(cfg.trials))
         u = uniforms(cfg.master_seed, prefix, ROW_UNIFORMS)
         points = lo + (hi - lo) * u[:, 3:6]
         offsets = uniform_index(u[:, 6], 2 * half + 1) - half
@@ -463,8 +441,7 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
 
 def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, np.ndarray, np.ndarray, np.ndarray]:
     """One dense trial at a given receiver position, seeded by the master seed
-    alone: the orientation from row 0 of pass (0, 0), the noise from its own
-    stream.
+    alone: the orientation from row 0, the noise from its own stream.
 
     Uses the config's one snr value, anchored like a grid pass, and the
     configured pilot.  Returns (plan, trace, position, status), the trace
@@ -473,6 +450,6 @@ def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, np.ndarray, n
     sigma = noise_sigma_for_snr(reference_peak_power(cfg), cfg.snr_list_db[0])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
-    normal = receiver_normals(cfg.orientation, pass_uniforms(cfg, [0], (0, 0))[0, :3] - 0.5)
+    normal = receiver_normals(cfg.orientation, uniforms(cfg.master_seed, row_prefix(cfg, [0]), 3)[0] - 0.5)
     rx = ReceiverState(point, normal, cfg.fov_deg)
     return plan, *scan_trial(cfg, plan, rx, sigma, np.random.default_rng((cfg.master_seed,)))

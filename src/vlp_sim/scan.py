@@ -202,8 +202,14 @@ def noise_max(sigma_w: float, k, u):
     p = np.exp(log_p)
     upper = p > 0.5
     q = np.where(upper, -np.expm1(log_p), p)
-    z = np.array([_STD_NORMAL.inv_cdf(x) for x in np.ravel(q).tolist()]).reshape(q.shape)
+    z = _normal_quantile(q)
     return sigma_w * np.where(upper, -z, z)
+
+
+def _normal_quantile(p) -> np.ndarray:
+    """Phi^-1 elementwise: the standard library's NormalDist().inv_cdf of each element of p."""
+    p = np.asarray(p, dtype=float)
+    return np.array([_STD_NORMAL.inv_cdf(x) for x in p.ravel().tolist()]).reshape(p.shape)
 
 
 def _box_muller(u):
@@ -560,7 +566,7 @@ def _below_tau(p: _SyncPilot, draws, rows, slots, z):
     if len(high):
         u = draws.uniforms(rows[high], _SLOT_BLOCK + p.blocks + slots[high, None] // 2)[:, 0, :]
         u = u[np.arange(len(high)), slots[high] % 2]
-        z[high] = [_STD_NORMAL.inv_cdf(v) for v in (p.below * u).tolist()]
+        z[high] = _normal_quantile(p.below * u)
     return z
 
 
@@ -592,7 +598,7 @@ def _exceedances(p: _SyncPilot, draws, rows):
     ranks, values = ranks[:, :width].astype(int), values[:, :width]
     hit = ranks < rest
     z = np.full(ranks.shape, -np.inf)
-    z[hit] = [-_STD_NORMAL.inv_cdf(v) for v in (p.q * values[hit]).tolist()]
+    z[hit] = -_normal_quantile(p.q * values[hit])
     return np.where(hit, p.first + ranks, p.n), z
 
 

@@ -23,7 +23,6 @@ from vlp_sim.experiments import (
     run_cdf_experiment,
     run_snr_sweep,
     run_sync_test,
-    pass_uniforms,
     sample_positions,
     scan_trial,
 )
@@ -41,7 +40,7 @@ from vlp_sim.scan import (
     run_scan,
     support,
 )
-from vlp_sim.streams import uniform_index
+from vlp_sim.streams import uniform_index, uniforms
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -586,6 +585,19 @@ def _dense_sync(trace, pilot, offset):
     return np.array([f[0] for f in found]), np.array([f[1] for f in found]), shift
 
 
+def _counters(point, trial, mode_index=0, snr_index=0):
+    """Philox counter prefixes (N, 3) of rows (point, trial) of pass
+    (mode_index, snr_index), by the documented map: (point, trial,
+    mode_index * 2^16 + snr_index)."""
+    point, trial = np.broadcast_arrays(np.atleast_1d(point), trial)
+    return np.column_stack([point, trial, np.full(point.shape, mode_index * 2**16 + snr_index)])
+
+
+def _row_uniforms(cfg, prefix):
+    """The ROW_UNIFORMS uniforms of counter prefixes (N, 3)."""
+    return uniforms(cfg.master_seed, prefix, experiments.ROW_UNIFORMS)
+
+
 def _sync_inputs(cfg, snr_index=0):
     """(plan, pilot, sigma, points, cells, power, offsets, draws) of one
     sync-test snr, as run_sync_test builds them."""
@@ -593,8 +605,8 @@ def _sync_inputs(cfg, snr_index=0):
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
     n = cfg.pilot_len + grid.size
     sigma = noise_sigma_for_snr(float(pilot.max()), cfg.snr_list_db[snr_index])
-    prefix = experiments.pass_prefix(cfg, np.arange(cfg.trials), (0, snr_index))
-    u = pass_uniforms(cfg, np.arange(cfg.trials), (0, snr_index))
+    prefix = _counters(0, np.arange(cfg.trials), snr_index=snr_index)  # trial t is point 0's trial t
+    u = _row_uniforms(cfg, prefix)
     lo = np.array([0.0, 0.0, cfg.h_min_m])
     hi = np.array([cfg.room.width_m, cfg.room.depth_m, experiments._height_cap(cfg)])
     points = lo + (hi - lo) * u[:, 3:6]
@@ -648,7 +660,7 @@ def _sync_oracle_rows(cfg):
         mismatches = 0
         errs = {"synced": [], "realigned": [], "naive": []}
         for trial in range(cfg.trials):
-            u = pass_uniforms(cfg, [trial], (0, snr_idx))[0]
+            u = _row_uniforms(cfg, _counters(0, trial, snr_index=snr_idx))[0]
             point = lo + (hi - lo) * u[3:6]
             offset = int(uniform_index(u[6], 2 * half + 1)) - half
             rx = ReceiverState(point, receiver_normals(cfg.orientation, u[:3] - 0.5), cfg.fov_deg)
@@ -703,7 +715,8 @@ def _one_pass_oracle(cfg, mode_idx, mode, snr_idx, snr):
     uniforms and normals, one support, one run_scan and one locate."""
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     positions = np.repeat(sample_positions(cfg), cfg.trials, axis=0)
-    u = pass_uniforms(cfg, np.arange(len(positions)), (mode_idx, snr_idx))
+    point, trial = np.divmod(np.arange(len(positions)), cfg.trials)
+    u = _row_uniforms(cfg, _counters(point, trial, mode_idx, snr_idx))
     normals = receiver_normals(dataclasses.replace(cfg.orientation, mode=mode), u[:, :3] - 0.5)
     cells, power = support(grid, cfg.room, ReceiverState(positions, normals, cfg.fov_deg), cfg.channel)
     sigma = noise_sigma_for_snr(reference_peak_power(cfg), snr)
@@ -727,7 +740,7 @@ class TestPeakOnlyEquivalence:
         grid = build_beam_grid()
         ori = dataclasses.replace(cfg.orientation, mode=mode)
         points = sample_positions(cfg)
-        u = pass_uniforms(cfg, np.arange(len(points)), (0, 0))
+        u = _row_uniforms(cfg, _counters(np.arange(len(points)), 0))
         normals = receiver_normals(ori, u[:, :3] - 0.5)
         rx = ReceiverState(points, normals, cfg.fov_deg)
         trace = run_scan(ScanPlan(grid), *support(grid, cfg.room, rx, cfg.channel), sigma_w=0.0,
@@ -774,32 +787,49 @@ class TestGridPassStreams:
             np.testing.assert_array_equal(blocked[key], whole[key], err_msg=key)
 
     def test_batched_passes_match_one_pass_at_a_time(self, monkeypatch):
-        # 2 modes x 3 snr values, noiseless included, 300 rows a pass on a
-        # 2 x 2 m room that puts some points out of view; blocks of 64 rows
-        # straddle pass and mode boundaries
+        # 3 modes x 3 snr values, noiseless included, 300 rows a pass on a
+        # 2 x 2 m room that puts some points out of view: blocks of 64 rows
+        # straddle pass and mode boundaries, blocks of 61 start inside a
+        # point, and a default block holds rows of one mode from two snrs
         cfg = ExperimentConfig(mode="snr-sweep", room=Room(2.0, 2.0, 3.0), grid_spacing_m=0.5, trials_per_point=2,
                                master_seed=5, snr_list_db=(float("inf"), 20.0, 40.0),
-                               orientation_modes=("fixed", "random-euler"))
-        _, whole = experiments._grid_passes(cfg, cfg.orientation_modes, cfg.snr_list_db)
-        monkeypatch.setattr(experiments, "GRID_BLOCK_ROWS", 64)
-        _, blocked = experiments._grid_passes(cfg, cfg.orientation_modes, cfg.snr_list_db)
-        assert whole[0][1]["excluded"].any()
+                               orientation_modes=("fixed", "random-euler", "random-spherical"))
         pairs = itertools.product(enumerate(cfg.orientation_modes), enumerate(cfg.snr_list_db))
-        for ((m, mode), (s, snr)), (got_mode, rec, _), (_, rec_whole, _) in zip(pairs, blocked, whole, strict=True):
-            assert got_mode == mode
-            oracle = _one_pass_oracle(cfg, m, mode, s, snr)
-            assert rec.keys() == rec_whole.keys() == oracle.keys()
-            for key in oracle:
-                np.testing.assert_array_equal(rec[key], oracle[key], err_msg=f"{mode} {snr} {key}")
-                np.testing.assert_array_equal(rec_whole[key], oracle[key], err_msg=f"{mode} {snr} {key}")
+        oracles = [(mode, snr, _one_pass_oracle(cfg, m, mode, s, snr)) for (m, mode), (s, snr) in pairs]
+        assert oracles[0][2]["excluded"].any()
+        for rows in (experiments.GRID_BLOCK_ROWS, 64, 61):
+            monkeypatch.setattr(experiments, "GRID_BLOCK_ROWS", rows)
+            _, passes = experiments._grid_passes(cfg, cfg.orientation_modes, cfg.snr_list_db)
+            for (mode, snr, oracle), (got_mode, rec, _) in zip(oracles, passes, strict=True):
+                assert got_mode == mode
+                assert rec.keys() == oracle.keys()
+                for key in oracle:
+                    np.testing.assert_array_equal(rec[key], oracle[key], err_msg=f"{rows} {mode} {snr} {key}")
+
+    def test_row_map_is_the_documented_one(self):
+        # 4 points x 2 trials a pass, 2 modes x 2 snrs: passes run SNR-major,
+        # then point by point, then trial by trial; a sync trial t at snr
+        # index s is row s * trials + t of one point, scan-demo row 0
+        cfg = ExperimentConfig(grid_spacing_m=0.5, trials_per_point=2, master_seed=3)
+        point, trial = np.divmod(np.arange(8), 2)
+        expected = np.concatenate([_counters(point, trial, m, s) for s in range(2) for m in range(2)])
+        np.testing.assert_array_equal(experiments.row_prefix(cfg, np.arange(32), 4, 2), expected)
+        np.testing.assert_array_equal(experiments.row_prefix(cfg, 2 * 3 + np.arange(2)), _counters(0, [0, 1], 0, 3))
+        np.testing.assert_array_equal(experiments.row_prefix(cfg, [0]), [[0, 0, 0]])
 
     def test_passes_get_their_own_streams(self):
         cfg = ExperimentConfig(grid_spacing_m=0.5, trials_per_point=2, master_seed=3)
-        draws = [pass_uniforms(cfg, np.arange(8), index) for index in ((0, 0), (0, 1), (1, 0))]
+        point, trial = np.divmod(np.arange(8), 2)
+        draws = [_row_uniforms(cfg, _counters(point, trial, *index)) for index in ((0, 0), (0, 1), (1, 0))]
         assert draws[0].shape == (8, experiments.ROW_UNIFORMS)
         assert not np.any(draws[0] == draws[1]) and not np.any(draws[0] == draws[2])
         other_seed = dataclasses.replace(cfg, master_seed=2**64 - 1)
-        assert not np.any(pass_uniforms(other_seed, np.arange(8), (0, 0)) == draws[0])
+        assert not np.any(_row_uniforms(other_seed, _counters(point, trial)) == draws[0])
+
+    def test_row_uniforms_end_before_the_slot_blocks(self):
+        # a grid row reads columns 3 on for its peaks, and a sync trial's
+        # slot blocks start past its row's blocks 0-5 (two uniforms a block)
+        assert 3 + PEAK_UNIFORMS <= experiments.ROW_UNIFORMS <= 2 * scan._SLOT_BLOCK
 
 
 class TestBenchmarkContract:
