@@ -77,8 +77,18 @@ def received_power_on_axis(distance_m, cos_psi, p: ChannelParams):
 def noise_sigma_for_snr(signal_w: float, snr_db: float) -> float:
     """Noise standard deviation giving 20*log10(signal/sigma) == snr_db.
 
-    snr_db = inf maps to sigma = 0 (noiseless).
+    snr_db = inf maps to sigma = 0 (noiseless).  A finite snr_db whose sigma
+    is not a positive finite float (10^(snr_db / 20) or the quotient out of
+    the float range) raises ValueError.
     """
     if not signal_w > 0.0:
         raise ValueError("signal must be positive")
-    return signal_w / 10.0 ** (snr_db / 20.0)
+    try:
+        sigma = signal_w / 10.0 ** (snr_db / 20.0)
+    except (OverflowError, ZeroDivisionError):  # 10^(snr_db / 20) overflows, or underflows to 0
+        sigma = np.nan
+    if snr_db != np.inf and not 0.0 < sigma < np.inf:
+        raise ValueError(
+            f"snr {snr_db:g} dB gives no positive finite noise sigma against a reference of {signal_w:.6g} W"
+        )
+    return sigma

@@ -97,6 +97,10 @@ GRID_BLOCK_ROWS = 2048
 NEAR_FIELD_CLEARANCE_M = 0.5
 
 
+class ConfigError(ValueError):
+    """Bad configuration input; maps to CLI exit code 1."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs; defaults reproduce the stock desk-scale setup."""
@@ -206,6 +210,16 @@ def reference_peak_power(cfg: ExperimentConfig) -> float:
     return float(np.mean(received_power_on_axis(dists, 1.0, cfg.channel)))
 
 
+def _noise_sigmas(reference_w: float, snrs) -> list[float]:
+    """Each snr's noise sigma against the run's reference power, taken before
+    any sweep: a finite snr that gives no positive finite sigma is a
+    ConfigError."""
+    try:
+        return [noise_sigma_for_snr(reference_w, snr) for snr in snrs]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
 def compute_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
     """Empirical CDF: sorted values with cumulative fractions ending at 1."""
     x = np.sort(np.asarray(samples, dtype=float))
@@ -274,7 +288,7 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
     plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg))
     points = sample_positions(cfg)
     orientations = [dataclasses.replace(cfg.orientation, mode=mode) for mode in modes]
-    sigmas = [noise_sigma_for_snr(p_ref, snr) for snr in snrs]
+    sigmas = _noise_sigmas(p_ref, snrs)
     n = len(points) * cfg.trials
     total = n * len(modes) * len(snrs)
     rec = {}
@@ -405,9 +419,9 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     lo = np.array([0.0, 0.0, cfg.h_min_m])
     hi = np.array([cfg.room.width_m, cfg.room.depth_m, _height_cap(cfg)])
 
+    sigmas = _noise_sigmas(p_pilot, cfg.snr_list_db)
     rows = []
-    for snr_idx, snr in enumerate(cfg.snr_list_db):
-        sigma = noise_sigma_for_snr(p_pilot, snr)
+    for snr_idx, (snr, sigma) in enumerate(zip(cfg.snr_list_db, sigmas)):
         # every trial's pose from its Philox row (see the column map)
         prefix = row_prefix(cfg, snr_idx * cfg.trials + np.arange(cfg.trials))
         u = uniforms(cfg.master_seed, prefix, ROW_UNIFORMS)
@@ -447,7 +461,7 @@ def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, np.ndarray, n
     configured pilot.  Returns (plan, trace, position, status), the trace
     every slot's sample, pilot first.
     """
-    sigma = noise_sigma_for_snr(reference_peak_power(cfg), cfg.snr_list_db[0])
+    [sigma] = _noise_sigmas(reference_peak_power(cfg), cfg.snr_list_db[:1])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
     normal = receiver_normals(cfg.orientation, uniforms(cfg.master_seed, row_prefix(cfg, [0]), 3)[0] - 0.5)

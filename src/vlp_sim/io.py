@@ -16,14 +16,10 @@ from pathlib import Path
 
 from . import __version__
 from .channel import ChannelParams
-from .experiments import EXPERIMENT_MODES, ExperimentConfig, RunResult
+from .experiments import EXPERIMENT_MODES, ConfigError, ExperimentConfig, RunResult
 from .geometry import BeamGrid, Room
 from .orientation import ORIENTATION_MODES, LaplaceParams, OrientationConfig
 from .scan import DEFAULT_PILOT_LEN
-
-
-class ConfigError(ValueError):
-    """Bad configuration input; maps to CLI exit code 1."""
 
 
 CONFIG_DEFAULTS: dict = {

@@ -3,12 +3,12 @@
 A sweep visits every grid direction once, dwelling for a fixed step time.
 The receiver records one power sample per dwell slot; an optional known
 pilot preamble precedes the sweep so a desynchronized receiver can realign
-its sample indexing by cyclic cross-correlation.  Realignment returns the
-cyclic shift it recovers, the one that scoring every shift returns, but
-scores only the shifts whose windows hold a sample high enough to beat a
-floor (see realign_with_pilot); one trace and a sync run's batch share the
-code that finds, scores and settles them.  With a noisy pilot nothing can
-be ruled out and every shift is scored.
+its sample indexing by cyclic cross-correlation.  Realignment of one
+trace scores every cyclic shift and takes the best (realign_with_pilot).  A
+sync run's sparse pass finds the same shift but scores only the shifts
+whose windows hold a sample high enough to beat a floor (_pruned_runs); a
+trial it cannot settle on the samples it drew takes realign_with_pilot on
+its whole trace.
 
 The geometry and the sweep are two calls: support() finds, for one
 receiver or a batch, the beam cells that carry signal and their on-axis
@@ -53,9 +53,9 @@ _PILOT_BITS = (
 MAX_PILOT_LEN = 4 * len(_PILOT_BITS)
 _STD_NORMAL = NormalDist()
 
-# pilot realignment's rounding allowance per tap, relative to
-# levels.sum() * max|x| (see realign_with_pilot): about 90 units of
-# roundoff (2^-53 = 1.1e-16)
+# the sparse pass's rounding allowance per tap in its bound on a window's
+# score (see _pruned_runs), relative to levels.sum() times the trial's
+# largest drawn sample: about 90 units of roundoff (2^-53 = 1.1e-16)
 _TAP_ROUNDING = 1e-14
 _SUBNORMAL = np.finfo(float).smallest_subnormal
 
@@ -325,29 +325,13 @@ def realign_with_pilot(x: np.ndarray, pilot_w) -> int:
     """The cyclic shift s in [0, n) that puts the known pilot at the head of
     the trace x: apply_timing_offset(x, -s) is the synchronized trace.
 
-    Shift s scores corr[s] = sum_i pilot[i] * x[(s + i) mod n] over the
-    on-taps i, accumulated tap by tap in ascending order from the first
-    on-tap's product, so every shift gets the same float operations and
-    exact ties stay exact (with no on-tap every shift scores 0.0).  The
-    best score wins, ties to the smallest nonnegative shift (a first NaN
-    score wins, as argmax takes it).  Pilot levels must be nonnegative.
-
-    Only the shifts that can win are scored, and the result is the shift
-    that scoring every shift gives:
-    * floor: the best exact score of the shifts that put an on-tap on the
-      strongest sample.  It is a score some shift gets, so the best score
-      is at least the floor.
-    * bound: with levels >= 0, a shift scores at most L = levels.sum() times
-      the largest sample in its k-sample window, plus rounding.  The margin
-      (k + 1) * (1e-14 * L * max|x| + the smallest subnormal) is about 90
-      times the rounding a k-term sum of products can carry, so a shift
-      whose window holds no sample >= (floor - margin) / L (a hot sample)
-      scores below the floor and cannot win.
-    * runs: the shifts whose windows hold a hot sample, as runs of
-      consecutive shifts (_window_runs), hold every shift that can win,
-      ties included.  When they cover more than half the trace, or the
-      floor is not finite (a NaN or an infinity in the trace), every shift
-      is scored.
+    Every shift s is scored, corr[s] = sum_i pilot[i] * x[(s + i) mod n]
+    over the on-taps i, accumulated tap by tap in ascending order from the
+    first on-tap's product (_scores), so every shift gets the same float
+    operations and exact ties stay exact (with no on-tap every shift scores
+    0.0).  The argmax wins: the best score, ties to the smallest shift, and
+    a first NaN score before it, as argmax takes them.  Pilot levels must
+    be nonnegative.
     """
     pilot = np.asarray(pilot_w, dtype=float)
     k = int(len(pilot))
@@ -361,15 +345,7 @@ def realign_with_pilot(x: np.ndarray, pilot_w) -> int:
     taps = np.flatnonzero(pilot)
     if len(taps) == 0:
         return 0
-    runs = _candidate_shifts(x, pilot, taps)
-    if runs is None:  # every shift, from 0: argmax takes the first best score, or the first NaN
-        return int(_scores(np.concatenate((x, x[: k - 1]))[None], taps, pilot[taps], n)[0].argmax())
-    start, count = runs
-
-    def segments(g, width):  # the samples of runs g from their first windows on
-        return np.take(x, start[g, None] + np.arange(width), mode="wrap")
-
-    return int(_best_shifts(np.zeros(len(start), dtype=int), start % n, count, n, k, taps, pilot[taps], segments)[1][0])
+    return int(_scores(np.concatenate((x, x[: k - 1]))[None], taps, pilot[taps], n)[0].argmax())
 
 
 def _scores(seg, taps, levels, count):
@@ -389,33 +365,6 @@ def _scores(seg, taps, levels, count):
         else:
             corr += part
     return corr
-
-
-def _candidate_shifts(x, pilot, taps):
-    """The runs of shifts, (start (R,), count (R,)), that hold every shift
-    able to win (see realign_with_pilot), taps nonempty; None when every
-    shift is scored."""
-    n, k = len(x), len(pilot)
-    levels = pilot[taps]
-    peak = int(x.argmax())
-    # exact scores of the shifts peak - taps: accumulate adds along a row in
-    # tap order, as the scoring loop does
-    window = np.take(x, (peak - taps)[:, None] + taps, mode="wrap") * levels
-    floor = np.add.accumulate(window, axis=1)[:, -1].max()
-    if not np.isfinite(floor):
-        return None
-    tau = _hot_level(floor, levels.sum(), k, max(x[peak], -x.min()))
-    if not np.isfinite(tau):  # an infinite sample
-        return None
-    hot = x >= tau
-    # a window of k slots holds a whole block of ceil(k / 2) from slot 0: when
-    # every block holds a hot sample, the runs cover nearly every shift, and
-    # every shift is scored without listing the hot samples, thousands in a
-    # noisy trace
-    if np.logical_or.reduceat(hot, np.arange(0, n, (k + 1) // 2)).all():
-        return None
-    start, count = _window_runs(np.flatnonzero(hot), k)
-    return None if 2 * count.sum() > n else (start, count)
 
 
 def _hot_level(floor, total, k, scale):
@@ -442,7 +391,7 @@ def _best_shifts(rows, first, count, n, k, taps, levels, segments):
     the runs g from their first windows on.  Runs within a factor of two in
     count share a pass of _scores, padded to the longest.  The best score
     wins, ties to the smallest shift mod n, within a run that crosses shift
-    n - 1 and across a row's runs; a NaN score wins, as argmax takes it."""
+    n - 1 and across a row's runs.  The samples must be finite."""
     best, shift = np.empty(len(first)), np.empty(len(first), dtype=int)
     size = np.frexp(count)[1]
     for b in sorted(set(size.tolist())):
@@ -458,7 +407,7 @@ def _best_shifts(rows, first, count, n, k, taps, levels, segments):
         shift[g] = (first[g] + np.where(late[r, i] == best[g], i, j)) % n
     lead = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first run
     top = np.repeat(np.maximum.reduceat(best, lead), np.diff(np.append(lead, len(rows))))
-    return rows[lead], np.minimum.reduceat(np.where((best == top) | np.isnan(best), shift, n), lead)
+    return rows[lead], np.minimum.reduceat(np.where(best == top, shift, n), lead)
 
 
 class _SyncPilot:
@@ -708,17 +657,25 @@ class _SparseTraces:
 
 
 def _pruned_runs(x: _SparseTraces, p: _SyncPilot, offsets):
-    """(ok, shifts): per trial, realign_with_pilot's shift, where its bound
-    and runs argument can be made on the drawn samples (ok), and the runs
-    scored.
+    """(ok, shifts): per trial, realign_with_pilot's shift, where the drawn
+    samples prove it (ok), found by scoring only the shifts that can win.
 
     In synced slots, the window starting at slot w is shift w + offset's.
-    The floor is the score of the synced window, shift offset's: a score
-    some shift gets, which is all the bound asks of a floor.  With the bound
-    level above cut, every hot sample is drawn, and only the windows of the
-    runs are read, from the head where they lie in it, and scored, by
-    realign_with_pilot's _best_shifts.  Every window the bound rules out
-    holds samples under a positive level t only, and a window's score
+    * floor: the exact score of the synced window, shift offset's.  It is
+      a score some shift gets, so the best score is at least the floor.
+    * bound: with levels >= 0, a shift scores at most L = levels.sum()
+      times the largest sample in its k-sample window, plus rounding.  The
+      margin of _hot_level is about 90 times the rounding a k-term sum of
+      products can carry, so a shift whose window holds no sample at or
+      above the level (floor - margin) / L (a hot sample) scores below the
+      floor and cannot win.
+    * runs: the shifts whose windows hold a hot sample, as runs of
+      consecutive shifts (_window_runs), hold every shift that can win,
+      ties included; _best_shifts scores them.
+    A trial is ok when the level is above cut, so every hot sample is
+    drawn, and its runs cover at most half the trace; its runs' windows are
+    read from the head where they lie in it.  Every window the bound rules
+    out holds samples under a positive level t only, and a window's score
     rounds monotonically in its samples, so it stays under
     (1 + (k + 1) 2^-53) L t whatever its negative samples: the strongest
     sample drawn, which is at least the synced window's, scales the

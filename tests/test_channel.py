@@ -135,6 +135,16 @@ class TestNoiseSigmaForSnr:
         with pytest.raises(ValueError):
             noise_sigma_for_snr(0.0, 10.0)
 
+    @pytest.mark.parametrize("snr", [-7000.0, -6300.0, 6200.0, 7000.0])
+    def test_sigma_out_of_float_range_rejected(self, snr):
+        # 10^(snr / 20) underflows to 0 or overflows, or 1 mW over it does
+        with pytest.raises(ValueError, match="no positive finite noise sigma"):
+            noise_sigma_for_snr(1e-3, snr)
+
+    @pytest.mark.parametrize("snr", [-6200.0, 6100.0])
+    def test_sigma_near_the_float_range_kept(self, snr):
+        assert noise_sigma_for_snr(1e-3, snr) == 1e-3 / 10.0 ** (snr / 20.0)
+
 
 class TestRoundTrip:
     def test_invert_recovers_distance(self):

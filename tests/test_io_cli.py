@@ -333,6 +333,28 @@ class TestCli:
             assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["-7000", "-6300", "7000"])
+    def test_snr_without_a_finite_sigma_exits_one_before_work(self, tmp_path, capsys, snr):
+        # 10^(snr / 20) underflows to 0 or overflows, or the reference power
+        # over it does: no noise sigma to draw with, in any command
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {"trials_per_point": 2})
+        for command in ("cdf", "snr-sweep", "sync-test", "scan-demo"):
+            assert main([command, "--config", config, f"--snr={snr}", "--out", str(out)]) == 1
+            assert "no positive finite noise sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snr_is_checked_against_the_runs_own_reference(self, tmp_path, capsys):
+        # at -6240 dB the grid-average power (about 1.4e-5 W) still gives a
+        # finite sigma, the 1 mW pilot on-level of a sync test does not
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {"trials_per_point": 2})
+        assert main(["sync-test", "--config", config, "--snr=-6240", "--out", str(out)]) == 1
+        assert "no positive finite noise sigma" in capsys.readouterr().err
+        assert not out.exists()
+        with np.errstate(over="ignore"):  # noise samples near 1e308 W may overflow to inf
+            assert main(["cdf", "--config", config, "--snr=-6240", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("rx", ["5,0.4,1.2", "0.3,0.4,nan", "0.3,0.4,3"])
     def test_scan_demo_rx_outside_exits_one_before_work(self, tmp_path, capsys, rx):
         out = tmp_path / "out"

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -315,8 +313,8 @@ class TestRealignWithPilot:
     @pytest.mark.parametrize("snr_db", [np.inf, 40.0, 20.0, 10.0, 0.0, -10.0])
     @pytest.mark.parametrize("levels", ["single", "multi"])
     def test_pruned_search_matches_dense_scoring(self, grid, snr_db, levels):
-        # the pruned search returns what scoring every shift returns, on
-        # short and full-grid traces, with the pilot straddling the wrap
+        # the every-shift argmax equals rolled_copies_realign's, on short
+        # and full-grid traces, with the pilot straddling the wrap
         rng = np.random.default_rng(int(snr_db) + 1000 if np.isfinite(snr_db) else 7)
         on = 1e-3
         sigma = 0.0 if np.isinf(snr_db) else on / 10.0 ** (snr_db / 20.0)
@@ -342,11 +340,13 @@ class TestRealignWithPilot:
          "twin-pilots-apart", "first-tap-only", "last-tap-only"],
     )
     def test_pruned_search_matches_dense_scoring_on_edge_traces(self, case):
+        # the every-shift argmax equals rolled_copies_realign's on traces
+        # with ties, NaN, infinities and subnormals
         rng = np.random.default_rng(31)
         pilot = make_pilot(1.0, 16)
         if case.endswith("tap-only"):
-            # one on-tap at either end of the pilot: the winning shift sits at
-            # an end of the run, its window holding the strongest sample first or last
+            # one on-tap at either end of the pilot: the winning window holds
+            # the strongest sample first or last
             pilot = np.zeros(16)
             pilot[0 if case == "first-tap-only" else -1] = 1.0
         n = 1000
@@ -368,14 +368,14 @@ class TestRealignWithPilot:
         elif case == "+-inf":
             x[[300, 310]] = np.inf, -np.inf  # windows holding both score NaN
         elif case == "twin-pilots-across-wrap":
-            # the same pilot at shifts 990 and 3: an exact tie in a run that
-            # wraps past shift n - 1; the smaller shift, after the wrap, wins
+            # the same pilot at shifts 990 and 3, windows across the wrap:
+            # an exact tie; the smaller shift wins
             x = np.zeros(n)
             x[(990 + np.arange(16)) % n] += pilot
             x[3:19] += pilot
         elif case == "twin-pilots-apart":
-            # the same pilot at shifts 990 and 400, each in runs of its own:
-            # an exact tie across runs; the smaller shift wins
+            # the same pilot at shifts 990 and 400: an exact tie; the
+            # smaller shift wins
             x = np.zeros(n)
             x[(990 + np.arange(16)) % n] += pilot
             x[400:416] += pilot
@@ -387,22 +387,6 @@ class TestRealignWithPilot:
             assert got == 3
         if case == "twin-pilots-apart":
             assert got == 400
-
-    def test_pruned_search_allocates_one_trace(self, grid):
-        # at 20 dB the run is a few hundred shifts: no allocation is as large
-        # as the trace (the mask of strong samples takes an eighth of it)
-        rng = np.random.default_rng(20)
-        pilot = make_pilot(1e-3, 64)
-        x = rng.normal(0.0, 1e-4, size=64 + grid.size)
-        x[:64] += pilot
-        trace = np.roll(x, 12_345)
-        tracemalloc.start()
-        try:
-            realign_with_pilot(trace, pilot)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * trace.nbytes
 
     def test_window_runs_match_brute_force_union(self):
         # the runs, taken mod n, are exactly the shifts whose k-slot window
@@ -428,28 +412,53 @@ class TestRealignWithPilot:
                 got = {(a + i) % n for a, c in zip(start[rows == r].tolist(), size[rows == r].tolist()) for i in range(c)}
                 assert got == {(s - i) % n for s in h for i in range(k)}, (case, r)
 
-    def test_prunes_at_10_db(self, grid, monkeypatch):
-        # at a 10 dB pilot the hot samples are a few dozen noise samples
-        # spread over the trace: their windows, not one run covering them
-        # all, are scored, at most half the trace in nearly every call
-        scored = []
-        scores = scan._scores
+    def test_best_shifts_match_brute_force_argmax(self):
+        # _best_shifts, which settles the sparse sync pass's runs, against the
+        # argmax over each row's real shifts, each scored in tap order as
+        # _scores adds.  Row 0: runs of 20 and 30 shifts in one size group,
+        # whose padding cells would win if scored.  Row 1: the same pilot at
+        # shifts n - 3 and 2, an exact tie inside a run that crosses shift
+        # n - 1.  Row 2: the same pilot at shifts 40 and 10, an exact tie
+        # across two runs, the later shift's run listed first.
+        n, k = 200, 4
+        pilot = np.array([1.0, 0.0, 0.5, 2.0])  # the last tap on: a padded window reaches past the run
+        taps = np.flatnonzero(pilot)
+        traces = np.random.default_rng(52).normal(0.0, 0.01, size=(3, n))
+        traces[0, 70:74] += pilot
+        traces[1:] = 0.0
+        for row, at in ((1, n - 3), (1, 2), (2, 40), (2, 10)):
+            traces[row, (at + np.arange(k)) % n] = pilot
+        rows = np.array([0, 0, 1, 2, 2])
+        first = np.array([100, 60, n - 5, 35, 0])
+        count = np.array([20, 30, 12, 9, 40])
 
-        def counting(seg, taps, levels, count):
-            scored[-1] += len(seg) * count
-            return scores(seg, taps, levels, count)
+        def segments(g, width):  # past a run's own samples, cells that win if scored
+            cols = np.arange(width)
+            seg = np.full((len(g), width), 1e3)
+            own = cols < (count[g] + k - 1)[:, None]
+            at = (first[g, None] + cols) % n
+            seg[own] = traces[np.broadcast_to(rows[g, None], own.shape)[own], at[own]]
+            return seg
 
-        monkeypatch.setattr(scan, "_scores", counting)
-        rng = np.random.default_rng(10)
-        pilot = make_pilot(1e-3, 64)
-        n = 64 + grid.size
-        for _ in range(200):
-            x = rng.normal(0.0, 1e-3 / 10.0 ** 0.5, size=n)
-            x[:64] += pilot
-            x = np.roll(x, int(rng.integers(0, n)))
-            scored.append(0)
-            assert realign_with_pilot(x, pilot) == rolled_copies_realign(x, pilot)
-        assert np.mean(2 * np.array(scored) <= n) >= 0.95
+        def score(x, s):
+            total = None
+            for i in taps.tolist():
+                term = pilot[i] * x[(s + i) % n]
+                total = term if total is None else total + term
+            return total
+
+        want = {}
+        for r, a, c in zip(rows.tolist(), first.tolist(), count.tolist()):
+            for s in ((a + np.arange(c)) % n).tolist():
+                best = want.get(r)
+                value = score(traces[r], s)
+                if best is None or value > best[0] or (value == best[0] and s < best[1]):
+                    want[r] = (value, s)
+        assert score(traces[1], n - 3) == score(traces[1], 2) == want[1][0]
+        assert score(traces[2], 40) == score(traces[2], 10) == want[2][0]
+        got_rows, got = scan._best_shifts(rows, first, count, n, k, taps, pilot[taps], segments)
+        assert got_rows.tolist() == [0, 1, 2]
+        assert got.tolist() == [want[r][1] for r in range(3)] == [70, 2, 10]
 
     def test_negative_pilot_level_rejected(self):
         with pytest.raises(ValueError):
