@@ -210,14 +210,26 @@ def reference_peak_power(cfg: ExperimentConfig) -> float:
     return float(np.mean(received_power_on_axis(dists, 1.0, cfg.channel)))
 
 
+# the largest noise sigma a run admits.  Every normal a run draws is below 10
+# in magnitude (Box-Muller on uniforms >= 2^-53 at most 8.57, noise_max over
+# up to 2^20 slots under 10, an exceedance under 8.4), and locate multiplies a
+# peak by pi: under this sigma no sample or product overflows
+_SIGMA_MAX_W = np.finfo(float).max / 64
+
+
 def _noise_sigmas(reference_w: float, snrs) -> list[float]:
     """Each snr's noise sigma against the run's reference power, taken before
-    any sweep: a finite snr that gives no positive finite sigma is a
-    ConfigError."""
+    any sweep: a finite snr that gives no positive finite sigma, or one above
+    _SIGMA_MAX_W, is a ConfigError."""
     try:
-        return [noise_sigma_for_snr(reference_w, snr) for snr in snrs]
+        sigmas = [noise_sigma_for_snr(reference_w, snr) for snr in snrs]
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    for snr, sigma in zip(snrs, sigmas):
+        if sigma > _SIGMA_MAX_W:
+            raise ConfigError(f"snr {snr:g} dB gives a noise sigma of {sigma:.6g} W against a reference of "
+                              f"{reference_w:.6g} W, above the largest a run admits ({_SIGMA_MAX_W:.6g} W)")
+    return sigmas
 
 
 def compute_cdf(samples) -> tuple[np.ndarray, np.ndarray]:

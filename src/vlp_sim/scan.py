@@ -524,31 +524,24 @@ def _exceedances(p: _SyncPilot, draws, rows):
     Bernoulli(q) process over the ranks 0 .. n - len(head) - 1, slot
     p.first + rank, whose j-th rank reads block _SLOT_BLOCK + 2 ceil(n / 2) + j: the
     gap to it from the one before, floor(log u / log1p(-q)), and its value,
-    -Phi^-1(q u').  Returns (slots (R, M), z (R, M)), slots padded with n,
-    z with -inf.  A slot that carries signal is drawn exactly instead."""
+    -Phi^-1(q u').  Returns (i, slots, z) (F,), i each hit's index into rows,
+    a row's hits in rank order.  A slot that carries signal is drawn exactly instead."""
     rest = p.n - p.first - p.pad
     chunk = int(p.q * rest + 4.0 * np.sqrt(p.q * rest)) + 2  # blocks per row at a time: one pass nearly always
     last = np.full(len(rows), -1.0)
-    ranks, values = [], []
+    i, ranks, values = [], [], []
     todo = np.arange(len(rows))
     while len(todo):
-        u = draws.uniforms(rows[todo], _SLOT_BLOCK + 2 * p.blocks + len(ranks) * chunk + np.arange(chunk))
+        u = draws.uniforms(rows[todo], _SLOT_BLOCK + 2 * p.blocks + len(i) * chunk + np.arange(chunk))
         at = last[todo, None] + np.cumsum(np.floor(np.log(u[..., 0]) / np.log1p(-p.q)) + 1.0, axis=1)
-        r = np.full((len(rows), chunk), float(rest))
-        r[todo] = np.minimum(at, rest)
-        v = np.ones((len(rows), chunk))
-        v[todo] = u[..., 1]
-        ranks.append(r)
-        values.append(v)
+        r, c = np.nonzero(at < rest)
+        i.append(todo[r])
+        ranks.append(at[r, c])
+        values.append(u[r, c, 1])
         last[todo] = at[:, -1]
         todo = todo[at[:, -1] < rest]
-    ranks, values = np.concatenate(ranks, axis=1), np.concatenate(values, axis=1)
-    width = int((ranks < rest).sum(axis=1).max(initial=0))
-    ranks, values = ranks[:, :width].astype(int), values[:, :width]
-    hit = ranks < rest
-    z = np.full(ranks.shape, -np.inf)
-    z[hit] = -_normal_quantile(p.q * values[hit])
-    return np.where(hit, p.first + ranks, p.n), z
+    i, ranks, values = map(np.concatenate, (i, ranks, values))
+    return i, p.first + ranks.astype(int), -_normal_quantile(p.q * values)
 
 
 def _support_slots(grid, cells, k):
@@ -611,12 +604,11 @@ class _SparseTraces:
             # slots at or above tau, but for those that carry signal
             head += sigma_w * _slot_normals(draws, np.arange(count), p.head_slots)
             values += sigma_w * _slot_normals(draws, rows, slots[:, None])[:, 0]
-            hot, z = _exceedances(p, draws, np.arange(count))
-            r, c = np.nonzero(hot < n)
-            keep = ~_member(np.sort(rows * n + slots), r * n + hot[r, c])
+            r, hot, z = _exceedances(p, draws, np.arange(count))
+            keep = ~_member(np.sort(rows * n + slots), r * n + hot)
             rows = np.concatenate((rows, r[keep]))
-            slots = np.concatenate((slots, hot[r, c][keep]))
-            values = np.concatenate((values, sigma_w * z[r, c][keep]))
+            slots = np.concatenate((slots, hot[keep]))
+            values = np.concatenate((values, sigma_w * z[keep]))
         self.head = head
         order = np.argsort(rows * n + slots)
         self.keys, self.extra = (rows * n + slots)[order], values[order]
@@ -752,9 +744,9 @@ def _philox_trace(plan, p: _SyncPilot, cells, power, sigma_w, draws, t):
     exact[p.head_slots] = exact[support] = True
     noise = np.flatnonzero(~exact)
     z[noise] = _below_tau(p, draws, np.full(len(noise), t), noise, z[noise])
-    hot, z_hot = _exceedances(p, draws, np.array([t]))
-    hit = (hot < p.n) & ~exact[np.minimum(hot, p.n - 1)]
-    z[hot[hit]] = z_hot[hit]
+    _, hot, z_hot = _exceedances(p, draws, np.array([t]))
+    keep = ~exact[hot]
+    z[hot[keep]] = z_hot[keep]
     return sigma_w * z + signal
 
 

@@ -478,6 +478,28 @@ class TestSyncTrialCompletion:
             np.testing.assert_array_equal(trace.peaks[:, t], peaks, err_msg=str(t))
             np.testing.assert_array_equal(trace.beams[:, t], beams, err_msg=str(t))
 
+    @pytest.mark.parametrize("snr", [float("inf"), 20.0])
+    def test_pilot_too_long_to_prune_completes_every_trial(self, monkeypatch, snr):
+        # a 1,024-slot pilot on a 10 degree grid: n = 1,348 < 2k - 2, so runs
+        # of windows would overlap and the sparse pass settles no trial; each
+        # one completes its own trace from its own counters
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=10.0, elevation_step_deg=10.0, pilot_len=1024,
+                               trials_per_point=50, master_seed=7, snr_list_db=(snr,))
+        plan, pilot, sigma, _, cells, power, offsets, draws = _sync_inputs(cfg)
+        assert plan._sync_pilot.n < 2 * cfg.pilot_len - 2
+        assert sigma <= plan._sync_pilot.sigma_sparse  # the sparse band
+        full_draws = _count_full_draws(monkeypatch)
+        shifts = _record_shifts(monkeypatch)
+        trace = run_scan(plan, cells, power, sigma, draws, offset_steps=offsets)
+        assert full_draws == offsets.tolist()  # every trial, in order
+        monkeypatch.undo()
+        for t, offset in enumerate(offsets.tolist()):
+            completed = scan._philox_trace(plan, plan._sync_pilot, cells[t], power[t], sigma, draws, t)
+            peaks, beams, shift = _dense_sync(completed, pilot, offset)
+            assert shift == shifts[-1][t], t
+            np.testing.assert_array_equal(trace.peaks[:, t], peaks, err_msg=str(t))
+            np.testing.assert_array_equal(trace.beams[:, t], beams, err_msg=str(t))
+
     @pytest.mark.parametrize("tap", [0, 63])
     def test_one_tap_pilot_agrees(self, monkeypatch, tap):
         # with one on-tap, the first or the last, the winning shift is the
@@ -524,9 +546,10 @@ class TestSyncTrialCompletion:
                                master_seed=5, snr_list_db=(20.0,))
         plan, _, sigma, _, cells, power, _, draws = _sync_inputs(cfg)
         p = plan._sync_pilot
-        hot, _ = scan._exceedances(p, draws, np.arange(cfg.trials))
+        i, hot, _ = scan._exceedances(p, draws, np.arange(cfg.trials))
+        hot = set(zip(i.tolist(), hot.tolist()))
         rows, slots = scan._support_slots(plan.grid, cells, p.k)
-        met = sorted({t for t, s in zip(rows.tolist(), slots.tolist()) if s in hot[t]})
+        met = sorted({t for t, s in zip(rows.tolist(), slots.tolist()) if (t, s) in hot})
         assert met  # about 4 of the 1,000 trials
         x = scan._SparseTraces(p, plan.grid, cells, power, sigma, draws)
         for t in met:

@@ -344,16 +344,28 @@ class TestCli:
             assert "no positive finite noise sigma" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_snr_is_checked_against_the_runs_own_reference(self, tmp_path, capsys):
-        # at -6240 dB the grid-average power (about 1.4e-5 W) still gives a
-        # finite sigma, the 1 mW pilot on-level of a sync test does not
+    def test_snr_whose_noise_overflows_exits_one_before_work(self, tmp_path, capsys):
+        # at -6240 dB the grid-average power (about 1.4e-5 W) gives a finite
+        # sigma of about 1.4e307 W, whose peaks overflow the range inversion;
+        # the sync test's 1 mW reference gives no finite sigma at all
         out = tmp_path / "out"
         config = write_tiny_config(tmp_path, {"trials_per_point": 2})
-        assert main(["sync-test", "--config", config, "--snr=-6240", "--out", str(out)]) == 1
-        assert "no positive finite noise sigma" in capsys.readouterr().err
+        for command in ("cdf", "snr-sweep", "sync-test", "scan-demo"):
+            assert main([command, "--config", config, "--snr=-6240", "--out", str(out)]) == 1
+            assert "error: snr -6240 dB gives" in capsys.readouterr().err
         assert not out.exists()
-        with np.errstate(over="ignore"):  # noise samples near 1e308 W may overflow to inf
-            assert main(["cdf", "--config", config, "--snr=-6240", "--out", str(out)]) == 0
+
+    def test_snr_is_checked_against_the_runs_own_reference(self, tmp_path, capsys):
+        # at -6200 dB the grid-average power (about 1.4e-5 W) gives a sigma
+        # a run admits, the 1 mW pilot on-level of a sync test does not; the
+        # grid runs raise no warning, which the suite makes an error
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {"trials_per_point": 2})
+        assert main(["sync-test", "--config", config, "--snr=-6200", "--out", str(out)]) == 1
+        assert "above the largest a run admits" in capsys.readouterr().err
+        assert not out.exists()
+        for command in ("cdf", "snr-sweep"):
+            assert main([command, "--config", config, "--snr=-6200", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("rx", ["5,0.4,1.2", "0.3,0.4,nan", "0.3,0.4,3"])
     def test_scan_demo_rx_outside_exits_one_before_work(self, tmp_path, capsys, rx):
