@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         metavar="N",
-        help="accepted for replay; runs are single-threaded",
+        help="ignored: runs are single-threaded",
     )
 
     parser = _Parser(prog="vlp-sim", description=__doc__)
@@ -109,7 +109,6 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "orientation_mode": args.orientation,
             "snr_db": _parse_snr_list(args.snr),
-            "threads": args.threads,
             "mode": args.command if args.command in _RUNNERS else None,
         }
         resolved, applied_defaults = load_config(args.config, overrides)

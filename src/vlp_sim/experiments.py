@@ -1,13 +1,13 @@
-"""Monte Carlo harness: the grid run, the dense scan trial and the sync
-run; cdf / snr-sweep / sync-test / scan-demo.  A grid pass runs every
+"""Monte Carlo harness: the grid run, the sync run and the scan-demo
+trial; cdf / snr-sweep / sync-test / scan-demo.  A grid pass runs every
 trial at every grid point for one (orientation mode, SNR); cdf is the
 single pass (0, 0), snr-sweep one pass per pair.  A grid run sweeps all its
 passes' rows as one array pass, GRID_BLOCK_ROWS rows at a time.  A sync
 run sweeps every trial of one SNR in one run_scan call.  Every caller
 composes scan.support (the geometry), a sweep and estimator.locate (the
 fix): a grid pass and a sync run sweep with scan.run_scan, which yields
-their peaks directly, and the dense trial (scan_trial) records its trace
-with scan.dense_trace and takes its peak with estimator.peak.
+their peaks directly, and the scan-demo trial records its trace with
+scan.dense_trace and takes its peak with estimator.peak.
 
 Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
@@ -263,21 +263,6 @@ def percentile(samples, q: float) -> float:
     return float(x[j] - d * (1 - t) if t >= 0.5 else x[i] + d * t)
 
 
-def scan_trial(
-    cfg: ExperimentConfig, plan: ScanPlan, rx: ReceiverState, sigma: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One dense fix of receiver rx: take its support, sweep once with noise
-    from rng (its only draws), then peak and locate.
-
-    Returns (trace, position, status).  The peak is taken over the slots
-    after the pilot, and locate flags it when it falls under the low-signal
-    threshold for this sigma.
-    """
-    cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
-    trace = dense_trace(plan, cells, power, sigma, rng)
-    return trace, *locate(cfg.room.emitter_pos, *peak(trace[plan.pilot_len :]), plan.grid, cfg.channel, sigma)
-
-
 def row_prefix(cfg: ExperimentConfig, rows, n_points: int = 1, n_modes: int = 1) -> np.ndarray:
     """The (len(rows), 3) Philox counter prefixes of a run's rows, n_points
     points of cfg.trials trials a pass and n_modes orientation modes (the
@@ -471,11 +456,14 @@ def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, np.ndarray, n
 
     Uses the config's one snr value, anchored like a grid pass, and the
     configured pilot.  Returns (plan, trace, position, status), the trace
-    every slot's sample, pilot first.
+    every slot's sample, pilot first; the peak is taken over the slots after
+    the pilot, and locate flags it when it falls under the low-signal
+    threshold for this sigma.
     """
     [sigma] = _noise_sigmas(reference_peak_power(cfg), cfg.snr_list_db[:1])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
     normal = receiver_normals(cfg.orientation, uniforms(cfg.master_seed, row_prefix(cfg, [0]), 3)[0] - 0.5)
-    rx = ReceiverState(point, normal, cfg.fov_deg)
-    return plan, *scan_trial(cfg, plan, rx, sigma, np.random.default_rng((cfg.master_seed,)))
+    cells, power = support(grid, cfg.room, ReceiverState(point, normal, cfg.fov_deg), cfg.channel)
+    trace = dense_trace(plan, cells, power, sigma, np.random.default_rng((cfg.master_seed,)))
+    return plan, trace, *locate(cfg.room.emitter_pos, *peak(trace[plan.pilot_len :]), grid, cfg.channel, sigma)

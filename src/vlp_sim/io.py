@@ -4,7 +4,9 @@ Config files are flat JSON with units spelled out in the key names
 (wavelength_nm, pd_area_cm2, ...), matching the units people quote for this
 kind of hardware; everything converts to SI at parse time.  Unknown keys are
 rejected rather than silently ignored, and every key that fell back to its
-default is echoed in the output metadata.
+default is echoed in the output metadata.  Every key changes the run, so
+the pre-0.4 keys that drove nothing (threads, dwell_time_s, bandwidth_ghz,
+noise_variance_w_hz) are unknown keys.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from .scan import DEFAULT_PILOT_LEN
 CONFIG_DEFAULTS: dict = {
     "mode": "cdf",
     "seed": 0,
-    # accepted so earlier runs' configs and command lines replay; runs are
-    # single-threaded and no output depends on it
-    "threads": 1,
     "room_width_m": 1.0,
     "room_depth_m": 1.0,
     "room_height_m": 3.0,
@@ -35,15 +34,9 @@ CONFIG_DEFAULTS: dict = {
     "wavelength_nm": 950.0,
     "beam_waist_um": 5.9,
     "pd_area_cm2": 1.0,
-    # accepted so configs echoed by older runs replay; every SNR is anchored
-    # to a received power, so no output depends on them
-    "noise_variance_w_hz": 5e-14,
-    "bandwidth_ghz": 2.0,
     "fov_deg": 120.0,
     "azimuth_step_deg": 1.0,
     "elevation_step_deg": 1.0,
-    # accepted so configs echoed by older runs replay; no output depends on it
-    "dwell_time_s": 3e-5,
     "pilot_length": DEFAULT_PILOT_LEN,
     "grid_spacing_m": 0.1,
     "h_min_m": 0.0,
@@ -67,7 +60,7 @@ CONFIG_DEFAULTS: dict = {
 _ORIENTATION_ALIASES = {"random": "random-euler"}
 
 # counts and seeds: a fractional value is a mistake, never a request to truncate
-_INTEGER_KEYS = ("seed", "threads", "trials_per_point", "pilot_length")
+_INTEGER_KEYS = ("seed", "trials_per_point", "pilot_length")
 
 
 def load_config(path=None, overrides: dict | None = None) -> tuple[dict, list[str]]:
@@ -138,14 +131,6 @@ def _normalize(cfg: dict) -> dict:
             raise ConfigError(f"config key {key} must be finite, got {value!r}")
         if key in _INTEGER_KEYS and value != int(value):
             raise ConfigError(f"config key {key} must be an integer, got {value!r}")
-    if cfg["dwell_time_s"] <= 0.0:
-        raise ConfigError("dwell_time_s must be positive")
-    if cfg["bandwidth_ghz"] <= 0.0:
-        raise ConfigError("bandwidth_ghz must be positive")
-    if cfg["noise_variance_w_hz"] < 0.0:
-        raise ConfigError("noise_variance_w_hz must be nonnegative")
-    if cfg["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
     return cfg
 
 

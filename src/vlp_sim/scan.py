@@ -739,7 +739,7 @@ def _philox_trace(plan, p: _SyncPilot, cells, power, sigma_w, draws, t):
     signal[support] += power
     if sigma_w == 0.0:
         return signal
-    z = _slot_normals(draws, np.array([t]), np.arange(p.n))[0]
+    z = _box_muller(draws.uniforms(np.array([t]), _SLOT_BLOCK + np.arange(p.blocks)).reshape(1, -1))[0, : p.n]
     exact = np.zeros(p.n, dtype=bool)
     exact[p.head_slots] = exact[support] = True
     noise = np.flatnonzero(~exact)

@@ -24,11 +24,9 @@ from vlp_sim.experiments import (
     run_snr_sweep,
     run_sync_test,
     sample_positions,
-    scan_trial,
 )
 from vlp_sim.channel import ChannelParams, noise_sigma_for_snr
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid, incidence_cosine
-from vlp_sim.io import build_experiment, load_config
 from vlp_sim.orientation import LaplaceParams, receiver_normals
 from vlp_sim.scan import (
     PEAK_UNIFORMS,
@@ -254,15 +252,6 @@ class TestRunCdfExperiment:
         b = run_cdf_experiment(cfg)
         for key in ("cdf_3d", "cdf_x", "cdf_y", "cdf_z"):
             np.testing.assert_array_equal(a.aggregates[key], b.aggregates[key])
-
-    def test_threads_do_not_change_results(self):
-        # the threads key is still accepted for replay; runs are sequential
-        base = dict(mode="cdf", seed=5, snr_db=[40.0], **SMALL)
-        cfg1, cfg4 = (build_experiment(load_config(overrides={**base, "threads": n})[0]) for n in (1, 4))
-        np.testing.assert_array_equal(
-            run_cdf_experiment(cfg1).aggregates["cdf_3d"],
-            run_cdf_experiment(cfg4).aggregates["cdf_3d"],
-        )
 
     def test_fixed_orientation_has_zero_outage(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=1, snr_list_db=(40.0,), **SMALL)
@@ -720,7 +709,9 @@ def _dense_grid_trials(seed, snr, mode, trials):
         for trial in range(trials):
             rng = np.random.default_rng((seed, i, trial))
             rx = ReceiverState(point, receiver_normals(ori, rng.uniform(-0.5, 0.5, m)), cfg.fov_deg)
-            _, est, code = scan_trial(cfg, plan, rx, sigma, rng)
+            cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
+            trace = dense_trace(plan, cells, power, sigma, rng)
+            est, code = locate(cfg.room.emitter_pos, *peak(trace), plan.grid, cfg.channel, sigma)
             errs.append(position_error(point, est).total_m)
             status.append(code)
     return {"err_3d": np.array(errs), "status": np.array(status)}
@@ -903,10 +894,10 @@ class TestBenchmarkContract:
         "cdf-fixed/cdf_x.csv": "8a8913d4996f3af9fae96fb695dc9c8c2feb75d7a99deb06adaaab96f3679d08",
         "cdf-fixed/cdf_y.csv": "6e3e7d9ba5e1f77af162b836d1749550beb58860fc5fa994233faca281fb4fb2",
         "cdf-fixed/cdf_z.csv": "d732658b36801816cc692d33b8b36fe7cf77a130dfbeea5ad4b6b785a7cf67f8",
-        "cdf-fixed/meta.json": "2fd0722810ab692cb51c4c52ae25df99d2e2e568a9e25c5f92771b0decf6a4ee",
+        "cdf-fixed/meta.json": "05246d4454530fa085a557d32fad5698407052b1c113b7dd816a9c794c6ec559",
         "sweep-random/mean_error_vs_snr.csv": "b6e392eee7772a11b7d357e2ff509c239bf809abca2d8f67b221345eedc68cb3",
-        "sweep-random/meta.json": "a51e50adc5ca0cc99a8b2f4ba7b698acb1d1a1fcd96819d9e007715d4ded7a06",
-        "sync-pilot/meta.json": "84010efb4d69c96e37096bfee6eadad4ef9d5e7c1bb346525b9dd254626c97ce",
+        "sweep-random/meta.json": "58ce94ae8b67ccb1ea5259c6a4bda48deadab10c8afe8d67ce0d05c9fc84aada",
+        "sync-pilot/meta.json": "5fd0236b6315e8c29bad482b0cd413c1df9070157fa7322b53915ee424930e91",
         "sync-pilot/sync_test.csv": "787e3f302307171393c65c94da42552db12d2b822ddeb727aa789b052977741f",
     }
 

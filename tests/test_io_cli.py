@@ -29,8 +29,8 @@ TWO_MODES = {"orientation_modes": ["fixed", "random-euler"]}
 
 CDF_FILES = ("cdf_3d.csv", "cdf_x.csv", "cdf_y.csv", "cdf_z.csv")
 
-# accepted so older configs replay; no output depends on them
-REPLAY_ONLY_KEYS = {"threads", "dwell_time_s", "noise_variance_w_hz", "bandwidth_ghz"}
+# keys of pre-0.4 configs that drove no output, with their old defaults
+RETIRED_KEYS = {"threads": 1, "dwell_time_s": 3e-5, "bandwidth_ghz": 2.0, "noise_variance_w_hz": 5e-14}
 
 # a valid non-default value per config key; numeric keys not listed get default + 1
 OTHER_VALUES = {
@@ -108,7 +108,8 @@ class TestBuildExperiment:
         assert cfg.channel.pd_area_m2 == pytest.approx(1e-4)
         assert cfg.room.height_m == 3.0
 
-    def test_only_replay_keys_leave_the_run_unchanged(self):
+    def test_every_key_changes_the_run(self):
+        # a key that no code reads is a knob that does nothing
         def build(overrides):
             return build_experiment(load_config(None, overrides)[0])
 
@@ -118,7 +119,7 @@ class TestBuildExperiment:
             key for key in CONFIG_DEFAULTS
             if build({**context[key], key: other_value(key)}) == build(context[key])
         }
-        assert unchanged == REPLAY_ONLY_KEYS
+        assert unchanged == set()
 
     def test_cli_defaults_are_the_experiment_defaults(self):
         # the acceptance suite builds ExperimentConfig(); the CLI builds from CONFIG_DEFAULTS
@@ -471,10 +472,11 @@ class TestCli:
 
     def test_noiseless_snr_and_integral_floats_accepted(self, tmp_path):
         out = tmp_path / "out"
-        extra = {"snr_db": [float("inf")], "seed": 5.0, "dwell_time_s": 1.0}
+        extra = {"snr_db": [float("inf")], "seed": 5.0, "room_height_m": 4.0}
         assert main(["cdf", "--config", write_tiny_config(tmp_path, extra), "--out", str(out)]) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["run"]["master_seed"] == 5
+        assert meta["config"]["room_height_m"] == 4.0
 
     def test_runtime_error_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -484,18 +486,48 @@ class TestCli:
         assert code == 2
         assert "runtime error" in capsys.readouterr().err
 
-    def test_threads_flag_echoed_in_meta(self, tmp_path):
-        # replay-only keys and --threads: echoed in meta.json, no effect on the results
-        def run(name, extra, *flags):
-            out = tmp_path / name
-            assert main(["cdf", "--config", write_tiny_config(tmp_path, extra), *flags, "--out", str(out)]) == 0
-            return out
+    def test_threads_flag_is_ignored(self, tmp_path):
+        # --threads is still accepted, but no config key takes it and no output shows it
+        config = write_tiny_config(tmp_path)
+        outs = {}
+        for name, flags in (("base", []), ("flag", ["--threads", "3"])):
+            outs[name] = tmp_path / name
+            assert main(["cdf", "--config", config, *flags, "--out", str(outs[name])]) == 0
+        for name in CDF_FILES:
+            assert (outs["flag"] / name).read_bytes() == (outs["base"] / name).read_bytes(), name
+        meta = (outs["flag"] / "meta.json").read_text()
+        assert "threads" not in meta
 
-        base = run("base", {})
-        outs = {key: run(key, {key: other_value(key)}) for key in sorted(REPLAY_ONLY_KEYS)}
-        outs["--threads"] = run("flag", {}, "--threads", "3")
-        meta = json.loads((outs["--threads"] / "meta.json").read_text())
-        assert meta["config"]["threads"] == 3
-        for key, out in outs.items():
-            for name in CDF_FILES:
-                assert (out / name).read_bytes() == (base / name).read_bytes(), (key, name)
+    @pytest.mark.parametrize("key", sorted(RETIRED_KEYS))
+    def test_retired_key_exits_one_before_work(self, tmp_path, capsys, key):
+        # even at its old default: the key drove nothing, so a config holding it is stale
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {key: RETIRED_KEYS[key], "trials_per_point": 2})
+        for command in ("cdf", "snr-sweep", "sync-test", "scan-demo"):
+            assert main([command, "--config", config, "--out", str(out)]) == 1
+            assert f"error: unknown config keys: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["cdf", "--seed", "4"], None),
+        (["snr-sweep", "--snr", "inf,20,40", "--seed", "5"], TWO_MODES),
+        (["sync-test", "--snr", "inf,20", "--seed", "6"], {"trials_per_point": 50}),
+    ], ids=["cdf", "snr-sweep-two-modes", "sync-test"])
+    def test_meta_config_replays_every_output(self, tmp_path, argv, extra):
+        # a run's meta.json config, given back as --config, reruns it byte for byte
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([*argv, "--config", write_tiny_config(tmp_path, extra), "--out", str(first)]) == 0
+        meta = json.loads((first / "meta.json").read_text())
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(meta["config"]))
+        assert main([argv[0], "--config", str(replay), "--out", str(again)]) == 0
+        assert sorted(p.name for p in again.iterdir()) == sorted(p.name for p in first.iterdir())
+        for path in first.glob("*.csv"):
+            assert (again / path.name).read_bytes() == path.read_bytes(), path.name
+        replayed = json.loads((again / "meta.json").read_text())
+        # the replay file gives every key, so none falls back to its default
+        assert replayed.pop("applied_defaults") == []
+        for m in (meta, replayed):
+            m.pop("wall_time_s")
+        meta.pop("applied_defaults")
+        assert replayed == meta
