@@ -329,7 +329,6 @@ def _grid_block(cfg, plan, points, orientations, sigmas, lo, hi):
     for m, rows in by_mode.items():
         normals[rows] = receiver_normals(orientations[m], u[rows, :3] - 0.5)
     rx = ReceiverState(positions, normals, cfg.fov_deg)
-    del prefix, mode_of, normals  # support's temporaries set the block's peak memory
     cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
     peaks, beams, sigma = np.empty(hi - lo), np.empty(hi - lo, dtype=int), np.empty(hi - lo)
     for s in range(snr_of[0], snr_of[-1] + 1):

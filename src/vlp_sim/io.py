@@ -18,9 +18,9 @@ from pathlib import Path
 
 from . import __version__
 from .channel import ChannelParams
-from .experiments import EXPERIMENT_MODES, ConfigError, ExperimentConfig, RunResult
+from .experiments import ConfigError, ExperimentConfig, RunResult
 from .geometry import BeamGrid, Room
-from .orientation import ORIENTATION_MODES, LaplaceParams, OrientationConfig
+from .orientation import LaplaceParams, OrientationConfig
 from .scan import DEFAULT_PILOT_LEN
 
 
@@ -102,23 +102,16 @@ def _normalize(cfg: dict) -> dict:
     if not isinstance(mode, str):
         raise ConfigError(f"orientation_mode must be a string, got {mode!r}")
     cfg["orientation_mode"] = _ORIENTATION_ALIASES.get(mode, mode)
-    if cfg["orientation_mode"] not in ORIENTATION_MODES:
-        raise ConfigError(f"orientation_mode must be one of {ORIENTATION_MODES} (or 'random')")
     if modes is not None:
         if not (isinstance(modes, list) and modes and all(isinstance(m, str) for m in modes)):
             raise ConfigError(f"orientation_modes must be a nonempty list of strings, got {modes!r}")
         cfg["orientation_modes"] = [_ORIENTATION_ALIASES.get(m, m) for m in modes]
-    if cfg["mode"] not in EXPERIMENT_MODES:
-        raise ConfigError(f"mode must be one of {EXPERIMENT_MODES}")
     snr = cfg["snr_db"]
     if snr is None:
         raise ConfigError("snr_db must be set; use Infinity for a noiseless run")
     values = snr if isinstance(snr, list) else [snr]
     if not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in values):
         raise ConfigError(f"snr_db must be a number or list of numbers, got {snr!r}")
-    # +inf means noiseless; NaN and -inf give no noise level
-    if any(math.isnan(s) or s == -math.inf for s in values):
-        raise ConfigError(f"snr_db values must be finite or +Infinity, got {snr!r}")
     cfg["snr_db"] = [float(s) for s in values]
     for key, value in cfg.items():
         if key in ("mode", "orientation_mode", "orientation_modes", "snr_db"):

@@ -64,8 +64,8 @@ _SUBNORMAL = np.finfo(float).smallest_subnormal
 # and its slot (4, 5), the nadir ring's maximum and its slot (6, 7)
 PEAK_UNIFORMS = 8
 
-# candidate rings (and azimuths) of a support cell: the nearest and its two neighbours
-_NEAR = np.array([-1.0, 0.0, 1.0])
+# candidate rings (and azimuths) of a support cell: the two that bracket the direction
+_BRACKET = np.array([0.0, 1.0])
 
 # a sync trial draws the noise-only slots above tau standard deviations up
 # front; tau leaves about this many of them per trace, so the slots each of
@@ -156,9 +156,11 @@ def support(grid: BeamGrid, room: Room, rx: ReceiverState, params: ChannelParams
     """Beam cells that carry signal for each receiver, and the on-axis power they carry.
 
     A cell carries signal when it covers the receiver's direction from the
-    emitter and the arrival lies inside the field of view.  The nadir ring
-    counts as one cell for every azimuth, since all its beams point the same
-    way; it is listed as slot 0 and stands for slots 0 .. n_azimuth - 1.
+    emitter and the arrival lies inside the field of view: of the two rings
+    and two azimuths that bracket the direction, those within half a step
+    (both, on a boundary).  The nadir ring counts as one cell for every
+    azimuth, since all its beams point the same way; it is listed as slot 0
+    and stands for slots 0 .. n_azimuth - 1.
     Returns (cells, power): cells (..., 4) beam slots, ascending, padded with
     grid.size; power (...) in W, zero (with no cells) out of view.  Raises
     ValueError for a receiver outside the room or at the ceiling.
@@ -171,19 +173,17 @@ def support(grid: BeamGrid, room: Room, rx: ReceiverState, params: ChannelParams
     seen = in_fov(cos_psi, rx.fov_deg)
     az, el = (a[:, None] for a in spherical_from_direction(to_rx))
     e_step, a_step, n_az = grid.elevation_step_deg, grid.azimuth_step_deg, grid.n_azimuth
-    ring = np.rint(el / e_step) + _NEAR
-    ring_ok = (ring >= 0) & (ring < grid.n_elevation) & (np.abs(ring * e_step - el) <= 0.5 * e_step)
-    azi = (np.rint(az / a_step) + _NEAR) % n_az
+    ring = np.floor(el / e_step) + _BRACKET
+    ring_ok = (ring < grid.n_elevation) & (np.abs(ring * e_step - el) <= 0.5 * e_step)
+    azi = (np.floor(az / a_step) + _BRACKET) % n_az
     delta = np.abs(azi * a_step - az)
-    azi_ok = np.minimum(delta, 360.0 - delta) <= 0.5 * a_step
-    # (N, 3, 3) candidates, ring by azimuth; the nadir ring is one cell at slot 0
+    azi_ok = (np.minimum(delta, 360.0 - delta) <= 0.5 * a_step) & (_BRACKET < n_az)  # one azimuth: one cell
+    # (N, 2, 2) candidates, ring by azimuth; the nadir ring is one cell at slot 0
     nadir = (ring == 0)[:, :, None]
     slot = np.where(nadir, 0.0, (ring * n_az)[:, :, None] + azi[:, None, :])
-    ok = (ring_ok & seen[:, None])[:, :, None] & (azi_ok[:, None, :] | nadir)
-    cells = np.sort(np.where(ok, slot, grid.size).reshape(-1, 9), axis=1)
-    cells[:, 1:][cells[:, 1:] == cells[:, :-1]] = grid.size  # one entry per cell
-    cells = np.sort(cells, axis=1)[:, :4].astype(int)
-    power = np.where(seen, received_power_on_axis(norm(to_rx), np.where(seen, cos_psi, 0.0), params), 0.0)
+    ok = (ring_ok & seen[:, None])[:, :, None] & np.where(nadir, _BRACKET == 0, azi_ok[:, None, :])
+    cells = np.sort(np.where(ok, slot, grid.size).reshape(-1, 4), axis=1).astype(int)
+    power = received_power_on_axis(norm(to_rx), np.where(seen, cos_psi, 0.0), params)  # +0.0 W out of view
     return cells.reshape(shape + (4,)), power.reshape(shape)
 
 

@@ -287,9 +287,16 @@ class TestCli:
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text('{"no_such_key": 1}')
-        assert main(["cdf", "--config", str(path)]) == 1
-        assert "no_such_key" in capsys.readouterr().err
+        out = tmp_path / "out"
+        for text, message in [
+            ('{"no_such_key": 1}', "no_such_key"),
+            ("seed = 3", "is not valid JSON"),
+            ('[{"seed": 3}]', "must hold a JSON object"),
+        ]:
+            path.write_text(text)
+            assert main(["cdf", "--config", str(path), "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra",
@@ -325,6 +332,7 @@ class TestCli:
             {"snr_db": [20, 30]},
             {"seed": 2**64},
             {"orientation_modes": ["random-euler"]},
+            {"trials_per_point": 0},
         ],
     )
     def test_malformed_number_exits_one_before_work(self, tmp_path, capsys, extra):
@@ -332,6 +340,33 @@ class TestCli:
         for command in ("cdf", "scan-demo"):
             assert main([command, "--config", write_tiny_config(tmp_path, extra), "--out", str(out)]) == 1
             assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparsable_snr_exits_one_before_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["cdf", "--config", write_tiny_config(tmp_path), "--snr", "20,abc", "--out", str(out)]) == 1
+        assert "bad --snr value '20,abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, commands",
+        [
+            ({"mode": "bogus"}, ["scan-demo"]),
+            ({"orientation_mode": "sideways"}, ["cdf", "snr-sweep", "sync-test", "scan-demo"]),
+            ({"mode": "snr-sweep", "orientation_modes": ["sideways"]}, ["snr-sweep", "scan-demo"]),
+        ],
+        ids=["mode", "orientation-mode", "orientation-modes"],
+    )
+    def test_unknown_mode_exits_one_before_work(self, tmp_path, capsys, extra, commands):
+        # the run's dataclasses reject the value; a subcommand that runs a
+        # mode sets it, so only scan-demo reads a config file's mode
+        out = tmp_path / "out"
+        bad = "bogus" if extra.get("mode") == "bogus" else "sideways"
+        config = write_tiny_config(tmp_path, extra)
+        for command in commands:
+            assert main([command, "--config", config, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and repr(bad) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("snr", ["-7000", "-6300", "7000"])
@@ -368,7 +403,7 @@ class TestCli:
         for command in ("cdf", "snr-sweep"):
             assert main([command, "--config", config, "--snr=-6200", "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("rx", ["5,0.4,1.2", "0.3,0.4,nan", "0.3,0.4,3"])
+    @pytest.mark.parametrize("rx", ["5,0.4,1.2", "0.3,0.4,nan", "0.3,0.4,3", "0.5,0.5"])
     def test_scan_demo_rx_outside_exits_one_before_work(self, tmp_path, capsys, rx):
         out = tmp_path / "out"
         code = main(["scan-demo", "--config", write_tiny_config(tmp_path), "--rx", rx, "--out", str(out)])

@@ -3,8 +3,16 @@ import pytest
 from scipy import special, stats
 
 from vlp_sim import scan
-from vlp_sim.channel import ChannelParams
-from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
+from vlp_sim.channel import ChannelParams, received_power_on_axis
+from vlp_sim.geometry import (
+    ReceiverState,
+    Room,
+    build_beam_grid,
+    in_fov,
+    incidence_cosine,
+    norm,
+    spherical_from_direction,
+)
 from vlp_sim.scan import (
     MAX_PILOT_LEN,
     PEAK_UNIFORMS,
@@ -34,6 +42,51 @@ def support_slots(grid, cells):
     if len(cells) and cells[0] == 0:
         return np.concatenate([np.arange(grid.n_azimuth), cells[1:]])
     return cells
+
+
+def enumerated_support(grid, room, positions, normals, params):
+    """support() by enumeration, one receiver (a position and a normal) at a
+    time: every (ring, azimuth) cell within half a step of the receiver's
+    direction, the nadir ring once as slot 0, padded with grid.size; the
+    on-axis power in view and 0.0 out of view."""
+    cells, power = [], []
+    rings = np.arange(grid.n_elevation, dtype=float)
+    azimuths = np.arange(grid.n_azimuth, dtype=float)
+    for pos, normal in zip(positions, normals):
+        one = ReceiverState(pos, normal)
+        cos_psi = incidence_cosine(room.emitter_pos, one)
+        seen = bool(in_fov(cos_psi, one.fov_deg))
+        az, el = spherical_from_direction(pos - room.emitter_pos)
+        delta = np.abs(azimuths * grid.azimuth_step_deg - az)
+        ring_ok = np.abs(rings * grid.elevation_step_deg - el) <= 0.5 * grid.elevation_step_deg
+        azi_ok = np.minimum(delta, 360.0 - delta) <= 0.5 * grid.azimuth_step_deg
+        found = sorted({0 if r == 0 else r * grid.n_azimuth + a
+                        for r in np.flatnonzero(ring_ok) for a in np.flatnonzero(azi_ok)} if seen else ())
+        assert len(found) <= 4
+        cells.append(found + [grid.size] * (4 - len(found)))
+        power.append(received_power_on_axis(norm(pos - room.emitter_pos), cos_psi, params) if seen else 0.0)
+    return np.array(cells), np.array(power, dtype=float)
+
+
+# receivers whose direction from the emitter lies exactly on half-step
+# boundaries: azimuth 45 (dx == dy) with elevation 67.5 and 45, azimuth 0
+# with elevation 16.5, azimuth 0.5 and 359.5, azimuth 45; then the centre
+# column (the nadir ring), azimuths a hair either side of 0, and an
+# elevation within half a step of 90, past the last ring
+BOUNDARY_RECEIVERS = [
+    [0.6707106781186548, 0.6707106781186548, 2.9],
+    [0.999924494298889, 0.999924494298889, 2.293],
+    [0.9887522666874317, 0.5, 1.35],
+    [0.7999885769192469, 0.5026179606495121, 1.0],
+    [0.7999885769192235, 0.4973820393504879, 1.0],
+    [0.7121320343559643, 0.7121320343559643, 1.0],
+    [0.5, 0.5, 0.0],
+    [0.5, 0.5, 2.4],
+    [0.8, 0.5 - 1e-12, 1.0],
+    [0.8, 0.5 + 1e-12, 1.0],
+    [0.2, 0.5 - 1e-12, 2.0],
+    [1.0, 0.6, 2.999],
+]
 
 
 def batch(rx: ReceiverState, n: int) -> ReceiverState:
@@ -143,6 +196,27 @@ class TestSupport:
     def test_out_of_view_is_empty(self, grid):
         cells, power = support(grid, ROOM, ReceiverState([0.2, 0.7, 1.0], [0, 0, -1]), P)
         assert np.all(cells == grid.size) and power == 0.0
+
+    @pytest.mark.parametrize(
+        "steps, most",
+        [((1.0, 1.0), 2), ((2.0, 3.0), 4), ((90.0, 45.0), 2), ((90.0, 30.0), 4), ((360.0, 45.0), 1)],
+        ids=["1x1", "2x3", "90x45", "90x30", "360x45"],
+    )
+    def test_matches_cell_enumeration(self, steps, most):
+        # steps (azimuth, elevation); most is the largest cell count among the
+        # boundary receivers, so the test sees them land on the boundaries
+        g = build_beam_grid(*steps)
+        rng = np.random.default_rng(26)
+        positions = np.vstack([BOUNDARY_RECEIVERS, rng.uniform([0.0, 0.0, 0.0], [1.0, 1.0, 2.9], (500, 3))])
+        normals = np.tile([0.0, 0.0, 1.0], (len(positions), 1))
+        normals[: len(BOUNDARY_RECEIVERS)] = ROOM.emitter_pos - positions[: len(BOUNDARY_RECEIVERS)]  # in view
+        normals[len(BOUNDARY_RECEIVERS) :: 2] = rng.normal(size=(250, 3))  # tilted, some facing away
+        cells, power = support(g, ROOM, ReceiverState(positions, normals), P)
+        want_cells, want_power = enumerated_support(g, ROOM, positions, normals, P)
+        np.testing.assert_array_equal(cells, want_cells)
+        np.testing.assert_array_equal(power.view(np.int64), want_power.view(np.int64))
+        assert (cells[: len(BOUNDARY_RECEIVERS)] < g.size).sum(axis=1).max() == most
+        assert 0 < np.count_nonzero(power == 0.0) < len(power)
 
 
 class TestPeakOnlyScan:
@@ -279,12 +353,20 @@ class TestRealignWithPilot:
             shifted = np.roll(base, offset)
             assert realign_with_pilot(shifted, pilot) == brute_force_best_shift(shifted, pilot)
 
+    def test_trace_shorter_than_pilot_rejected(self):
+        with pytest.raises(ValueError):
+            realign_with_pilot(np.ones(3), np.ones(4))
+
     def test_tie_break_smallest_nonnegative_shift(self):
         # constant trace ties every shift; both routes must pick shift 0
         pilot = np.ones(4)
         trace = np.ones(12)
         assert brute_force_best_shift(trace, pilot) == 0
         assert realign_with_pilot(trace, pilot) == 0
+        # a pilot with no on-bit ties every shift of any trace at 0.0
+        dark, ramp = np.zeros(4), np.arange(12.0)
+        assert brute_force_best_shift(ramp, dark) == 0
+        assert realign_with_pilot(ramp, dark) == 0
 
     def test_noisy_recovery_rate(self):
         # pilot at 20 dB above the noise floor: recovery is essentially certain
@@ -460,9 +542,11 @@ class TestRealignWithPilot:
         assert got_rows.tolist() == [0, 1, 2]
         assert got.tolist() == [want[r][1] for r in range(3)] == [70, 2, 10]
 
-    def test_negative_pilot_level_rejected(self):
+    def test_negative_pilot_level_rejected(self, grid):
         with pytest.raises(ValueError):
             realign_with_pilot(np.ones(10), np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError):
+            ScanPlan(grid, pilot_w=[1.0, -1.0, 1.0])
 
     def test_empty_pilot_rejected(self):
         with pytest.raises(ValueError):
@@ -511,6 +595,8 @@ class TestMakePilot:
         assert len(pilot) == 64
         assert set(np.unique(pilot)) <= {0.0, 2e-3}
         assert pilot.max() == 2e-3
+        with pytest.raises(ValueError):
+            make_pilot(0.0, 8)
 
     def test_sharp_cyclic_autocorrelation(self):
         pilot = make_pilot(1.0, 64)
