@@ -63,7 +63,7 @@ def locate(emitter_pos, peak_w, beam, grid: BeamGrid, params: ChannelParams, noi
     position, flagged the same way.
     """
     power = np.asarray(peak_w, dtype=float)
-    u = grid.directions[beam]
+    u = grid.direction(beam)
     cos_hat = np.minimum(-u[..., 2], 1.0)  # -u . UP
     lit = power > 0.0
     distance, clamped = _invert(np.where(lit, power, 1.0), cos_hat, params)  # 1 W: a stand-in

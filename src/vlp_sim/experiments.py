@@ -204,9 +204,10 @@ def sample_positions(cfg: ExperimentConfig) -> np.ndarray:
     return np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
 
 
-def reference_peak_power(cfg: ExperimentConfig) -> float:
-    """SNR anchor: grid-average noiseless on-axis power for an upright receiver."""
-    dists = np.linalg.norm(sample_positions(cfg) - cfg.room.emitter_pos, axis=1)
+def reference_peak_power(cfg: ExperimentConfig, points) -> float:
+    """SNR anchor: the average noiseless on-axis power for an upright receiver
+    over points, the run's sample_positions."""
+    dists = np.linalg.norm(points - cfg.room.emitter_pos, axis=1)
     return float(np.mean(received_power_on_axis(dists, 1.0, cfg.channel)))
 
 
@@ -280,18 +281,25 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
     (mode, per-sample arrays in point, then trial order: status code, the
     3D and per-axis errors and the outage mask, stats), the stats holding
     snr_db, outage_frac, clamp_frac, n_valid and sigma_w.
+
+    An upright (fixed) receiver's geometry depends on its grid point alone,
+    so with a fixed mode among the passes, support runs once over the points
+    and the blocks gather its rows from that.
     """
-    p_ref = reference_peak_power(cfg)
-    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg))
     points = sample_positions(cfg)
+    p_ref = reference_peak_power(cfg, points)
+    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg))
     orientations = [dataclasses.replace(cfg.orientation, mode=mode) for mode in modes]
     sigmas = _noise_sigmas(p_ref, snrs)
+    upright = None
+    if "fixed" in modes:
+        upright = support(plan.grid, cfg.room, ReceiverState(points, fov_deg=cfg.fov_deg), cfg.channel)
     n = len(points) * cfg.trials
     total = n * len(modes) * len(snrs)
     rec = {}
     for lo in range(0, total, GRID_BLOCK_ROWS):
         hi = min(lo + GRID_BLOCK_ROWS, total)
-        block = _grid_block(cfg, plan, points, orientations, sigmas, lo, hi)
+        block = _grid_block(cfg, plan, points, upright, orientations, sigmas, lo, hi)
         rec = rec or {key: np.empty(total, values.dtype) for key, values in block.items()}
         for key, values in block.items():
             rec[key][lo:hi] = values
@@ -311,9 +319,11 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
     return p_ref, passes
 
 
-def _grid_block(cfg, plan, points, orientations, sigmas, lo, hi):
-    """Rows lo to hi of a grid run: one uniforms, one support, one locate,
-    and a receiver_normals per mode and a run_scan per snr among the rows.
+def _grid_block(cfg, plan, points, upright, orientations, sigmas, lo, hi):
+    """Rows lo to hi of a grid run: one uniforms, one locate, a run_scan per
+    snr among the rows, and their geometry: a fixed row gathers its point's
+    row of upright, support() of every point under an upright receiver, and
+    the other rows take a receiver_normals per mode and one support.
 
     The outage mask holds the receivers out of view: by geometry (no
     support) under a fixed upright receiver, whose low-signal flag stays a
@@ -325,21 +335,26 @@ def _grid_block(cfg, plan, points, orientations, sigmas, lo, hi):
     mode_of, snr_of = prefix[:, 2] >> 16, prefix[:, 2] & 0xFFFF  # snr_of nondecreasing: SNR-major
     # the modes among the rows; np.unique would import numpy.ma (about 20 ms)
     by_mode = {m: mode_of == m for m in np.flatnonzero(np.bincount(mode_of))}
-    normals = np.empty((hi - lo, 3))
+    fixed, normals = np.zeros(hi - lo, dtype=bool), np.empty((hi - lo, 3))
     for m, rows in by_mode.items():
-        normals[rows] = receiver_normals(orientations[m], u[rows, :3] - 0.5)
-    rx = ReceiverState(positions, normals, cfg.fov_deg)
-    cells, power = support(plan.grid, cfg.room, rx, cfg.channel)
+        if orientations[m].mode == "fixed":
+            fixed |= rows
+        else:
+            normals[rows] = receiver_normals(orientations[m], u[rows, :3] - 0.5)
+    cells, power = np.empty((hi - lo, 4), dtype=int), np.empty(hi - lo)
+    if fixed.any():
+        cells[fixed], power[fixed] = (a[prefix[fixed, 0]] for a in upright)
+    if not fixed.all():
+        tilted = ~fixed
+        rx = ReceiverState(positions[tilted], normals[tilted], cfg.fov_deg)
+        cells[tilted], power[tilted] = support(plan.grid, cfg.room, rx, cfg.channel)
     peaks, beams, sigma = np.empty(hi - lo), np.empty(hi - lo, dtype=int), np.empty(hi - lo)
     for s in range(snr_of[0], snr_of[-1] + 1):
         rows = slice(*np.searchsorted(snr_of, (s, s + 1)))
         trace = run_scan(plan, cells[rows], power[rows], sigma_w=sigmas[s], draws=u[rows, 3 : 3 + PEAK_UNIFORMS])
         peaks[rows], beams[rows], sigma[rows] = trace.samples, trace.beams, sigmas[s]
     estimate, status = locate(cfg.room.emitter_pos, peaks, beams, plan.grid, cfg.channel, sigma)
-    excluded = status == STATUS_LOW_SIGNAL
-    for m, rows in by_mode.items():
-        if orientations[m].mode == "fixed":
-            excluded[rows] = power[rows] == 0.0
+    excluded = np.where(fixed, power == 0.0, status == STATUS_LOW_SIGNAL)
     return {
         "status": status,
         **dict(zip(("err_3d", "err_x", "err_y", "err_z"), position_error(positions, estimate))),
@@ -459,7 +474,7 @@ def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, np.ndarray, n
     the pilot, and locate flags it when it falls under the low-signal
     threshold for this sigma.
     """
-    [sigma] = _noise_sigmas(reference_peak_power(cfg), cfg.snr_list_db[:1])
+    [sigma] = _noise_sigmas(reference_peak_power(cfg, sample_positions(cfg)), cfg.snr_list_db[:1])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
     normal = receiver_normals(cfg.orientation, uniforms(cfg.master_seed, row_prefix(cfg, [0]), 3)[0] - 0.5)

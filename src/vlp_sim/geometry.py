@@ -114,10 +114,11 @@ class BeamGrid:
     Beam j = ring * n_azimuth + az_index points at
     (az_index * azimuth_step, ring * elevation_step).  Elevation rings cover
     0 .. 90 - step; the ring at elevation 0 repeats the exact nadir vector
-    for every azimuth, so the beam count stays n_azimuth * n_elevation.
+    for every azimuth, so the beam count stays n_azimuth * n_elevation.  A
+    beam's direction is a closed form of its index (direction), so the grid
+    holds only its two steps.
     """
 
-    directions: np.ndarray  # (M, 3) unit vectors
     azimuth_step_deg: float
     elevation_step_deg: float
 
@@ -131,12 +132,21 @@ class BeamGrid:
 
     @property
     def size(self) -> int:
-        return int(self.directions.shape[0])
+        return self.n_azimuth * self.n_elevation
 
     def angles_of(self, j: int) -> tuple[float, float]:
         """(azimuth_deg, elevation_deg) of beam j."""
         ring, az_index = divmod(int(j), self.n_azimuth)
         return az_index * self.azimuth_step_deg, ring * self.elevation_step_deg
+
+    def direction(self, beam) -> np.ndarray:
+        """Unit vector of each beam index (any shape; 0-d gives (3,)), on a
+        trailing axis of 3: (sin el cos az, sin el sin az, -cos el)."""
+        ring, az_index = np.divmod(beam, self.n_azimuth)
+        az = np.radians(az_index * self.azimuth_step_deg)
+        el = np.radians(ring * self.elevation_step_deg)
+        sin_el = np.sin(el)
+        return np.stack([sin_el * np.cos(az), sin_el * np.sin(az), -np.cos(el)], axis=-1)
 
 
 def check_beam_steps(azimuth_step_deg: float, elevation_step_deg: float) -> None:
@@ -152,15 +162,7 @@ def check_beam_steps(azimuth_step_deg: float, elevation_step_deg: float) -> None
 def build_beam_grid(azimuth_step_deg: float = 1.0, elevation_step_deg: float = 1.0) -> BeamGrid:
     """Construct the full sweep grid; steps must divide 360 and 90 evenly."""
     check_beam_steps(azimuth_step_deg, elevation_step_deg)
-    n_az = int(round(360.0 / azimuth_step_deg))
-    n_el = int(round(90.0 / elevation_step_deg))
-    az = np.radians(np.arange(n_az) * azimuth_step_deg)
-    el = np.radians(np.arange(n_el) * elevation_step_deg)
-    dirs = np.empty((n_el * n_az, 3))
-    dirs[:, 0] = (np.sin(el)[:, None] * np.cos(az)[None, :]).ravel()
-    dirs[:, 1] = (np.sin(el)[:, None] * np.sin(az)[None, :]).ravel()
-    dirs[:, 2] = np.repeat(-np.cos(el), n_az)
-    return BeamGrid(dirs, float(azimuth_step_deg), float(elevation_step_deg))
+    return BeamGrid(float(azimuth_step_deg), float(elevation_step_deg))
 
 
 def incidence_cosine(tx_pos, rx: ReceiverState):

@@ -152,7 +152,7 @@ class TestRoundTrip:
         # takes the incidence cosine from the beam, upright receiver assumed
         grid = build_beam_grid()
         rng = np.random.default_rng(5)
-        cos_beam = -grid.directions[:, 2]
+        cos_beam = -grid.direction(np.arange(grid.size))[:, 2]
         beams = rng.choice(np.flatnonzero(cos_beam >= 0.05), size=200)
         d = rng.uniform(0.01, 5.0, size=200)
         y = received_power_on_axis(d, cos_beam[beams], P)

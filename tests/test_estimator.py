@@ -79,7 +79,7 @@ class TestEstimatePosition:
 
     def test_exact_recovery_on_grid_direction(self, grid):
         room = Room(6.0, 6.0, 3.0)
-        u = grid.directions[40 * 360 + 30]  # az 30, el 40
+        u = grid.direction(40 * 360 + 30)  # az 30, el 40
         p_true = room.emitter_pos + 2.0 * u
         rx = ReceiverState(p_true, [0, 0, 1])
         trace = dense_trace(ScanPlan(grid), *support(grid, room, rx, P), 0.0, np.random.default_rng(0))
@@ -92,6 +92,7 @@ class TestEstimatePosition:
         # the residual error stays inside the half-cell geometric bound
         room = Room()
         rng = np.random.default_rng(17)
+        directions = grid.direction(np.arange(grid.size))
         for _ in range(100):
             p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
             rx = ReceiverState(p_true, [0, 0, 1])
@@ -100,7 +101,7 @@ class TestEstimatePosition:
             position, _ = locate(room.emitter_pos, y, beam, grid, P, 0.0)
             to_rx = p_true - room.emitter_pos
             d = float(np.linalg.norm(to_rx))
-            cosines = grid.directions @ (to_rx / d)
+            cosines = directions @ (to_rx / d)
             assert cosines[beam] >= cosines.max() - 1e-12
             assert position_error(p_true, position).total_m <= d * np.tan(np.radians(0.71)) + 0.02
 
@@ -156,7 +157,7 @@ class TestEstimatePosition:
         position, _ = locate(room.emitter_pos, *peak(y), grid, P, 0.0)
         d = _distance(position, room.emitter_pos)
         assert received_power_on_axis(d, np.cos(np.radians(30.0)), P) == pytest.approx(y[j], rel=1e-9)
-        np.testing.assert_allclose(position, room.emitter_pos + d * grid.directions[j], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(position, room.emitter_pos + d * grid.direction(j), rtol=0, atol=1e-12)
 
 
 class TestPositionError:

@@ -209,7 +209,7 @@ class TestNoiseSigma:
         cfg = ExperimentConfig(mode="cdf", snr_list_db=(40.0,), **SMALL)
         res = run_cdf_experiment(cfg)
         p_ref = res.metadata["reference_power_w"]
-        assert p_ref == reference_peak_power(cfg)
+        assert p_ref == reference_peak_power(cfg, sample_positions(cfg))
         assert res.aggregates["sigma_w"] == p_ref / 100.0
 
     def test_sweep_rows_anchored_to_grid_average_power(self):
@@ -217,7 +217,7 @@ class TestNoiseSigma:
                                orientation_modes=("fixed", "random-euler"), grid_spacing_m=0.5)
         res = run_snr_sweep(cfg)
         p_ref = res.metadata["reference_power_w"]
-        assert p_ref == reference_peak_power(cfg)
+        assert p_ref == reference_peak_power(cfg, sample_positions(cfg))
         assert len(res.aggregates["rows"]) == 6
         for row in res.aggregates["rows"]:
             assert row["sigma_w"] == p_ref / 10.0 ** (row["snr_db"] / 20.0)
@@ -693,7 +693,7 @@ def _sync_oracle_rows(cfg):
 
 def _grid_setup(seed, snr, mode, trials):
     cfg = ExperimentConfig(mode="cdf", grid_spacing_m=0.25, trials_per_point=trials, master_seed=seed)
-    sigma = noise_sigma_for_snr(reference_peak_power(cfg), snr)
+    sigma = noise_sigma_for_snr(reference_peak_power(cfg, sample_positions(cfg)), snr)
     return cfg, sigma, dataclasses.replace(cfg.orientation, mode=mode)
 
 
@@ -733,7 +733,7 @@ def _one_pass_oracle(cfg, mode_idx, mode, snr_idx, snr):
     u = _row_uniforms(cfg, _counters(point, trial, mode_idx, snr_idx))
     normals = receiver_normals(dataclasses.replace(cfg.orientation, mode=mode), u[:, :3] - 0.5)
     cells, power = support(grid, cfg.room, ReceiverState(positions, normals, cfg.fov_deg), cfg.channel)
-    sigma = noise_sigma_for_snr(reference_peak_power(cfg), snr)
+    sigma = noise_sigma_for_snr(reference_peak_power(cfg, sample_positions(cfg)), snr)
     trace = run_scan(ScanPlan(grid), cells, power, sigma_w=sigma, draws=u[:, 3 : 3 + PEAK_UNIFORMS])
     estimate, status = locate(cfg.room.emitter_pos, trace.samples, trace.beams, grid, cfg.channel, sigma)
     errors = position_error(positions, estimate)
@@ -819,6 +819,31 @@ class TestGridPassStreams:
                 assert rec.keys() == oracle.keys()
                 for key in oracle:
                     np.testing.assert_array_equal(rec[key], oracle[key], err_msg=f"{rows} {mode} {snr} {key}")
+
+    def test_upright_support_once_per_point(self, monkeypatch):
+        # a fixed pass gathers its rows from one support over the points; the
+        # random-euler rows of a two-mode sweep get one support a block
+        sizes = []
+
+        def counted(grid, room, rx, params):
+            sizes.append(len(rx.position))
+            return support(grid, room, rx, params)
+
+        monkeypatch.setattr(experiments, "support", counted)
+        monkeypatch.setattr(experiments, "GRID_BLOCK_ROWS", 64)
+        cfg = ExperimentConfig(mode="cdf", **SMALL)
+        n_points = len(sample_positions(cfg))
+        run_cdf_experiment(cfg)
+        assert sizes == [n_points]
+        sizes.clear()
+        cfg = ExperimentConfig(mode="snr-sweep", snr_list_db=(20.0, 40.0), orientation_modes=("fixed", "random-euler"),
+                               **SMALL)
+        run_snr_sweep(cfg)
+        rows = np.arange(n_points * cfg.trials * 4)
+        random_rows = experiments.row_prefix(cfg, rows, n_points, 2)[:, 2] >> 16 == 1
+        per_block = [int(n) for n in np.add.reduceat(random_rows, np.arange(0, len(rows), 64)) if n]
+        assert sizes == [n_points] + per_block
+        assert len(per_block) > 1 and sum(per_block) == len(rows) // 2
 
     def test_row_map_is_the_documented_one(self):
         # 4 points x 2 trials a pass, 2 modes x 2 snrs: passes run SNR-major,

@@ -51,7 +51,7 @@ class TestBeamGrid:
 
     def test_first_column_is_nadir(self):
         grid = build_beam_grid(1.0, 1.0)
-        np.testing.assert_allclose(grid.directions[0], [0, 0, -1], atol=1e-12)
+        np.testing.assert_allclose(grid.direction(0), [0, 0, -1], atol=1e-12)
 
     def test_coarse_grid_against_enumeration(self):
         # oracle: enumerate the 8 directions one at a time
@@ -61,20 +61,39 @@ class TestBeamGrid:
         for el in (0.0, 45.0):
             for az in (0.0, 90.0, 180.0, 270.0):
                 np.testing.assert_allclose(
-                    grid.directions[j], direction_from_angles(az, el), atol=1e-12
+                    grid.direction(j), direction_from_angles(az, el), atol=1e-12
                 )
                 j += 1
 
     def test_unit_norm_and_downward(self):
         grid = build_beam_grid(1.0, 1.0)
-        norms = np.linalg.norm(grid.directions, axis=1)
+        directions = grid.direction(np.arange(grid.size))
+        norms = np.linalg.norm(directions, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
-        assert np.all(grid.directions[:, 2] <= 0.0)
+        assert np.all(directions[:, 2] <= 0.0)
 
     def test_injective_except_nadir_ring(self):
         grid = build_beam_grid(1.0, 1.0)
-        uniq = np.unique(np.round(grid.directions, 12), axis=0)
+        uniq = np.unique(np.round(grid.direction(np.arange(grid.size)), 12), axis=0)
         assert len(uniq) == grid.size - (grid.n_azimuth - 1)
+
+    @pytest.mark.parametrize("steps", [(1.0, 1.0), (2.0, 3.0), (0.5, 0.25), (3.0, 2.5), (45.0, 30.0), (360.0, 90.0)])
+    def test_direction_is_the_table_bit_for_bit(self, steps):
+        # oracle: the whole direction table, built ring by ring as an outer product
+        grid = build_beam_grid(*steps)
+        az = np.radians(np.arange(grid.n_azimuth) * grid.azimuth_step_deg)
+        el = np.radians(np.arange(grid.n_elevation) * grid.elevation_step_deg)
+        table = np.empty((grid.size, 3))
+        table[:, 0] = (np.sin(el)[:, None] * np.cos(az)[None, :]).ravel()
+        table[:, 1] = (np.sin(el)[:, None] * np.sin(az)[None, :]).ravel()
+        table[:, 2] = np.repeat(-np.cos(el), grid.n_azimuth)
+        rng = np.random.default_rng(27)
+        every = np.arange(grid.size)
+        for beams in (every, rng.integers(0, grid.size, 50), rng.integers(0, grid.size, (2, 7)),
+                      np.array(grid.size - 1), grid.size // 2, every[::3]):
+            got = grid.direction(beams)
+            assert got.shape == np.shape(beams) + (3,)
+            np.testing.assert_array_equal(got.view(np.int64), table[beams].view(np.int64))
 
     def test_angles_of(self):
         grid = build_beam_grid(1.0, 1.0)

@@ -68,25 +68,44 @@ def enumerated_support(grid, room, positions, normals, params):
     return np.array(cells), np.array(power, dtype=float)
 
 
-# receivers whose direction from the emitter lies exactly on half-step
-# boundaries: azimuth 45 (dx == dy) with elevation 67.5 and 45, azimuth 0
-# with elevation 16.5, azimuth 0.5 and 359.5, azimuth 45; then the centre
-# column (the nadir ring), azimuths a hair either side of 0, and an
-# elevation within half a step of 90, past the last ring
-BOUNDARY_RECEIVERS = [
-    [0.6707106781186548, 0.6707106781186548, 2.9],
-    [0.999924494298889, 0.999924494298889, 2.293],
-    [0.9887522666874317, 0.5, 1.35],
-    [0.7999885769192469, 0.5026179606495121, 1.0],
-    [0.7999885769192235, 0.4973820393504879, 1.0],
-    [0.7121320343559643, 0.7121320343559643, 1.0],
-    [0.5, 0.5, 0.0],
-    [0.5, 0.5, 2.4],
-    [0.8, 0.5 - 1e-12, 1.0],
-    [0.8, 0.5 + 1e-12, 1.0],
-    [0.2, 0.5 - 1e-12, 2.0],
-    [1.0, 0.6, 2.999],
-]
+def exact_boundary(start, axes, az, el=None):
+    """start with its coordinates on axes moved together by the fewest ulps
+    that make spherical_from_direction, from the emitter, return exactly az
+    (and el, unless None).  Which decimal lands on a half step depends on how
+    numpy's dispatched arccos and arctan2 kernels round, so each run derives
+    its own."""
+    start = np.array(start, dtype=float)
+    for k in sorted(range(-512, 513), key=abs):
+        p = start.copy()
+        p[axes] += k * np.spacing(start[axes])
+        got_az, got_el = spherical_from_direction(p - ROOM.emitter_pos)
+        if got_az == az and (el is None or got_el == el):
+            return p
+    raise AssertionError(f"no receiver within 512 ulps of {start} has azimuth {az}, elevation {el}")
+
+
+@pytest.fixture(scope="module")
+def boundary_receivers():
+    """Receivers whose direction from the emitter lies exactly on half-step
+    boundaries: azimuth 45 (dx == dy) with elevation 67.5 and 45, azimuth 0
+    with elevation 16.5, azimuth 0.5 and 359.5, azimuth 45; then the centre
+    column (the nadir ring), azimuths a hair either side of 0, and an
+    elevation within half a step of 90, past the last ring."""
+    diagonal, tilt = np.sqrt(0.5), np.radians(0.5)
+    return np.array([
+        exact_boundary([0.5 + diagonal * 0.1 * np.tan(np.radians(67.5))] * 2 + [2.9], [0, 1], 45.0, 67.5),
+        exact_boundary([0.5 + diagonal * 0.707] * 2 + [2.293], [0, 1], 45.0, 45.0),
+        exact_boundary([0.5 + 1.65 * np.tan(np.radians(16.5)), 0.5, 1.35], [0], 0.0, 16.5),
+        exact_boundary([0.5 + 0.3 * np.cos(tilt), 0.5 + 0.3 * np.sin(tilt), 1.0], [0], 0.5),
+        exact_boundary([0.5 + 0.3 * np.cos(tilt), 0.5 - 0.3 * np.sin(tilt), 1.0], [0], 359.5),
+        exact_boundary([0.5 + diagonal * 0.3] * 2 + [1.0], [0, 1], 45.0),
+        [0.5, 0.5, 0.0],
+        [0.5, 0.5, 2.4],
+        [0.8, 0.5 - 1e-12, 1.0],
+        [0.8, 0.5 + 1e-12, 1.0],
+        [0.2, 0.5 - 1e-12, 2.0],
+        [1.0, 0.6, 2.999],
+    ])
 
 
 def batch(rx: ReceiverState, n: int) -> ReceiverState:
@@ -202,20 +221,21 @@ class TestSupport:
         [((1.0, 1.0), 2), ((2.0, 3.0), 4), ((90.0, 45.0), 2), ((90.0, 30.0), 4), ((360.0, 45.0), 1)],
         ids=["1x1", "2x3", "90x45", "90x30", "360x45"],
     )
-    def test_matches_cell_enumeration(self, steps, most):
+    def test_matches_cell_enumeration(self, boundary_receivers, steps, most):
         # steps (azimuth, elevation); most is the largest cell count among the
         # boundary receivers, so the test sees them land on the boundaries
         g = build_beam_grid(*steps)
         rng = np.random.default_rng(26)
-        positions = np.vstack([BOUNDARY_RECEIVERS, rng.uniform([0.0, 0.0, 0.0], [1.0, 1.0, 2.9], (500, 3))])
+        b = len(boundary_receivers)
+        positions = np.vstack([boundary_receivers, rng.uniform([0.0, 0.0, 0.0], [1.0, 1.0, 2.9], (500, 3))])
         normals = np.tile([0.0, 0.0, 1.0], (len(positions), 1))
-        normals[: len(BOUNDARY_RECEIVERS)] = ROOM.emitter_pos - positions[: len(BOUNDARY_RECEIVERS)]  # in view
-        normals[len(BOUNDARY_RECEIVERS) :: 2] = rng.normal(size=(250, 3))  # tilted, some facing away
+        normals[:b] = ROOM.emitter_pos - positions[:b]  # in view
+        normals[b::2] = rng.normal(size=(250, 3))  # tilted, some facing away
         cells, power = support(g, ROOM, ReceiverState(positions, normals), P)
         want_cells, want_power = enumerated_support(g, ROOM, positions, normals, P)
         np.testing.assert_array_equal(cells, want_cells)
         np.testing.assert_array_equal(power.view(np.int64), want_power.view(np.int64))
-        assert (cells[: len(BOUNDARY_RECEIVERS)] < g.size).sum(axis=1).max() == most
+        assert (cells[:b] < g.size).sum(axis=1).max() == most
         assert 0 < np.count_nonzero(power == 0.0) < len(power)
 
 
