@@ -16,6 +16,7 @@ import numpy as np
 
 from .estimator import STATUS_NAMES, position_error
 from .experiments import ExperimentConfig, run_cdf_experiment, run_scan_demo, run_snr_sweep, run_sync_test
+from .geometry import build_beam_grid
 from .io import ConfigError, build_experiment, load_config, write_results, write_trace_csv
 
 
@@ -33,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--orientation",
         choices=["fixed", "random", "random-euler", "random-spherical"],
-        help="receiver orientation model",
+        help="receiver orientation model; snr-sweep runs this mode alone, over a config's orientation_modes",
     )
     common.add_argument(
         "--snr",
@@ -81,9 +82,10 @@ def _scan_demo(cfg: ExperimentConfig, args) -> None:
         point = np.array(
             [cfg.room.width_m / 2.0, cfg.room.depth_m / 2.0, (cfg.h_min_m + cfg.h_max_m) / 2.0]
         )
-    plan, trace, estimate, status = run_scan_demo(cfg, point)
+    trace, estimate, status = run_scan_demo(cfg, point)
     err = position_error(point, estimate)
-    path = write_trace_csv(trace, plan.grid, plan.pilot_len, os.path.join(args.out, "scan_trace.csv"))
+    grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
+    path = write_trace_csv(trace, grid, cfg.pilot_len, os.path.join(args.out, "scan_trace.csv"))
     print(f"wrote {path}", file=sys.stderr)
     print(
         f"receiver at {point.tolist()}, estimate {estimate.round(4).tolist()} "
@@ -108,6 +110,8 @@ def main(argv=None) -> int:
         overrides = {
             "seed": args.seed,
             "orientation_mode": args.orientation,
+            # the flag names the one mode snr-sweep runs, as --snr names its snr values
+            "orientation_modes": [args.orientation] if args.orientation and args.command == "snr-sweep" else None,
             "snr_db": _parse_snr_list(args.snr),
             "mode": args.command if args.command in _RUNNERS else None,
         }

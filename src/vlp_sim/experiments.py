@@ -5,9 +5,10 @@ single pass (0, 0), snr-sweep one pass per pair.  A grid run sweeps all its
 passes' rows as one array pass, GRID_BLOCK_ROWS rows at a time.  A sync
 run sweeps every trial of one SNR in one run_scan call.  Every caller
 composes scan.support (the geometry), a sweep and estimator.locate (the
-fix): a grid pass and a sync run sweep with scan.run_scan, which yields
-their peaks directly, and the scan-demo trial records its trace with
-scan.dense_trace and takes its peak with estimator.peak.
+fix): a grid pass sweeps with scan.run_scan on the beam grid alone, a sync
+run with its pilot too, and either yields its peaks directly; the scan-demo
+trial records its trace with scan.dense_trace and takes its peak with
+estimator.peak.
 
 Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
@@ -60,7 +61,6 @@ from .scan import (
     DEFAULT_PILOT_LEN,
     MAX_PILOT_LEN,
     PEAK_UNIFORMS,
-    ScanPlan,
     SyncDraws,
     dense_trace,
     make_pilot,
@@ -288,18 +288,18 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
     """
     points = sample_positions(cfg)
     p_ref = reference_peak_power(cfg, points)
-    plan = ScanPlan(build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg))
+    grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     orientations = [dataclasses.replace(cfg.orientation, mode=mode) for mode in modes]
     sigmas = _noise_sigmas(p_ref, snrs)
     upright = None
     if "fixed" in modes:
-        upright = support(plan.grid, cfg.room, ReceiverState(points, fov_deg=cfg.fov_deg), cfg.channel)
+        upright = support(grid, cfg.room, ReceiverState(points, fov_deg=cfg.fov_deg), cfg.channel)
     n = len(points) * cfg.trials
     total = n * len(modes) * len(snrs)
     rec = {}
     for lo in range(0, total, GRID_BLOCK_ROWS):
         hi = min(lo + GRID_BLOCK_ROWS, total)
-        block = _grid_block(cfg, plan, points, upright, orientations, sigmas, lo, hi)
+        block = _grid_block(cfg, grid, points, upright, orientations, sigmas, lo, hi)
         rec = rec or {key: np.empty(total, values.dtype) for key, values in block.items()}
         for key, values in block.items():
             rec[key][lo:hi] = values
@@ -319,7 +319,7 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
     return p_ref, passes
 
 
-def _grid_block(cfg, plan, points, upright, orientations, sigmas, lo, hi):
+def _grid_block(cfg, grid, points, upright, orientations, sigmas, lo, hi):
     """Rows lo to hi of a grid run: one uniforms, one locate, a run_scan per
     snr among the rows, and their geometry: a fixed row gathers its point's
     row of upright, support() of every point under an upright receiver, and
@@ -347,13 +347,13 @@ def _grid_block(cfg, plan, points, upright, orientations, sigmas, lo, hi):
     if not fixed.all():
         tilted = ~fixed
         rx = ReceiverState(positions[tilted], normals[tilted], cfg.fov_deg)
-        cells[tilted], power[tilted] = support(plan.grid, cfg.room, rx, cfg.channel)
+        cells[tilted], power[tilted] = support(grid, cfg.room, rx, cfg.channel)
     peaks, beams, sigma = np.empty(hi - lo), np.empty(hi - lo, dtype=int), np.empty(hi - lo)
     for s in range(snr_of[0], snr_of[-1] + 1):
         rows = slice(*np.searchsorted(snr_of, (s, s + 1)))
-        trace = run_scan(plan, cells[rows], power[rows], sigma_w=sigmas[s], draws=u[rows, 3 : 3 + PEAK_UNIFORMS])
+        trace = run_scan(grid, cells[rows], power[rows], sigma_w=sigmas[s], draws=u[rows, 3 : 3 + PEAK_UNIFORMS])
         peaks[rows], beams[rows], sigma[rows] = trace.samples, trace.beams, sigmas[s]
-    estimate, status = locate(cfg.room.emitter_pos, peaks, beams, plan.grid, cfg.channel, sigma)
+    estimate, status = locate(cfg.room.emitter_pos, peaks, beams, grid, cfg.channel, sigma)
     excluded = np.where(fixed, power == 0.0, status == STATUS_LOW_SIGNAL)
     return {
         "status": status,
@@ -419,18 +419,27 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     sync run_scan over every trial: the three peaks of each trial, from one
     array pass that draws only the samples they need, or, in the dense band
     (see the module docstring), from each trial's whole trace drawn up front.
+    A pilot whose correlator scores could pass float max is a ConfigError,
+    raised before any sweep.
     """
     if cfg.mode != "sync-test":
         raise ValueError("config mode must be 'sync-test'")
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len)
-    plan = ScanPlan(grid, pilot)
     half = (cfg.pilot_len + grid.size) // 2
     p_pilot = float(np.max(pilot))
     lo = np.array([0.0, 0.0, cfg.h_min_m])
     hi = np.array([cfg.room.width_m, cfg.room.depth_m, _height_cap(cfg)])
 
     sigmas = _noise_sigmas(p_pilot, cfg.snr_list_db)
+    # a correlator score sums at most pilot_len products of the on-level and a
+    # sample, each sample under the on-level, plus the on-axis power at the
+    # clearance, plus 10 sigma (see _SIGMA_MAX_W): no score may pass float max
+    nearest_w = float(received_power_on_axis(NEAR_FIELD_CLEARANCE_M, 1.0, cfg.channel))
+    score = cfg.pilot_len * p_pilot * (p_pilot + nearest_w + 10.0 * max(sigmas))
+    if not score <= np.finfo(float).max:
+        raise ConfigError(f"a {p_pilot:.6g} W pilot of {cfg.pilot_len} slots can give correlator scores past the "
+                          f"largest float; lower p_opt_watts or pilot_length")
     rows = []
     for snr_idx, (snr, sigma) in enumerate(zip(cfg.snr_list_db, sigmas)):
         # every trial's pose from its Philox row (see the column map)
@@ -448,7 +457,7 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
         # then one sync sweep of every trial: the peaks of its synced, its
         # offset-then-realigned and its naive (offset) trace
         draws = SyncDraws(cfg.master_seed, prefix, dense)
-        trace = run_scan(plan, cells, power, sigma_w=sigma, draws=draws, offset_steps=offsets)
+        trace = run_scan(grid, cells, power, sigma_w=sigma, draws=draws, pilot_w=pilot, offset_steps=offsets)
         beams = trace.beams
         estimates, _ = locate(cfg.room.emitter_pos, trace.peaks.ravel(), beams.ravel(), grid, cfg.channel, sigma)
         errs = position_error(np.tile(points, (3, 1)), estimates).total_m.reshape(3, -1)
@@ -464,20 +473,20 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     return RunResult("sync-test", {"rows": rows}, _base_metadata(cfg, p_pilot))
 
 
-def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[ScanPlan, np.ndarray, np.ndarray, np.ndarray]:
+def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One dense trial at a given receiver position, seeded by the master seed
     alone: the orientation from row 0, the noise from its own stream.
 
     Uses the config's one snr value, anchored like a grid pass, and the
-    configured pilot.  Returns (plan, trace, position, status), the trace
+    configured pilot.  Returns (trace, position, status), the trace
     every slot's sample, pilot first; the peak is taken over the slots after
     the pilot, and locate flags it when it falls under the low-signal
     threshold for this sigma.
     """
     [sigma] = _noise_sigmas(reference_peak_power(cfg, sample_positions(cfg)), cfg.snr_list_db[:1])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
-    plan = ScanPlan(grid, make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None)
+    pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None
     normal = receiver_normals(cfg.orientation, uniforms(cfg.master_seed, row_prefix(cfg, [0]), 3)[0] - 0.5)
     cells, power = support(grid, cfg.room, ReceiverState(point, normal, cfg.fov_deg), cfg.channel)
-    trace = dense_trace(plan, cells, power, sigma, np.random.default_rng((cfg.master_seed,)))
-    return plan, trace, *locate(cfg.room.emitter_pos, *peak(trace[plan.pilot_len :]), grid, cfg.channel, sigma)
+    trace = dense_trace(grid, cells, power, sigma, np.random.default_rng((cfg.master_seed,)), pilot)
+    return trace, *locate(cfg.room.emitter_pos, *peak(trace[cfg.pilot_len :]), grid, cfg.channel, sigma)

@@ -170,6 +170,12 @@ def _fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
+def _rounded(value):
+    """value with every float in it at the CSVs' nine significant digits,
+    which hide the last-bit differences between numpy's SIMD kernels."""
+    return json.loads(json.dumps(value), parse_float=lambda text: float(_fmt(text)))
+
+
 def _atomic_write(path: Path, text: str) -> None:
     # open(..., "x") creates with mode 0o666 & ~umask (mkstemp would force 0o600)
     tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
@@ -232,8 +238,9 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
         "mode": result.mode,
         "code_version": __version__,
         "snr_definition": result.metadata.get("snr_definition"),
-        "run": result.metadata,
-        "summary": _summary(result),
+        "run": _rounded(result.metadata),
+        # the cdf_* arrays go to their own CSV files
+        "summary": _rounded({k: v for k, v in result.aggregates.items() if not k.startswith("cdf_")}),
         "wall_time_s": wall_time_s,
     }
     files.append((out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"))
@@ -243,11 +250,6 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
         _atomic_write(path, text)
         written.append(path)
     return written
-
-
-def _summary(result: RunResult) -> dict:
-    # the cdf_* arrays go to their own CSV files
-    return {k: v for k, v in result.aggregates.items() if not k.startswith("cdf_")}
 
 
 def write_trace_csv(samples, grid: BeamGrid, pilot_len: int, path) -> Path:

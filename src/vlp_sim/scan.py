@@ -13,8 +13,8 @@ its whole trace.
 The geometry and the sweep are two calls: support() finds, for one
 receiver or a batch, the beam cells that carry signal and their on-axis
 power; a sweep takes them.  dense_trace() records every slot of one
-receiver's sweep, pilot first.  run_scan() sweeps a batch, and the plan's
-pilot picks the sweep.  With no pilot it is a peak-only pass, which keeps,
+receiver's sweep, pilot first.  run_scan() sweeps a batch, and its pilot
+picks the sweep.  With no pilot it is a peak-only pass, which keeps,
 per receiver, just the strongest sample and its slot, drawn from the same
 law as the dense trace; the maximum of many noise samples comes from the
 standard library's normal quantile, statistics.NormalDist().inv_cdf.  With
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -80,31 +79,6 @@ _SLOT_BLOCK = 6
 # noisy sync trial draws every slot up front (see _SyncPilot); it fixes which
 # trials the dense band draws from their PCG64 streams
 _SPREAD_ODDS = 0.25
-
-
-@dataclass(frozen=True)
-class ScanPlan:
-    """One sweep: the grid and an optional pilot preamble, the pilot's power
-    per slot.  run_scan takes a plan without a pilot for a peak-only pass
-    and one with a pilot for a sync run (see there); dense_trace takes either.
-    """
-
-    grid: BeamGrid
-    pilot_w: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.pilot_w is not None:
-            object.__setattr__(self, "pilot_w", np.asarray(self.pilot_w, dtype=float))
-            if np.any(self.pilot_w < 0.0):
-                raise ValueError("pilot power levels must be nonnegative")
-
-    @property
-    def pilot_len(self) -> int:
-        return 0 if self.pilot_w is None else int(len(self.pilot_w))
-
-    @cached_property
-    def _sync_pilot(self) -> _SyncPilot:
-        return _SyncPilot(self)
 
 
 @dataclass
@@ -219,9 +193,18 @@ def _box_muller(u):
     return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(len(u), -1)
 
 
-def dense_trace(plan: ScanPlan, cells, power, sigma_w: float, rng) -> np.ndarray:
+def _pilot_levels(pilot_w) -> np.ndarray:
+    """The pilot's power per slot as floats, which must be nonnegative."""
+    pilot = np.asarray(pilot_w, dtype=float)
+    if np.any(pilot < 0.0):
+        raise ValueError("pilot power levels must be nonnegative")
+    return pilot
+
+
+def dense_trace(grid: BeamGrid, cells, power, sigma_w: float, rng, pilot_w=None) -> np.ndarray:
     """One receiver's sweep, every slot recorded: the received power per
-    dwell slot, pilot slots first, then one slot per beam.
+    dwell slot, pilot slots first (pilot_w, the pilot's power per slot, if
+    given), then one slot per beam.
 
     cells (4,) and power (a scalar) are support()'s output for the receiver:
     the cells collect their on-axis power.  Every slot gets an independent
@@ -230,24 +213,24 @@ def dense_trace(plan: ScanPlan, cells, power, sigma_w: float, rng) -> np.ndarray
     """
     if not sigma_w >= 0.0:
         raise ValueError("sigma_w must be nonnegative")
-    k = plan.pilot_len
-    n = k + plan.grid.size
+    pilot = _pilot_levels(() if pilot_w is None else pilot_w)
+    k = len(pilot)
+    n = k + grid.size
     if sigma_w > 0.0:
         samples = rng.standard_normal(n)
         samples *= sigma_w  # bit for bit rng.normal(0.0, sigma_w, n), by the faster fill loop
     else:
         samples = np.zeros(n)
-    if k:
-        samples[:k] += plan.pilot_w
-    samples[_support_slots(plan.grid, cells[None], k)[1]] += power
+    samples[:k] += pilot
+    samples[_support_slots(grid, cells[None], k)[1]] += power
     return samples
 
 
-def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: int = 0):
-    """Sweep every beam once for a batch of receivers, and keep what the fix reads.
+def run_scan(grid: BeamGrid, cells, power, sigma_w: float, draws, pilot_w=None, offset_steps: int = 0):
+    """Sweep every beam of grid once for a batch of receivers, and keep what the fix reads.
 
     cells and power are support()'s output: the cells collect their on-axis
-    power.  A plan without a pilot runs a peak-only pass over the batch
+    power.  Without a pilot, run_scan runs a peak-only pass over the batch
     (cells (N, 4), power (N,)) and returns a PeakTrace; draws holds each
     receiver's PEAK_UNIFORMS uniforms.  Each support cell gets power plus a
     Box-Muller normal; the nadir ring cell gets power plus the noise_max of
@@ -257,12 +240,12 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: 
     argmax picks it.  Noiseless, every maximum is its power (0 for the
     noise-only slots) at its lowest slot.
 
-    A plan with a pilot runs a sync run over a batch of trials (cells
-    (T, 4), power (T,)), each receiver desynchronized by its offset_steps
-    (T,) (or one for all), and returns a SyncTrace: per trial, the peaks
-    that estimator.peak takes of the synced trace, of the offset trace after
-    realign_with_pilot, and of the offset trace itself, each over the slots
-    after the pilot.  draws is a SyncDraws.
+    With a pilot, pilot_w its power per slot, run_scan runs a sync run over
+    a batch of trials (cells (T, 4), power (T,)), each receiver
+    desynchronized by its offset_steps (T,) (or one for all), and returns a
+    SyncTrace: per trial, the peaks that estimator.peak takes of the synced
+    trace, of the offset trace after realign_with_pilot, and of the offset
+    trace itself, each over the slots after the pilot.  draws is a SyncDraws.
     Up to sigma_sparse (the sparse band, noiseless included) the trials run
     as one array pass that draws only the samples they read, from their
     Philox rows, every slot's noise a pure function of its row and slot (see
@@ -274,9 +257,9 @@ def run_scan(plan: ScanPlan, cells, power, sigma_w: float, draws, offset_steps: 
     """
     if not sigma_w >= 0.0:
         raise ValueError("sigma_w must be nonnegative")
-    if plan.pilot_w is None:
-        return _peak_pass(plan.grid, cells, power, sigma_w, np.asarray(draws))
-    samples, _, peaks, beams = _sync_trials(plan, cells, power, sigma_w, draws, offset_steps)
+    if pilot_w is None:
+        return _peak_pass(grid, cells, power, sigma_w, np.asarray(draws))
+    samples, _, peaks, beams = _sync_trials(_SyncPilot(grid, pilot_w), cells, power, sigma_w, draws, offset_steps)
     return SyncTrace(samples, peaks, beams)
 
 
@@ -411,17 +394,18 @@ def _best_shifts(rows, first, count, n, k, taps, levels, segments):
 
 
 class _SyncPilot:
-    """What a sync run reads of its plan, once per plan: the pilot, its
+    """A sync run's plan, built once per run: the grid, the pilot, its
     on-taps, their levels and sum; the head (the pilot and pad = k - 1 slots
     either side of it, none on a trace too short to hold them, whose signal
     is the pilot) and the first slot past it; q and the level tau that a
     noise-only sample reaches with probability q, and Phi(tau); and
     sigma_sparse, the largest sigma_w a trial draws sparsely at."""
 
-    def __init__(self, plan: ScanPlan):
-        self.pilot = plan.pilot_w
+    def __init__(self, grid: BeamGrid, pilot_w):
+        self.grid = grid
+        self.pilot = _pilot_levels(pilot_w)
         k = self.k = len(self.pilot)
-        n = self.n = k + plan.grid.size
+        n = self.n = k + grid.size
         self.blocks = (n + 1) // 2  # Philox blocks a trace's slot normals take
         self.taps = np.flatnonzero(self.pilot)
         self.levels = self.pilot[self.taps]
@@ -449,7 +433,7 @@ class _SyncPilot:
         self.sigma_sparse = reach / -_STD_NORMAL.inv_cdf(_SPREAD_ODDS / n)
 
 
-def _sync_trials(plan, cells, power, sigma_w, draws, offsets):
+def _sync_trials(p: _SyncPilot, cells, power, sigma_w, draws, offsets):
     """A sync run's (samples, shifts (T,), peaks (3, T), beams (3, T)), see run_scan.
 
     In synced slots, shift s of the offset trace scores the window of k
@@ -464,7 +448,6 @@ def _sync_trials(plan, cells, power, sigma_w, draws, offsets):
     lose to one not drawn, completes its trace from its counters
     (_philox_trace) and takes the dense path.
     """
-    p = plan._sync_pilot
     offsets = np.broadcast_to(np.asarray(offsets, dtype=int), (len(cells),))
     if (np.abs(offsets) > p.n).any():
         raise ValueError("offset beyond one full trace period")
@@ -475,9 +458,9 @@ def _sync_trials(plan, cells, power, sigma_w, draws, offsets):
         samples, rest = np.zeros(0), range(count)
 
         def trace(t):
-            return dense_trace(plan, cells[t], power[t], sigma_w, draws.dense(t))
+            return dense_trace(p.grid, cells[t], power[t], sigma_w, draws.dense(t), p.pilot)
     else:
-        x = _SparseTraces(p, plan.grid, cells, power, sigma_w, draws)
+        x = _SparseTraces(p, cells, power, sigma_w, draws)
         ok, run_shifts = _pruned_runs(x, p, offsets)
         found, found_peaks, found_beams = _sparse_peaks(x, np.stack([0 * offsets, run_shifts - offsets, -offsets]))
         ok &= found
@@ -486,7 +469,7 @@ def _sync_trials(plan, cells, power, sigma_w, draws, offsets):
         rest = np.flatnonzero(~ok)
 
         def trace(t):
-            return _philox_trace(plan, p, cells[t], power[t], sigma_w, draws, t)
+            return _philox_trace(p, cells[t], power[t], sigma_w, draws, t)
     for t in rest:
         shifts[t], peaks[:, t], beams[:, t], _held = _full_draw(trace(t), p, int(offsets[t]))
     return samples, shifts, peaks, beams
@@ -588,10 +571,10 @@ class _SparseTraces:
     largest drawn sample.
     """
 
-    def __init__(self, p: _SyncPilot, grid, cells, power, sigma_w, draws):
+    def __init__(self, p: _SyncPilot, cells, power, sigma_w, draws):
         count, n, width = len(cells), p.n, len(p.head_slots)
         self.p, self.sigma_w, self.draws = p, sigma_w, draws
-        rows, slots = _support_slots(grid, cells, p.k)
+        rows, slots = _support_slots(p.grid, cells, p.k)
         at = (slots + p.pad) % n  # a support slot's place in the head, if it is there
         inside = at < width
         head = np.tile(p.head_signal, (count, 1))
@@ -728,14 +711,14 @@ def _sparse_peaks(x: _SparseTraces, starts):
     return (best > -np.inf).all(axis=0), best, beams
 
 
-def _philox_trace(plan, p: _SyncPilot, cells, power, sigma_w, draws, t):
+def _philox_trace(p: _SyncPilot, cells, power, sigma_w, draws, t):
     """Trial t's whole synced trace from its counters, as its sparse pass reads
     it: the head and support slots their normals, the noise-only slots of
     _exceedances their values, every other slot its normal conditioned below
     tau; plus the signal."""
     signal = np.zeros(p.n)
     signal[: p.k] = p.pilot
-    support = _support_slots(plan.grid, cells[None], p.k)[1]
+    support = _support_slots(p.grid, cells[None], p.k)[1]
     signal[support] += power
     if sigma_w == 0.0:
         return signal

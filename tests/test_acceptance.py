@@ -24,7 +24,7 @@ from vlp_sim.experiments import (
 )
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
 from vlp_sim.orientation import LaplaceParams, laplace_quantile
-from vlp_sim.scan import ScanPlan, apply_timing_offset, dense_trace, make_pilot, realign_with_pilot, support
+from vlp_sim.scan import apply_timing_offset, dense_trace, make_pilot, realign_with_pilot, support
 
 P = ChannelParams()
 
@@ -84,7 +84,6 @@ def test_criterion_1_exact_recovery_on_grid_directions(full_grid):
     # receiver placed exactly along 500 random grid directions, noiseless,
     # upright, synchronized: the forward model must invert exactly
     room = Room(6.0, 6.0, 3.0)
-    plan = ScanPlan(full_grid)
     rng = np.random.default_rng(123)
     t0 = time.perf_counter()
     worst = 0.0
@@ -95,7 +94,7 @@ def test_criterion_1_exact_recovery_on_grid_directions(full_grid):
         d = float(rng.uniform(0.5, 2.5))
         p_true = room.emitter_pos + d * u
         rx = ReceiverState(p_true, [0, 0, 1])
-        trace = dense_trace(plan, *support(plan.grid, room, rx, P), 0.0, rng)
+        trace = dense_trace(full_grid, *support(full_grid, room, rx, P), 0.0, rng)
         position, _ = locate(room.emitter_pos, *peak(trace), full_grid, P, 0.0)
         worst = max(worst, position_error(p_true, position).total_m)
     elapsed = time.perf_counter() - t0
@@ -107,7 +106,6 @@ def test_criterion_2_quantization_bound(full_grid):
     # random in-room positions: error within the half-cell geometric bound,
     # with beam selection cross-checked against a brute-force angular argmin
     room = Room()
-    plan = ScanPlan(full_grid)
     rng = np.random.default_rng(456)
     directions = full_grid.direction(np.arange(full_grid.size))
     t0 = time.perf_counter()
@@ -115,7 +113,7 @@ def test_criterion_2_quantization_bound(full_grid):
     for _ in range(1000):
         p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
         rx = ReceiverState(p_true, [0, 0, 1])
-        trace = dense_trace(plan, *support(plan.grid, room, rx, P), 0.0, rng)
+        trace = dense_trace(full_grid, *support(full_grid, room, rx, P), 0.0, rng)
         y, beam = peak(trace)
         position, _ = locate(room.emitter_pos, y, beam, full_grid, P, 0.0)
         to_rx = p_true - room.emitter_pos
@@ -181,7 +179,6 @@ def test_criterion_7_synchronization(full_grid):
 
     # oracle spot-check at full trace size
     pilot = make_pilot(P.p_opt_w, 64)
-    plan = ScanPlan(full_grid, pilot_w=pilot)
     room = Room()
     rng = np.random.default_rng(5150)
     n = 64 + full_grid.size
@@ -189,7 +186,7 @@ def test_criterion_7_synchronization(full_grid):
         rx = ReceiverState(
             [rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)], [0, 0, 1]
         )
-        trace = dense_trace(plan, *support(plan.grid, room, rx, P), 1e-4, rng)
+        trace = dense_trace(full_grid, *support(full_grid, room, rx, P), 1e-4, rng, pilot)
         offset = int(rng.integers(-(n // 2), n // 2 + 1))
         shifted = apply_timing_offset(trace, offset)
         # brute force over every cyclic shift: each 64-sample window of the

@@ -11,7 +11,7 @@ from vlp_sim.estimator import (
     position_error,
 )
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
-from vlp_sim.scan import ScanPlan, dense_trace, support
+from vlp_sim.scan import dense_trace, support
 
 P = ChannelParams()
 NADIR = 0  # beam 0 points straight down: assumed incidence cosine 1
@@ -82,7 +82,7 @@ class TestEstimatePosition:
         u = grid.direction(40 * 360 + 30)  # az 30, el 40
         p_true = room.emitter_pos + 2.0 * u
         rx = ReceiverState(p_true, [0, 0, 1])
-        trace = dense_trace(ScanPlan(grid), *support(grid, room, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(grid, *support(grid, room, rx, P), 0.0, np.random.default_rng(0))
         position, status = locate(room.emitter_pos, *peak(trace), grid, P, 0.0)
         assert status == STATUS_OK
         assert position_error(p_true, position).total_m < 1e-9
@@ -96,7 +96,7 @@ class TestEstimatePosition:
         for _ in range(100):
             p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
             rx = ReceiverState(p_true, [0, 0, 1])
-            trace = dense_trace(ScanPlan(grid), *support(grid, room, rx, P), 0.0, rng)
+            trace = dense_trace(grid, *support(grid, room, rx, P), 0.0, rng)
             y, beam = peak(trace)
             position, _ = locate(room.emitter_pos, y, beam, grid, P, 0.0)
             to_rx = p_true - room.emitter_pos
@@ -111,7 +111,7 @@ class TestEstimatePosition:
         for _ in range(200):
             p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
             rx = ReceiverState(p_true, [0, 0, 1])
-            trace = dense_trace(ScanPlan(grid), *support(grid, room, rx, P), 0.0, rng)
+            trace = dense_trace(grid, *support(grid, room, rx, P), 0.0, rng)
             position, _ = locate(room.emitter_pos, *peak(trace), grid, P, 0.0)
             d = float(np.linalg.norm(p_true - room.emitter_pos))
             assert abs(_distance(position, room.emitter_pos) - d) <= 0.02

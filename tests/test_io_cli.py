@@ -403,6 +403,24 @@ class TestCli:
         for command in ("cdf", "snr-sweep"):
             assert main([command, "--config", config, "--snr=-6200", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("p_opt", [1e154, 1e300])
+    def test_pilot_whose_scores_overflow_exits_one_before_work(self, tmp_path, capsys, p_opt):
+        # the pilot sits at p_opt_watts: from about 1e154 W the correlator's
+        # level x sample products pass float max, even noiseless
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {"p_opt_watts": p_opt, "trials_per_point": 20})
+        assert main(["sync-test", "--config", config, "--snr", "inf,20", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "correlator scores" in err and "p_opt_watts" in err
+        assert not out.exists()
+
+    def test_strong_pilot_under_the_bound_still_syncs(self, tmp_path):
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {"p_opt_watts": 1e150, "trials_per_point": 20})
+        assert main(["sync-test", "--config", config, "--snr", "inf", "--out", str(out)]) == 0
+        [row] = (out / "sync_test.csv").read_text().splitlines()[1:]
+        assert row.split(",")[:2] == ["inf", "0"]
+
     @pytest.mark.parametrize("rx", ["5,0.4,1.2", "0.3,0.4,nan", "0.3,0.4,3", "0.5,0.5"])
     def test_scan_demo_rx_outside_exits_one_before_work(self, tmp_path, capsys, rx):
         out = tmp_path / "out"
@@ -427,6 +445,19 @@ class TestCli:
             assert "orientation_modes" in capsys.readouterr().err
         assert not out.exists()
         assert main(["snr-sweep", "--config", config, "--out", str(out)]) == 0
+
+    def test_orientation_flag_wins_over_orientation_modes(self, tmp_path):
+        # snr-sweep runs the flag's mode, not the file's, and meta.json echoes
+        # the modes it ran; the alias resolves as orientation_mode's does
+        config = write_tiny_config(tmp_path, {"orientation_modes": ["fixed"]})
+        for flag, mode in (("random-euler", "random-euler"), ("random", "random-euler"), ("fixed", "fixed")):
+            out = tmp_path / flag
+            assert main(["snr-sweep", "--config", config, "--orientation", flag, "--out", str(out)]) == 0
+            [row] = (out / "mean_error_vs_snr.csv").read_text().splitlines()[1:]
+            assert row.split(",")[-1] == mode, flag
+            meta = json.loads((out / "meta.json").read_text())
+            assert meta["config"]["orientation_mode"] == mode
+            assert meta["config"]["orientation_modes"] == [mode]
 
     @pytest.mark.parametrize(
         "extra",

@@ -16,7 +16,6 @@ from vlp_sim.geometry import (
 from vlp_sim.scan import (
     MAX_PILOT_LEN,
     PEAK_UNIFORMS,
-    ScanPlan,
     apply_timing_offset,
     dense_trace,
     make_pilot,
@@ -147,26 +146,26 @@ class TestRunScan:
         spread = P.wavelength_m * 1.5 / (np.pi * P.waist_m**2)
         expected = 2 * P.p_opt_w * P.pd_area_m2 / (np.pi * P.waist_m**2 * (1 + spread**2))
         rx = ReceiverState([0.5, 0.5, 1.5], [0, 0, 1])
-        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         nadir = trace[: grid.n_azimuth]
         np.testing.assert_allclose(nadir, expected, rtol=1e-12)
         assert np.all(trace[grid.n_azimuth :] == 0.0)
 
     def test_receiver_facing_away_sees_nothing(self, grid):
         rx = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
-        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         assert np.all(trace == 0.0)
 
     def test_trace_length_with_pilot(self, grid):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = dense_trace(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0), pilot)
         assert len(trace) == 64 + 32400
 
     def test_off_centre_receiver_hits_single_cell(self, grid):
         # direction to (0.8, 0.5, 1.0): az = 0, el = atan(0.3/2.0)
         rx = ReceiverState([0.8, 0.5, 1.0])
-        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         el = np.degrees(np.arctan2(0.3, 2.0))
         expected_beam = int(round(el)) * grid.n_azimuth + 0
         hits = np.nonzero(trace)[0]
@@ -178,13 +177,13 @@ class TestRunScan:
         # an out-of-view receiver's trace is the noise alone: the same bits
         # as Generator.normal(0, sigma) from the same stream
         rx = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
-        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), sigma, np.random.default_rng(seed))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), sigma, np.random.default_rng(seed))
         want = np.random.default_rng(seed).normal(0.0, sigma, size=grid.size)
         np.testing.assert_array_equal(trace.view(np.int64), want.view(np.int64))
 
     def test_noise_reaches_every_slot(self, grid):
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 1e-9, np.random.default_rng(3))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 1e-9, np.random.default_rng(3))
         assert np.count_nonzero(trace) == len(trace)
 
     def test_outside_room_rejected(self, grid):
@@ -203,7 +202,7 @@ class TestSupport:
     def test_matches_noiseless_dense_trace(self, grid, pos):
         rx = ReceiverState(pos)
         cells, power = support(grid, ROOM, rx, P)
-        trace = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         slots = support_slots(grid, cells)
         np.testing.assert_array_equal(slots, np.nonzero(trace)[0])
         assert np.all(trace[slots] == power)
@@ -246,7 +245,7 @@ class TestPeakOnlyScan:
         cells, power = support(grid, ROOM, rx, P)
         slots = support_slots(grid, cells)
         n = 2000
-        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, batch(rx, n), P), sigma_w=0.3 * power,
+        trace = run_scan(grid, *support(grid, ROOM, batch(rx, n), P), sigma_w=0.3 * power,
                          draws=row_uniforms(4, n))
         # the traced benchmark hook counts len(samples): one peak per receiver
         assert len(trace.samples) == len(trace.beams) == n
@@ -262,7 +261,7 @@ class TestPeakOnlyScan:
         assert np.count_nonzero(cells < grid.size) == 1  # one cell, off the nadir ring
         sigma = 1e-6
         u = row_uniforms(8, 50)
-        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, batch(rx, 50), P), sigma_w=sigma,
+        trace = run_scan(grid, *support(grid, ROOM, batch(rx, 50), P), sigma_w=sigma,
                          draws=u)
         z = np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
         k = grid.size - 1
@@ -278,13 +277,13 @@ class TestPeakOnlyScan:
         # (0 at slot 360, the lowest noise-only slot) loses
         rx = ReceiverState([0.5, 0.5, 1.5])
         _, power = support(grid, ROOM, rx, P)
-        trace = run_scan(ScanPlan(grid), *support(grid, ROOM, batch(rx, 2), P), sigma_w=0.0,
+        trace = run_scan(grid, *support(grid, ROOM, batch(rx, 2), P), sigma_w=0.0,
                          draws=row_uniforms(0, 2))
         np.testing.assert_array_equal(trace.beams, [0, 0])
         np.testing.assert_array_equal(trace.samples, [power, power])
         # out of view only the noise-only maximum is left: 0 at slot 0
         away = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
-        out = run_scan(ScanPlan(grid), *support(grid, ROOM, batch(away, 2), P), sigma_w=0.0,
+        out = run_scan(grid, *support(grid, ROOM, batch(away, 2), P), sigma_w=0.0,
                        draws=row_uniforms(0, 2))
         np.testing.assert_array_equal(out.beams, [0, 0])
         np.testing.assert_array_equal(out.samples, [0.0, 0.0])
@@ -297,7 +296,7 @@ class TestPeakOnlyScan:
         rx = ReceiverState([0.5, 0.5, 1.5])
         _, power = support(one, ROOM, rx, P)
         u = row_uniforms(21, 40)
-        trace = run_scan(ScanPlan(one), *support(one, ROOM, batch(rx, 40), P), sigma_w=1e-6, draws=u)
+        trace = run_scan(one, *support(one, ROOM, batch(rx, 40), P), sigma_w=1e-6, draws=u)
         np.testing.assert_array_equal(trace.beams, np.zeros(40))
         np.testing.assert_array_equal(trace.samples, power + noise_max(1e-6, 1, u[:, 6]))
 
@@ -349,7 +348,7 @@ class TestRealignWithPilot:
     def test_no_offset_strips_pilot(self, grid):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = dense_trace(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(1))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(1), pilot)
         shift = realign_with_pilot(trace, pilot)
         assert type(shift) is int and shift == 0
 
@@ -357,7 +356,7 @@ class TestRealignWithPilot:
     def test_offset_then_realign_restores_exactly(self, grid, offset):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.31, 0.62, 0.9])
-        trace = dense_trace(ScanPlan(grid, pilot_w=pilot), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(2))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(2), pilot)
         shifted = apply_timing_offset(trace, offset)
         shift = realign_with_pilot(shifted, pilot)
         assert shift == offset % len(trace)
@@ -563,10 +562,14 @@ class TestRealignWithPilot:
         assert got.tolist() == [want[r][1] for r in range(3)] == [70, 2, 10]
 
     def test_negative_pilot_level_rejected(self, grid):
-        with pytest.raises(ValueError):
+        # wherever a pilot enters: the correlator, the sync run and the dense trace
+        rx = ReceiverState([0.8, 0.5, 1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
             realign_with_pilot(np.ones(10), np.array([1.0, -1.0, 1.0]))
-        with pytest.raises(ValueError):
-            ScanPlan(grid, pilot_w=[1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_scan(grid, *support(grid, ROOM, batch(rx, 2), P), 0.0, None, pilot_w=[1, -1, 1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, None, pilot_w=[1, -1, 1])
 
     def test_empty_pilot_rejected(self):
         with pytest.raises(ValueError):
@@ -579,11 +582,11 @@ class TestNoiseRobustSelection:
         # sweeps of one receiver, as one peak-only pass (the dense law, see
         # TestPeakOnlyEquivalence)
         rx = ReceiverState([0.62, 0.41, 1.2])
-        clean = dense_trace(ScanPlan(grid), *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        clean = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
         peak = float(clean.max())
         k_clean = int(np.argmax(clean))
         n = 10_000
-        noisy = run_scan(ScanPlan(grid), *support(grid, ROOM, batch(rx, n), P), sigma_w=0.01 * peak,
+        noisy = run_scan(grid, *support(grid, ROOM, batch(rx, n), P), sigma_w=0.01 * peak,
                          draws=row_uniforms(99, n))
         flips = int(np.count_nonzero(noisy.beams != k_clean))
         assert flips == 0
