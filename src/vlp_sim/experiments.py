@@ -55,7 +55,7 @@ import numpy as np
 
 from .channel import ChannelParams, noise_sigma_for_snr, received_power_on_axis
 from .estimator import STATUS_CLAMPED, STATUS_LOW_SIGNAL, locate, peak, position_error
-from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, check_fov
+from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, check_fov, norm
 from .orientation import ORIENTATION_MODES, OrientationConfig, receiver_normals
 from .scan import (
     DEFAULT_PILOT_LEN,
@@ -207,7 +207,7 @@ def sample_positions(cfg: ExperimentConfig) -> np.ndarray:
 def reference_peak_power(cfg: ExperimentConfig, points) -> float:
     """SNR anchor: the average noiseless on-axis power for an upright receiver
     over points, the run's sample_positions."""
-    dists = np.linalg.norm(points - cfg.room.emitter_pos, axis=1)
+    dists = norm(points - cfg.room.emitter_pos)
     return float(np.mean(received_power_on_axis(dists, 1.0, cfg.channel)))
 
 

@@ -17,20 +17,23 @@ receiver's sweep, pilot first.  run_scan() sweeps a batch, and its pilot
 picks the sweep.  With no pilot it is a peak-only pass, which keeps,
 per receiver, just the strongest sample and its slot, drawn from the same
 law as the dense trace; the maximum of many noise samples comes from the
-standard library's normal quantile, statistics.NormalDist().inv_cdf.  With
-a pilot it is a sync run, which takes the receivers' timing offsets too and
-returns, per trial, the peaks of its synced, realigned and naive traces; up
-to a pilot noise level (the sparse band, see _SyncPilot) its trials run as
-one array pass that draws only the samples that the realignment and the
-three peaks read, each a pure function of the trial's Philox row and the
-slot, and the rest of each trace stays implicit (see run_scan).
+standard library's normal quantile, the C routine (AS 241) that
+statistics.NormalDist().inv_cdf calls, mapped over the values with no
+Python frame per value (_normal_quantile).  With a pilot it is a sync run,
+which takes the receivers' timing offsets too and returns, per trial, the
+peaks of its synced, realigned and naive traces; up to a pilot noise level
+(the sparse band, see _SyncPilot) its trials run as one array pass that
+draws only the samples that the realignment and the three peaks read, each
+a pure function of the trial's Philox row and the slot, and the rest of
+each trace stays implicit (see run_scan).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from statistics import NormalDist
+from itertools import repeat
+from statistics import NormalDist, _normal_dist_inv_cdf
 from typing import NamedTuple
 
 import numpy as np
@@ -165,10 +168,11 @@ def noise_max(sigma_w: float, k, u):
     """Maximum of k iid N(0, sigma_w^2) samples from a uniform u in (0, 1), elementwise.
 
     The maximum has CDF Phi(x / sigma_w)^k, so it is sigma_w * Phi^-1(p) for
-    p = u^(1/k).  Phi^-1 is the standard library's NormalDist().inv_cdf
-    (Wichura's AS 241, full double precision); for p > 1/2 it is evaluated
-    as -Phi^-1(1 - p), with 1 - p formed by expm1 so the upper tail keeps
-    its relative precision.
+    p = u^(1/k).  Phi^-1 is the standard library's NormalDist().inv_cdf,
+    bit for bit: its C routine (Wichura's AS 241, full double precision),
+    called with no Python frame per value (_normal_quantile).  For p > 1/2
+    it is evaluated as -Phi^-1(1 - p), with 1 - p formed by expm1 so the
+    upper tail keeps its relative precision.
     """
     if (np.asarray(k) < 1).any():
         raise ValueError("need at least one sample")
@@ -181,9 +185,16 @@ def noise_max(sigma_w: float, k, u):
 
 
 def _normal_quantile(p) -> np.ndarray:
-    """Phi^-1 elementwise: the standard library's NormalDist().inv_cdf of each element of p."""
+    """Phi^-1 elementwise: NormalDist().inv_cdf of each element of p, bit for bit.
+
+    It maps the routine inv_cdf itself calls, statistics._normal_dist_inv_cdf
+    (AS 241, in C), with inv_cdf's mean 0.0 and sigma 1.0, so no Python frame
+    runs per value.  Like inv_cdf, it raises ValueError for p = 0 or 1 and
+    passes NaN through.
+    """
     p = np.asarray(p, dtype=float)
-    return np.array([_STD_NORMAL.inv_cdf(x) for x in p.ravel().tolist()]).reshape(p.shape)
+    z = map(_normal_dist_inv_cdf, p.ravel().tolist(), repeat(0.0), repeat(1.0))
+    return np.fromiter(z, dtype=float, count=p.size).reshape(p.shape)
 
 
 def _box_muller(u):
@@ -264,31 +275,35 @@ def run_scan(grid: BeamGrid, cells, power, sigma_w: float, draws, pilot_w=None, 
 
 
 def _peak_pass(grid, cells, power, sigma_w, u) -> PeakTrace:
+    # candidate-major (4, N): row j holds each receiver's j-th support cell, so
+    # every step, the max and min over the candidates too, runs along whole
+    # (N,) rows, not over each receiver's few candidates
     n, n_az = grid.size, grid.n_azimuth
-    lit = cells < n
-    ring = cells == 0
-    size = np.where(ring, n_az, lit)  # beam slots per cell
-    k = n - size.sum(axis=1)  # noise-only slots
-    values = np.where(lit, power[:, None], -np.inf)
-    slots = cells.copy()
+    slots = cells.T.copy()
+    lit = slots < n
+    ring = slots[0] == 0  # the nadir ring cell is slot 0, so it sorts first
+    size = lit.astype(int)  # beam slots per cell
+    size[0, ring] = n_az
+    values = np.where(lit, power, -np.inf)
+    k = n - size.sum(axis=0)  # noise-only slots
     noise = np.where(k > 0, 0.0, -np.inf)
     r = np.zeros(len(k), dtype=int)  # rank of the noise-only maximum's slot
     if sigma_w > 0.0:
-        values += sigma_w * _box_muller(u[:, 0:4])
-        rows = ring[:, 0]
-        values[rows, 0] = power[rows] + noise_max(sigma_w, n_az, u[rows, 6])
-        slots[rows, 0] = uniform_index(u[rows, 7], n_az)
+        values += sigma_w * _box_muller(u[:, 0:4]).T
+        values[0, ring] = power[ring] + noise_max(sigma_w, n_az, u[ring, 6])
+        slots[0, ring] = uniform_index(u[ring, 7], n_az)
         has = k > 0
         noise[has] = noise_max(sigma_w, k[has], u[has, 4])
         r[has] = uniform_index(u[has, 5], k[has])
     # the r-th noise-only slot is r plus the support slots before it; a cell
     # at slot c with j support slots ahead of it lies before it when c - j <= r
-    ahead = np.cumsum(size, axis=1) - size
-    before = (size * (cells - ahead <= r[:, None])).sum(axis=1)
-    values = np.column_stack([values, noise])
-    slots = np.column_stack([slots, r + before])
-    peak = values.max(axis=1)
-    beams = np.where(values == peak[:, None], slots, n).min(axis=1)
+    before = np.zeros_like(r)
+    ahead = 0
+    for c, s in zip(cells.T, size):
+        before += s * (c - ahead <= r)
+        ahead = ahead + s
+    peak = np.maximum(values.max(axis=0), noise)
+    beams = np.minimum(np.where(values == peak, slots, n).min(axis=0), np.where(noise == peak, r + before, n))
     return PeakTrace(peak, beams)
 
 

@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -138,6 +140,34 @@ def rolled_copies_realign(x, pilot):
         if pilot[i] != 0.0:
             corr += pilot[i] * np.roll(x, -i)
     return int(np.argmax(corr))
+
+
+def row_major_peak_pass(grid, cells, power, sigma_w, u):
+    # reference: the peak-only pass receiver-major, one (N, 5) row of
+    # candidates per receiver, reduced by max and by min over axis 1
+    n, n_az = grid.size, grid.n_azimuth
+    lit = cells < n
+    ring = cells == 0
+    size = np.where(ring, n_az, lit)
+    k = n - size.sum(axis=1)
+    values = np.where(lit, power[:, None], -np.inf)
+    slots = cells.copy()
+    noise = np.where(k > 0, 0.0, -np.inf)
+    r = np.zeros(len(k), dtype=int)
+    if sigma_w > 0.0:
+        values += sigma_w * scan._box_muller(u[:, 0:4])
+        rows = ring[:, 0]
+        values[rows, 0] = power[rows] + noise_max(sigma_w, n_az, u[rows, 6])
+        slots[rows, 0] = uniform_index(u[rows, 7], n_az)
+        has = k > 0
+        noise[has] = noise_max(sigma_w, k[has], u[has, 4])
+        r[has] = uniform_index(u[has, 5], k[has])
+    ahead = np.cumsum(size, axis=1) - size
+    before = (size * (cells - ahead <= r[:, None])).sum(axis=1)
+    values = np.column_stack([values, noise])
+    slots = np.column_stack([slots, r + before])
+    peak = values.max(axis=1)
+    return peak, np.where(values == peak[:, None], slots, n).min(axis=1)
 
 
 class TestRunScan:
@@ -300,6 +330,34 @@ class TestPeakOnlyScan:
         np.testing.assert_array_equal(trace.beams, np.zeros(40))
         np.testing.assert_array_equal(trace.samples, power + noise_max(1e-6, 1, u[:, 6]))
 
+    @pytest.mark.parametrize(
+        "steps", [(1.0, 1.0), (2.0, 3.0), (90.0, 30.0), (360.0, 90.0)], ids=["1x1", "2x3", "90x30", "1-beam"]
+    )
+    def test_matches_row_major_reference(self, boundary_receivers, steps):
+        # on the 12-slot 90x30 grid the noise-only slot often sits right at a
+        # support cell, where counting the cells before it is off by one
+        g = build_beam_grid(*steps)
+        rng = np.random.default_rng(29)
+        b = len(boundary_receivers)
+        positions = np.vstack([
+            boundary_receivers,  # on half-step boundaries: cells of equal power, tied when noiseless
+            rng.uniform([0.0, 0.0, 0.0], [1.0, 1.0, 2.9], (600, 3)),
+            np.column_stack([0.5 + rng.uniform(-0.02, 0.02, (100, 2)), rng.uniform(0.0, 2.5, 100)]),  # the nadir ring
+        ])
+        normals = np.tile([0.0, 0.0, 1.0], (len(positions), 1))
+        normals[:b] = ROOM.emitter_pos - positions[:b]
+        normals[b::3] = rng.normal(size=normals[b::3].shape)  # tilted, some facing away: out of view
+        cells, power = support(g, ROOM, ReceiverState(positions, normals), P)
+        # nadir ring rows (with no noise-only slot on the 1-beam grid), rows out
+        # of view and, on every grid but the 1-beam one, rows of several cells
+        assert (cells[:, 0] == 0).any() and (power == 0.0).any()
+        assert (cells[:, 1] < g.size).any() == (g.size > 1)
+        for seed, sigma in [(0, 0.0), (1, 1e-8), (2, 1e-6), (3, 1e-4)]:
+            trace = run_scan(g, cells, power, sigma, row_uniforms(seed, len(cells)))
+            peaks, beams = row_major_peak_pass(g, cells, power, sigma, row_uniforms(seed, len(cells)))
+            np.testing.assert_array_equal(trace.samples.view(np.int64), peaks.view(np.int64), err_msg=f"sigma {sigma}")
+            np.testing.assert_array_equal(trace.beams.view(np.int64), beams.view(np.int64), err_msg=f"sigma {sigma}")
+
 
 class TestNoiseMaxSampler:
     @pytest.mark.parametrize("k", [1, 7, 32_400])
@@ -323,6 +381,26 @@ class TestNoiseMaxSampler:
             np.testing.assert_allclose(noise_max(sigma, k, u), want, rtol=1e-12, atol=0.0, err_msg=f"k = {k}")
             # per-row k, as a pass draws it
             np.testing.assert_array_equal(noise_max(sigma, np.full(len(u), k), u), noise_max(sigma, k, u))
+
+    def test_quantile_is_inv_cdf_bit_for_bit(self):
+        # _normal_quantile maps statistics._normal_dist_inv_cdf, the private
+        # routine NormalDist().inv_cdf calls: a Python that drops or changes it
+        # fails here (or at import), not silently in the outputs
+        half = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
+        p = np.concatenate([
+            np.geomspace(1e-300, 0.5, 4000),
+            1.0 - np.geomspace(2.0**-53, 0.5, 4000),
+            np.random.default_rng(29).uniform(size=2001),
+            half,
+        ])
+        want = np.array([NormalDist().inv_cdf(x) for x in p.tolist()])
+        got = scan._normal_quantile(p.reshape(2, -1))
+        assert got.shape == (2, len(p) // 2)
+        np.testing.assert_array_equal(got.ravel().view(np.int64), want.view(np.int64))
+        assert np.isnan(scan._normal_quantile([0.25, np.nan])[1])
+        for bad in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                scan._normal_quantile([0.25, bad])
 
     def test_empty_set_has_no_max(self):
         with pytest.raises(ValueError):
