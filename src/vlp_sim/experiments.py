@@ -34,15 +34,11 @@ every draw is a pure function of the master seed and its indices.
   _SLOT_BLOCK map: slot s's normal, the uniform that conditions it below
   tau, and the exceedance process over the noise-only slots), so its
   sparse pass reads any slot in any order and a trial completed in full
-  reads the same numbers.  In the dense band (sigma_w above
-  scan._SyncPilot.sigma_sparse, a pilot SNR under 12.7 dB on the 1 degree
-  grid) a trial draws its whole trace up front, one normal per slot, pilot
-  first, from np.random.default_rng((master_seed, 0, snr_index, 0,
-  trial_index)) (PCG64 seeded through a SeedSequence); the band's edge
-  stays where it is because moving it changes those rows' bytes.
-  scan-demo draws its one trace the same way from
-  default_rng((master_seed,)).  numpy.random loads only for those.  A
-  noiseless sync-test trial draws nothing.
+  reads the same numbers, at every pilot SNR.  A noiseless sync-test trial
+  draws nothing.
+* scan-demo draws its one trace up front, one normal per slot, pilot
+  first, from np.random.default_rng((master_seed,)) (PCG64 seeded through
+  a SeedSequence).  numpy.random loads only for it.
 """
 
 from __future__ import annotations
@@ -417,8 +413,8 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     the metadata records that on-level as reference_power_w; snr = inf runs
     noiseless.  trials_per_point is the total trial count.  Each snr is one
     sync run_scan over every trial: the three peaks of each trial, from one
-    array pass that draws only the samples they need, or, in the dense band
-    (see the module docstring), from each trial's whole trace drawn up front.
+    array pass that draws only the samples they need, or from the trial's
+    whole trace where that pass cannot settle it, both from its Philox row.
     A pilot whose correlator scores could pass float max is a ConfigError,
     raised before any sweep.
     """
@@ -449,14 +445,9 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
         offsets = uniform_index(u[:, 6], 2 * half + 1) - half
         rx = ReceiverState(points, receiver_normals(cfg.orientation, u[:, :3] - 0.5), cfg.fov_deg)
         cells, power = support(grid, cfg.room, rx, cfg.channel)
-
-        def dense(t, snr_idx=snr_idx):
-            """A dense-band trial's noise stream: numpy.random loads on the first call."""
-            return np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, t))
-
         # then one sync sweep of every trial: the peaks of its synced, its
         # offset-then-realigned and its naive (offset) trace
-        draws = SyncDraws(cfg.master_seed, prefix, dense)
+        draws = SyncDraws(cfg.master_seed, prefix)
         trace = run_scan(grid, cells, power, sigma_w=sigma, draws=draws, pilot_w=pilot, offset_steps=offsets)
         beams = trace.beams
         estimates, _ = locate(cfg.room.emitter_pos, trace.peaks.ravel(), beams.ravel(), grid, cfg.channel, sigma)

@@ -21,16 +21,15 @@ standard library's normal quantile, the C routine (AS 241) that
 statistics.NormalDist().inv_cdf calls, mapped over the values with no
 Python frame per value (_normal_quantile).  With a pilot it is a sync run,
 which takes the receivers' timing offsets too and returns, per trial, the
-peaks of its synced, realigned and naive traces; up to a pilot noise level
-(the sparse band, see _SyncPilot) its trials run as one array pass that
-draws only the samples that the realignment and the three peaks read, each
-a pure function of the trial's Philox row and the slot, and the rest of
-each trace stays implicit (see run_scan).
+peaks of its synced, realigned and naive traces; its trials run as one
+array pass that draws only the samples that the realignment and the three
+peaks read, each a pure function of the trial's Philox row and the slot,
+and the rest of each trace stays implicit, but for the trials the pass
+cannot settle, which complete theirs from the same counters (see run_scan).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import repeat
 from statistics import NormalDist, _normal_dist_inv_cdf
@@ -78,10 +77,6 @@ _HOT_PER_TRACE = 32
 # conditioning uniform from block _SLOT_BLOCK + b + s // 2, and the noise-only
 # exceedances from _SLOT_BLOCK + 2b on (see _slot_normals)
 _SLOT_BLOCK = 6
-# the expected count of noise-only samples at the pilot's level above which a
-# noisy sync trial draws every slot up front (see _SyncPilot); it fixes which
-# trials the dense band draws from their PCG64 streams
-_SPREAD_ODDS = 0.25
 
 
 @dataclass
@@ -105,12 +100,11 @@ class SyncTrace:
 
 class SyncDraws(NamedTuple):
     """A sync run's draws: the master seed and every trial's Philox counter
-    prefix (T, 3), which the sparse band reads, and dense(t), trial t's numpy
-    Generator, which the dense band reads (see run_scan)."""
+    prefix (T, 3), from which each trial draws every slot it reads (see
+    run_scan)."""
 
     seed: int
     prefix: np.ndarray
-    dense: Callable[[int], object]
 
     def uniforms(self, rows, blocks):
         """The two uniforms of each block (R, B) or (B,) of the trials rows (R,): (R, B, 2)."""
@@ -257,14 +251,13 @@ def run_scan(grid: BeamGrid, cells, power, sigma_w: float, draws, pilot_w=None, 
     SyncTrace: per trial, the peaks that estimator.peak takes of the synced
     trace, of the offset trace after realign_with_pilot, and of the offset
     trace itself, each over the slots after the pilot.  draws is a SyncDraws.
-    Up to sigma_sparse (the sparse band, noiseless included) the trials run
-    as one array pass that draws only the samples they read, from their
-    Philox rows, every slot's noise a pure function of its row and slot (see
-    _SparseTraces); the results are those of the dense trace that the same
-    counters complete (_philox_trace), and the samples are those drawn.
-    Above it (the dense band, see _SyncPilot), each trial draws its dense
-    trace with dense_trace from draws.dense(t), and keeps none of it.
-    The realignment runs inside this call.
+    The trials run as one array pass that draws only the samples they read,
+    from their Philox rows, every slot's noise a pure function of its row
+    and slot (see _SparseTraces); a trial the pass cannot settle completes
+    its trace from the same counters (_philox_trace).  Either way the
+    results are those of the dense trace that the counters complete, and
+    the samples are those the pass drew.  The realignment runs inside this
+    call.
     """
     if not sigma_w >= 0.0:
         raise ValueError("sigma_w must be nonnegative")
@@ -413,8 +406,7 @@ class _SyncPilot:
     on-taps, their levels and sum; the head (the pilot and pad = k - 1 slots
     either side of it, none on a trace too short to hold them, whose signal
     is the pilot) and the first slot past it; q and the level tau that a
-    noise-only sample reaches with probability q, and Phi(tau); and
-    sigma_sparse, the largest sigma_w a trial draws sparsely at."""
+    noise-only sample reaches with probability q, and Phi(tau)."""
 
     def __init__(self, grid: BeamGrid, pilot_w):
         self.grid = grid
@@ -433,19 +425,6 @@ class _SyncPilot:
         self.head_signal = np.zeros(k + 2 * self.pad)
         self.head_signal[self.pad : self.pad + k] = self.pilot
         self.first = k + self.pad
-        # reach, about sum(level^2) / sum(level), is the level a hot sample
-        # has to reach when the pilot is clean.  Where the noise-only slots
-        # hold more than _SPREAD_ODDS of one that high on average (a pilot SNR
-        # under 12.7 dB on the 1 degree grid), a trial draws every slot up
-        # front: the choice reads sigma_w alone, never a draw.  A hot noise
-        # sample adds only its own window to the shifts scored, so below the
-        # edge the sparse pass would still pay (1,000 trials at seed 3, sparse
-        # against dense: 0.21 s against 1.94 s at 12 dB, 0.77 against 1.84 at
-        # 11 dB, but 3.6 against 1.8 at 10 dB, where 363 trials complete).
-        # The edge stays where it is because it fixes which trials draw from
-        # their PCG64 streams: moving it changes those rows' bytes
-        reach = float(self.levels @ self.levels) / self.total if len(self.taps) else 0.0
-        self.sigma_sparse = reach / -_STD_NORMAL.inv_cdf(_SPREAD_ODDS / n)
 
 
 def _sync_trials(p: _SyncPilot, cells, power, sigma_w, draws, offsets):
@@ -455,39 +434,22 @@ def _sync_trials(p: _SyncPilot, cells, power, sigma_w, draws, offsets):
     slots from s - offset, and each peak is the argmax of x outside one such
     window: the synced peak's starts at 0, the naive one's at -offset and
     the realigned one's at shift - offset, mod n; ties go to the lowest slot
-    counted from the window's start.  Above sigma_sparse (see _SyncPilot)
-    each trial draws its dense trace from draws.dense(t) and takes the dense
-    path (_full_draw).  Else the trials run as one sparse pass
+    counted from the window's start.  The trials run as one sparse pass
     (_SparseTraces, _pruned_runs, _sparse_peaks); a trial whose realignment
     cannot be pruned on what is drawn, or whose peak's best drawn sample may
     lose to one not drawn, completes its trace from its counters
-    (_philox_trace) and takes the dense path.
+    (_philox_trace) and takes the dense path (_full_draw).
     """
     offsets = np.broadcast_to(np.asarray(offsets, dtype=int), (len(cells),))
     if (np.abs(offsets) > p.n).any():
         raise ValueError("offset beyond one full trace period")
-    count = len(offsets)
-    shifts = np.zeros(count, dtype=int)
-    peaks, beams = np.zeros((3, count)), np.zeros((3, count), dtype=int)
-    if sigma_w > p.sigma_sparse:  # the dense band: draw every slot
-        samples, rest = np.zeros(0), range(count)
-
-        def trace(t):
-            return dense_trace(p.grid, cells[t], power[t], sigma_w, draws.dense(t), p.pilot)
-    else:
-        x = _SparseTraces(p, cells, power, sigma_w, draws)
-        ok, run_shifts = _pruned_runs(x, p, offsets)
-        found, found_peaks, found_beams = _sparse_peaks(x, np.stack([0 * offsets, run_shifts - offsets, -offsets]))
-        ok &= found
-        shifts[ok], peaks[:, ok], beams[:, ok] = run_shifts[ok], found_peaks[:, ok], found_beams[:, ok]
-        samples = x.drawn()
-        rest = np.flatnonzero(~ok)
-
-        def trace(t):
-            return _philox_trace(p, cells[t], power[t], sigma_w, draws, t)
-    for t in rest:
-        shifts[t], peaks[:, t], beams[:, t], _held = _full_draw(trace(t), p, int(offsets[t]))
-    return samples, shifts, peaks, beams
+    x = _SparseTraces(p, cells, power, sigma_w, draws)
+    ok, shifts = _pruned_runs(x, p, offsets)
+    found, peaks, beams = _sparse_peaks(x, np.stack([0 * offsets, shifts - offsets, -offsets]))
+    for t in np.flatnonzero(~(ok & found)):  # the dense path overwrites what the pass could not settle
+        trace = _philox_trace(p, cells[t], power[t], sigma_w, draws, t)
+        shifts[t], peaks[:, t], beams[:, t] = _full_draw(trace, p, int(offsets[t]))
+    return x.drawn(), shifts, peaks, beams
 
 
 def _slot_normals(draws, rows, slots):
@@ -750,17 +712,11 @@ def _philox_trace(p: _SyncPilot, cells, power, sigma_w, draws, t):
 
 def _full_draw(samples, p: _SyncPilot, offset):
     """The dense path, on every slot of the synced trace: realign_with_pilot
-    and estimator.peak; (shift, peaks, beams, held)."""
+    and estimator.peak; (shift, peaks, beams)."""
     shifted = apply_timing_offset(samples, offset)
     shift = realign_with_pilot(shifted, p.pilot)
     synced = peak(samples[p.k :])
     # the realigned trace is a temporary: a third trace kept alive measured
     # 10x the minor faults (heap-top trims)
     realigned = synced if shift == offset % p.n else peak(apply_timing_offset(shifted, -shift)[p.k :])
-    found = zip(synced, realigned, peak(shifted[p.k :]))
-    # held, a copy made last, is for the caller to keep through its next
-    # trial: it sits above the arrays this one frees, so glibc reuses their
-    # pages rather than trim the heap top and fault them in again (measured
-    # on 2,000 trials at 5 and 0 dB, where every shift is scored: 144 minor
-    # faults a trial with it, 228 and 11 % slower without)
-    return shift, *found, samples.copy()
+    return shift, *zip(synced, realigned, peak(shifted[p.k :]))

@@ -364,17 +364,6 @@ class TestRunSyncTest:
         rows = run_sync_test(cfg).aggregates["rows"]
         assert rows == _sync_oracle_rows(cfg)
 
-    def test_noisy_pilot_rows_match_oracle(self, monkeypatch):
-        # under the sparse trial's SNR (12.06 dB on this grid) a trial draws its
-        # whole trace from its stream, as the per-trial oracle does, without a
-        # sparse attempt: the rows are equal, not only equal in law
-        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=50,
-                               master_seed=11, snr_list_db=(10.0, 0.0))
-        monkeypatch.setattr(scan, "_SparseTraces", None)
-        rows = run_sync_test(cfg).aggregates["rows"]
-        monkeypatch.undo()
-        assert rows == _sync_oracle_rows(cfg)
-
     @pytest.mark.parametrize("position, normal", [
         ([0.8, 0.5, 1.0], [0, 0, 1]),  # one support cell
         ([0.5, 0.5, 1.5], [0, 0, 1]),  # the nadir ring: 360 slots of equal power
@@ -401,11 +390,11 @@ class TestRunSyncTest:
     def test_full_draw_is_rare_at_20_db(self, monkeypatch):
         # criterion 7's trials: at most 1 % of the 20 dB ones fall back to the
         # dense path, counting the noiseless ones' fallbacks against them too.
-        # At 12.75 dB, just inside the sparse band, a few dozen noise samples
-        # are hot, and their windows, not one run covering them all, are
-        # scored: at most 2 of 1,000 trials complete
+        # At 12.75 and 12 dB a few dozen noise samples are hot, and their
+        # windows, not one run covering them all, are scored: at most 2 of
+        # 1,000 trials complete
         noisy = _count_full_draws(monkeypatch)
-        for snrs, most in (((float("inf"), 20.0), 10), ((12.75,), 2)):
+        for snrs, most in (((float("inf"), 20.0), 10), ((12.75,), 2), ((12.0,), 2)):
             noisy.clear()
             run_sync_test(ExperimentConfig(mode="sync-test", snr_list_db=snrs, trials_per_point=1000,
                                            master_seed=20259))
@@ -448,7 +437,7 @@ class TestSyncTrialCompletion:
     trace it leaves implicit: completed from the same counters, the trace
     gives the same shift, peaks and beams, bit for bit."""
 
-    @pytest.mark.parametrize("snr", [float("inf"), 40.0, 20.0, 13.0])
+    @pytest.mark.parametrize("snr", [float("inf"), 40.0, 20.0, 13.0, 10.0, 0.0])
     def test_dense_path_on_completed_trace_agrees(self, monkeypatch, snr):
         cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=300,
                                master_seed=7, snr_list_db=(snr,))
@@ -457,8 +446,7 @@ class TestSyncTrialCompletion:
         full_draws = _count_full_draws(monkeypatch)
         shifts = _record_shifts(monkeypatch)
         trace = run_scan(grid, cells, power, sigma, draws, pilot_w=pilot, offset_steps=offsets)
-        assert sigma <= p.sigma_sparse  # the sparse band
-        assert len(full_draws) <= 250  # at least 50 trials stayed sparse
+        assert len(full_draws) <= cfg.trials
         monkeypatch.undo()
         for t, offset in enumerate(offsets.tolist()):
             completed = scan._philox_trace(p, cells[t], power[t], sigma, draws, t)
@@ -477,7 +465,6 @@ class TestSyncTrialCompletion:
         grid, pilot, sigma, _, cells, power, offsets, draws = _sync_inputs(cfg)
         p = scan._SyncPilot(grid, pilot)
         assert p.n < 2 * cfg.pilot_len - 2
-        assert sigma <= p.sigma_sparse  # the sparse band
         full_draws = _count_full_draws(monkeypatch)
         shifts = _record_shifts(monkeypatch)
         trace = run_scan(grid, cells, power, sigma, draws, pilot_w=pilot, offset_steps=offsets)
@@ -549,8 +536,7 @@ class TestSyncTrialCompletion:
     @pytest.mark.parametrize("snr", [float("inf"), 20.0, 13.0, 10.0])
     def test_trials_independent_of_batch_size(self, snr):
         # the first 50 trials of a 100-trial run give the peaks and beams of a
-        # 50-trial run: each reads its own Philox row (or, below the sparse
-        # band, its own PCG64 stream), whatever the batch pads to
+        # 50-trial run: each reads its own Philox row, whatever the batch pads to
         cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=100,
                                master_seed=12, snr_list_db=(snr,))
         grid, pilot, sigma, _, cells, power, offsets, draws = _sync_inputs(cfg)
@@ -626,8 +612,7 @@ def _sync_inputs(cfg, snr_index=0):
     offsets = uniform_index(u[:, 6], 2 * (n // 2) + 1) - n // 2
     rx = ReceiverState(points, receiver_normals(cfg.orientation, u[:, :3] - 0.5), cfg.fov_deg)
     cells, power = support(grid, cfg.room, rx, cfg.channel)
-    draws = scan.SyncDraws(cfg.master_seed, prefix,
-                           lambda t: np.random.default_rng((cfg.master_seed, 0, snr_index, 0, t)))
+    draws = scan.SyncDraws(cfg.master_seed, prefix)
     return grid, pilot, sigma, points, cells, power, offsets, draws
 
 
@@ -645,7 +630,8 @@ def _sync_trial_records(seed, snr, dense, shifts=None):
         peaks, beams = np.empty((3, cfg.trials)), np.empty((3, cfg.trials), dtype=int)
         run_shifts = np.empty(cfg.trials, dtype=int)
         for t in range(cfg.trials):
-            trace = dense_trace(grid, cells[t], power[t], sigma, draws.dense(t), pilot)
+            rng = np.random.default_rng((seed, 0, 0, 0, t))
+            trace = dense_trace(grid, cells[t], power[t], sigma, rng, pilot)
             peaks[:, t], beams[:, t], run_shifts[t] = _dense_sync(trace, pilot, int(offsets[t]))
     else:
         trace = run_scan(grid, cells, power, sigma, draws, pilot_w=pilot, offset_steps=offsets)

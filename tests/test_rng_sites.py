@@ -1,14 +1,14 @@
-"""numpy.random generators are built in exactly two places in src/: the two
-dense runners, which seed one noise stream per trial (sync-test only in its
-dense band).  Every other draw comes from the Philox row counters (streams),
-and the pilot's bits are a constant table."""
+"""numpy.random generators are built in exactly one place in src/: the
+scan-demo runner, which seeds the noise stream of its one dense trace.  Every
+other draw comes from the Philox row counters (streams), and the pilot's bits
+are a constant table."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vlp_sim"
 
-SITES = {"experiments.run_sync_test", "experiments.run_scan_demo"}
+SITES = {"experiments.run_scan_demo"}
 
 
 def _is_np_random(node) -> bool:
