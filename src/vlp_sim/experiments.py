@@ -7,8 +7,8 @@ run sweeps every trial of one SNR in one run_scan call.  Every caller
 composes scan.support (the geometry), a sweep and estimator.locate (the
 fix): a grid pass sweeps with scan.run_scan on the beam grid alone, a sync
 run with its pilot too, and either yields its peaks directly; the scan-demo
-trial records its trace with scan.dense_trace and takes its peak with
-estimator.peak.
+trial records its trace with scan.dense_trace, as a sync trial completes
+its trace, and takes its peak with estimator.peak.
 
 Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
@@ -36,9 +36,9 @@ every draw is a pure function of the master seed and its indices.
   sparse pass reads any slot in any order and a trial completed in full
   reads the same numbers, at every pilot SNR.  A noiseless sync-test trial
   draws nothing.
-* scan-demo draws its one trace up front, one normal per slot, pilot
-  first, from np.random.default_rng((master_seed,)) (PCG64 seeded through
-  a SeedSequence).  numpy.random loads only for it.
+* scan-demo's sweep noise comes from row 0, blocks 6 on, as a sync trial's:
+  its one trace, pilot first, is the trace a sync trial of that row
+  completes (with no pilot, the same map with k = 0).
 """
 
 from __future__ import annotations
@@ -466,7 +466,7 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
 
 def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One dense trial at a given receiver position, seeded by the master seed
-    alone: the orientation from row 0, the noise from its own stream.
+    alone: the orientation and the noise from row 0.
 
     Uses the config's one snr value, anchored like a grid pass, and the
     configured pilot.  Returns (trace, position, status), the trace
@@ -477,7 +477,8 @@ def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[np.ndarray, np.ndarray,
     [sigma] = _noise_sigmas(reference_peak_power(cfg, sample_positions(cfg)), cfg.snr_list_db[:1])
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None
-    normal = receiver_normals(cfg.orientation, uniforms(cfg.master_seed, row_prefix(cfg, [0]), 3)[0] - 0.5)
+    draws = SyncDraws(cfg.master_seed, row_prefix(cfg, [0]))
+    normal = receiver_normals(cfg.orientation, uniforms(draws.seed, draws.prefix, 3)[0] - 0.5)
     cells, power = support(grid, cfg.room, ReceiverState(point, normal, cfg.fov_deg), cfg.channel)
-    trace = dense_trace(grid, cells, power, sigma, np.random.default_rng((cfg.master_seed,)), pilot)
+    trace = dense_trace(grid, cells, power, sigma, draws, pilot)
     return trace, *locate(cfg.room.emitter_pos, *peak(trace[cfg.pilot_len :]), grid, cfg.channel, sigma)

@@ -13,10 +13,11 @@ its whole trace.
 The geometry and the sweep are two calls: support() finds, for one
 receiver or a batch, the beam cells that carry signal and their on-axis
 power; a sweep takes them.  dense_trace() records every slot of one
-receiver's sweep, pilot first.  run_scan() sweeps a batch, and its pilot
-picks the sweep.  With no pilot it is a peak-only pass, which keeps,
-per receiver, just the strongest sample and its slot, drawn from the same
-law as the dense trace; the maximum of many noise samples comes from the
+receiver's sweep, pilot first, from a Philox row, as a sync trial
+completes its trace.  run_scan() sweeps a batch, and its pilot picks the
+sweep.  With no pilot it is a peak-only pass, which keeps, per receiver,
+just the strongest sample and its slot, drawn from the same law as the
+dense trace; the maximum of many noise samples comes from the
 standard library's normal quantile, the C routine (AS 241) that
 statistics.NormalDist().inv_cdf calls, mapped over the values with no
 Python frame per value (_normal_quantile).  With a pilot it is a sync run,
@@ -198,37 +199,20 @@ def _box_muller(u):
     return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(len(u), -1)
 
 
-def _pilot_levels(pilot_w) -> np.ndarray:
-    """The pilot's power per slot as floats, which must be nonnegative."""
-    pilot = np.asarray(pilot_w, dtype=float)
-    if np.any(pilot < 0.0):
-        raise ValueError("pilot power levels must be nonnegative")
-    return pilot
-
-
-def dense_trace(grid: BeamGrid, cells, power, sigma_w: float, rng, pilot_w=None) -> np.ndarray:
+def dense_trace(grid: BeamGrid, cells, power, sigma_w: float, draws, pilot_w=None) -> np.ndarray:
     """One receiver's sweep, every slot recorded: the received power per
     dwell slot, pilot slots first (pilot_w, the pilot's power per slot, if
     given), then one slot per beam.
 
     cells (4,) and power (a scalar) are support()'s output for the receiver:
     the cells collect their on-axis power.  Every slot gets an independent
-    N(0, sigma_w^2) draw from rng, a numpy Generator (unread, and may be
-    None, when sigma_w is 0).
+    N(0, sigma_w^2) draw from the Philox row of draws, a SyncDraws of one
+    row, as a sync trial completes its trace (_philox_trace); draws is
+    unread, and may be None, when sigma_w is 0.
     """
     if not sigma_w >= 0.0:
         raise ValueError("sigma_w must be nonnegative")
-    pilot = _pilot_levels(() if pilot_w is None else pilot_w)
-    k = len(pilot)
-    n = k + grid.size
-    if sigma_w > 0.0:
-        samples = rng.standard_normal(n)
-        samples *= sigma_w  # bit for bit rng.normal(0.0, sigma_w, n), by the faster fill loop
-    else:
-        samples = np.zeros(n)
-    samples[:k] += pilot
-    samples[_support_slots(grid, cells[None], k)[1]] += power
-    return samples
+    return _philox_trace(_SyncPilot(grid, () if pilot_w is None else pilot_w), cells, power, sigma_w, draws, 0)
 
 
 def run_scan(grid: BeamGrid, cells, power, sigma_w: float, draws, pilot_w=None, offset_steps: int = 0):
@@ -404,13 +388,15 @@ def _best_shifts(rows, first, count, n, k, taps, levels, segments):
 class _SyncPilot:
     """A sync run's plan, built once per run: the grid, the pilot, its
     on-taps, their levels and sum; the head (the pilot and pad = k - 1 slots
-    either side of it, none on a trace too short to hold them, whose signal
-    is the pilot) and the first slot past it; q and the level tau that a
-    noise-only sample reaches with probability q, and Phi(tau)."""
+    either side of it, none with no pilot or on a trace too short for them,
+    whose signal is the pilot) and the first slot past it; q and the level
+    tau that a noise-only sample reaches with probability q, and Phi(tau)."""
 
     def __init__(self, grid: BeamGrid, pilot_w):
         self.grid = grid
-        self.pilot = _pilot_levels(pilot_w)
+        self.pilot = np.asarray(pilot_w, dtype=float)
+        if np.any(self.pilot < 0.0):
+            raise ValueError("pilot power levels must be nonnegative")
         k = self.k = len(self.pilot)
         n = self.n = k + grid.size
         self.blocks = (n + 1) // 2  # Philox blocks a trace's slot normals take
@@ -420,7 +406,7 @@ class _SyncPilot:
         self.q = min(0.5, _HOT_PER_TRACE / n)
         self.tau = -_STD_NORMAL.inv_cdf(self.q)
         self.below = _STD_NORMAL.cdf(self.tau)
-        self.pad = k - 1 if n >= 3 * k - 2 else 0
+        self.pad = k - 1 if k and n >= 3 * k - 2 else 0
         self.head_slots = np.arange(-self.pad, k + self.pad) % n
         self.head_signal = np.zeros(k + 2 * self.pad)
         self.head_signal[self.pad : self.pad + k] = self.pilot
@@ -679,12 +665,6 @@ def _sparse_peaks(x: _SparseTraces, starts):
     values = np.where(rel >= k, x.values, -np.inf)  # only those above cut can beat a slot not drawn
     best = np.maximum.reduceat(values, x.first, axis=1)
     beams = np.minimum.reduceat(np.where(values == best[:, x.rows], rel, n), x.first, axis=1) - k
-    if x.sigma_w == 0.0:
-        # noiseless samples are >= 0 and the undrawn ones 0: with no positive
-        # drawn sample, the trace is all zeros and peaks at its first slot
-        flat = best == -np.inf
-        best[flat], beams[flat] = 0.0, 0
-        return np.ones(len(x.first), dtype=bool), best, beams
     return (best > -np.inf).all(axis=0), best, beams
 
 

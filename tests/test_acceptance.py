@@ -26,6 +26,8 @@ from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
 from vlp_sim.orientation import LaplaceParams, laplace_quantile
 from vlp_sim.scan import apply_timing_offset, dense_trace, make_pilot, realign_with_pilot, support
 
+from dense_oracle import pcg64_trace
+
 P = ChannelParams()
 
 
@@ -94,7 +96,7 @@ def test_criterion_1_exact_recovery_on_grid_directions(full_grid):
         d = float(rng.uniform(0.5, 2.5))
         p_true = room.emitter_pos + d * u
         rx = ReceiverState(p_true, [0, 0, 1])
-        trace = dense_trace(full_grid, *support(full_grid, room, rx, P), 0.0, rng)
+        trace = dense_trace(full_grid, *support(full_grid, room, rx, P), 0.0, None)
         position, _ = locate(room.emitter_pos, *peak(trace), full_grid, P, 0.0)
         worst = max(worst, position_error(p_true, position).total_m)
     elapsed = time.perf_counter() - t0
@@ -113,7 +115,7 @@ def test_criterion_2_quantization_bound(full_grid):
     for _ in range(1000):
         p_true = np.array([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)])
         rx = ReceiverState(p_true, [0, 0, 1])
-        trace = dense_trace(full_grid, *support(full_grid, room, rx, P), 0.0, rng)
+        trace = dense_trace(full_grid, *support(full_grid, room, rx, P), 0.0, None)
         y, beam = peak(trace)
         position, _ = locate(room.emitter_pos, y, beam, full_grid, P, 0.0)
         to_rx = p_true - room.emitter_pos
@@ -186,7 +188,7 @@ def test_criterion_7_synchronization(full_grid):
         rx = ReceiverState(
             [rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2.5)], [0, 0, 1]
         )
-        trace = dense_trace(full_grid, *support(full_grid, room, rx, P), 1e-4, rng, pilot)
+        trace = pcg64_trace(full_grid, *support(full_grid, room, rx, P), 1e-4, rng, pilot)
         offset = int(rng.integers(-(n // 2), n // 2 + 1))
         shifted = apply_timing_offset(trace, offset)
         # brute force over every cyclic shift: each 64-sample window of the

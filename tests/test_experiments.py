@@ -39,6 +39,8 @@ from vlp_sim.scan import (
 )
 from vlp_sim.streams import uniform_index, uniforms
 
+from dense_oracle import pcg64_trace
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # coarse setup keeps module tests fast; acceptance runs the full defaults
@@ -79,8 +81,7 @@ class TestConfigValidation:
         lambda: ExperimentConfig(snr_list_db=(np.nan,)),
         lambda: ExperimentConfig(mode="snr-sweep", snr_list_db=(np.nan, 40.0)),
         lambda: ExperimentConfig(mode="snr-sweep", snr_list_db=(-np.inf, 40.0)),
-        lambda: dense_trace(build_beam_grid(2.0, 2.0), np.array([0]), 1e-5, np.nan,
-                            np.random.default_rng(0)),
+        lambda: dense_trace(build_beam_grid(2.0, 2.0), np.array([0]), 1e-5, np.nan, None),
         lambda: Room(np.inf, 1.0, 3.0),
         lambda: ExperimentConfig(grid_spacing_m=np.inf),
         lambda: ExperimentConfig(azimuth_step_deg=np.inf),
@@ -355,13 +356,19 @@ class TestRunSyncTest:
             run_sync_test(ExperimentConfig(mode="sync-test", pilot_len=0))
 
     @pytest.mark.parametrize("mode", ["fixed", "random-euler"])
-    def test_matches_per_trial_oracle(self, mode):
+    def test_matches_per_trial_oracle(self, monkeypatch, mode):
         # noiseless rows equal the dense per-trial oracle's bit for bit; noisy
-        # rows draw other samples from the same law (TestSyncTrialLaw)
+        # rows draw other samples from the same law (TestSyncTrialLaw).  A
+        # noiseless trial whose receiver sees no beam has no positive sample
+        # past its pilot window: its peaks are not found on what the sparse
+        # pass drew, and it completes its trace (random-euler only)
         cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=100,
                                master_seed=11, snr_list_db=(float("inf"),),
                                orientation=dataclasses.replace(ExperimentConfig().orientation, mode=mode))
+        full_draws = _count_full_draws(monkeypatch)
         rows = run_sync_test(cfg).aggregates["rows"]
+        assert bool(full_draws) == (mode == "random-euler")
+        monkeypatch.undo()
         assert rows == _sync_oracle_rows(cfg)
 
     @pytest.mark.parametrize("position, normal", [
@@ -547,6 +554,43 @@ class TestSyncTrialCompletion:
         np.testing.assert_array_equal(head.beams, whole.beams[:, :50])
 
 
+class TestScanDemo:
+    """scan-demo's one dense trace is the trace that a sync trial of row 0
+    completes from its Philox counters (prefix (0, 0, 0), blocks 6 on),
+    pilot first, and its noise-only slots are N(0, sigma^2)."""
+
+    POINT = np.array([0.3, 0.4, 1.2])
+
+    def _demo(self, seed, pilot_len):
+        """(trace, sigma, its noise-only slots, the trace _philox_trace completes for row 0)."""
+        cfg = ExperimentConfig(snr_list_db=(40.0,), master_seed=seed, pilot_len=pilot_len)
+        trace, _, _ = experiments.run_scan_demo(cfg, self.POINT)
+        grid = build_beam_grid()
+        sigma = noise_sigma_for_snr(reference_peak_power(cfg, sample_positions(cfg)), 40.0)
+        draws = scan.SyncDraws(seed, np.zeros((1, 3), dtype=int))
+        normal = receiver_normals(cfg.orientation, uniforms(seed, draws.prefix, 3)[0] - 0.5)
+        cells, power = support(grid, cfg.room, ReceiverState(self.POINT, normal, cfg.fov_deg), cfg.channel)
+        pilot = make_pilot(cfg.channel.p_opt_w, pilot_len) if pilot_len else np.zeros(0)
+        completed = scan._philox_trace(scan._SyncPilot(grid, pilot), cells, power, sigma, draws, 0)
+        lit = np.zeros(len(trace), dtype=bool)
+        lit[:pilot_len] = lit[scan._support_slots(grid, cells[None], pilot_len)[1]] = True
+        return trace, sigma, np.flatnonzero(~lit), completed
+
+    @pytest.mark.parametrize("pilot_len", [64, 0])
+    def test_trace_is_the_row_0_completion(self, pilot_len):
+        trace, _, noise, completed = self._demo(3, pilot_len)
+        assert len(trace) == pilot_len + 32_400 and len(noise) < len(trace)
+        np.testing.assert_array_equal(trace.view(np.int64), completed.view(np.int64))
+
+    @pytest.mark.parametrize("pilot_len", [64, 0])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_noise_is_normal(self, seed, pilot_len):
+        # the noise-only slots, the pilot's neighbours among them: one-sample
+        # KS against N(0, sigma^2), over about 32,000 samples
+        trace, sigma, noise, _ = self._demo(seed, pilot_len)
+        assert stats.kstest(trace[noise] / sigma, "norm").pvalue > 0.01
+
+
 def _count_full_draws(monkeypatch):
     """Record the offset of every sync trial that takes the dense path."""
     calls = []
@@ -631,7 +675,7 @@ def _sync_trial_records(seed, snr, dense, shifts=None):
         run_shifts = np.empty(cfg.trials, dtype=int)
         for t in range(cfg.trials):
             rng = np.random.default_rng((seed, 0, 0, 0, t))
-            trace = dense_trace(grid, cells[t], power[t], sigma, rng, pilot)
+            trace = pcg64_trace(grid, cells[t], power[t], sigma, rng, pilot)
             peaks[:, t], beams[:, t], run_shifts[t] = _dense_sync(trace, pilot, int(offsets[t]))
     else:
         trace = run_scan(grid, cells, power, sigma, draws, pilot_w=pilot, offset_steps=offsets)
@@ -664,7 +708,7 @@ def _sync_oracle_rows(cfg):
             rx = ReceiverState(point, receiver_normals(cfg.orientation, u[:3] - 0.5), cfg.fov_deg)
             rng = np.random.default_rng((cfg.master_seed, 0, snr_idx, 0, trial))
             cells, power = support(grid, cfg.room, rx, cfg.channel)
-            peaks, beams, _ = _dense_sync(dense_trace(grid, cells, power, sigma, rng, pilot), pilot, offset)
+            peaks, beams, _ = _dense_sync(pcg64_trace(grid, cells, power, sigma, rng, pilot), pilot, offset)
             mismatches += int(beams[1] != beams[0])
             for key, y, beam in zip(("synced", "realigned", "naive"), peaks, beams):
                 errs[key].append(position_error(point, locate(emitter, y, beam, grid, cfg.channel, 0.0)[0]).total_m)
@@ -696,7 +740,7 @@ def _dense_grid_trials(seed, snr, mode, trials):
             rng = np.random.default_rng((seed, i, trial))
             rx = ReceiverState(point, receiver_normals(ori, rng.uniform(-0.5, 0.5, m)), cfg.fov_deg)
             cells, power = support(grid, cfg.room, rx, cfg.channel)
-            trace = dense_trace(grid, cells, power, sigma, rng)
+            trace = pcg64_trace(grid, cells, power, sigma, rng)
             est, code = locate(cfg.room.emitter_pos, *peak(trace), grid, cfg.channel, sigma)
             errs.append(position_error(point, est).total_m)
             status.append(code)
@@ -748,7 +792,7 @@ class TestPeakOnlyEquivalence:
         batch, batch_status = locate(cfg.room.emitter_pos, trace.samples, trace.beams, grid, cfg.channel, 0.0)
         for i, (point, normal) in enumerate(zip(points, normals)):
             one = ReceiverState(point, normal, cfg.fov_deg)
-            dense = dense_trace(grid, *support(grid, cfg.room, one, cfg.channel), 0.0, np.random.default_rng(i))
+            dense = dense_trace(grid, *support(grid, cfg.room, one, cfg.channel), 0.0, None)
             y, beam = peak(dense)
             est, status = locate(cfg.room.emitter_pos, y, beam, grid, cfg.channel, 0.0)
             np.testing.assert_array_equal(est, batch[i])

@@ -266,6 +266,15 @@ class TestCli:
         assert lines[1].split(",")[1] == ""  # pilot row
         assert lines[65].split(",")[1:3] == ["0", "0"]
 
+    def test_scan_demo_without_a_pilot(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["scan-demo", "--config", write_tiny_config(tmp_path, {"pilot_length": 0}),
+                     "--rx", "0.3,0.4,1.2", "--seed", "3", "--out", str(out)])
+        assert code == 0
+        lines = (out / "scan_trace.csv").read_text().splitlines()
+        assert len(lines) == 1 + 32400
+        assert lines[1].split(",")[:3] == ["0", "0", "0"]  # the first beam's row, no pilot row
+
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         cfg = write_tiny_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -502,23 +511,25 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("argv, extra, loaded", [
-        (["cdf"], None, False),
-        (["snr-sweep"], None, False),
-        (["snr-sweep", "--snr", "inf,20,40"], TWO_MODES, False),
-        (["sync-test", "--snr", "inf,20"], {"trials_per_point": 200}, False),
+    @pytest.mark.parametrize("argv, extra", [
+        (["cdf"], None),
+        (["snr-sweep"], None),
+        (["snr-sweep", "--snr", "inf,20,40"], TWO_MODES),
+        (["sync-test", "--snr", "inf,20"], {"trials_per_point": 200}),
         # under 12 dB many trials complete their traces, from their Philox rows too
-        (["sync-test", "--snr", "10"], {"trials_per_point": 200}, False),
-    ], ids=["cdf", "snr-sweep", "snr-sweep-two-modes", "sync-test-sparse", "sync-test-low-snr"])
-    def test_run_loads_no_numpy_random(self, tmp_path, argv, extra, loaded):
+        (["sync-test", "--snr", "10"], {"trials_per_point": 200}),
+        # its one trace is a row's completed trace, noisy at the config's 40 dB
+        (["scan-demo", "--rx", "0.3,0.4,1.2"], None),
+    ], ids=["cdf", "snr-sweep", "snr-sweep-two-modes", "sync-test-sparse", "sync-test-low-snr", "scan-demo"])
+    def test_run_loads_no_numpy_random(self, tmp_path, argv, extra):
         # numpy imports numpy.random on first use: about 20 ms inside the
-        # timed run, which only a run that builds a generator should pay
+        # timed run, and src/ builds no generator
         src = Path(__file__).resolve().parent.parent / "src"
         argv = argv + ["--config", write_tiny_config(tmp_path, extra), "--out", str(tmp_path / "out")]
         code = f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; print('numpy.random' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == str(loaded)
+        assert out.stdout.strip() == "False"
 
     def test_pilot_longer_than_its_table_exits_one_before_work(self, tmp_path, capsys):
         out = tmp_path / "out"

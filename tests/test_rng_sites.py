@@ -1,14 +1,12 @@
-"""numpy.random generators are built in exactly one place in src/: the
-scan-demo runner, which seeds the noise stream of its one dense trace.  Every
-other draw comes from the Philox row counters (streams), and the pilot's bits
-are a constant table."""
+"""src/ builds no numpy.random generator: every draw comes from the Philox
+row counters (streams), and the pilot's bits are a constant table."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vlp_sim"
 
-SITES = {"experiments.run_scan_demo"}
+SITES = set()
 
 
 def _is_np_random(node) -> bool:
@@ -41,7 +39,6 @@ def generator_sites(src: Path = SRC) -> set[str]:
 
 
 def test_generators_built_only_at_the_known_sites():
-    # equality both ways: a site that stops building a generator leaves the list
     assert generator_sites() == SITES
 
 

@@ -176,44 +176,34 @@ class TestRunScan:
         spread = P.wavelength_m * 1.5 / (np.pi * P.waist_m**2)
         expected = 2 * P.p_opt_w * P.pd_area_m2 / (np.pi * P.waist_m**2 * (1 + spread**2))
         rx = ReceiverState([0.5, 0.5, 1.5], [0, 0, 1])
-        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, None)
         nadir = trace[: grid.n_azimuth]
         np.testing.assert_allclose(nadir, expected, rtol=1e-12)
         assert np.all(trace[grid.n_azimuth :] == 0.0)
 
     def test_receiver_facing_away_sees_nothing(self, grid):
         rx = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
-        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, None)
         assert np.all(trace == 0.0)
 
     def test_trace_length_with_pilot(self, grid):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0), pilot)
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, None, pilot)
         assert len(trace) == 64 + 32400
 
     def test_off_centre_receiver_hits_single_cell(self, grid):
         # direction to (0.8, 0.5, 1.0): az = 0, el = atan(0.3/2.0)
         rx = ReceiverState([0.8, 0.5, 1.0])
-        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, None)
         el = np.degrees(np.arctan2(0.3, 2.0))
         expected_beam = int(round(el)) * grid.n_azimuth + 0
         hits = np.nonzero(trace)[0]
         assert list(hits) == [expected_beam]
 
-    @pytest.mark.parametrize("seed", [3, 4])
-    @pytest.mark.parametrize("sigma", [1e-6, 2.5])
-    def test_noise_is_generator_normal_bit_for_bit(self, grid, seed, sigma):
-        # an out-of-view receiver's trace is the noise alone: the same bits
-        # as Generator.normal(0, sigma) from the same stream
-        rx = ReceiverState([0.2, 0.7, 1.0], [0, 0, -1])
-        trace = dense_trace(grid, *support(grid, ROOM, rx, P), sigma, np.random.default_rng(seed))
-        want = np.random.default_rng(seed).normal(0.0, sigma, size=grid.size)
-        np.testing.assert_array_equal(trace.view(np.int64), want.view(np.int64))
-
     def test_noise_reaches_every_slot(self, grid):
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 1e-9, np.random.default_rng(3))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 1e-9, scan.SyncDraws(3, np.zeros((1, 3), dtype=int)))
         assert np.count_nonzero(trace) == len(trace)
 
     def test_outside_room_rejected(self, grid):
@@ -232,7 +222,7 @@ class TestSupport:
     def test_matches_noiseless_dense_trace(self, grid, pos):
         rx = ReceiverState(pos)
         cells, power = support(grid, ROOM, rx, P)
-        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, None)
         slots = support_slots(grid, cells)
         np.testing.assert_array_equal(slots, np.nonzero(trace)[0])
         assert np.all(trace[slots] == power)
@@ -426,7 +416,7 @@ class TestRealignWithPilot:
     def test_no_offset_strips_pilot(self, grid):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.5, 0.5, 1.5])
-        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(1), pilot)
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, None, pilot)
         shift = realign_with_pilot(trace, pilot)
         assert type(shift) is int and shift == 0
 
@@ -434,7 +424,7 @@ class TestRealignWithPilot:
     def test_offset_then_realign_restores_exactly(self, grid, offset):
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.31, 0.62, 0.9])
-        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(2), pilot)
+        trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, None, pilot)
         shifted = apply_timing_offset(trace, offset)
         shift = realign_with_pilot(shifted, pilot)
         assert shift == offset % len(trace)
@@ -598,18 +588,20 @@ class TestRealignWithPilot:
         # whose padding cells would win if scored.  Row 1: the same pilot at
         # shifts n - 3 and 2, an exact tie inside a run that crosses shift
         # n - 1.  Row 2: the same pilot at shifts 40 and 10, an exact tie
-        # across two runs, the later shift's run listed first.
+        # across two runs, the later shift's run listed first.  Row 3: the
+        # same pilot at shifts n - 6 and 0, an exact tie inside a run that
+        # crosses shift n - 1, shift 0 at the crossing's first column.
         n, k = 200, 4
         pilot = np.array([1.0, 0.0, 0.5, 2.0])  # the last tap on: a padded window reaches past the run
         taps = np.flatnonzero(pilot)
-        traces = np.random.default_rng(52).normal(0.0, 0.01, size=(3, n))
+        traces = np.random.default_rng(52).normal(0.0, 0.01, size=(4, n))
         traces[0, 70:74] += pilot
         traces[1:] = 0.0
-        for row, at in ((1, n - 3), (1, 2), (2, 40), (2, 10)):
+        for row, at in ((1, n - 3), (1, 2), (2, 40), (2, 10), (3, n - 6), (3, 0)):
             traces[row, (at + np.arange(k)) % n] = pilot
-        rows = np.array([0, 0, 1, 2, 2])
-        first = np.array([100, 60, n - 5, 35, 0])
-        count = np.array([20, 30, 12, 9, 40])
+        rows = np.array([0, 0, 1, 2, 2, 3])
+        first = np.array([100, 60, n - 5, 35, 0, n - 8])
+        count = np.array([20, 30, 12, 9, 40, 12])
 
         def segments(g, width):  # past a run's own samples, cells that win if scored
             cols = np.arange(width)
@@ -635,9 +627,10 @@ class TestRealignWithPilot:
                     want[r] = (value, s)
         assert score(traces[1], n - 3) == score(traces[1], 2) == want[1][0]
         assert score(traces[2], 40) == score(traces[2], 10) == want[2][0]
+        assert score(traces[3], n - 6) == score(traces[3], 0) == want[3][0]
         got_rows, got = scan._best_shifts(rows, first, count, n, k, taps, pilot[taps], segments)
-        assert got_rows.tolist() == [0, 1, 2]
-        assert got.tolist() == [want[r][1] for r in range(3)] == [70, 2, 10]
+        assert got_rows.tolist() == [0, 1, 2, 3]
+        assert got.tolist() == [want[r][1] for r in range(4)] == [70, 2, 10, 0]
 
     def test_negative_pilot_level_rejected(self, grid):
         # wherever a pilot enters: the correlator, the sync run and the dense trace
@@ -654,13 +647,27 @@ class TestRealignWithPilot:
             realign_with_pilot(np.ones(10), np.array([]))
 
 
+class TestSyncPilot:
+    def test_head_pad_rule(self):
+        # the pilot gets k - 1 slots either side while n >= 3k - 2, so the two
+        # pads do not meet; no pilot, no pad
+        grid = build_beam_grid(10.0, 10.0)
+        assert grid.size == 324
+        for k, pad in ((163, 162), (164, 0), (1, 0), (2, 1)):
+            p = scan._SyncPilot(grid, np.ones(k))
+            assert (p.n, p.pad) == (k + 324, pad), k
+            np.testing.assert_array_equal(p.head_slots, np.arange(-pad, k + pad) % p.n)
+        empty = scan._SyncPilot(grid, np.zeros(0))
+        assert (empty.pad, empty.first, len(empty.head_slots)) == (0, 0, 0)
+
+
 class TestNoiseRobustSelection:
     def test_small_noise_never_flips_argmax(self, grid):
         # noise at 1% of the peak cannot displace a clean peak: 10,000 noisy
         # sweeps of one receiver, as one peak-only pass (the dense law, see
         # TestPeakOnlyEquivalence)
         rx = ReceiverState([0.62, 0.41, 1.2])
-        clean = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, np.random.default_rng(0))
+        clean = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, None)
         peak = float(clean.max())
         k_clean = int(np.argmax(clean))
         n = 10_000
@@ -684,6 +691,7 @@ class TestMakePilot:
             "0011010000110001101001010010001111010001100010010100110001100010")
         # a draw with no on-bit cannot correlate: its first bit is set
         np.testing.assert_array_equal(make_pilot(1.0, 2), [1.0, 0.0])
+        np.testing.assert_array_equal(make_pilot(2.5, 1), [2.5])
 
     def test_length_beyond_the_table_rejected(self):
         with pytest.raises(ValueError):
