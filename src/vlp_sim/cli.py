@@ -68,8 +68,6 @@ def _parse_snr_list(text: str | None):
 
 
 def _scan_demo(cfg: ExperimentConfig, args) -> None:
-    if len(cfg.snr_list_db) != 1:
-        raise ConfigError("scan-demo takes exactly one snr value")
     if args.rx is not None:
         try:
             point = np.array([float(v) for v in args.rx.split(",")])
@@ -113,10 +111,9 @@ def main(argv=None) -> int:
             # the flag names the one mode snr-sweep runs, as --snr names its snr values
             "orientation_modes": [args.orientation] if args.orientation and args.command == "snr-sweep" else None,
             "snr_db": _parse_snr_list(args.snr),
-            "mode": args.command if args.command in _RUNNERS else None,
         }
         resolved, applied_defaults = load_config(args.config, overrides)
-        cfg = build_experiment(resolved)
+        cfg = build_experiment(resolved, args.command)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -8,7 +8,9 @@ composes scan.support (the geometry), a sweep and estimator.locate (the
 fix): a grid pass sweeps with scan.run_scan on the beam grid alone, a sync
 run with its pilot too, and either yields its peaks directly; the scan-demo
 trial records its trace with scan.dense_trace, as a sync trial completes
-its trace, and takes its peak with estimator.peak.
+its trace, and takes its peak with estimator.peak.  ExperimentConfig.mode
+is the subcommand, which alone picks a config's rules: one snr value for
+cdf and scan-demo, a pilot for sync-test, orientation_modes in snr-sweep.
 
 Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
@@ -65,7 +67,7 @@ from .scan import (
 )
 from .streams import uniform_index, uniforms
 
-EXPERIMENT_MODES = ("cdf", "snr-sweep", "sync-test")
+EXPERIMENT_MODES = ("cdf", "snr-sweep", "sync-test", "scan-demo")
 
 # sweep noise is pinned to the average signal strength over the coverage
 # volume: one sigma per run, independent of receiver position
@@ -77,8 +79,9 @@ SNR_DEFINITION = (
     "reference is the pilot on-level instead."
 )
 
-# default trials per grid point (cdf, snr-sweep) or total trials (sync-test)
-DEFAULT_TRIALS = {"cdf": 5, "snr-sweep": 20, "sync-test": 1000}
+# default trials per grid point (cdf, snr-sweep) or total trials (sync-test,
+# scan-demo)
+DEFAULT_TRIALS = {"cdf": 5, "snr-sweep": 20, "sync-test": 1000, "scan-demo": 1}
 
 # uniforms per row: 3 orientation angles, the scan's or the sync pose's, one spare
 ROW_UNIFORMS = 12
@@ -114,7 +117,7 @@ class ExperimentConfig:
     snr_list_db: tuple = (40.0,)
     trials_per_point: int | None = None
     master_seed: int = 0
-    mode: str = "cdf"
+    mode: str = "cdf"  # the subcommand that runs, one of EXPERIMENT_MODES
     orientation_modes: tuple | None = None  # snr-sweep only; None -> (orientation.mode,)
 
     def __post_init__(self):
@@ -143,8 +146,8 @@ class ExperimentConfig:
             raise ValueError("snr_list_db must be nonempty")
         if not all(s > -np.inf for s in self.snr_list_db):  # +inf is noiseless; NaN and -inf give no sigma
             raise ValueError("snr_list_db values must be finite or +inf")
-        if self.mode == "cdf" and len(self.snr_list_db) != 1:
-            raise ValueError("cdf mode takes exactly one snr value")
+        if self.mode in ("cdf", "scan-demo") and len(self.snr_list_db) != 1:
+            raise ValueError(f"{self.mode} takes exactly one snr value")
         if not 0 <= self.pilot_len <= MAX_PILOT_LEN:
             raise ValueError(f"pilot_len must be in [0, {MAX_PILOT_LEN}]: the pilot's bits are a fixed table")
         if self.mode == "sync-test" and self.pilot_len < 1:
@@ -384,7 +387,7 @@ def run_cdf_experiment(cfg: ExperimentConfig) -> RunResult:
         errs = {axis: rec[f"err_{axis}"][valid] for axis in ("3d", "x", "y", "z")}
         agg.update({f"cdf_{axis}": compute_cdf(e) for axis, e in errs.items()})
         agg.update({f"p{q}_3d_m": percentile(agg["cdf_3d"][0], q) for q in (50, 90, 95)})
-        agg.update({f"subcm_frac_{axis}": float((errs[axis] < 0.01).mean()) for axis in ("x", "y")})
+        agg.update({f"subcm_frac_{axis}": float((e < 0.01).mean()) for axis, e in errs.items()})
     return RunResult("cdf", agg, _base_metadata(cfg, p_ref))
 
 
@@ -474,7 +477,7 @@ def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[np.ndarray, np.ndarray,
     the pilot, and locate flags it when it falls under the low-signal
     threshold for this sigma.
     """
-    [sigma] = _noise_sigmas(reference_peak_power(cfg, sample_positions(cfg)), cfg.snr_list_db[:1])
+    [sigma] = _noise_sigmas(reference_peak_power(cfg, sample_positions(cfg)), cfg.snr_list_db)
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None
     draws = SyncDraws(cfg.master_seed, row_prefix(cfg, [0]))

@@ -4,9 +4,10 @@ Config files are flat JSON with units spelled out in the key names
 (wavelength_nm, pd_area_cm2, ...), matching the units people quote for this
 kind of hardware; everything converts to SI at parse time.  Unknown keys are
 rejected rather than silently ignored, and every key that fell back to its
-default is echoed in the output metadata.  Every key changes the run, so
-the pre-0.4 keys that drove nothing (threads, dwell_time_s, bandwidth_ghz,
-noise_variance_w_hz) are unknown keys.
+default is echoed in the output metadata.  Every key moves some output of
+the subcommand it acts in, so the keys that drove nothing are unknown keys:
+the pre-0.4 threads, dwell_time_s, bandwidth_ghz and noise_variance_w_hz,
+and from 0.6 mode.  The subcommand alone names the experiment that runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .scan import DEFAULT_PILOT_LEN
 
 
 CONFIG_DEFAULTS: dict = {
-    "mode": "cdf",
     "seed": 0,
     "room_width_m": 1.0,
     "room_depth_m": 1.0,
@@ -114,7 +114,7 @@ def _normalize(cfg: dict) -> dict:
         raise ConfigError(f"snr_db must be a number or list of numbers, got {snr!r}")
     cfg["snr_db"] = [float(s) for s in values]
     for key, value in cfg.items():
-        if key in ("mode", "orientation_mode", "orientation_modes", "snr_db"):
+        if key in ("orientation_mode", "orientation_modes", "snr_db"):
             continue
         if value is None and key == "trials_per_point":
             continue
@@ -127,8 +127,8 @@ def _normalize(cfg: dict) -> dict:
     return cfg
 
 
-def build_experiment(cfg: dict) -> ExperimentConfig:
-    """Turn a resolved config dict (file units) into run objects (SI units)."""
+def build_experiment(cfg: dict, command: str) -> ExperimentConfig:
+    """Turn a resolved config dict (file units) into the command's run objects (SI units)."""
     try:
         room = Room(cfg["room_width_m"], cfg["room_depth_m"], cfg["room_height_m"])
         channel = ChannelParams(
@@ -159,7 +159,7 @@ def build_experiment(cfg: dict) -> ExperimentConfig:
             snr_list_db=cfg["snr_db"],
             trials_per_point=None if cfg["trials_per_point"] is None else int(cfg["trials_per_point"]),
             master_seed=int(cfg["seed"]),
-            mode=cfg["mode"],
+            mode=command,
             orientation_modes=cfg["orientation_modes"],
         )
     except ValueError as e:
@@ -207,12 +207,10 @@ def _csv(header: str, rows) -> str:
 def write_results(result: RunResult, out_dir, config_echo: dict, applied_defaults: list[str], wall_time_s: float | None = None) -> list[Path]:
     """Emit the run's CSV data files plus meta.json, atomically.
 
-    Validation happens before the first file is created, so a failed run
-    leaves no partial output behind.
+    Validation happens before the directory or any file is created, so a
+    failed run leaves no partial output behind.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     files: list[tuple[Path, str]] = []
     if result.mode == "cdf":
         if result.aggregates.get("n_valid", 0) == 0:
@@ -245,6 +243,7 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
     }
     files.append((out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"))
 
+    out.mkdir(parents=True, exist_ok=True)
     written = []
     for path, text in files:
         _atomic_write(path, text)

@@ -55,6 +55,7 @@ class TestConfigValidation:
         assert cfg.trials == 5
         assert ExperimentConfig(mode="snr-sweep", snr_list_db=(20,)).trials == 20
         assert ExperimentConfig(mode="sync-test").trials == 1000
+        assert ExperimentConfig(mode="scan-demo").trials == 1
 
     def test_bad_height_band(self):
         with pytest.raises(ValueError):
@@ -951,10 +952,10 @@ class TestBenchmarkContract:
         "cdf-fixed/cdf_x.csv": "8a8913d4996f3af9fae96fb695dc9c8c2feb75d7a99deb06adaaab96f3679d08",
         "cdf-fixed/cdf_y.csv": "6e3e7d9ba5e1f77af162b836d1749550beb58860fc5fa994233faca281fb4fb2",
         "cdf-fixed/cdf_z.csv": "d732658b36801816cc692d33b8b36fe7cf77a130dfbeea5ad4b6b785a7cf67f8",
-        "cdf-fixed/meta.json": "c3057974b5cb25b79ab7c2e8455080109b636b3798eb23a76123d7ad0cd349da",
+        "cdf-fixed/meta.json": "f5a509ae91c7dbdf244ddcef7e8537dfc423d97fc51ffcb5eb03b6b638dba5c1",
         "sweep-random/mean_error_vs_snr.csv": "b6e392eee7772a11b7d357e2ff509c239bf809abca2d8f67b221345eedc68cb3",
-        "sweep-random/meta.json": "4de2f991bf12fce0a638229cd6bf37cea7ed463dee872f0565a2138358a7e21d",
-        "sync-pilot/meta.json": "c82248b1903e5a0c66646bad4d5ea95c005788802e821e2f8c212529be3537ce",
+        "sweep-random/meta.json": "c4289eebbc254aae14504edc705b86bff448afe0be0f5f821a231409b37ac5e3",
+        "sync-pilot/meta.json": "17ed4ae9455323ba10ca6d36aebecb4555057df2c7550284d7b25263e10138d8",
         "sync-pilot/sync_test.csv": "787e3f302307171393c65c94da42552db12d2b822ddeb727aa789b052977741f",
     }
 

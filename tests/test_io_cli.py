@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import stat
@@ -29,14 +30,28 @@ TWO_MODES = {"orientation_modes": ["fixed", "random-euler"]}
 
 CDF_FILES = ("cdf_3d.csv", "cdf_x.csv", "cdf_y.csv", "cdf_z.csv")
 
-# keys of pre-0.4 configs that drove no output, with their old defaults
-RETIRED_KEYS = {"threads": 1, "dwell_time_s": 3e-5, "bandwidth_ghz": 2.0, "noise_variance_w_hz": 5e-14}
+# keys that drove no output, with their last defaults: four retired in 0.4,
+# mode (the subcommand names the run) in 0.6
+RETIRED_KEYS = {"threads": 1, "dwell_time_s": 3e-5, "bandwidth_ghz": 2.0, "noise_variance_w_hz": 5e-14, "mode": "cdf"}
 
-# a valid non-default value per config key; numeric keys not listed get default + 1
+# a valid value per config key, other than its default and TINY's; numeric
+# keys not listed get default + 1
 OTHER_VALUES = {
-    "mode": "snr-sweep", "orientation_mode": "random-euler", "orientation_modes": ["fixed"],
+    "orientation_mode": "random-euler", "orientation_modes": TWO_MODES["orientation_modes"],
     "snr_db": [30.0], "trials_per_point": 3, "room_height_m": 4.0, "azimuth_step_deg": 2.0,
-    "elevation_step_deg": 2.0, "grid_spacing_m": 0.5, "h_max_m": 2.0, "fov_deg": 90.0,
+    "elevation_step_deg": 2.0, "grid_spacing_m": 0.25, "h_max_m": 2.0, "fov_deg": 90.0,
+}
+
+# the subcommand, and the config beside TINY, in which a key acts; every
+# other key acts in a plain cdf run
+_EULER = ("cdf", {"orientation_mode": "random-euler"})
+# at the default elevation, straight up with no spread, the azimuth moves nothing
+_SPHERICAL = ("cdf", {"orientation_mode": "random-spherical", "mu_theta_deg": 60.0, "sigma_theta_deg": 10.0})
+KEY_CONTEXTS = {
+    "orientation_modes": ("snr-sweep", {}),
+    "pilot_length": ("sync-test", {}),
+    **{f"{p}_{angle}_deg": _EULER for p in ("mu", "sigma") for angle in ("alpha", "beta", "gamma")},
+    **{f"{p}_{angle}_deg": _SPHERICAL for p in ("mu", "sigma") for angle in ("phi", "theta")},
 }
 
 
@@ -102,48 +117,61 @@ class TestLoadConfig:
 class TestBuildExperiment:
     def test_unit_conversions(self):
         resolved, _ = load_config(None, {})
-        cfg = build_experiment(resolved)
+        cfg = build_experiment(resolved, "cdf")
         assert cfg.channel.wavelength_m == pytest.approx(950e-9)
         assert cfg.channel.waist_m == pytest.approx(5.9e-6)
         assert cfg.channel.pd_area_m2 == pytest.approx(1e-4)
         assert cfg.room.height_m == 3.0
 
-    def test_every_key_changes_the_run(self):
-        # a key that no code reads is a knob that does nothing
-        def build(overrides):
-            return build_experiment(load_config(None, overrides)[0])
+    def test_every_key_changes_the_run(self, tmp_path):
+        # a key that moves no output byte is a knob that does nothing: each
+        # key's other value makes a tiny CLI run in the subcommand and context
+        # where it acts, with no --seed flag, which would hide the seed key
+        runs = itertools.count()
 
-        # orientation_modes is valid in snr-sweep only, so its case runs there
-        context = {key: {"mode": "snr-sweep"} if key == "orientation_modes" else {} for key in CONFIG_DEFAULTS}
-        unchanged = {
-            key for key in CONFIG_DEFAULTS
-            if build({**context[key], key: other_value(key)}) == build(context[key])
-        }
+        def outputs(command, config):
+            path, out = tmp_path / "config.json", tmp_path / f"out{next(runs)}"
+            path.write_text(json.dumps({**TINY, **config}))
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0, (command, config)
+            meta = json.loads((out / "meta.json").read_text())
+            for echo in ("wall_time_s", "config", "applied_defaults"):
+                del meta[echo]
+            return meta, {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+        base, unchanged = {}, set()
+        for key in CONFIG_DEFAULTS:
+            command, context = KEY_CONTEXTS.get(key, ("cdf", {}))
+            assert other_value(key) != {**CONFIG_DEFAULTS, **TINY, **context}[key], key
+            name = json.dumps([command, context])
+            if name not in base:
+                base[name] = outputs(command, context)
+            if outputs(command, {**context, key: other_value(key)}) == base[name]:
+                unchanged.add(key)
         assert unchanged == set()
 
     def test_cli_defaults_are_the_experiment_defaults(self):
         # the acceptance suite builds ExperimentConfig(); the CLI builds from CONFIG_DEFAULTS
-        assert build_experiment(load_config(None, {})[0]) == ExperimentConfig()
+        assert build_experiment(load_config(None, {})[0], "cdf") == ExperimentConfig()
 
     def test_invalid_combination_becomes_config_error(self):
         resolved, _ = load_config(None, {"grid_spacing_m": 0.3})
         with pytest.raises(ConfigError):
-            build_experiment(resolved)
+            build_experiment(resolved, "cdf")
 
     def test_meta_round_trip_rebuilds_identical_config(self, tmp_path):
         resolved, applied = load_config(None, dict(TINY, seed=3))
-        cfg = build_experiment(resolved)
+        cfg = build_experiment(resolved, "cdf")
         result = run_cdf_experiment(cfg)
         write_results(result, tmp_path, resolved, applied, wall_time_s=1.23)
         meta = json.loads((tmp_path / "meta.json").read_text())
-        rebuilt = build_experiment(meta["config"])
+        rebuilt = build_experiment(meta["config"], meta["mode"])
         assert rebuilt == cfg
 
 
 class TestWriteResults:
     def _result(self):
         resolved, applied = load_config(None, dict(TINY, seed=8))
-        cfg = build_experiment(resolved)
+        cfg = build_experiment(resolved, "cdf")
         return run_cdf_experiment(cfg), resolved, applied
 
     def test_cdf_file_set_and_format(self, tmp_path):
@@ -170,7 +198,7 @@ class TestWriteResults:
         out = tmp_path / "empty"
         with pytest.raises(ValueError):
             write_results(result, out, resolved, applied)
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_files_honour_the_umask(self, tmp_path, umask, mode):
@@ -200,7 +228,8 @@ class TestWriteResults:
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert set(meta["summary"]) == {
             "n_samples", "n_valid", "outage_frac", "clamp_frac", "low_signal_frac", "sigma_w",
-            "snr_db", "p50_3d_m", "p90_3d_m", "p95_3d_m", "subcm_frac_x", "subcm_frac_y",
+            "snr_db", "p50_3d_m", "p90_3d_m", "p95_3d_m",
+            "subcm_frac_3d", "subcm_frac_x", "subcm_frac_y", "subcm_frac_z",
         }
 
 
@@ -360,22 +389,19 @@ class TestCli:
     @pytest.mark.parametrize(
         "extra, commands",
         [
-            ({"mode": "bogus"}, ["scan-demo"]),
             ({"orientation_mode": "sideways"}, ["cdf", "snr-sweep", "sync-test", "scan-demo"]),
-            ({"mode": "snr-sweep", "orientation_modes": ["sideways"]}, ["snr-sweep", "scan-demo"]),
+            ({"orientation_modes": ["sideways"]}, ["snr-sweep", "scan-demo"]),
         ],
-        ids=["mode", "orientation-mode", "orientation-modes"],
+        ids=["orientation-mode", "orientation-modes"],
     )
     def test_unknown_mode_exits_one_before_work(self, tmp_path, capsys, extra, commands):
-        # the run's dataclasses reject the value; a subcommand that runs a
-        # mode sets it, so only scan-demo reads a config file's mode
+        # the run's dataclasses reject the value, and name it
         out = tmp_path / "out"
-        bad = "bogus" if extra.get("mode") == "bogus" else "sideways"
         config = write_tiny_config(tmp_path, extra)
         for command in commands:
             assert main([command, "--config", config, "--out", str(out)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and repr(bad) in err
+            assert err.startswith("error: ") and repr("sideways") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("snr", ["-7000", "-6300", "7000"])
@@ -439,9 +465,9 @@ class TestCli:
         assert not out.exists()
 
     def test_scan_demo_with_several_snrs_exits_one_before_work(self, tmp_path, capsys):
-        # whatever the config mode: a sweep config's snr list must not run at its first value
+        # a sweep's snr list must not run at its first value
         out = tmp_path / "out"
-        config = write_tiny_config(tmp_path, {"mode": "snr-sweep"})
+        config = write_tiny_config(tmp_path)
         assert main(["scan-demo", "--config", config, "--snr", "20,30", "--out", str(out)]) == 1
         assert "exactly one snr" in capsys.readouterr().err
         assert not out.exists()
@@ -449,7 +475,7 @@ class TestCli:
     def test_orientation_modes_outside_sweep_exits_one_before_work(self, tmp_path, capsys):
         out = tmp_path / "out"
         config = write_tiny_config(tmp_path, {"orientation_modes": ["random-euler"]})
-        for command in ("cdf", "sync-test"):
+        for command in ("cdf", "sync-test", "scan-demo"):
             assert main([command, "--config", config, "--out", str(out)]) == 1
             assert "orientation_modes" in capsys.readouterr().err
         assert not out.exists()
@@ -554,6 +580,14 @@ class TestCli:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["run"]["master_seed"] == 5
         assert meta["config"]["room_height_m"] == 4.0
+
+    def test_run_with_no_valid_sample_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # a 0.001 degree field of view sees the emitter from no grid point
+        out = tmp_path / "onv" / "sub"
+        extra = {"grid_spacing_m": 1 / 3, "fov_deg": 0.001}
+        assert main(["cdf", "--config", write_tiny_config(tmp_path, extra), "--out", str(out)]) == 2
+        assert "no non-outage samples" in capsys.readouterr().err
+        assert not (tmp_path / "onv").exists()
 
     def test_runtime_error_exits_two(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
