@@ -1,23 +1,22 @@
 """Command-line entry points.
 
-Subcommands: cdf, snr-sweep, sync-test, scan-demo.  Data goes to files under
---out; everything else (progress, errors, timing) goes to stderr.  Exit
-codes: 0 success, 1 configuration error, 2 runtime error.
+Subcommands: cdf, snr-sweep, sync-test, scan-demo.  Each runs its runner
+(scan-demo with its --rx receiver) and hands the RunResult to
+io.write_results: data goes to files under --out, meta.json among them;
+everything else (progress, errors, timing) goes to stderr.  Exit codes: 0
+success, 1 configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
 import numpy as np
 
-from .estimator import STATUS_NAMES, position_error
-from .experiments import ExperimentConfig, run_cdf_experiment, run_scan_demo, run_snr_sweep, run_sync_test
-from .geometry import build_beam_grid
-from .io import ConfigError, build_experiment, load_config, write_results, write_trace_csv
+from .experiments import run_cdf_experiment, run_scan_demo, run_snr_sweep, run_sync_test
+from .io import ConfigError, build_experiment, load_config, write_results
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,32 +66,21 @@ def _parse_snr_list(text: str | None):
         raise ConfigError(f"bad --snr value {text!r}: {e}") from e
 
 
-def _scan_demo(cfg: ExperimentConfig, args) -> None:
-    if args.rx is not None:
-        try:
-            point = np.array([float(v) for v in args.rx.split(",")])
-            if point.shape != (3,):
-                raise ValueError("need exactly three coordinates")
-            cfg.room.check_receiver(point)
-        except ValueError as e:
-            raise ConfigError(f"bad --rx value {args.rx!r}: {e}") from e
-    else:
-        point = np.array(
-            [cfg.room.width_m / 2.0, cfg.room.depth_m / 2.0, (cfg.h_min_m + cfg.h_max_m) / 2.0]
-        )
-    trace, estimate, status = run_scan_demo(cfg, point)
-    err = position_error(point, estimate)
-    grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
-    path = write_trace_csv(trace, grid, cfg.pilot_len, os.path.join(args.out, "scan_trace.csv"))
-    print(f"wrote {path}", file=sys.stderr)
-    print(
-        f"receiver at {point.tolist()}, estimate {estimate.round(4).tolist()} "
-        f"({STATUS_NAMES[status]}), error {err.total_m:.4g} m",
-        file=sys.stderr,
-    )
+def _parse_rx(text: str | None, room):
+    if text is None:
+        return None
+    try:
+        point = np.array([float(v) for v in text.split(",")])
+        if point.shape != (3,):
+            raise ValueError("need exactly three coordinates")
+        room.check_receiver(point)
+    except ValueError as e:
+        raise ConfigError(f"bad --rx value {text!r}: {e}") from e
+    return point
 
 
-_RUNNERS = {"cdf": run_cdf_experiment, "snr-sweep": run_snr_sweep, "sync-test": run_sync_test}
+_RUNNERS = {"cdf": run_cdf_experiment, "snr-sweep": run_snr_sweep, "sync-test": run_sync_test,
+            "scan-demo": run_scan_demo}
 
 
 def main(argv=None) -> int:
@@ -114,16 +102,14 @@ def main(argv=None) -> int:
         }
         resolved, applied_defaults = load_config(args.config, overrides)
         cfg = build_experiment(resolved, args.command)
+        run_args = (_parse_rx(args.rx, cfg.room),) if args.command == "scan-demo" else ()
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
     try:
-        if args.command == "scan-demo":
-            _scan_demo(cfg, args)
-            return 0
         t0 = time.perf_counter()
-        result = _RUNNERS[args.command](cfg)
+        result = _RUNNERS[args.command](cfg, *run_args)
         wall = time.perf_counter() - t0
         files = write_results(result, args.out, resolved, applied_defaults, wall_time_s=wall)
         for f in files:

@@ -10,7 +10,8 @@ run with its pilot too, and either yields its peaks directly; the scan-demo
 trial records its trace with scan.dense_trace, as a sync trial completes
 its trace, and takes its peak with estimator.peak.  ExperimentConfig.mode
 is the subcommand, which alone picks a config's rules: one snr value for
-cdf and scan-demo, a pilot for sync-test, orientation_modes in snr-sweep.
+cdf and scan-demo, no trials_per_point in scan-demo (row 0 is its one
+trial), a pilot for sync-test, orientation_modes in snr-sweep.
 
 Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, noise_sigma_for_snr, received_power_on_axis
-from .estimator import STATUS_CLAMPED, STATUS_LOW_SIGNAL, locate, peak, position_error
+from .estimator import STATUS_CLAMPED, STATUS_LOW_SIGNAL, STATUS_NAMES, locate, peak, position_error
 from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, check_fov, norm
 from .orientation import ORIENTATION_MODES, OrientationConfig, receiver_normals
 from .scan import (
@@ -154,6 +155,8 @@ class ExperimentConfig:
             raise ValueError("sync-test needs a pilot (pilot_len >= 1)")
         if self.trials_per_point is not None and self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
+        if self.mode == "scan-demo" and self.trials_per_point is not None:
+            raise ValueError("scan-demo runs one trial: trials_per_point applies to cdf, snr-sweep and sync-test")
         if self.orientation_modes is not None:
             object.__setattr__(self, "orientation_modes", tuple(self.orientation_modes))
             if not self.orientation_modes:
@@ -467,21 +470,37 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
     return RunResult("sync-test", {"rows": rows}, _base_metadata(cfg, p_pilot))
 
 
-def run_scan_demo(cfg: ExperimentConfig, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One dense trial at a given receiver position, seeded by the master seed
-    alone: the orientation and the noise from row 0.
+def run_scan_demo(cfg: ExperimentConfig, point=None) -> RunResult:
+    """One dense trial at a receiver position (default: the room's centre,
+    halfway up the sampled heights), seeded by the master seed alone: the
+    orientation and the noise from row 0.
 
     Uses the config's one snr value, anchored like a grid pass, and the
-    configured pilot.  Returns (trace, position, status), the trace
-    every slot's sample, pilot first; the peak is taken over the slots after
-    the pilot, and locate flags it when it falls under the low-signal
-    threshold for this sigma.
+    configured pilot.  The trace aggregate is (beam azimuth, beam
+    elevation, power) over every slot, pilot first with NaN angles; the
+    peak is taken over the slots after the pilot, and locate flags it when
+    it falls under the low-signal threshold for this sigma.
     """
-    [sigma] = _noise_sigmas(reference_peak_power(cfg, sample_positions(cfg)), cfg.snr_list_db)
+    if cfg.mode != "scan-demo":
+        raise ValueError("config mode must be 'scan-demo'")
+    if point is None:
+        point = np.array([cfg.room.width_m / 2, cfg.room.depth_m / 2, (cfg.h_min_m + _height_cap(cfg)) / 2])
+    p_ref = reference_peak_power(cfg, sample_positions(cfg))
+    [sigma] = _noise_sigmas(p_ref, cfg.snr_list_db)
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     pilot = make_pilot(cfg.channel.p_opt_w, cfg.pilot_len) if cfg.pilot_len else None
     draws = SyncDraws(cfg.master_seed, row_prefix(cfg, [0]))
     normal = receiver_normals(cfg.orientation, uniforms(draws.seed, draws.prefix, 3)[0] - 0.5)
     cells, power = support(grid, cfg.room, ReceiverState(point, normal, cfg.fov_deg), cfg.channel)
     trace = dense_trace(grid, cells, power, sigma, draws, pilot)
-    return trace, *locate(cfg.room.emitter_pos, *peak(trace[cfg.pilot_len :]), grid, cfg.channel, sigma)
+    estimate, status = locate(cfg.room.emitter_pos, *peak(trace[cfg.pilot_len :]), grid, cfg.channel, sigma)
+    no_beam = np.full(cfg.pilot_len, np.nan)
+    agg = {
+        "trace": (*(np.concatenate([no_beam, a]) for a in grid.angles_of(np.arange(grid.size))), trace),
+        "receiver_m": np.asarray(point, dtype=float).tolist(),
+        "estimate_m": estimate.tolist(),
+        "status": STATUS_NAMES[status],
+        "error_m": float(position_error(point, estimate).total_m),
+        "sigma_w": sigma,
+    }
+    return RunResult("scan-demo", agg, _base_metadata(cfg, p_ref))

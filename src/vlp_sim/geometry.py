@@ -134,9 +134,9 @@ class BeamGrid:
     def size(self) -> int:
         return self.n_azimuth * self.n_elevation
 
-    def angles_of(self, j: int) -> tuple[float, float]:
-        """(azimuth_deg, elevation_deg) of beam j."""
-        ring, az_index = divmod(int(j), self.n_azimuth)
+    def angles_of(self, beam) -> tuple:
+        """(azimuth_deg, elevation_deg) of each beam index (any shape)."""
+        ring, az_index = np.divmod(beam, self.n_azimuth)
         return az_index * self.azimuth_step_deg, ring * self.elevation_step_deg
 
     def direction(self, beam) -> np.ndarray:

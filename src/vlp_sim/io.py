@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .channel import ChannelParams
 from .experiments import ConfigError, ExperimentConfig, RunResult
-from .geometry import BeamGrid, Room
+from .geometry import Room
 from .orientation import LaplaceParams, OrientationConfig
 from .scan import DEFAULT_PILOT_LEN
 
@@ -205,7 +205,7 @@ def _csv(header: str, rows) -> str:
 
 
 def write_results(result: RunResult, out_dir, config_echo: dict, applied_defaults: list[str], wall_time_s: float | None = None) -> list[Path]:
-    """Emit the run's CSV data files plus meta.json, atomically.
+    """Emit any subcommand's CSV data files plus meta.json, atomically.
 
     Validation happens before the directory or any file is created, so a
     failed run leaves no partial output behind.
@@ -226,6 +226,13 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
             for r in result.aggregates["rows"]
         )
         files.append((out / name, _csv(",".join(columns), rows)))
+    elif result.mode == "scan-demo":
+        # a pilot slot has no beam: NaN angles, written as empty fields
+        rows = (
+            ",".join([str(i), *("" if math.isnan(a) else _fmt(a) for a in (az, el)), _fmt(p)])
+            for i, (az, el, p) in enumerate(zip(*result.aggregates["trace"]))
+        )
+        files.append((out / "scan_trace.csv", _csv("index,beam_azimuth_deg,beam_elevation_deg,power_watts", rows)))
     else:
         raise ValueError(f"unknown result mode {result.mode!r}")
 
@@ -237,8 +244,8 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
         "code_version": __version__,
         "snr_definition": result.metadata.get("snr_definition"),
         "run": _rounded(result.metadata),
-        # the cdf_* arrays go to their own CSV files
-        "summary": _rounded({k: v for k, v in result.aggregates.items() if not k.startswith("cdf_")}),
+        # the cdf_* arrays and the trace go to their own CSV files
+        "summary": _rounded({k: v for k, v in result.aggregates.items() if not k.startswith(("cdf_", "trace"))}),
         "wall_time_s": wall_time_s,
     }
     files.append((out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"))
@@ -249,18 +256,3 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
         _atomic_write(path, text)
         written.append(path)
     return written
-
-
-def write_trace_csv(samples, grid: BeamGrid, pilot_len: int, path) -> Path:
-    """Dump one sweep trace, every slot's sample; pilot rows carry empty angle fields."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i, p in enumerate(samples):
-        if i < pilot_len:
-            rows.append(f"{i},,,{_fmt(p)}")
-        else:
-            az, el = grid.angles_of(i - pilot_len)
-            rows.append(f"{i},{_fmt(az)},{_fmt(el)},{_fmt(p)}")
-    _atomic_write(path, _csv("index,beam_azimuth_deg,beam_elevation_deg,power_watts", rows))
-    return path

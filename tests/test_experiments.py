@@ -57,6 +57,11 @@ class TestConfigValidation:
         assert ExperimentConfig(mode="sync-test").trials == 1000
         assert ExperimentConfig(mode="scan-demo").trials == 1
 
+    def test_scan_demo_takes_no_trials_per_point(self):
+        # its one trial is row 0: a trial count would move no output byte
+        with pytest.raises(ValueError, match="trials_per_point"):
+            ExperimentConfig(mode="scan-demo", trials_per_point=1)
+
     def test_bad_height_band(self):
         with pytest.raises(ValueError):
             ExperimentConfig(h_min_m=2.0, h_max_m=1.0)
@@ -563,9 +568,10 @@ class TestScanDemo:
     POINT = np.array([0.3, 0.4, 1.2])
 
     def _demo(self, seed, pilot_len):
-        """(trace, sigma, its noise-only slots, the trace _philox_trace completes for row 0)."""
-        cfg = ExperimentConfig(snr_list_db=(40.0,), master_seed=seed, pilot_len=pilot_len)
-        trace, _, _ = experiments.run_scan_demo(cfg, self.POINT)
+        """(the RunResult's trace powers, sigma, its noise-only slots, the
+        trace _philox_trace completes for row 0)."""
+        cfg = ExperimentConfig(mode="scan-demo", snr_list_db=(40.0,), master_seed=seed, pilot_len=pilot_len)
+        _, _, trace = experiments.run_scan_demo(cfg, self.POINT).aggregates["trace"]
         grid = build_beam_grid()
         sigma = noise_sigma_for_snr(reference_peak_power(cfg, sample_positions(cfg)), 40.0)
         draws = scan.SyncDraws(seed, np.zeros((1, 3), dtype=int))

@@ -10,16 +10,9 @@ import numpy as np
 import pytest
 
 from vlp_sim.cli import main
-from vlp_sim.experiments import ExperimentConfig, run_cdf_experiment
-from vlp_sim.geometry import build_beam_grid
-from vlp_sim.io import (
-    CONFIG_DEFAULTS,
-    ConfigError,
-    build_experiment,
-    load_config,
-    write_results,
-    write_trace_csv,
-)
+from vlp_sim.estimator import STATUS_NAMES
+from vlp_sim.experiments import ExperimentConfig, run_cdf_experiment, run_scan_demo
+from vlp_sim.io import CONFIG_DEFAULTS, ConfigError, build_experiment, load_config, write_results
 from vlp_sim.scan import MAX_PILOT_LEN
 
 # small, fast run shapes shared by the CLI tests
@@ -29,6 +22,8 @@ TINY = {"grid_spacing_m": 0.5, "trials_per_point": 1, "snr_db": [40.0]}
 TWO_MODES = {"orientation_modes": ["fixed", "random-euler"]}
 
 CDF_FILES = ("cdf_3d.csv", "cdf_x.csv", "cdf_y.csv", "cdf_z.csv")
+
+TRACE_HEADER = "index,beam_azimuth_deg,beam_elevation_deg,power_watts"
 
 # keys that drove no output, with their last defaults: four retired in 0.4,
 # mode (the subcommand names the run) in 0.6
@@ -59,12 +54,22 @@ def other_value(key):
     return OTHER_VALUES[key] if key in OTHER_VALUES else CONFIG_DEFAULTS[key] + 1
 
 
-def write_tiny_config(tmp_path, extra=None):
+def write_tiny_config(tmp_path, extra=None, command="cdf"):
     payload = dict(TINY)
+    if command == "scan-demo":  # one trial, which takes no trials_per_point
+        del payload["trials_per_point"]
     payload.update(extra or {})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def demo_result(pilot_length=3):
+    """A scan-demo run on a 90 x 45 degree beam grid: its pilot, then 8
+    beams; with its resolved config and applied defaults."""
+    resolved, applied = load_config(None, {"azimuth_step_deg": 90.0, "elevation_step_deg": 45.0,
+                                           "pilot_length": pilot_length})
+    return run_scan_demo(build_experiment(resolved, "scan-demo")), resolved, applied
 
 
 class TestLoadConfig:
@@ -202,15 +207,15 @@ class TestWriteResults:
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_files_honour_the_umask(self, tmp_path, umask, mode):
-        result, resolved, applied = self._result()
         old = os.umask(umask)
         try:
-            write_results(result, tmp_path, resolved, applied)
-            write_trace_csv(np.zeros(4), build_beam_grid(90.0, 90.0), 0, tmp_path / "trace.csv")
+            for name, (result, resolved, applied) in (("cdf", self._result()), ("demo", demo_result())):
+                write_results(result, tmp_path / name, resolved, applied)
         finally:
             os.umask(old)
-        modes = {f.name: stat.S_IMODE(f.stat().st_mode) for f in tmp_path.iterdir()}
-        assert modes == dict.fromkeys([*CDF_FILES, "meta.json", "trace.csv"], mode)
+        modes = {str(f.relative_to(tmp_path)): stat.S_IMODE(f.stat().st_mode) for f in tmp_path.glob("*/*")}
+        names = [*(f"cdf/{name}" for name in CDF_FILES), "cdf/meta.json", "demo/scan_trace.csv", "demo/meta.json"]
+        assert modes == dict.fromkeys(names, mode)
 
     def test_meta_records_defaults_and_version(self, tmp_path):
         result, resolved, applied = self._result()
@@ -235,15 +240,25 @@ class TestWriteResults:
 
 class TestWriteTrace:
     def test_pilot_rows_have_empty_angles(self, tmp_path):
-        grid = build_beam_grid(90.0, 45.0)
-        trace = np.arange(11.0) * 1e-6
-        path = write_trace_csv(trace, grid, 3, tmp_path / "trace.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,beam_azimuth_deg,beam_elevation_deg,power_watts"
-        assert len(lines) == 12
+        result, resolved, applied = demo_result()
+        files = write_results(result, tmp_path, resolved, applied)
+        assert sorted(f.name for f in files) == ["meta.json", "scan_trace.csv"]
+        lines = (tmp_path / "scan_trace.csv").read_text().splitlines()
+        assert lines[0] == TRACE_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(11)]
         assert lines[1].split(",")[1:3] == ["", ""]
         assert lines[4].split(",")[1:3] == ["0", "0"]
         assert lines[-1].split(",")[1:3] == ["270", "45"]
+        _, _, power = result.aggregates["trace"]
+        assert [float(line.split(",")[3]) for line in lines[1:]] == pytest.approx(power, rel=1e-8)
+
+    def test_summary_holds_the_fix_not_the_trace(self, tmp_path):
+        result, resolved, applied = demo_result()
+        write_results(result, tmp_path, resolved, applied)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert set(meta["summary"]) == {"receiver_m", "estimate_m", "status", "error_m", "sigma_w"}
+        assert meta["summary"]["status"] in STATUS_NAMES
+        assert meta["mode"] == "scan-demo" and meta["run"]["trials"] == 1
 
 
 class TestCli:
@@ -285,11 +300,16 @@ class TestCli:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["run"]["reference_power_w"] == 1e-3
 
-    def test_scan_demo_trace(self, tmp_path):
+    def test_scan_demo_trace(self, tmp_path, capsys):
         out = tmp_path / "out"
-        code = main(["scan-demo", "--config", write_tiny_config(tmp_path),
+        code = main(["scan-demo", "--config", write_tiny_config(tmp_path, command="scan-demo"),
                      "--rx", "0.3,0.4,1.2", "--seed", "3", "--out", str(out)])
         assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["meta.json", "scan_trace.csv"]
+        err = capsys.readouterr().err
+        assert f"wrote {out / 'scan_trace.csv'}" in err and "scan-demo finished in" in err
+        summary = json.loads((out / "meta.json").read_text())["summary"]
+        assert summary["receiver_m"] == [0.3, 0.4, 1.2]
         lines = (out / "scan_trace.csv").read_text().splitlines()
         assert len(lines) == 1 + 64 + 32400
         assert lines[1].split(",")[1] == ""  # pilot row
@@ -297,24 +317,40 @@ class TestCli:
 
     def test_scan_demo_without_a_pilot(self, tmp_path):
         out = tmp_path / "out"
-        code = main(["scan-demo", "--config", write_tiny_config(tmp_path, {"pilot_length": 0}),
+        code = main(["scan-demo", "--config", write_tiny_config(tmp_path, {"pilot_length": 0}, "scan-demo"),
                      "--rx", "0.3,0.4,1.2", "--seed", "3", "--out", str(out)])
         assert code == 0
         lines = (out / "scan_trace.csv").read_text().splitlines()
         assert len(lines) == 1 + 32400
         assert lines[1].split(",")[:3] == ["0", "0", "0"]  # the first beam's row, no pilot row
 
+    def test_scan_demo_default_receiver_is_in_the_sampled_band(self, tmp_path):
+        # the grid samples heights up to half a metre under the 3 m ceiling,
+        # not h_max: the default receiver sits halfway up 2.4 to 2.5 m
+        out = tmp_path / "out"
+        config = write_tiny_config(tmp_path, {"h_min_m": 2.4, "h_max_m": 3.0}, "scan-demo")
+        assert main(["scan-demo", "--config", config, "--out", str(out)]) == 0
+        assert json.loads((out / "meta.json").read_text())["summary"]["receiver_m"] == [0.5, 0.5, 2.45]
+
+    def test_scan_demo_with_trials_per_point_exits_one_before_work(self, tmp_path, capsys):
+        # its one trial is row 0: a trial count would be ignored
+        out = tmp_path / "out"
+        assert main(["scan-demo", "--config", write_tiny_config(tmp_path), "--out", str(out)]) == 1
+        assert "error: scan-demo runs one trial" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_reruns_byte_identical(self, tmp_path):
-        cfg = write_tiny_config(tmp_path)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        for out in (out_a, out_b):
-            assert main(["cdf", "--config", cfg, "--seed", "11", "--out", str(out)]) == 0
-        for name in CDF_FILES:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-        meta_a = json.loads((out_a / "meta.json").read_text())
-        meta_b = json.loads((out_b / "meta.json").read_text())
-        meta_a.pop("wall_time_s"), meta_b.pop("wall_time_s")
-        assert meta_a == meta_b
+        for command, flags in (("cdf", []), ("scan-demo", ["--snr", "30", "--orientation", "random"])):
+            cfg = write_tiny_config(tmp_path, command=command)
+            out_a, out_b = tmp_path / command / "a", tmp_path / command / "b"
+            for out in (out_a, out_b):
+                assert main([command, "--config", cfg, "--seed", "11", *flags, "--out", str(out)]) == 0
+            for path in out_a.glob("*.csv"):
+                assert (out_b / path.name).read_bytes() == path.read_bytes(), path.name
+            meta_a = json.loads((out_a / "meta.json").read_text())
+            meta_b = json.loads((out_b / "meta.json").read_text())
+            meta_a.pop("wall_time_s"), meta_b.pop("wall_time_s")
+            assert meta_a == meta_b
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["cdf", "--bogus"]) == 1
@@ -376,7 +412,7 @@ class TestCli:
     def test_malformed_number_exits_one_before_work(self, tmp_path, capsys, extra):
         out = tmp_path / "out"
         for command in ("cdf", "scan-demo"):
-            assert main([command, "--config", write_tiny_config(tmp_path, extra), "--out", str(out)]) == 1
+            assert main([command, "--config", write_tiny_config(tmp_path, extra, command), "--out", str(out)]) == 1
             assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
@@ -397,8 +433,8 @@ class TestCli:
     def test_unknown_mode_exits_one_before_work(self, tmp_path, capsys, extra, commands):
         # the run's dataclasses reject the value, and name it
         out = tmp_path / "out"
-        config = write_tiny_config(tmp_path, extra)
         for command in commands:
+            config = write_tiny_config(tmp_path, extra, command)
             assert main([command, "--config", config, "--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and repr("sideways") in err
@@ -409,8 +445,8 @@ class TestCli:
         # 10^(snr / 20) underflows to 0 or overflows, or the reference power
         # over it does: no noise sigma to draw with, in any command
         out = tmp_path / "out"
-        config = write_tiny_config(tmp_path, {"trials_per_point": 2})
         for command in ("cdf", "snr-sweep", "sync-test", "scan-demo"):
+            config = write_tiny_config(tmp_path, {} if command == "scan-demo" else {"trials_per_point": 2}, command)
             assert main([command, "--config", config, f"--snr={snr}", "--out", str(out)]) == 1
             assert "no positive finite noise sigma" in capsys.readouterr().err
         assert not out.exists()
@@ -420,8 +456,8 @@ class TestCli:
         # sigma of about 1.4e307 W, whose peaks overflow the range inversion;
         # the sync test's 1 mW reference gives no finite sigma at all
         out = tmp_path / "out"
-        config = write_tiny_config(tmp_path, {"trials_per_point": 2})
         for command in ("cdf", "snr-sweep", "sync-test", "scan-demo"):
+            config = write_tiny_config(tmp_path, {} if command == "scan-demo" else {"trials_per_point": 2}, command)
             assert main([command, "--config", config, "--snr=-6240", "--out", str(out)]) == 1
             assert "error: snr -6240 dB gives" in capsys.readouterr().err
         assert not out.exists()
@@ -459,7 +495,8 @@ class TestCli:
     @pytest.mark.parametrize("rx", ["5,0.4,1.2", "0.3,0.4,nan", "0.3,0.4,3", "0.5,0.5"])
     def test_scan_demo_rx_outside_exits_one_before_work(self, tmp_path, capsys, rx):
         out = tmp_path / "out"
-        code = main(["scan-demo", "--config", write_tiny_config(tmp_path), "--rx", rx, "--out", str(out)])
+        code = main(["scan-demo", "--config", write_tiny_config(tmp_path, command="scan-demo"), "--rx", rx,
+                     "--out", str(out)])
         assert code == 1
         assert "bad --rx value" in capsys.readouterr().err
         assert not out.exists()
@@ -467,18 +504,19 @@ class TestCli:
     def test_scan_demo_with_several_snrs_exits_one_before_work(self, tmp_path, capsys):
         # a sweep's snr list must not run at its first value
         out = tmp_path / "out"
-        config = write_tiny_config(tmp_path)
+        config = write_tiny_config(tmp_path, command="scan-demo")
         assert main(["scan-demo", "--config", config, "--snr", "20,30", "--out", str(out)]) == 1
         assert "exactly one snr" in capsys.readouterr().err
         assert not out.exists()
 
     def test_orientation_modes_outside_sweep_exits_one_before_work(self, tmp_path, capsys):
         out = tmp_path / "out"
-        config = write_tiny_config(tmp_path, {"orientation_modes": ["random-euler"]})
         for command in ("cdf", "sync-test", "scan-demo"):
+            config = write_tiny_config(tmp_path, {"orientation_modes": ["random-euler"]}, command)
             assert main([command, "--config", config, "--out", str(out)]) == 1
             assert "orientation_modes" in capsys.readouterr().err
         assert not out.exists()
+        config = write_tiny_config(tmp_path, {"orientation_modes": ["random-euler"]})
         assert main(["snr-sweep", "--config", config, "--out", str(out)]) == 0
 
     def test_orientation_flag_wins_over_orientation_modes(self, tmp_path):
@@ -512,35 +550,11 @@ class TestCli:
         assert "error: orientation_mode" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_import_loads_no_scipy_or_thread_pool(self):
-        # scipy is a test-only extra; neither belongs in the CLI's start-up cost
-        src = Path(__file__).resolve().parent.parent / "src"
-        code = "import sys, vlp_sim.cli; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
-
     @pytest.mark.parametrize("argv, extra", [
         (["cdf"], None),
         (["snr-sweep"], None),
         (["snr-sweep", "--snr", "inf,20,40"], TWO_MODES),
         # 200 sync trials: a batch large enough for numpy's set operations to sort
-        (["sync-test"], {"trials_per_point": 200}),
-    ], ids=["cdf", "snr-sweep", "snr-sweep-two-modes", "sync-test"])
-    def test_run_loads_no_numpy_ma(self, tmp_path, argv, extra):
-        # numpy >= 2 imports numpy.ma on a process's first np.unique,
-        # np.percentile or np.quantile call: about 20 ms inside the timed run
-        src = Path(__file__).resolve().parent.parent / "src"
-        argv = argv + ["--config", write_tiny_config(tmp_path, extra), "--out", str(tmp_path / "out")]
-        code = f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; print('numpy.ma' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
-
-    @pytest.mark.parametrize("argv, extra", [
-        (["cdf"], None),
-        (["snr-sweep"], None),
-        (["snr-sweep", "--snr", "inf,20,40"], TWO_MODES),
         (["sync-test", "--snr", "inf,20"], {"trials_per_point": 200}),
         # under 12 dB many trials complete their traces, from their Philox rows too
         (["sync-test", "--snr", "10"], {"trials_per_point": 200}),
@@ -548,14 +562,19 @@ class TestCli:
         (["scan-demo", "--rx", "0.3,0.4,1.2"], None),
     ], ids=["cdf", "snr-sweep", "snr-sweep-two-modes", "sync-test-sparse", "sync-test-low-snr", "scan-demo"])
     def test_run_loads_no_numpy_random(self, tmp_path, argv, extra):
-        # numpy imports numpy.random on first use: about 20 ms inside the
-        # timed run, and src/ builds no generator
+        # a run loads none of these, so neither does the import before it:
+        # numpy imports numpy.random on first use and numpy.ma on a process's
+        # first np.unique, np.percentile or np.quantile call, each about 20 ms
+        # inside the timed run (src/ builds no generator); scipy is a
+        # test-only extra, and runs are single-threaded
         src = Path(__file__).resolve().parent.parent / "src"
-        argv = argv + ["--config", write_tiny_config(tmp_path, extra), "--out", str(tmp_path / "out")]
-        code = f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; print('numpy.random' in sys.modules)"
+        argv = argv + ["--config", write_tiny_config(tmp_path, extra, argv[0]), "--out", str(tmp_path / "out")]
+        heavy = ["numpy.ma", "numpy.random", "scipy", "concurrent.futures"]
+        code = (f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; "
+                f"print([m for m in {heavy!r} if m in sys.modules])")
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_pilot_longer_than_its_table_exits_one_before_work(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -623,11 +642,12 @@ class TestCli:
         (["cdf", "--seed", "4"], None),
         (["snr-sweep", "--snr", "inf,20,40", "--seed", "5"], TWO_MODES),
         (["sync-test", "--snr", "inf,20", "--seed", "6"], {"trials_per_point": 50}),
-    ], ids=["cdf", "snr-sweep-two-modes", "sync-test"])
+        (["scan-demo", "--snr", "40", "--seed", "7"], None),
+    ], ids=["cdf", "snr-sweep-two-modes", "sync-test", "scan-demo"])
     def test_meta_config_replays_every_output(self, tmp_path, argv, extra):
         # a run's meta.json config, given back as --config, reruns it byte for byte
         first, again = tmp_path / "first", tmp_path / "again"
-        assert main([*argv, "--config", write_tiny_config(tmp_path, extra), "--out", str(first)]) == 0
+        assert main([*argv, "--config", write_tiny_config(tmp_path, extra, argv[0]), "--out", str(first)]) == 0
         meta = json.loads((first / "meta.json").read_text())
         replay = tmp_path / "replay.json"
         replay.write_text(json.dumps(meta["config"]))
