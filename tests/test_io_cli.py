@@ -550,11 +550,43 @@ class TestCli:
         assert "error: orientation_mode" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _loaded_after_run(tmp_path, argv, extra, modules):
+        """Which of `modules` a fresh interpreter holds after running `argv`
+        through cli.main on the tiny config."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = argv + ["--config", write_tiny_config(tmp_path, extra, argv[0]), "--out", str(tmp_path / "out")]
+        code = (f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; "
+                f"print([m for m in {modules!r} if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+
+    def test_import_loads_no_scipy_or_thread_pool(self):
+        # scipy is a test-only extra; neither belongs in the CLI's start-up cost
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, vlp_sim.cli; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("argv, extra", [
         (["cdf"], None),
         (["snr-sweep"], None),
         (["snr-sweep", "--snr", "inf,20,40"], TWO_MODES),
         # 200 sync trials: a batch large enough for numpy's set operations to sort
+        (["sync-test"], {"trials_per_point": 200}),
+        (["scan-demo", "--rx", "0.3,0.4,1.2"], None),
+    ], ids=["cdf", "snr-sweep", "snr-sweep-two-modes", "sync-test", "scan-demo"])
+    def test_run_loads_no_numpy_ma(self, tmp_path, argv, extra):
+        # numpy >= 2 imports numpy.ma on a process's first np.unique,
+        # np.percentile or np.quantile call: about 20 ms inside the timed run
+        assert self._loaded_after_run(tmp_path, argv, extra, ["numpy.ma"]) == "[]"
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["cdf"], None),
+        (["snr-sweep"], None),
+        (["snr-sweep", "--snr", "inf,20,40"], TWO_MODES),
         (["sync-test", "--snr", "inf,20"], {"trials_per_point": 200}),
         # under 12 dB many trials complete their traces, from their Philox rows too
         (["sync-test", "--snr", "10"], {"trials_per_point": 200}),
@@ -562,19 +594,11 @@ class TestCli:
         (["scan-demo", "--rx", "0.3,0.4,1.2"], None),
     ], ids=["cdf", "snr-sweep", "snr-sweep-two-modes", "sync-test-sparse", "sync-test-low-snr", "scan-demo"])
     def test_run_loads_no_numpy_random(self, tmp_path, argv, extra):
-        # a run loads none of these, so neither does the import before it:
-        # numpy imports numpy.random on first use and numpy.ma on a process's
-        # first np.unique, np.percentile or np.quantile call, each about 20 ms
-        # inside the timed run (src/ builds no generator); scipy is a
-        # test-only extra, and runs are single-threaded
-        src = Path(__file__).resolve().parent.parent / "src"
-        argv = argv + ["--config", write_tiny_config(tmp_path, extra, argv[0]), "--out", str(tmp_path / "out")]
-        heavy = ["numpy.ma", "numpy.random", "scipy", "concurrent.futures"]
-        code = (f"import sys, vlp_sim.cli; assert vlp_sim.cli.main({argv!r}) == 0; "
-                f"print([m for m in {heavy!r} if m in sys.modules])")
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        # numpy imports numpy.random on first use: about 20 ms inside the
+        # timed run, and src/ builds no generator; runs are single-threaded
+        # and scipy is a test-only extra
+        heavy = ["numpy.random", "scipy", "concurrent.futures"]
+        assert self._loaded_after_run(tmp_path, argv, extra, heavy) == "[]"
 
     def test_pilot_longer_than_its_table_exits_one_before_work(self, tmp_path, capsys):
         out = tmp_path / "out"
