@@ -502,36 +502,19 @@ def _support_slots(grid, cells, k):
     return rows, slots
 
 
-def _member(keys, query):
-    """Whether each query is in keys (ascending)."""
-    i = np.minimum(np.searchsorted(keys, query), max(len(keys) - 1, 0))
-    return keys[i] == query if len(keys) else np.zeros(len(query), dtype=bool)
-
-
-def _by_row(rows, slots, values, count, n):
-    """The (row, slot, value)s sorted by row, each row led by a sentinel
-    (slot n, value -inf) so that none is empty: (rows, slots, values, first),
-    first (count,) the index of each row's sentinel."""
-    rows = np.concatenate((np.arange(count), rows))
-    order = np.argsort(rows, kind="stable")
-    per_row = np.bincount(rows, minlength=count)
-    slots = np.concatenate((np.full(count, n), slots))[order]
-    values = np.concatenate((np.full(count, -np.inf), values))[order]
-    return rows[order], slots, values, np.cumsum(per_row) - per_row
-
-
 class _SparseTraces:
     """The synced traces with pilot of a batch of trials, drawn only where read.
 
-    head (T, len(head)) holds the head's samples; keys and extra the other
-    samples drawn, the support slots past the head and the noise-only slots
-    at or above tau (_exceedances), by key row * n + slot, ascending.  Every
-    other slot is noise-only and holds at most cut: exactly 0.0 when
-    noiseless, else sigma_w times its normal conditioned below tau
-    (_below_tau), drawn by read().  Only a drawn sample above cut can beat
-    one not drawn: rows, slots and values (F,) list those, by row, and
-    first[r] is where row r's start (see _by_row); scale is each trial's
-    largest drawn sample.
+    head (T, len(head)) holds the head's samples.  One store, sorted by key
+    row * (n + k) + slot (keys; rows, slots and values alike), holds every
+    other sample drawn, the support slots past the head and the noise-only
+    slots at or above tau (_exceedances), the head's samples above cut, and
+    per row a sentinel (slot n, value -inf) that closes it, so no row is
+    empty; first[r] is where row r's entries start.  Every slot past the
+    head that the store does not hold is noise-only and holds at most cut:
+    exactly 0.0 when noiseless, else sigma_w times its normal conditioned
+    below tau (_below_tau), drawn by read().  Only a drawn sample above cut
+    can beat one not drawn.  scale is each trial's largest drawn sample.
     """
 
     def __init__(self, p: _SyncPilot, cells, power, sigma_w, draws):
@@ -547,25 +530,25 @@ class _SparseTraces:
         self.cut = sigma_w * p.tau
         if sigma_w > 0.0:
             # the head and the other support slots, exactly; then the noise-only
-            # slots at or above tau, but for those that carry signal
+            # slots at or above tau
             head += sigma_w * _slot_normals(draws, np.arange(count), p.head_slots)
             values += sigma_w * _slot_normals(draws, rows, slots[:, None])[:, 0]
             r, hot, z = _exceedances(p, draws, np.arange(count))
-            keep = ~_member(np.sort(rows * n + slots), r * n + hot)
-            rows = np.concatenate((rows, r[keep]))
-            slots = np.concatenate((slots, hot[keep]))
-            values = np.concatenate((values, sigma_w * z[keep]))
+            rows, slots, values = np.append(rows, r), np.append(slots, hot), np.append(values, sigma_w * z)
         self.head = head
-        order = np.argsort(rows * n + slots)
-        self.keys, self.extra = (rows * n + slots)[order], values[order]
-        self.reads = []
-        self.scale = head.max(axis=1)
-        np.maximum.at(self.scale, rows, values)
+        # the store: the sentinels, the head's samples above cut, then the rest;
+        # an exceedance on a support slot sorts after it, and the signal stands
         r, c = np.nonzero(head > self.cut)
-        strong = values > self.cut
-        self.rows, self.slots, self.values, self.first = _by_row(
-            np.concatenate((r, rows[strong])), np.concatenate((p.head_slots[c], slots[strong])),
-            np.concatenate((head[r, c], values[strong])), count, n)
+        rows = np.concatenate((np.arange(count), r, rows))
+        slots = np.concatenate((np.full(count, n), p.head_slots[c], slots))
+        values = np.concatenate((np.full(count, -np.inf), head[r, c], values))
+        keys = rows * (n + p.k) + slots
+        order = np.argsort(keys, kind="stable")
+        order = order[np.append(True, np.diff(keys[order]) > 0)]
+        self.keys, self.rows, self.slots, self.values = keys[order], rows[order], slots[order], values[order]
+        self.first = np.searchsorted(self.keys, np.arange(count) * (n + p.k))
+        self.scale = np.maximum(head.max(axis=1), np.maximum.reduceat(self.values, self.first))
+        self.reads = []
 
     def read(self, rows, slots):
         """The samples of the (row, slot)s, rows and slots (F,), drawing those
@@ -576,9 +559,10 @@ class _SparseTraces:
         head = at < self.head.shape[1]
         out[head] = self.head[rows[head], at[head]]
         rest = np.flatnonzero(~head)
-        key = rows[rest] * n + slots[rest]
-        drawn = _member(self.keys, key)
-        out[rest[drawn]] = self.extra[np.searchsorted(self.keys, key[drawn])]
+        key = rows[rest] * (n + p.k) + slots[rest]
+        i = np.searchsorted(self.keys, key)  # at most the row's sentinel
+        drawn = self.keys[i] == key
+        out[rest[drawn]] = self.values[i[drawn]]
         new = rest[~drawn]
         if len(new):
             fresh = 0.0
@@ -591,7 +575,8 @@ class _SparseTraces:
 
     def drawn(self):
         """Every sample drawn so far: the head, row by row, then the rest."""
-        return np.concatenate([self.head.ravel(), self.extra, *self.reads])
+        past = (self.slots >= self.p.first) & (self.slots < self.p.n - self.p.pad)
+        return np.concatenate([self.head.ravel(), self.values[past], *self.reads])
 
 
 def _pruned_runs(x: _SparseTraces, p: _SyncPilot, offsets):
@@ -625,9 +610,9 @@ def _pruned_runs(x: _SparseTraces, p: _SyncPilot, offsets):
         return ok, shifts
     floor = np.add.accumulate(x.head[:, p.pad + p.taps] * p.levels, axis=1)[:, -1]  # in tap order, as _scores adds
     level = _hot_level(floor, p.total, k, x.scale)
-    # every hot sample, where level > cut, keyed row * (n + k) + slot: rows
-    # apart by more than a window, so no run joins two
-    hot = np.sort((x.rows * (n + k) + x.slots)[x.values >= level[x.rows]])
+    # the hot samples drawn, every one where level > cut, by key: rows apart
+    # by more than a window, so no run joins two
+    hot = x.keys[x.values >= level[x.rows]]
     start, count = _window_runs(hot, k)
     rows, start = np.divmod(start + k - 1, n + k)
     start -= k - 1
@@ -662,7 +647,7 @@ def _sparse_peaks(x: _SparseTraces, starts):
     n, k = x.p.n, x.p.k
     rel = x.slots - (starts % n)[:, x.rows]
     rel[rel < 0] += n
-    values = np.where(rel >= k, x.values, -np.inf)  # only those above cut can beat a slot not drawn
+    values = np.where((rel >= k) & (x.values > x.cut), x.values, -np.inf)  # only those can beat a slot not drawn
     best = np.maximum.reduceat(values, x.first, axis=1)
     beams = np.minimum.reduceat(np.where(values == best[:, x.rows], rel, n), x.first, axis=1) - k
     return (best > -np.inf).all(axis=0), best, beams

@@ -526,7 +526,7 @@ class TestSyncTrialCompletion:
             completed = scan._philox_trace(p, cells[t], power[t], sigma, draws, t)
             slots = np.random.default_rng(t).permutation(p.n)  # reads in any order
             np.testing.assert_array_equal(x.read(np.full(p.n, t), slots), completed[slots], err_msg=str(t))
-            strong = x.slots[(x.rows == t) & (x.slots < p.n)]
+            strong = x.slots[(x.rows == t) & (x.values > x.cut)]
             np.testing.assert_array_equal(np.sort(strong), np.flatnonzero(completed > x.cut), err_msg=str(t))
 
     def test_exceedance_on_a_signal_slot_keeps_the_signal(self):
@@ -545,6 +545,31 @@ class TestSyncTrialCompletion:
         for t in met:
             completed = scan._philox_trace(p, cells[t], power[t], sigma, draws, t)
             np.testing.assert_array_equal(x.read(np.full(p.n, t), np.arange(p.n)), completed, err_msg=str(t))
+
+    def test_exceedance_on_a_signal_slot_leaves_one_key(self):
+        # the trials of the test above, where about 4 exceedances land on
+        # support slots: each is dropped, not kept beside the support sample,
+        # so the store's keys strictly increase
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=1000,
+                               master_seed=5, snr_list_db=(20.0,))
+        grid, pilot, sigma, _, cells, power, _, draws = _sync_inputs(cfg)
+        x = scan._SparseTraces(scan._SyncPilot(grid, pilot), cells, power, sigma, draws)
+        assert (np.diff(x.keys) > 0).all()
+
+    def test_support_samples_under_cut_are_no_peaks(self, monkeypatch):
+        # with almost no exceedances, tau is far up and the support samples the
+        # store holds sit under cut, where a slot not drawn can beat them: the
+        # peaks and beams are still the dense path's on the completed trace
+        monkeypatch.setattr(scan, "_HOT_PER_TRACE", 1e-3)
+        cfg = ExperimentConfig(mode="sync-test", azimuth_step_deg=2.0, elevation_step_deg=2.0, trials_per_point=40,
+                               master_seed=5, snr_list_db=(20.0,))
+        grid, pilot, sigma, _, cells, power, offsets, draws = _sync_inputs(cfg)
+        p = scan._SyncPilot(grid, pilot)
+        trace = run_scan(grid, cells, power, sigma, draws, pilot_w=pilot, offset_steps=offsets)
+        for t, offset in enumerate(offsets.tolist()):
+            _, peaks, beams = scan._full_draw(scan._philox_trace(p, cells[t], power[t], sigma, draws, t), p, offset)
+            np.testing.assert_array_equal(trace.peaks[:, t], peaks, err_msg=str(t))
+            np.testing.assert_array_equal(trace.beams[:, t], beams, err_msg=str(t))
 
     @pytest.mark.parametrize("snr", [float("inf"), 20.0, 13.0, 10.0])
     def test_trials_independent_of_batch_size(self, snr):
