@@ -10,13 +10,18 @@ success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
-import numpy as np
+# no run makes a BLAS call, so numpy's OpenBLAS needs no worker thread; a
+# caller's value stands.  Set before the first numpy import, which reads it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .experiments import run_cdf_experiment, run_scan_demo, run_snr_sweep, run_sync_test
-from .io import ConfigError, build_experiment, load_config, write_results
+import numpy as np  # noqa: E402
+
+from .experiments import run_cdf_experiment, run_scan_demo, run_snr_sweep, run_sync_test  # noqa: E402
+from .io import ConfigError, build_experiment, load_config, write_results  # noqa: E402
 
 
 class _Parser(argparse.ArgumentParser):

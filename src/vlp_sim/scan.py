@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from statistics import NormalDist, _normal_dist_inv_cdf
+from math import erf, sqrt
+from statistics import _normal_dist_inv_cdf
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +54,6 @@ _PILOT_BITS = (
     "2f48895d38db5689ac96d10a69ab68307cb3c01c6f4f1dfce08ce167c298e8ac"
 )
 MAX_PILOT_LEN = 4 * len(_PILOT_BITS)
-_STD_NORMAL = NormalDist()
 
 # the sparse pass's rounding allowance per tap in its bound on a window's
 # score (see _pruned_runs), relative to levels.sum() times the trial's
@@ -284,21 +284,9 @@ def _peak_pass(grid, cells, power, sigma_w, u) -> PeakTrace:
     return PeakTrace(peak, beams)
 
 
-def apply_timing_offset(x: np.ndarray, offset_steps: int) -> np.ndarray:
-    """Cyclically rotate a trace's sample indexing, as a desynchronized receiver sees it.
-
-    The trace is one full period, so shifting by its length is the identity.
-    """
-    n = len(x)
-    if abs(offset_steps) > n:
-        raise ValueError("offset beyond one full trace period")
-    cut = n - offset_steps % n if n else 0  # np.roll(x, offset_steps), by slices
-    return np.concatenate((x[cut:], x[:cut]))
-
-
 def realign_with_pilot(x: np.ndarray, pilot_w) -> int:
     """The cyclic shift s in [0, n) that puts the known pilot at the head of
-    the trace x: apply_timing_offset(x, -s) is the synchronized trace.
+    the trace x: np.roll(x, -s) is the synchronized trace.
 
     Every shift s is scored, corr[s] = sum_i pilot[i] * x[(s + i) mod n]
     over the on-taps i, accumulated tap by tap in ascending order from the
@@ -404,8 +392,8 @@ class _SyncPilot:
         self.levels = self.pilot[self.taps]
         self.total = self.levels.sum()
         self.q = min(0.5, _HOT_PER_TRACE / n)
-        self.tau = -_STD_NORMAL.inv_cdf(self.q)
-        self.below = _STD_NORMAL.cdf(self.tau)
+        self.tau = -_normal_dist_inv_cdf(self.q, 0.0, 1.0)  # as NormalDist().inv_cdf and .cdf compute them
+        self.below = 0.5 * (1.0 + erf(self.tau / sqrt(2.0)))
         self.pad = k - 1 if k and n >= 3 * k - 2 else 0
         self.head_slots = np.arange(-self.pad, k + self.pad) % n
         self.head_signal = np.zeros(k + 2 * self.pad)
@@ -678,10 +666,10 @@ def _philox_trace(p: _SyncPilot, cells, power, sigma_w, draws, t):
 def _full_draw(samples, p: _SyncPilot, offset):
     """The dense path, on every slot of the synced trace: realign_with_pilot
     and estimator.peak; (shift, peaks, beams)."""
-    shifted = apply_timing_offset(samples, offset)
+    shifted = np.roll(samples, offset)
     shift = realign_with_pilot(shifted, p.pilot)
     synced = peak(samples[p.k :])
     # the realigned trace is a temporary: a third trace kept alive measured
     # 10x the minor faults (heap-top trims)
-    realigned = synced if shift == offset % p.n else peak(apply_timing_offset(shifted, -shift)[p.k :])
+    realigned = synced if shift == offset % p.n else peak(np.roll(shifted, -shift)[p.k :])
     return shift, *zip(synced, realigned, peak(shifted[p.k :]))

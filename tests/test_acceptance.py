@@ -24,7 +24,7 @@ from vlp_sim.experiments import (
 )
 from vlp_sim.geometry import ReceiverState, Room, build_beam_grid
 from vlp_sim.orientation import LaplaceParams, laplace_quantile
-from vlp_sim.scan import apply_timing_offset, dense_trace, make_pilot, realign_with_pilot, support
+from vlp_sim.scan import dense_trace, make_pilot, realign_with_pilot, support
 
 from dense_oracle import pcg64_trace
 
@@ -190,7 +190,7 @@ def test_criterion_7_synchronization(full_grid):
         )
         trace = pcg64_trace(full_grid, *support(full_grid, room, rx, P), 1e-4, rng, pilot)
         offset = int(rng.integers(-(n // 2), n // 2 + 1))
-        shifted = apply_timing_offset(trace, offset)
+        shifted = np.roll(trace, offset)
         # brute force over every cyclic shift: each 64-sample window of the
         # wrapped trace, scored with a direct dot product against the pilot
         s = shifted

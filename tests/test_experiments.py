@@ -30,7 +30,6 @@ from vlp_sim.geometry import ReceiverState, Room, build_beam_grid, incidence_cos
 from vlp_sim.orientation import LaplaceParams, receiver_normals
 from vlp_sim.scan import (
     PEAK_UNIFORMS,
-    apply_timing_offset,
     dense_trace,
     make_pilot,
     realign_with_pilot,
@@ -653,9 +652,9 @@ def _record_shifts(monkeypatch):
 def _dense_sync(trace, pilot, offset):
     """(peaks, beams, shift) of the synced, realigned and naive traces of one
     dense synced trace, as sync-test computed them before its sparse trial."""
-    shifted = apply_timing_offset(trace, offset)
+    shifted = np.roll(trace, offset)
     shift = realign_with_pilot(shifted, pilot)
-    realigned = apply_timing_offset(shifted, -shift)
+    realigned = np.roll(shifted, -shift)
     found = [peak(tr[len(pilot) :]) for tr in (trace, realigned, shifted)]
     return np.array([f[0] for f in found]), np.array([f[1] for f in found]), shift
 

@@ -570,6 +570,22 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2
+                        or "openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"],
+                        reason="reads /proc; only OpenBLAS with 2 CPUs or more starts a worker thread")
+    def test_import_starts_no_blas_worker(self):
+        # no run makes a BLAS call, so OpenBLAS's worker thread only costs
+        # start-up CPU; a caller's OPENBLAS_NUM_THREADS stands
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import re, vlp_sim.cli; "
+                "print(re.search(r'^Threads:\\s*(\\d+)', open('/proc/self/status').read(), re.M)[1])")
+        blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas} | {"PYTHONPATH": str(src)}
+        for extra, threads in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+            out = subprocess.run([sys.executable, "-c", code], env=env | extra, capture_output=True, text=True,
+                                 check=True)
+            assert out.stdout.strip() == threads, extra
+
     @pytest.mark.parametrize("argv, extra", [
         (["cdf"], None),
         (["snr-sweep"], None),

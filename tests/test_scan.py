@@ -18,7 +18,6 @@ from vlp_sim.geometry import (
 from vlp_sim.scan import (
     MAX_PILOT_LEN,
     PEAK_UNIFORMS,
-    apply_timing_offset,
     dense_trace,
     make_pilot,
     noise_max,
@@ -397,19 +396,29 @@ class TestNoiseMaxSampler:
             noise_max(1.0, 0, np.array([0.5]))
 
 
-class TestApplyTimingOffset:
-    def test_zero_offset_identity(self):
-        trace = np.arange(10.0)
-        np.testing.assert_array_equal(apply_timing_offset(trace, 0), trace)
+class TestSyncOffsets:
+    def test_offset_bound_is_one_period(self):
+        # a sync run takes offsets up to one trace period either way, a whole
+        # period being no offset, and rejects the next one out
+        grid = build_beam_grid(2.0, 2.0)
+        n = 64 + grid.size
+        assert n == 8_164
+        rx = ReceiverState([0.5, 0.5, 1.5])
+        cells, power = support(grid, ROOM, batch(rx, 1), P)
+        draws = scan.SyncDraws(3, np.zeros((1, 3), dtype=int))
 
-    def test_full_period_identity(self):
-        trace = np.arange(10.0)
-        np.testing.assert_array_equal(apply_timing_offset(trace, 10), trace)
+        def run(offset):
+            return run_scan(grid, cells, power, 1e-6, draws, pilot_w=make_pilot(P.p_opt_w, 64),
+                            offset_steps=np.array([offset]))
 
-    def test_beyond_period_rejected(self):
-        trace = np.arange(10.0)
-        with pytest.raises(ValueError):
-            apply_timing_offset(trace, 11)
+        synced = run(0)
+        for offset in (n, -n):
+            trace = run(offset)
+            np.testing.assert_array_equal(trace.peaks, synced.peaks)
+            np.testing.assert_array_equal(trace.beams, synced.beams)
+        for offset in (n + 1, -(n + 1)):
+            with pytest.raises(ValueError, match="one full trace period"):
+                run(offset)
 
 
 class TestRealignWithPilot:
@@ -425,10 +434,10 @@ class TestRealignWithPilot:
         pilot = make_pilot(P.p_opt_w, 64)
         rx = ReceiverState([0.31, 0.62, 0.9])
         trace = dense_trace(grid, *support(grid, ROOM, rx, P), 0.0, None, pilot)
-        shifted = apply_timing_offset(trace, offset)
+        shifted = np.roll(trace, offset)
         shift = realign_with_pilot(shifted, pilot)
         assert shift == offset % len(trace)
-        np.testing.assert_array_equal(apply_timing_offset(shifted, -shift), trace)
+        np.testing.assert_array_equal(np.roll(shifted, -shift), trace)
 
     def test_every_shift_matches_brute_force_small(self):
         # exhaustive oracle on a small synthetic trace
