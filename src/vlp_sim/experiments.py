@@ -11,7 +11,9 @@ trial records its trace with scan.dense_trace, as a sync trial completes
 its trace, and takes its peak with estimator.peak.  ExperimentConfig.mode
 is the subcommand, which alone picks a config's rules: one snr value for
 cdf and scan-demo, no trials_per_point in scan-demo (row 0 is its one
-trial), a pilot for sync-test, orientation_modes in snr-sweep.
+trial), a pilot for sync-test, orientation_modes in snr-sweep.  A
+runner's RunResult names its CSV files and their columns (tables) and holds
+its meta.json summary (aggregates).
 
 Reproducibility contract: results are bit-identical across reruns, and
 every draw is a pure function of the master seed and its indices.
@@ -178,9 +180,10 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    """Mode-specific aggregates (what the output files hold) and run metadata."""
+    """A run's CSV files (tables: name -> (column names, columns)) and its meta.json summary."""
 
     mode: str
+    tables: dict = field(default_factory=dict)
     aggregates: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
@@ -364,6 +367,11 @@ def _grid_block(cfg, grid, points, upright, orientations, sigmas, lo, hi):
     }
 
 
+def _row_table(rows, columns) -> tuple:
+    """A table of one CSV line per row, columns read from each row by name."""
+    return columns, [[r[c] for r in rows] for c in columns]
+
+
 def _base_metadata(cfg: ExperimentConfig, p_ref: float) -> dict:
     return {
         "mode": cfg.mode,
@@ -381,17 +389,19 @@ def run_cdf_experiment(cfg: ExperimentConfig) -> RunResult:
     p_ref, [(_, rec, stats)] = _grid_passes(cfg, (cfg.orientation.mode,), cfg.snr_list_db)
 
     valid = ~rec["excluded"]
+    if not valid.any():
+        raise ValueError("no non-outage samples: nothing to write")
+    errs = {axis: rec[f"err_{axis}"][valid] for axis in ("3d", "x", "y", "z")}
+    cdfs = {axis: compute_cdf(e) for axis, e in errs.items()}
     agg = {
         **stats,
         "n_samples": len(rec["err_3d"]),
         "low_signal_frac": float((rec["status"] == STATUS_LOW_SIGNAL).mean()),
+        **{f"p{q}_3d_m": percentile(cdfs["3d"][0], q) for q in (50, 90, 95)},
+        **{f"subcm_frac_{axis}": float((e < 0.01).mean()) for axis, e in errs.items()},
     }
-    if valid.any():
-        errs = {axis: rec[f"err_{axis}"][valid] for axis in ("3d", "x", "y", "z")}
-        agg.update({f"cdf_{axis}": compute_cdf(e) for axis, e in errs.items()})
-        agg.update({f"p{q}_3d_m": percentile(agg["cdf_3d"][0], q) for q in (50, 90, 95)})
-        agg.update({f"subcm_frac_{axis}": float((e < 0.01).mean()) for axis, e in errs.items()})
-    return RunResult("cdf", agg, _base_metadata(cfg, p_ref))
+    tables = {f"cdf_{axis}.csv": (("error_m", "cdf"), cdf) for axis, cdf in cdfs.items()}
+    return RunResult("cdf", tables, agg, _base_metadata(cfg, p_ref))
 
 
 def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
@@ -408,7 +418,9 @@ def run_snr_sweep(cfg: ExperimentConfig) -> RunResult:
         valid = ~rec["excluded"]
         mean_error = float(rec["err_3d"][valid].mean()) if valid.any() else float("nan")
         rows.append({**stats, "orientation_mode": mode, "mean_error_m": mean_error})
-    return RunResult("snr-sweep", {"rows": rows}, _base_metadata(cfg, p_ref))
+    columns = ("snr_db", "mean_error_m", "outage_frac", "clamp_frac", "orientation_mode")
+    tables = {"mean_error_vs_snr.csv": _row_table(rows, columns)}
+    return RunResult("snr-sweep", tables, {"rows": rows}, _base_metadata(cfg, p_ref))
 
 
 def run_sync_test(cfg: ExperimentConfig) -> RunResult:
@@ -467,7 +479,9 @@ def run_sync_test(cfg: ExperimentConfig) -> RunResult:
                 "sigma_w": sigma,
             }
         )
-    return RunResult("sync-test", {"rows": rows}, _base_metadata(cfg, p_pilot))
+    columns = ("snr_db", "mismatch_rate", "mean_error_synced_m", "mean_error_realigned_m", "mean_error_naive_m")
+    tables = {"sync_test.csv": _row_table(rows, columns)}
+    return RunResult("sync-test", tables, {"rows": rows}, _base_metadata(cfg, p_pilot))
 
 
 def run_scan_demo(cfg: ExperimentConfig, point=None) -> RunResult:
@@ -476,8 +490,8 @@ def run_scan_demo(cfg: ExperimentConfig, point=None) -> RunResult:
     orientation and the noise from row 0.
 
     Uses the config's one snr value, anchored like a grid pass, and the
-    configured pilot.  The trace aggregate is (beam azimuth, beam
-    elevation, power) over every slot, pilot first with NaN angles; the
+    configured pilot.  The trace table holds every slot's beam azimuth,
+    beam elevation and power, pilot first with empty angles; the
     peak is taken over the slots after the pilot, and locate flags it when
     it falls under the low-signal threshold for this sigma.
     """
@@ -494,13 +508,15 @@ def run_scan_demo(cfg: ExperimentConfig, point=None) -> RunResult:
     cells, power = support(grid, cfg.room, ReceiverState(point, normal, cfg.fov_deg), cfg.channel)
     trace = dense_trace(grid, cells, power, sigma, draws, pilot)
     estimate, status = locate(cfg.room.emitter_pos, *peak(trace[cfg.pilot_len :]), grid, cfg.channel, sigma)
-    no_beam = np.full(cfg.pilot_len, np.nan)
+    # a pilot slot has no beam: its angle fields are empty
+    angles = [[""] * cfg.pilot_len + a.tolist() for a in grid.angles_of(np.arange(grid.size))]
+    columns = ("index", "beam_azimuth_deg", "beam_elevation_deg", "power_watts")
+    tables = {"scan_trace.csv": (columns, [np.arange(len(trace)), *angles, trace])}
     agg = {
-        "trace": (*(np.concatenate([no_beam, a]) for a in grid.angles_of(np.arange(grid.size))), trace),
         "receiver_m": np.asarray(point, dtype=float).tolist(),
         "estimate_m": estimate.tolist(),
         "status": STATUS_NAMES[status],
         "error_m": float(position_error(point, estimate).total_m),
         "sigma_w": sigma,
     }
-    return RunResult("scan-demo", agg, _base_metadata(cfg, p_ref))
+    return RunResult("scan-demo", tables, agg, _base_metadata(cfg, p_ref))

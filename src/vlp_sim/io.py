@@ -8,6 +8,10 @@ default is echoed in the output metadata.  Every key moves some output of
 the subcommand it acts in, so the keys that drove nothing are unknown keys:
 the pre-0.4 threads, dwell_time_s, bandwidth_ghz and noise_variance_w_hz,
 and from 0.6 mode.  The subcommand alone names the experiment that runs.
+
+write_results writes any RunResult one way: each table a CSV file (strings
+as they are, numbers at nine significant digits), the aggregates meta.json's
+summary.  The runners in experiments name each subcommand's files and columns.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import json
 import math
 import os
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .channel import ChannelParams
@@ -189,53 +195,25 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-# row-table modes: output file name and columns; each result row is a dict
-# keyed by these column names
-ROW_TABLES = {
-    "snr-sweep": ("mean_error_vs_snr.csv", ("snr_db", "mean_error_m", "outage_frac", "clamp_frac", "orientation_mode")),
-    "sync-test": (
-        "sync_test.csv",
-        ("snr_db", "mismatch_rate", "mean_error_synced_m", "mean_error_realigned_m", "mean_error_naive_m"),
-    ),
-}
-
-
-def _csv(header: str, rows) -> str:
-    return "\n".join([header, *rows]) + "\n"
+def _fields(column) -> list[str]:
+    """A column's CSV fields: strings as they are, numbers as _fmt writes
+    them (an array's through .tolist(), the fast way to the same string)."""
+    if isinstance(column, np.ndarray):
+        return [f"{v:.9g}" for v in column.tolist()]
+    return [v if isinstance(v, str) else _fmt(v) for v in column]
 
 
 def write_results(result: RunResult, out_dir, config_echo: dict, applied_defaults: list[str], wall_time_s: float | None = None) -> list[Path]:
-    """Emit any subcommand's CSV data files plus meta.json, atomically.
+    """Write a run's tables, one CSV file each, plus meta.json, atomically.
 
-    Validation happens before the directory or any file is created, so a
-    failed run leaves no partial output behind.
+    Every file's text is built before the directory or any file is
+    created, so a failed run leaves no partial output behind.
     """
     out = Path(out_dir)
     files: list[tuple[Path, str]] = []
-    if result.mode == "cdf":
-        if result.aggregates.get("n_valid", 0) == 0:
-            raise ValueError("no non-outage samples: nothing to write")
-        for name in ("cdf_3d", "cdf_x", "cdf_y", "cdf_z"):
-            values, cdf = result.aggregates[name]
-            rows = (f"{_fmt(v)},{_fmt(c)}" for v, c in zip(values, cdf))
-            files.append((out / f"{name}.csv", _csv("error_m,cdf", rows)))
-    elif result.mode in ROW_TABLES:
-        name, columns = ROW_TABLES[result.mode]
-        rows = (
-            ",".join(r[c] if isinstance(r[c], str) else _fmt(r[c]) for c in columns)
-            for r in result.aggregates["rows"]
-        )
-        files.append((out / name, _csv(",".join(columns), rows)))
-    elif result.mode == "scan-demo":
-        # a pilot slot has no beam: NaN angles, written as empty fields
-        rows = (
-            ",".join([str(i), *("" if math.isnan(a) else _fmt(a) for a in (az, el)), _fmt(p)])
-            for i, (az, el, p) in enumerate(zip(*result.aggregates["trace"]))
-        )
-        files.append((out / "scan_trace.csv", _csv("index,beam_azimuth_deg,beam_elevation_deg,power_watts", rows)))
-    else:
-        raise ValueError(f"unknown result mode {result.mode!r}")
-
+    for name, (columns, values) in result.tables.items():
+        lines = map(",".join, zip(*map(_fields, values)))
+        files.append((out / name, "\n".join([",".join(columns), *lines]) + "\n"))
     meta = {
         "config": config_echo,
         "applied_defaults": applied_defaults,
@@ -244,8 +222,7 @@ def write_results(result: RunResult, out_dir, config_echo: dict, applied_default
         "code_version": __version__,
         "snr_definition": result.metadata.get("snr_definition"),
         "run": _rounded(result.metadata),
-        # the cdf_* arrays and the trace go to their own CSV files
-        "summary": _rounded({k: v for k, v in result.aggregates.items() if not k.startswith(("cdf_", "trace"))}),
+        "summary": _rounded(result.aggregates),
         "wall_time_s": wall_time_s,
     }
     files.append((out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"))

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import erf, sqrt
-from statistics import _normal_dist_inv_cdf
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +43,12 @@ from .channel import ChannelParams, received_power_on_axis
 from .estimator import peak
 from .geometry import BeamGrid, ReceiverState, Room, in_fov, incidence_cosine, norm, spherical_from_direction
 from .streams import uniform_index, uniforms
+
+try:
+    from statistics import _normal_dist_inv_cdf
+except ImportError:  # a private name no Python promises: the public method that calls it
+    def _normal_dist_inv_cdf(p, mu, sigma):
+        return NormalDist(mu, sigma).inv_cdf(p)
 
 DEFAULT_PILOT_LEN = 64
 # the pilot's on/off bits, most significant first: the first 1,024 integers(0, 2)
@@ -184,8 +190,8 @@ def _normal_quantile(p) -> np.ndarray:
 
     It maps the routine inv_cdf itself calls, statistics._normal_dist_inv_cdf
     (AS 241, in C), with inv_cdf's mean 0.0 and sigma 1.0, so no Python frame
-    runs per value.  Like inv_cdf, it raises ValueError for p = 0 or 1 and
-    passes NaN through.
+    runs per value (but for the fallback above).  Like inv_cdf, it raises
+    ValueError for p = 0 or 1 and passes NaN through.
     """
     p = np.asarray(p, dtype=float)
     z = map(_normal_dist_inv_cdf, p.ravel().tolist(), repeat(0.0), repeat(1.0))

@@ -135,6 +135,18 @@ class TestNoiseSigmaForSnr:
         with pytest.raises(ValueError):
             noise_sigma_for_snr(0.0, 10.0)
 
+    @pytest.mark.parametrize("snr", [10.0, float("inf")])
+    def test_zero_signal_rejected_before_the_sigma(self, snr):
+        # noiseless too: a zero reference gives sigma 0, which inf would pass
+        with pytest.raises(ValueError, match="signal must be positive"):
+            noise_sigma_for_snr(0.0, snr)
+
+    def test_sigma_underflowing_to_zero_rejected(self):
+        # 1e-300 W over 10^30 is under the smallest subnormal: sigma rounds to 0
+        assert 1e-300 / 10.0 ** (600.0 / 20.0) == 0.0
+        with pytest.raises(ValueError, match="no positive finite noise sigma"):
+            noise_sigma_for_snr(1e-300, 600.0)
+
     @pytest.mark.parametrize("snr", [-7000.0, -6300.0, 6200.0, 7000.0])
     def test_sigma_out_of_float_range_rejected(self, snr):
         # 10^(snr / 20) underflows to 0 or overflows, or 1 mW over it does

@@ -255,8 +255,10 @@ class TestRunCdfExperiment:
         cfg = ExperimentConfig(mode="cdf", master_seed=5, snr_list_db=(40.0,), **SMALL)
         a = run_cdf_experiment(cfg)
         b = run_cdf_experiment(cfg)
-        for key in ("cdf_3d", "cdf_x", "cdf_y", "cdf_z"):
-            np.testing.assert_array_equal(a.aggregates[key], b.aggregates[key])
+        assert a.tables.keys() == b.tables.keys() == {f"cdf_{axis}.csv" for axis in ("3d", "x", "y", "z")}
+        for name, (columns, values) in a.tables.items():
+            assert columns == b.tables[name][0] == ("error_m", "cdf")
+            np.testing.assert_array_equal(values, b.tables[name][1])
 
     def test_fixed_orientation_has_zero_outage(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=1, snr_list_db=(40.0,), **SMALL)
@@ -277,8 +279,7 @@ class TestRunCdfExperiment:
     def test_cdf_arrays_well_formed(self):
         cfg = ExperimentConfig(mode="cdf", master_seed=2, snr_list_db=(40.0,), **SMALL)
         res = run_cdf_experiment(cfg)
-        for key in ("cdf_3d", "cdf_x", "cdf_y", "cdf_z"):
-            values, cdf = res.aggregates[key]
+        for _, (values, cdf) in res.tables.values():
             assert np.all(np.diff(values) >= 0)
             assert cdf[-1] == 1.0
 
@@ -595,7 +596,7 @@ class TestScanDemo:
         """(the RunResult's trace powers, sigma, its noise-only slots, the
         trace _philox_trace completes for row 0)."""
         cfg = ExperimentConfig(mode="scan-demo", snr_list_db=(40.0,), master_seed=seed, pilot_len=pilot_len)
-        _, _, trace = experiments.run_scan_demo(cfg, self.POINT).aggregates["trace"]
+        *_, trace = experiments.run_scan_demo(cfg, self.POINT).tables["scan_trace.csv"][1]
         grid = build_beam_grid()
         sigma = noise_sigma_for_snr(reference_peak_power(cfg, sample_positions(cfg)), 40.0)
         draws = scan.SyncDraws(seed, np.zeros((1, 3), dtype=int))

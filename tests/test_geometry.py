@@ -5,6 +5,7 @@ from vlp_sim.geometry import (
     ReceiverState,
     Room,
     build_beam_grid,
+    check_fov,
     in_fov,
     incidence_cosine,
     spherical_from_direction,
@@ -186,6 +187,12 @@ class TestInFov:
     def test_bad_fov(self):
         with pytest.raises(ValueError):
             in_fov(1.0, 0.0)
+
+    def test_half_space_fov_accepted(self):
+        # 180 degrees is the widest cone: it sees every arrival from the front
+        check_fov(180.0)
+        assert in_fov(0.0, 180.0)
+        assert not in_fov(-1e-6, 180.0)
 
 
 class TestReceiverState:

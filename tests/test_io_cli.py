@@ -194,14 +194,19 @@ class TestWriteResults:
         write_results(result, tmp_path, resolved, applied)
         first_value = (tmp_path / "cdf_3d.csv").read_text().splitlines()[1].split(",")[0]
         assert float(first_value) == pytest.approx(
-            float(result.aggregates["cdf_3d"][0][0]), rel=1e-8
+            float(result.tables["cdf_3d.csv"][1][0][0]), rel=1e-8
         )
 
     def test_empty_valid_set_writes_nothing(self, tmp_path):
+        # the cdf runner refuses a run with no non-outage sample, so nothing reaches write_results
+        resolved, _ = load_config(None, dict(TINY, grid_spacing_m=1 / 3, fov_deg=0.001))
+        with pytest.raises(ValueError, match="no non-outage samples"):
+            run_cdf_experiment(build_experiment(resolved, "cdf"))
+        # and a table that cannot be written fails before the directory exists
         result, resolved, applied = self._result()
-        result.aggregates["n_valid"] = 0
+        result.tables["cdf_x.csv"] = (("error_m", "cdf"), [[None], [1.0]])
         out = tmp_path / "empty"
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             write_results(result, out, resolved, applied)
         assert not out.exists()
 
@@ -249,7 +254,7 @@ class TestWriteTrace:
         assert lines[1].split(",")[1:3] == ["", ""]
         assert lines[4].split(",")[1:3] == ["0", "0"]
         assert lines[-1].split(",")[1:3] == ["270", "45"]
-        _, _, power = result.aggregates["trace"]
+        *_, power = result.tables["scan_trace.csv"][1]
         assert [float(line.split(",")[3]) for line in lines[1:]] == pytest.approx(power, rel=1e-8)
 
     def test_summary_holds_the_fix_not_the_trace(self, tmp_path):

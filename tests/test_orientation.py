@@ -23,6 +23,10 @@ class TestLaplaceParams:
         with pytest.raises(ValueError):
             LaplaceParams(0.0, -1.0)
 
+    def test_infinite_sigma_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            LaplaceParams(0.0, float("inf"))
+
 
 class TestLaplaceSample:
     """laplace_quantile, and the range check receiver_normals puts before it."""

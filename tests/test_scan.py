@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -373,8 +378,8 @@ class TestNoiseMaxSampler:
 
     def test_quantile_is_inv_cdf_bit_for_bit(self):
         # _normal_quantile maps statistics._normal_dist_inv_cdf, the private
-        # routine NormalDist().inv_cdf calls: a Python that drops or changes it
-        # fails here (or at import), not silently in the outputs
+        # routine NormalDist().inv_cdf calls: a Python that changes it fails
+        # here, not silently in the outputs (one that drops it: the next test)
         half = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
         p = np.concatenate([
             np.geomspace(1e-300, 0.5, 4000),
@@ -390,6 +395,42 @@ class TestNoiseMaxSampler:
         for bad in (0.0, 1.0):
             with pytest.raises(ValueError):
                 scan._normal_quantile([0.25, bad])
+
+    def test_quantile_falls_back_to_inv_cdf_without_the_private_name(self):
+        # a fresh interpreter imports scan with the name gone from statistics,
+        # then checks the fallback against the routine, bit for bit
+        code = textwrap.dedent("""
+            import importlib, statistics
+            import numpy as np
+            routine = statistics._normal_dist_inv_cdf
+            del statistics._normal_dist_inv_cdf
+            from vlp_sim import scan
+            statistics._normal_dist_inv_cdf = routine  # NormalDist().inv_cdf calls it by this name
+
+            def results():
+                p = np.concatenate([np.geomspace(1e-300, 0.5, 500), 1.0 - np.geomspace(2.0**-53, 0.5, 500), [np.nan]])
+                u = np.linspace(0.0, 1.0, 1001)[1:-1]
+                return [scan._normal_quantile(p), *(scan.noise_max(2.5e-6, k, u) for k in (1, 7, 32_400))]
+
+            assert scan._normal_dist_inv_cdf is not routine
+            fallback = results()
+            for bad in (0.0, 1.0):
+                try:
+                    scan._normal_quantile([bad])
+                except ValueError:
+                    pass
+                else:
+                    raise AssertionError(bad)
+            importlib.reload(scan)
+            assert scan._normal_dist_inv_cdf is routine
+            for a, b in zip(fallback, results()):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+            print("ok")
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr
 
     def test_empty_set_has_no_max(self):
         with pytest.raises(ValueError):
