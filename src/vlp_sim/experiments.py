@@ -4,11 +4,14 @@ trial at every grid point for one (orientation mode, SNR); cdf is the
 single pass (0, 0), snr-sweep one pass per pair.  A grid run sweeps all its
 passes' rows as one array pass, GRID_BLOCK_ROWS rows at a time.  A sync
 run sweeps every trial of one SNR in one run_scan call.  Every caller
-composes scan.support (the geometry), a sweep and estimator.locate (the
-fix): a grid pass sweeps with scan.run_scan on the beam grid alone, a sync
-run with its pilot too, and either yields its peaks directly; the scan-demo
-trial records its trace with scan.dense_trace, as a sync trial completes
-its trace, and takes its peak with estimator.peak.  ExperimentConfig.mode
+composes the geometry, a sweep and estimator.locate (the fix).  A grid run
+finds each grid point's beam cells once (scan.beam_cells) and each row's
+view of them (scan.in_view); a sync run and the scan-demo trial take
+scan.support, which does both for each receiver.  A grid pass sweeps with
+scan.run_scan on the beam grid alone, a sync run with its pilot too, and
+either yields its peaks directly; the scan-demo trial records its trace
+with scan.dense_trace, as a sync trial completes its trace, and takes its
+peak with estimator.peak.  ExperimentConfig.mode
 is the subcommand, which alone picks a config's rules: one snr value for
 cdf and scan-demo, no trials_per_point in scan-demo (row 0 is its one
 trial), a pilot for sync-test, orientation_modes in snr-sweep.  A
@@ -56,14 +59,16 @@ import numpy as np
 
 from .channel import ChannelParams, noise_sigma_for_snr, received_power_on_axis
 from .estimator import STATUS_CLAMPED, STATUS_LOW_SIGNAL, STATUS_NAMES, locate, peak, position_error
-from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, check_fov, norm
+from .geometry import ReceiverState, Room, build_beam_grid, check_beam_steps, check_fov, incidence_cosine, norm
 from .orientation import ORIENTATION_MODES, OrientationConfig, receiver_normals
 from .scan import (
     DEFAULT_PILOT_LEN,
     MAX_PILOT_LEN,
     PEAK_UNIFORMS,
     SyncDraws,
+    beam_cells,
     dense_trace,
+    in_view,
     make_pilot,
     run_scan,
     support,
@@ -90,9 +95,14 @@ DEFAULT_TRIALS = {"cdf": 5, "snr-sweep": 20, "sync-test": 1000, "scan-demo": 1}
 ROW_UNIFORMS = 12
 
 # rows a grid run sweeps at once; rows draw from their own Philox counters,
-# so the block size bounds the run's memory (about 1 MB of temporaries a
-# block) without changing a result
-GRID_BLOCK_ROWS = 2048
+# so the block size bounds the run's memory without changing a result.  A
+# block pays one uniforms, one receiver_normals per mode and one locate, and
+# an snr whose rows straddle two blocks pays two run_scans: 4,096 rows pay
+# them half as often as 2,048 did (default cdf 8 blocks -> 4, snr-sweep's
+# benchmark run of 3,850 rows 2 -> 1).  One full block's temporaries peak
+# at about 2.1 MB (tracemalloc; 1.1 MB at 2,048 rows, 4.1 MB at 8,192, which
+# gained a default two-mode snr-sweep a few per cent more)
+GRID_BLOCK_ROWS = 4096
 
 # stay half a metre clear of the emitter: directly underneath, the angular
 # cell degenerates and the inversion is numerically useless
@@ -287,24 +297,28 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
     3D and per-axis errors and the outage mask, stats), the stats holding
     snr_db, outage_frac, clamp_frac, n_valid and sigma_w.
 
-    An upright (fixed) receiver's geometry depends on its grid point alone,
-    so with a fixed mode among the passes, support runs once over the points
-    and the blocks gather its rows from that.
+    A grid point's beam cells and distance hold for every pose at it, so
+    scan.beam_cells runs once over the points and every row gathers its
+    point's; only whether the row sees them is the row's own.  An upright
+    (fixed) receiver's view depends on its point alone too, so with a fixed
+    mode among the passes, that runs once over the points as well.
     """
     points = sample_positions(cfg)
     p_ref = reference_peak_power(cfg, points)
     grid = build_beam_grid(cfg.azimuth_step_deg, cfg.elevation_step_deg)
     orientations = [dataclasses.replace(cfg.orientation, mode=mode) for mode in modes]
     sigmas = _noise_sigmas(p_ref, snrs)
+    reach = beam_cells(grid, cfg.room, points)
     upright = None
     if "fixed" in modes:
-        upright = support(grid, cfg.room, ReceiverState(points, fov_deg=cfg.fov_deg), cfg.channel)
+        cos_psi = incidence_cosine(cfg.room.emitter_pos, ReceiverState(points, fov_deg=cfg.fov_deg))
+        upright = in_view(grid, *reach, cos_psi, cfg.fov_deg, cfg.channel)
     n = len(points) * cfg.trials
     total = n * len(modes) * len(snrs)
     rec = {}
     for lo in range(0, total, GRID_BLOCK_ROWS):
         hi = min(lo + GRID_BLOCK_ROWS, total)
-        block = _grid_block(cfg, grid, points, upright, orientations, sigmas, lo, hi)
+        block = _grid_block(cfg, grid, points, reach, upright, orientations, sigmas, lo, hi)
         rec = rec or {key: np.empty(total, values.dtype) for key, values in block.items()}
         for key, values in block.items():
             rec[key][lo:hi] = values
@@ -324,11 +338,13 @@ def _grid_passes(cfg: ExperimentConfig, modes, snrs) -> tuple[float, list]:
     return p_ref, passes
 
 
-def _grid_block(cfg, grid, points, upright, orientations, sigmas, lo, hi):
+def _grid_block(cfg, grid, points, reach, upright, orientations, sigmas, lo, hi):
     """Rows lo to hi of a grid run: one uniforms, one locate, a run_scan per
-    snr among the rows, and their geometry: a fixed row gathers its point's
-    row of upright, support() of every point under an upright receiver, and
-    the other rows take a receiver_normals per mode and one support.
+    snr among the rows, and their geometry from their points' rows: a fixed
+    row gathers upright's, in_view() of every point under an upright
+    receiver, and the other rows take a receiver_normals per mode, then one
+    in_view() of reach's, beam_cells() of every point, by their own
+    incidence cosines.
 
     The outage mask holds the receivers out of view: by geometry (no
     support) under a fixed upright receiver, whose low-signal flag stays a
@@ -336,7 +352,8 @@ def _grid_block(cfg, grid, points, upright, orientations, sigmas, lo, hi):
     """
     prefix = row_prefix(cfg, np.arange(lo, hi), len(points), len(orientations))
     u = uniforms(cfg.master_seed, prefix, ROW_UNIFORMS)
-    positions = points[prefix[:, 0]]
+    point = prefix[:, 0]
+    positions = points[point]
     mode_of, snr_of = prefix[:, 2] >> 16, prefix[:, 2] & 0xFFFF  # snr_of nondecreasing: SNR-major
     # the modes among the rows; np.unique would import numpy.ma (about 20 ms)
     by_mode = {m: mode_of == m for m in np.flatnonzero(np.bincount(mode_of))}
@@ -348,11 +365,12 @@ def _grid_block(cfg, grid, points, upright, orientations, sigmas, lo, hi):
             normals[rows] = receiver_normals(orientations[m], u[rows, :3] - 0.5)
     cells, power = np.empty((hi - lo, 4), dtype=int), np.empty(hi - lo)
     if fixed.any():
-        cells[fixed], power[fixed] = (a[prefix[fixed, 0]] for a in upright)
+        cells[fixed], power[fixed] = (a[point[fixed]] for a in upright)
     if not fixed.all():
         tilted = ~fixed
-        rx = ReceiverState(positions[tilted], normals[tilted], cfg.fov_deg)
-        cells[tilted], power[tilted] = support(grid, cfg.room, rx, cfg.channel)
+        at = point[tilted]
+        cos_psi = incidence_cosine(cfg.room.emitter_pos, ReceiverState(positions[tilted], normals[tilted], cfg.fov_deg))
+        cells[tilted], power[tilted] = in_view(grid, *(a[at] for a in reach), cos_psi, cfg.fov_deg, cfg.channel)
     peaks, beams, sigma = np.empty(hi - lo), np.empty(hi - lo, dtype=int), np.empty(hi - lo)
     for s in range(snr_of[0], snr_of[-1] + 1):
         rows = slice(*np.searchsorted(snr_of, (s, s + 1)))

@@ -12,7 +12,9 @@ its whole trace.
 
 The geometry and the sweep are two calls: support() finds, for one
 receiver or a batch, the beam cells that carry signal and their on-axis
-power; a sweep takes them.  dense_trace() records every slot of one
+power; a sweep takes them.  support() is beam_cells(), which the position
+alone decides, then in_view(), which the pose decides, so a grid run takes
+the first once per point.  dense_trace() records every slot of one
 receiver's sweep, pilot first, from a Philox row, as a sync trial
 completes its trace.  run_scan() sweeps a batch, and its pilot picks the
 sweep.  With no pilot it is a peak-only pass, which keeps, per receiver,
@@ -130,25 +132,21 @@ def make_pilot(on_level_w: float, length: int) -> np.ndarray:
     return bits.astype(float) * on_level_w
 
 
-def support(grid: BeamGrid, room: Room, rx: ReceiverState, params: ChannelParams):
-    """Beam cells that carry signal for each receiver, and the on-axis power they carry.
+def beam_cells(grid: BeamGrid, room: Room, position):
+    """The beam cells that cover each receiver position's direction from the
+    emitter, and its distance from it: the part of support() that the
+    position alone decides.
 
-    A cell carries signal when it covers the receiver's direction from the
-    emitter and the arrival lies inside the field of view: of the two rings
-    and two azimuths that bracket the direction, those within half a step
-    (both, on a boundary).  The nadir ring counts as one cell for every
-    azimuth, since all its beams point the same way; it is listed as slot 0
-    and stands for slots 0 .. n_azimuth - 1.
-    Returns (cells, power): cells (..., 4) beam slots, ascending, padded with
-    grid.size; power (...) in W, zero (with no cells) out of view.  Raises
-    ValueError for a receiver outside the room or at the ceiling.
+    Of the two rings and two azimuths that bracket the direction, the cells
+    within half a step (both, on a boundary).  The nadir ring counts as one
+    cell for every azimuth, since all its beams point the same way; it is
+    listed as slot 0 and stands for slots 0 .. n_azimuth - 1.  position is
+    (N, 3); returns (cells, distance): cells (N, 4) beam slots, ascending,
+    padded with grid.size; distance (N,) in m.  Raises ValueError for a
+    position outside the room or at the ceiling.
     """
-    room.check_receiver(rx.position)
-    tx = room.emitter_pos
-    shape = np.shape(rx.position)[:-1]
-    to_rx = np.reshape(rx.position - tx, (-1, 3))
-    cos_psi = np.reshape(incidence_cosine(tx, rx), -1)
-    seen = in_fov(cos_psi, rx.fov_deg)
+    room.check_receiver(position)
+    to_rx = position - room.emitter_pos
     az, el = (a[:, None] for a in spherical_from_direction(to_rx))
     e_step, a_step, n_az = grid.elevation_step_deg, grid.azimuth_step_deg, grid.n_azimuth
     ring = np.floor(el / e_step) + _BRACKET
@@ -159,9 +157,38 @@ def support(grid: BeamGrid, room: Room, rx: ReceiverState, params: ChannelParams
     # (N, 2, 2) candidates, ring by azimuth; the nadir ring is one cell at slot 0
     nadir = (ring == 0)[:, :, None]
     slot = np.where(nadir, 0.0, (ring * n_az)[:, :, None] + azi[:, None, :])
-    ok = (ring_ok & seen[:, None])[:, :, None] & np.where(nadir, _BRACKET == 0, azi_ok[:, None, :])
+    ok = ring_ok[:, :, None] & np.where(nadir, _BRACKET == 0, azi_ok[:, None, :])
     cells = np.sort(np.where(ok, slot, grid.size).reshape(-1, 4), axis=1).astype(int)
-    power = received_power_on_axis(norm(to_rx), np.where(seen, cos_psi, 0.0), params)  # +0.0 W out of view
+    return cells, norm(to_rx)
+
+
+def in_view(grid: BeamGrid, cells, distance, cos_psi, fov_deg: float, params: ChannelParams):
+    """support()'s output from beam_cells' (cells (N, 4), distance (N,)) and
+    each receiver's incidence cosine (N,): a receiver whose arrival lies
+    inside the field of view keeps all of its cells and gets the on-axis
+    power at its distance and cosine; one out of view keeps none (grid.size
+    throughout) and gets +0.0 W.
+    """
+    seen = in_fov(cos_psi, fov_deg)
+    power = received_power_on_axis(distance, np.where(seen, cos_psi, 0.0), params)
+    return np.where(seen[:, None], cells, grid.size), power
+
+
+def support(grid: BeamGrid, room: Room, rx: ReceiverState, params: ChannelParams):
+    """Beam cells that carry signal for each receiver, and the on-axis power they carry.
+
+    A cell carries signal when it covers the receiver's direction from the
+    emitter (beam_cells, which the position alone decides) and the arrival
+    lies inside the field of view (in_view, which the pose decides).
+    Returns (cells, power): cells (..., 4) beam slots, ascending, padded with
+    grid.size, the nadir ring as slot 0 (see beam_cells); power (...) in W,
+    zero (with no cells) out of view.  Raises ValueError for a receiver
+    outside the room or at the ceiling.
+    """
+    shape = np.shape(rx.position)[:-1]
+    cells, distance = beam_cells(grid, room, np.reshape(rx.position, (-1, 3)))
+    cos_psi = np.reshape(incidence_cosine(room.emitter_pos, rx), -1)
+    cells, power = in_view(grid, cells, distance, cos_psi, rx.fov_deg, params)
     return cells.reshape(shape + (4,)), power.reshape(shape)
 
 
@@ -273,11 +300,15 @@ def _peak_pass(grid, cells, power, sigma_w, u) -> PeakTrace:
     r = np.zeros(len(k), dtype=int)  # rank of the noise-only maximum's slot
     if sigma_w > 0.0:
         values += sigma_w * _box_muller(u[:, 0:4]).T
-        values[0, ring] = power[ring] + noise_max(sigma_w, n_az, u[ring, 6])
-        slots[0, ring] = uniform_index(u[ring, 7], n_az)
+        # the nadir ring's maximum over its n_az slots, then the noise-only
+        # one over the k, each with its slot: one noise_max and one draw
         has = k > 0
-        noise[has] = noise_max(sigma_w, k[has], u[has, 4])
-        r[has] = uniform_index(u[has, 5], k[has])
+        at = np.count_nonzero(ring)
+        count = np.concatenate((np.full(at, n_az), k[has]))
+        pair = np.concatenate((u[ring, 6:8], u[has, 4:6]))
+        top, slot = noise_max(sigma_w, count, pair[:, 0]), uniform_index(pair[:, 1], count)
+        values[0, ring], slots[0, ring] = power[ring] + top[:at], slot[:at]
+        noise[has], r[has] = top[at:], slot[at:]
     # the r-th noise-only slot is r plus the support slots before it; a cell
     # at slot c with j support slots ahead of it lies before it when c - j <= r
     before = np.zeros_like(r)

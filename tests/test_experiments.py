@@ -883,29 +883,30 @@ class TestGridPassStreams:
                     np.testing.assert_array_equal(rec[key], oracle[key], err_msg=f"{rows} {mode} {snr} {key}")
 
     def test_upright_support_once_per_point(self, monkeypatch):
-        # a fixed pass gathers its rows from one support over the points; the
-        # random-euler rows of a two-mode sweep get one support a block
-        sizes = []
+        # a grid run finds its points' beam cells in one beam_cells call over
+        # the points, whatever its modes and blocks; no block calls support
+        # or beam_cells, and a tilted row only masks its point's cells
+        calls = []
 
-        def counted(grid, room, rx, params):
-            sizes.append(len(rx.position))
-            return support(grid, room, rx, params)
+        def counted(name, fn):
+            def wrapper(grid, room, arg, *rest):
+                calls.append((name, len(arg.position if name == "support" else arg)))
+                return fn(grid, room, arg, *rest)
+            return wrapper
 
-        monkeypatch.setattr(experiments, "support", counted)
+        monkeypatch.setattr(experiments, "beam_cells", counted("beam_cells", experiments.beam_cells))
+        monkeypatch.setattr(experiments, "support", counted("support", support))
         monkeypatch.setattr(experiments, "GRID_BLOCK_ROWS", 64)
         cfg = ExperimentConfig(mode="cdf", **SMALL)
         n_points = len(sample_positions(cfg))
         run_cdf_experiment(cfg)
-        assert sizes == [n_points]
-        sizes.clear()
+        assert calls == [("beam_cells", n_points)]
+        calls.clear()
         cfg = ExperimentConfig(mode="snr-sweep", snr_list_db=(20.0, 40.0), orientation_modes=("fixed", "random-euler"),
                                **SMALL)
         run_snr_sweep(cfg)
-        rows = np.arange(n_points * cfg.trials * 4)
-        random_rows = experiments.row_prefix(cfg, rows, n_points, 2)[:, 2] >> 16 == 1
-        per_block = [int(n) for n in np.add.reduceat(random_rows, np.arange(0, len(rows), 64)) if n]
-        assert sizes == [n_points] + per_block
-        assert len(per_block) > 1 and sum(per_block) == len(rows) // 2
+        assert n_points * cfg.trials * 4 > 4 * 64  # many blocks, tilted rows in most
+        assert calls == [("beam_cells", n_points)]
 
     def test_row_map_is_the_documented_one(self):
         # 4 points x 2 trials a pass, 2 modes x 2 snrs: passes run SNR-major,
@@ -969,6 +970,38 @@ class TestBenchmarkContract:
                                snr_list_db=(float("inf"), 30.0))
         sigmas = [row["sigma_w"] for row in run_sync_test(cfg).aggregates["rows"]]
         assert calls == [(True, (5, 4), (5,), sigma, True) for sigma in sigmas]
+
+    @pytest.mark.parametrize("block_rows", [None, 64])
+    def test_grid_scans_take_one_snr_and_a_scalar_sigma_w(self, monkeypatch, block_rows):
+        # the traced hook evaluates sigma_w > 0.0 on each call, so a grid run
+        # calls run_scan with one scalar sigma_w and the rows of that snr
+        # alone: a merged pass of several snrs with a per-row sigma breaks it.
+        # Each call's draws name its rows; every row is swept once
+        calls = []
+
+        def recording(grid, cells, power, sigma_w, draws, pilot_w=None):
+            calls.append((sigma_w, np.array(draws)))
+            return run_scan(grid, cells, power, sigma_w=sigma_w, draws=draws, pilot_w=pilot_w)
+
+        monkeypatch.setattr(experiments, "run_scan", recording)
+        if block_rows is not None:
+            monkeypatch.setattr(experiments, "GRID_BLOCK_ROWS", block_rows)
+        cfg = ExperimentConfig(mode="snr-sweep", snr_list_db=(float("inf"), 20.0, 40.0),
+                               orientation_modes=("fixed", "random-euler"), **SMALL)
+        sigmas = {row["snr_db"]: row["sigma_w"] for row in run_snr_sweep(cfg).aggregates["rows"]}
+        n_points = len(sample_positions(cfg))
+        prefix = experiments.row_prefix(cfg, np.arange(n_points * cfg.trials * 6), n_points, 2)
+        u = _row_uniforms(cfg, prefix)[:, 3 : 3 + PEAK_UNIFORMS]
+        row_of = {draws.tobytes(): i for i, draws in enumerate(u)}
+        swept = []
+        for sigma_w, draws in calls:
+            rows = [row_of[d.tobytes()] for d in draws]
+            [snr_index] = set((prefix[rows, 2] & 0xFFFF).tolist())
+            assert isinstance(sigma_w, float) and np.ndim(sigma_w) == 0
+            assert sigma_w == sigmas[cfg.snr_list_db[snr_index]]
+            swept += rows
+        assert sorted(swept) == list(range(len(u)))
+        assert len(calls) == (3 if block_rows is None else -(-len(u) // 64) + 2)
 
     def test_run_scan_takes_sigma_w(self):
         assert "sigma_w" in inspect.signature(experiments.run_scan).parameters

@@ -12,6 +12,7 @@ from scipy import special, stats
 from vlp_sim import scan
 from vlp_sim.channel import ChannelParams, received_power_on_axis
 from vlp_sim.geometry import (
+    UP,
     ReceiverState,
     Room,
     build_beam_grid,
@@ -20,10 +21,13 @@ from vlp_sim.geometry import (
     norm,
     spherical_from_direction,
 )
+from vlp_sim.orientation import LaplaceParams, OrientationConfig, receiver_normals
 from vlp_sim.scan import (
     MAX_PILOT_LEN,
     PEAK_UNIFORMS,
+    beam_cells,
     dense_trace,
+    in_view,
     make_pilot,
     noise_max,
     realign_with_pilot,
@@ -260,6 +264,45 @@ class TestSupport:
         np.testing.assert_array_equal(power.view(np.int64), want_power.view(np.int64))
         assert (cells[:b] < g.size).sum(axis=1).max() == most
         assert 0 < np.count_nonzero(power == 0.0) < len(power)
+
+    @pytest.mark.parametrize("fov", [60.0, 120.0, 180.0])
+    @pytest.mark.parametrize("step", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("mode", ["random-euler", "random-spherical"])
+    def test_per_point_cells_masked_per_row_match_support(self, mode, step, fov):
+        # a grid run finds each point's cells and distance once (beam_cells)
+        # and each row only whether its pose sees them (in_view, from the
+        # row's own incidence cosine): the bits of support() row by row.
+        # Points on the four walls up to the ceiling (grazing arrivals), on
+        # the floor and under the emitter (the nadir ring), 12 poses a point
+        g = build_beam_grid(step, step)
+        rng = np.random.default_rng(41)
+        side = rng.uniform([0.0, 0.0, 0.0], [1.0, 1.0, 2.999], (40, 3))
+        side[:10, 0], side[10:20, 0], side[20:30, 1], side[30:, 1] = 0.0, 1.0, 0.0, 1.0
+        floor = np.column_stack([rng.uniform(0.0, 1.0, (20, 2)), np.zeros(20)])
+        under = np.column_stack([np.full((8, 2), 0.5), np.linspace(0.0, 2.9, 8)])
+        under[4:, 0] += 1e-3  # beside the nadir: in the nadir ring's half step, or out of it near the ceiling
+        points = np.vstack([side, floor, under, rng.uniform([0.0, 0.0, 0.0], [1.0, 1.0, 2.999], (40, 3))])
+        at = np.repeat(np.arange(len(points)), 12)
+        # random-spherical's stock spread is zero (upright): tilt it
+        orientation = OrientationConfig(mode=mode, azimuth=LaplaceParams(0.0, 90.0),
+                                        elevation=LaplaceParams(60.0, 20.0))
+        normals = receiver_normals(orientation, rng.uniform(size=(len(at), 3)) - 0.5)
+        rx = ReceiverState(points[at], normals, fov)
+        reach = beam_cells(g, ROOM, points)
+        cells, power = in_view(g, *(a[at] for a in reach), incidence_cosine(ROOM.emitter_pos, rx), fov, P)
+        want_cells, want_power = support(g, ROOM, rx, P)
+        np.testing.assert_array_equal(cells, want_cells)
+        np.testing.assert_array_equal(power.view(np.int64), want_power.view(np.int64))
+        # the field of view cuts some rows of a point and not others, and the
+        # nadir ring is among the cells seen
+        seen = (power > 0.0).reshape(len(points), -1)
+        assert (seen.any(axis=1) & ~seen.all(axis=1)).any()
+        assert (cells[power > 0.0, 0] == 0).any()
+        # an upright receiver too, as a fixed pass gathers it per point
+        upright = ReceiverState(points, UP, fov)
+        got = in_view(g, *reach, incidence_cosine(ROOM.emitter_pos, upright), fov, P)
+        for a, b in zip(got, support(g, ROOM, upright, P)):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestPeakOnlyScan:
